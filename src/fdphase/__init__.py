@@ -4,142 +4,31 @@ Numerically constructs the phase-state bases, the dual pair of cyclic shift
 operators, the deformed-oscillator ladder algebra at q a root of unity, and
 the truncated-oscillator time evolution, and verifies the operator
 identities tying them together to explicit tolerances.
+
+The package namespace carries the names of the README's library example;
+everything else is imported from its module (``fdphase.numerics``,
+``fdphase.pegg_barnett``, ``fdphase.deformed``, ``fdphase.evolution``,
+``fdphase.suites``, ``fdphase.report``, ``fdphase.cli``).
 """
 
 from .deformed import (
-    DeformationProfile,
-    GeneralizedFrame,
-    LadderOperators,
-    ProfileError,
     build_generalized_frame,
     build_ladder_operators,
-    cycle_operator_power,
     deformation_linear,
-    duality_check,
-    eta_class,
-    generalized_number_shift,
-    modified_number_shift,
-    profile_from_json,
     recover_phase_operator,
 )
-from .evolution import (
-    CycleClassification,
-    CycleOutcome,
-    OscillatorSpectrum,
-    classify_cycle,
-    compare_shift_vs_evolution,
-    cycle_phase_per_level,
-    eta_sector_map,
-    hamiltonian,
-    oscillator_spectrum,
-    time_evolution,
-)
-from .numerics import (
-    Certification,
-    DimensionMismatch,
-    NonOrthonormalFrame,
-    OperatorMatrix,
-    PhaseComparison,
-    StateVector,
-    TolerancePolicy,
-    adjoint,
-    basis_state,
-    certify,
-    equal_up_to_global_phase,
-    identity,
-    mat_apply,
-    mat_mul,
-    mat_power,
-    spectral_synthesize,
-)
-from .pegg_barnett import (
-    PhaseFrame,
-    SpaceConfig,
-    build_phase_frame,
-    commutator,
-    commutator_closed_form,
-    commutator_double_sum,
-    hermitian_phase_operator,
-    number_operator,
-    number_shift_operator,
-    unitary_phase_from_spectrum,
-    unitary_phase_operator,
-)
-from .report import (
-    TOOL_VERSION,
-    CheckRecord,
-    RunManifest,
-    VerificationReport,
-    format_float,
-    render_csv,
-    render_json,
-    render_pretty,
-)
-from .suites import SUITE_NAMES, run_suites
+from .pegg_barnett import SpaceConfig, unitary_phase_operator
+from .report import TOOL_VERSION
 
 __version__ = TOOL_VERSION
 
 __all__ = [
     "__version__",
     "TOOL_VERSION",
-    "Certification",
-    "CheckRecord",
-    "CycleClassification",
-    "CycleOutcome",
-    "DeformationProfile",
-    "DimensionMismatch",
-    "GeneralizedFrame",
-    "LadderOperators",
-    "NonOrthonormalFrame",
-    "OperatorMatrix",
-    "OscillatorSpectrum",
-    "PhaseComparison",
-    "PhaseFrame",
-    "ProfileError",
-    "RunManifest",
     "SpaceConfig",
-    "StateVector",
-    "SUITE_NAMES",
-    "TolerancePolicy",
-    "VerificationReport",
-    "adjoint",
-    "basis_state",
     "build_generalized_frame",
     "build_ladder_operators",
-    "build_phase_frame",
-    "certify",
-    "classify_cycle",
-    "commutator",
-    "commutator_closed_form",
-    "commutator_double_sum",
-    "compare_shift_vs_evolution",
-    "cycle_operator_power",
-    "cycle_phase_per_level",
     "deformation_linear",
-    "duality_check",
-    "equal_up_to_global_phase",
-    "eta_class",
-    "eta_sector_map",
-    "format_float",
-    "generalized_number_shift",
-    "hamiltonian",
-    "hermitian_phase_operator",
-    "identity",
-    "mat_apply",
-    "mat_mul",
-    "mat_power",
-    "modified_number_shift",
-    "number_operator",
-    "number_shift_operator",
-    "oscillator_spectrum",
-    "profile_from_json",
     "recover_phase_operator",
-    "render_csv",
-    "render_json",
-    "render_pretty",
-    "run_suites",
-    "spectral_synthesize",
-    "time_evolution",
-    "unitary_phase_from_spectrum",
     "unitary_phase_operator",
 ]

@@ -23,6 +23,7 @@ from .deformed import (
 )
 from .evolution import hamiltonian, time_evolution
 from .numerics import (
+    TWO_PI,
     StateVector,
     TolerancePolicy,
     equal_up_to_global_phase,
@@ -52,8 +53,6 @@ from .report import (
 from .suites import SUITE_NAMES, resolve_profile, run_suites
 
 __all__ = ["UsageError", "main", "build_parser", "load_state"]
-
-TWO_PI = 2.0 * math.pi
 
 DUMP_OBJECTS = (
     "phase-states",

@@ -24,17 +24,18 @@ import numpy as np
 
 from .numerics import (
     DimensionMismatch,
-    NonOrthonormalFrame,
     OperatorMatrix,
     StateVector,
     TolerancePolicy,
     adjoint,
     certified,
+    cyclic_shift,
+    frame_deviation,
     mat_power,
     max_abs,
     spectral_synthesize,
 )
-from .pegg_barnett import SpaceConfig, build_phase_frame, unitary_phase_operator
+from .pegg_barnett import PhaseFrame, SpaceConfig, build_phase_frame, unitary_phase_operator
 from .report import CheckRecord
 
 __all__ = [
@@ -124,13 +125,18 @@ class GeneralizedFrame:
     """Offset number states |n+eta> and the matching phase states.
 
     Columns of ``number_matrix`` are the |n+eta> in standard coordinates;
-    columns of ``phase_matrix`` are the offset-window phase states.
+    columns of ``phase_matrix`` are the offset-window phase states. The two
+    deviations are the orthonormality deviations max |V^dag V - 1| measured
+    when :func:`build_generalized_frame` certified the families; they are
+    None for a frame that was never certified.
     """
 
     config: SpaceConfig
     eta: float
     number_matrix: np.ndarray
     phase_matrix: np.ndarray
+    number_deviation: float | None = None
+    phase_deviation: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("number_matrix", "phase_matrix"):
@@ -142,18 +148,6 @@ class GeneralizedFrame:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "eta", float(self.eta))
-
-    @property
-    def number_states(self) -> tuple[StateVector, ...]:
-        return tuple(
-            StateVector(self.number_matrix[:, n]) for n in range(self.config.dim)
-        )
-
-    @property
-    def phase_states(self) -> tuple[StateVector, ...]:
-        return tuple(
-            StateVector(self.phase_matrix[:, m]) for m in range(self.config.dim)
-        )
 
     def number_state(self, n: int) -> StateVector:
         return StateVector(self.number_matrix[:, n])
@@ -171,31 +165,48 @@ class GeneralizedFrame:
         v = self.number_matrix
         return OperatorMatrix(v @ np.asarray(coeffs, dtype=np.complex128) @ v.conj().T)
 
+    def synthesize(self, eigvals: np.ndarray) -> OperatorMatrix:
+        """sum_n eigvals[n] |n+eta><n+eta| over the certified number states."""
+        return spectral_synthesize(
+            self.number_matrix, eigvals, deviation=self.number_deviation
+        )
+
 
 def build_generalized_frame(
-    config: SpaceConfig, eta: float, policy: TolerancePolicy | None = None
+    config: SpaceConfig,
+    eta: float,
+    policy: TolerancePolicy | None = None,
+    base: PhaseFrame | None = None,
 ) -> GeneralizedFrame:
     """Construct |n+eta> = exp(-i eta Phi)|n> and the offset phase states.
 
-    Both families are certified orthonormal before the frame is returned.
+    ``exp(-i eta Phi)`` is synthesized over the phase frame ``base``, which
+    is built here when not given. Both families are certified orthonormal,
+    once each, before the frame is returned.
     """
     eta = float(eta)
     if not math.isfinite(eta):
         raise ValueError("eta must be finite")
     dim = config.dim
     policy = policy or TolerancePolicy.for_dim(dim)
-    base = build_phase_frame(config, policy)
+    if base is None:
+        base = build_phase_frame(config, policy)
+    elif base.config.dim != dim or base.config.theta0 != config.theta0:
+        raise DimensionMismatch("base phase frame was built for a different space")
     thetas = config.thetas()
-    shift = spectral_synthesize(base.states, np.exp(-1j * eta * thetas), policy)
+    shift = spectral_synthesize(
+        base.matrix, np.exp(-1j * eta * thetas), policy, base.deviation
+    )
     number_matrix = np.array(shift.entries)  # column n is exp(-i eta Phi)|n>
     coeff = np.exp(1j * np.outer(np.arange(dim) + eta, thetas)) / math.sqrt(dim)
     phase_matrix = number_matrix @ coeff
-    for matrix in (number_matrix, phase_matrix):
-        deviation = max_abs(matrix.conj().T @ matrix - np.eye(dim))
-        if deviation > policy.tol_op:
-            raise NonOrthonormalFrame(deviation, policy.tol_op)
     return GeneralizedFrame(
-        config=config, eta=eta, number_matrix=number_matrix, phase_matrix=phase_matrix
+        config=config,
+        eta=eta,
+        number_matrix=number_matrix,
+        phase_matrix=phase_matrix,
+        number_deviation=frame_deviation(number_matrix, policy),
+        phase_deviation=frame_deviation(phase_matrix, policy),
     )
 
 
@@ -244,17 +255,10 @@ def build_ladder_operators(
         )
     frame = _frame_for(config, eta, frame)
     dim = config.dim
-    roots = np.sqrt(profile.values)
-    a_frame = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(1, dim):
-        a_frame[n - 1, n] = roots[n]
-    a_frame[dim - 1, 0] = roots[0] * np.exp(1j * dim * config.theta0)
-    a = frame.operator_from_frame(a_frame)
+    corner = np.exp(1j * dim * config.theta0)
+    a = frame.operator_from_frame(cyclic_shift(dim, corner, np.sqrt(profile.values)))
     q_number = certified(
-        spectral_synthesize(
-            frame.number_states, config.root_power(np.arange(dim) + frame.eta)
-        ),
-        "unitary",
+        frame.synthesize(config.root_power(np.arange(dim) + frame.eta)), "unitary"
     )
     return LadderOperators(a=a, a_dag=adjoint(a), q_number=q_number)
 
@@ -274,9 +278,7 @@ def recover_phase_operator(
         raise ProfileError(
             "inverse square root refused: profile has a zero weight"
         )
-    inv_sqrt = spectral_synthesize(
-        frame.number_states, (profile.values ** -0.5).astype(np.complex128)
-    )
+    inv_sqrt = frame.synthesize((profile.values ** -0.5).astype(np.complex128))
     return certified(OperatorMatrix(a.entries @ inv_sqrt.entries), "unitary")
 
 
@@ -287,8 +289,7 @@ def generalized_number_shift(frame: GeneralizedFrame, sign: str = "-") -> Operat
     exponents = np.arange(frame.config.dim) + frame.eta
     if sign == "-":
         exponents = -exponents
-    op = spectral_synthesize(frame.number_states, frame.config.root_power(exponents))
-    return certified(op, "unitary")
+    return certified(frame.synthesize(frame.config.root_power(exponents)), "unitary")
 
 
 def modified_number_shift(
@@ -301,23 +302,22 @@ def modified_number_shift(
     eta = 0 this reduces to the undeformed realization of q^-N.
     """
     frame = _frame_for(config, eta, frame)
-    dim = config.dim
-    pattern = np.zeros((dim, dim), dtype=np.complex128)
-    for m in range(1, dim):
-        pattern[m - 1, m] = 1.0
-    pattern[dim - 1, 0] = np.exp(-2j * np.pi * frame.eta)
+    pattern = cyclic_shift(config.dim, np.exp(-2j * np.pi * frame.eta))
     p = frame.phase_matrix
     return certified(OperatorMatrix(p @ pattern @ p.conj().T), "unitary")
 
 
-def cycle_operator_power(config: SpaceConfig, eta: float, k: int) -> OperatorMatrix:
+def cycle_operator_power(
+    config: SpaceConfig, eta: float, k: int, frame: GeneralizedFrame | None = None
+) -> OperatorMatrix:
     """(q^-(N+eta))^k by explicit repeated multiplication.
 
-    At k = s+1 the result is exp(-2*pi*i*eta) times the identity.
+    At k = s+1 the result is exp(-2*pi*i*eta) times the identity. The
+    offset frame is built only when ``frame`` is not given.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"power must be a positive integer, got {k!r}")
-    frame = build_generalized_frame(config, eta)
+    frame = _frame_for(config, eta, frame)
     return mat_power(generalized_number_shift(frame, "-"), int(k))
 
 
@@ -336,6 +336,8 @@ def duality_check(
     eta: float,
     policy: TolerancePolicy | None = None,
     frame: GeneralizedFrame | None = None,
+    qshift: OperatorMatrix | None = None,
+    phase_op: OperatorMatrix | None = None,
 ) -> list[CheckRecord]:
     """Report fragment for the matched shift laws of exp(iPhi) and q^-(N+eta).
 
@@ -343,30 +345,28 @@ def duality_check(
     states (wrap-around factor exp(-2*pi*i*eta)), the down-shift action of
     exp(iPhi) on the offset number states (wrap-around factor
     exp(i(s+1)theta_0)), and the two wrap-around phases themselves, which
-    exhibit the window/offset symmetry.
+    exhibit the window/offset symmetry. ``qshift`` (q^-(N+eta) synthesized
+    over ``frame``) and ``phase_op`` (the explicit exp(iPhi)) are built here
+    when not given.
     """
     frame = _frame_for(config, eta, frame)
     policy = policy or TolerancePolicy.for_dim(config.dim)
     dim = config.dim
-    qshift = generalized_number_shift(frame, "-")
-    phase_op = unitary_phase_operator(config)
+    if qshift is None:
+        qshift = generalized_number_shift(frame, "-")
+    if phase_op is None:
+        phase_op = unitary_phase_operator(config)
     p = frame.phase_matrix
     v = frame.number_matrix
     corner_eta = np.exp(-2j * np.pi * frame.eta)
     corner_theta = np.exp(1j * dim * config.theta0)
 
     shifted_phase = qshift.entries @ p
-    action_dev = 0.0
-    for m in range(1, dim):
-        action_dev = max(action_dev, max_abs(shifted_phase[:, m] - p[:, m - 1]))
+    action_dev = max_abs(shifted_phase[:, 1:] - p[:, :-1])
     wrap_dev = max_abs(shifted_phase[:, 0] - corner_eta * p[:, dim - 1])
 
     shifted_number = phase_op.entries @ v
-    phase_action_dev = 0.0
-    for n in range(1, dim):
-        phase_action_dev = max(
-            phase_action_dev, max_abs(shifted_number[:, n] - v[:, n - 1])
-        )
+    phase_action_dev = max_abs(shifted_number[:, 1:] - v[:, :-1])
     phase_wrap_dev = max_abs(shifted_number[:, 0] - corner_theta * v[:, dim - 1])
 
     corner_theta_measured = complex(

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    TWO_PI,
     OperatorMatrix,
     TolerancePolicy,
     basis_state,
@@ -42,8 +43,6 @@ __all__ = [
     "eta_sector_map",
     "compare_shift_vs_evolution",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,11 +119,19 @@ class CycleOutcome:
 
 
 def classify_cycle(
-    config: SpaceConfig, omega: float = 1.0, policy: TolerancePolicy | None = None
+    config: SpaceConfig,
+    omega: float = 1.0,
+    policy: TolerancePolicy | None = None,
+    u: OperatorMatrix | None = None,
 ) -> CycleOutcome:
-    """Classify U(2*pi/omega) by testing its columns up to one shared phase."""
+    """Classify U(2*pi/omega) by testing its columns up to one shared phase.
+
+    ``u`` is U(2*pi/omega) from :func:`time_evolution`, built here when not
+    given.
+    """
     policy = policy or TolerancePolicy.for_dim(config.dim)
-    u = time_evolution(config, omega, TWO_PI / float(omega))
+    if u is None:
+        u = time_evolution(config, omega, TWO_PI / float(omega))
     per_level = tuple(complex(z) for z in np.diag(u.entries))
 
     phases = []
@@ -157,15 +164,20 @@ def eta_sector_map(config: SpaceConfig) -> np.ndarray:
 
 
 def compare_shift_vs_evolution(
-    config: SpaceConfig, omega: float = 1.0, policy: TolerancePolicy | None = None
+    config: SpaceConfig,
+    omega: float = 1.0,
+    policy: TolerancePolicy | None = None,
+    u: OperatorMatrix | None = None,
 ) -> list[CheckRecord]:
     """Report fragment matching exp(-2*pi*i(n+eta_n)) to the U(T) diagonal.
 
     The second record checks the uniform eta = 1/2 prediction on every
-    level below the top, the part that survives as the space grows.
+    level below the top, the part that survives as the space grows. ``u``
+    is U(T) from :func:`time_evolution`, built here when not given.
     """
     del policy  # per-entry tolerance is pinned at 1e-9 for this comparison
-    u = time_evolution(config, omega, TWO_PI / float(omega))
+    if u is None:
+        u = time_evolution(config, omega, TWO_PI / float(omega))
     diag_u = np.diag(u.entries)
     levels = np.arange(config.dim)
     sector = np.exp(-2j * np.pi * (levels + eta_sector_map(config)))

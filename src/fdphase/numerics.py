@@ -3,19 +3,22 @@
 Vectors and operators are immutable wrappers around numpy arrays. Structural
 facts (hermitian / unitary / diagonal) travel as tags that are attached only
 after a numerical certification against a :class:`TolerancePolicy`, never
-assumed. Every operator exponential used elsewhere in this package is
-assembled from a known eigenbasis through :func:`spectral_synthesize`, so no
-general matrix exponential or eigensolver lives here.
+assumed. Each tag is measured once: :func:`certify` attaches the tag it has
+just measured without measuring it again. Every operator exponential used
+elsewhere in this package is assembled from a known eigenbasis, passed in as
+the frame matrix, through :func:`spectral_synthesize`, so no general matrix
+exponential or eigensolver lives here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
+    "TWO_PI",
     "VALID_TAGS",
     "DimensionMismatch",
     "NonOrthonormalFrame",
@@ -30,7 +33,9 @@ __all__ = [
     "mat_mul",
     "mat_power",
     "adjoint",
+    "cyclic_shift",
     "equal_up_to_global_phase",
+    "frame_deviation",
     "spectral_synthesize",
     "certify",
     "certified",
@@ -167,11 +172,12 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """A dense square operator whose tags are re-certified on construction.
+    """A dense square operator whose tags name certified structure.
 
-    Tags may only name structure the entries actually have: each requested
-    tag is checked against the dimension-scaled default ``tol_op`` and the
-    constructor refuses uncertified tags.
+    Tags may only name structure the entries actually have: each tag handed
+    to the constructor is measured against the dimension-scaled default
+    ``tol_op`` and the constructor refuses uncertified tags. :func:`certify`
+    attaches the tag it has just measured without this second measurement.
     """
 
     entries: np.ndarray
@@ -199,6 +205,13 @@ class OperatorMatrix:
                     f"exceeds {tol:.3e}"
                 )
         object.__setattr__(self, "tags", tags)
+
+    def _with_certified_tag(self, tag: str) -> "OperatorMatrix":
+        """The same entries with ``tag`` added; the caller has measured it."""
+        tagged = object.__new__(OperatorMatrix)
+        object.__setattr__(tagged, "entries", self.entries)
+        object.__setattr__(tagged, "tags", self.tags | {tag})
+        return tagged
 
     @property
     def dim(self) -> int:
@@ -244,6 +257,23 @@ def mat_power(m: OperatorMatrix, k: int) -> OperatorMatrix:
         raise ValueError(f"power must be a non-negative integer, got {k!r}")
     tags = frozenset({"diagonal"}) if "diagonal" in m.tags else frozenset()
     return OperatorMatrix(np.linalg.matrix_power(m.entries, int(k)), tags=tags)
+
+
+def cyclic_shift(dim: int, corner: complex, weights: np.ndarray | None = None) -> np.ndarray:
+    """Cyclic down-shift matrix: |n-1><n| for n = 1..dim-1 and |dim-1><0|.
+
+    The entry on |n-1><n| is ``weights[n]`` and the wrap-around entry is
+    ``corner * weights[0]``; without weights they are 1 and ``corner``.
+    """
+    entries = np.zeros((dim, dim), dtype=np.complex128)
+    levels = np.arange(1, dim)
+    if weights is None:
+        entries[levels - 1, levels] = 1.0
+        entries[dim - 1, 0] = corner
+    else:
+        entries[levels - 1, levels] = weights[1:]
+        entries[dim - 1, 0] = weights[0] * corner
+    return entries
 
 
 def adjoint(m: OperatorMatrix) -> OperatorMatrix:
@@ -298,15 +328,16 @@ def certify(
     """Measure the deviation from ``tag`` structure and attach it on success.
 
     Returns the measured deviation together with either the tagged matrix
-    (deviation within ``tol_op``) or the input unchanged.
+    (deviation within ``tol_op``) or the input unchanged. The tag is
+    measured once, here; the tags ``m`` already carries were certified when
+    ``m`` was built and are not measured again either.
     """
     if tag not in VALID_TAGS:
         raise ValueError(f"unknown tag {tag!r}; expected one of {sorted(VALID_TAGS)}")
     policy = policy or TolerancePolicy.for_dim(m.dim)
     deviation = tag_deviation(m.entries, tag)
     if deviation <= policy.tol_op:
-        tagged = OperatorMatrix(m.entries, tags=m.tags | {tag})
-        return Certification(tag, True, deviation, tagged)
+        return Certification(tag, True, deviation, m._with_certified_tag(tag))
     return Certification(tag, False, deviation, m)
 
 
@@ -322,31 +353,41 @@ def certified(
     return cert.matrix
 
 
+def frame_deviation(frame: np.ndarray, policy: TolerancePolicy) -> float:
+    """Orthonormality deviation max |V^dag V - 1| of the columns of ``frame``.
+
+    Raises :class:`NonOrthonormalFrame` when it exceeds ``tol_op``.
+    """
+    deviation = max_abs(frame.conj().T @ frame - np.eye(frame.shape[0]))
+    if deviation > policy.tol_op:
+        raise NonOrthonormalFrame(deviation, policy.tol_op)
+    return deviation
+
+
 def spectral_synthesize(
-    eigvecs: Sequence[StateVector],
+    frame: np.ndarray,
     eigvals: Iterable[complex],
     policy: TolerancePolicy | None = None,
+    deviation: float | None = None,
 ) -> OperatorMatrix:
     """Assemble sum_k lambda_k |v_k><v_k| from a complete orthonormal frame.
 
-    The frame must contain exactly one eigenvector per dimension and pass an
-    orthonormality certification within ``tol_op``; otherwise the frame is
-    rejected with the measured deviation attached to the error.
+    Column k of the square ``frame`` matrix is the eigenvector v_k. The frame
+    must pass an orthonormality certification within ``tol_op``; otherwise it
+    is rejected with the measured deviation attached to the error. A frame
+    certified when it was built passes that measured ``deviation`` and is not
+    multiplied out again.
     """
-    vecs = list(eigvecs)
-    vals = np.asarray(list(eigvals), dtype=np.complex128)
-    if not vecs:
-        raise ValueError("at least one eigenvector is required")
-    dim = vecs[0].dim
-    if any(v.dim != dim for v in vecs):
-        raise DimensionMismatch("all eigenvectors must share one dimension")
-    if len(vecs) != dim or vals.shape != (dim,):
-        raise ValueError(
-            "frame must be complete: one eigenvector and one eigenvalue per dimension"
-        )
-    frame = np.column_stack([v.amp for v in vecs])
+    frame = np.asarray(frame, dtype=np.complex128)
+    vals = np.asarray(eigvals, dtype=np.complex128)
+    if frame.ndim != 2 or frame.shape[0] != frame.shape[1] or frame.size == 0:
+        raise ValueError("frame must be complete: a non-empty square matrix")
+    dim = frame.shape[0]
+    if vals.shape != (dim,):
+        raise ValueError("frame must be complete: one eigenvalue per dimension")
     policy = policy or TolerancePolicy.for_dim(dim)
-    deviation = max_abs(frame.conj().T @ frame - np.eye(dim))
-    if deviation > policy.tol_op:
+    if deviation is None:
+        frame_deviation(frame, policy)
+    elif deviation > policy.tol_op:
         raise NonOrthonormalFrame(deviation, policy.tol_op)
     return OperatorMatrix((frame * vals) @ frame.conj().T)

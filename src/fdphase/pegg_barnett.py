@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    TWO_PI,
     DimensionMismatch,
-    NonOrthonormalFrame,
     OperatorMatrix,
     StateVector,
     TolerancePolicy,
     certified,
-    max_abs,
+    cyclic_shift,
+    frame_deviation,
     spectral_synthesize,
 )
 
@@ -45,8 +46,6 @@ __all__ = [
     "commutator_closed_form",
     "commutator_double_sum",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +100,16 @@ class SpaceConfig:
 
 @dataclass(frozen=True, eq=False)
 class PhaseFrame:
-    """The orthonormal phase states as columns of a dim x dim matrix."""
+    """The orthonormal phase states as columns of a dim x dim matrix.
+
+    ``deviation`` is the orthonormality deviation max |V^dag V - 1| measured
+    when :func:`build_phase_frame` certified the frame; it is None for a
+    frame that was never certified.
+    """
 
     config: SpaceConfig
     matrix: np.ndarray
+    deviation: float | None = None
 
     def __post_init__(self) -> None:
         arr = np.array(self.matrix, dtype=np.complex128, copy=True)
@@ -126,15 +131,13 @@ class PhaseFrame:
 def build_phase_frame(
     config: SpaceConfig, policy: TolerancePolicy | None = None
 ) -> PhaseFrame:
-    """Build the phase states, certifying the frame orthonormal."""
+    """Build the phase states, certifying the frame orthonormal once."""
     dim = config.dim
     policy = policy or TolerancePolicy.for_dim(dim)
     levels = np.arange(dim)
     matrix = np.exp(1j * np.outer(levels, config.thetas())) / math.sqrt(dim)
-    deviation = max_abs(matrix.conj().T @ matrix - np.eye(dim))
-    if deviation > policy.tol_op:
-        raise NonOrthonormalFrame(deviation, policy.tol_op)
-    return PhaseFrame(config=config, matrix=matrix)
+    deviation = frame_deviation(matrix, policy)
+    return PhaseFrame(config=config, matrix=matrix, deviation=deviation)
 
 
 def number_operator(config: SpaceConfig) -> OperatorMatrix:
@@ -150,7 +153,9 @@ def hermitian_phase_operator(
 ) -> OperatorMatrix:
     """Phase operator sum_m theta_m |theta_m><theta_m|, hermitian-certified."""
     frame = frame or build_phase_frame(config)
-    op = spectral_synthesize(frame.states, config.thetas().astype(np.complex128))
+    op = spectral_synthesize(
+        frame.matrix, config.thetas().astype(np.complex128), deviation=frame.deviation
+    )
     return certified(op, "hermitian")
 
 
@@ -160,12 +165,8 @@ def unitary_phase_operator(config: SpaceConfig) -> OperatorMatrix:
     Ones on |n-1><n| for n = 1..s plus the wrap-around entry
     exp(i(s+1)theta_0) on |s><0|; unitary-certified.
     """
-    dim = config.dim
-    entries = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(1, dim):
-        entries[n - 1, n] = 1.0
-    entries[dim - 1, 0] = np.exp(1j * dim * config.theta0)
-    return certified(OperatorMatrix(entries), "unitary")
+    corner = np.exp(1j * config.dim * config.theta0)
+    return certified(OperatorMatrix(cyclic_shift(config.dim, corner)), "unitary")
 
 
 def unitary_phase_from_spectrum(
@@ -173,7 +174,9 @@ def unitary_phase_from_spectrum(
 ) -> OperatorMatrix:
     """sum_m exp(i theta_m)|theta_m><theta_m|, the spectral route to exp(iPhi)."""
     frame = frame or build_phase_frame(config)
-    op = spectral_synthesize(frame.states, np.exp(1j * config.thetas()))
+    op = spectral_synthesize(
+        frame.matrix, np.exp(1j * config.thetas()), deviation=frame.deviation
+    )
     return certified(op, "unitary")
 
 
@@ -228,11 +231,14 @@ def commutator_double_sum(config: SpaceConfig) -> OperatorMatrix:
     element, so it is reported as a flagged deviation rather than asserted.
     """
     dim = config.dim
+    levels = np.arange(dim)
+    n_prime, n = levels[:, None], levels[None, :]  # entry (n', n)
+    off = n_prime != n
+    # Bit for bit the verbatim double loop: the exponent's imaginary part is
+    # the real (2*pi*k)/dim, the value the scalar 2j*pi*k/dim takes (a
+    # complex/real array division multiplies by a reciprocal and rounds
+    # differently), and the terms are added onto zeros as the loop did.
+    k = (n - n_prime)[off]
     entries = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(dim):
-        for n_prime in range(dim):
-            if n_prime == n:
-                continue
-            weight = (n_prime - n) / (np.exp(2j * np.pi * (n - n_prime) / dim) - 1.0)
-            entries[n_prime, n] += weight
+    entries[off] += (n_prime - n)[off] / (np.exp(1j * ((2 * np.pi * k) / dim)) - 1.0)
     return OperatorMatrix(entries * (TWO_PI / dim))

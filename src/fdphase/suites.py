@@ -3,11 +3,18 @@
 Each suite turns the operator identities of one subsystem into check
 records at the manifest's dimension and parameters. Record order is fixed
 so that reports with equal manifests are byte-identical.
+
+:func:`run_suites` hands every suite one ``shared`` dict, so that a
+construction two suites use (the phase frame, an offset frame, the explicit
+exp(iPhi), the cycle power of q^-(N+eta), U(2*pi/omega)) is built once per
+run. The dict lives only for that call. A shared object only ever replaces
+a second build of the same route, never the other side of a check.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -33,8 +40,10 @@ from .evolution import (
     time_evolution,
 )
 from .numerics import (
+    TWO_PI,
     StateVector,
     TolerancePolicy,
+    cyclic_shift,
     hermitian_deviation,
     mat_apply,
     mat_mul,
@@ -68,8 +77,6 @@ __all__ = [
 
 SUITE_NAMES = ("pb-core", "gdo", "evolution", "cross-module")
 
-TWO_PI = 2.0 * np.pi
-
 
 def resolve_profile(source: str, config: SpaceConfig, eta: float) -> DeformationProfile:
     """Turn a manifest profile entry (a variant name or a file path) into a table."""
@@ -83,9 +90,30 @@ def _random_state(rng: np.random.Generator, dim: int) -> StateVector:
     return StateVector(amp).normalized()
 
 
-def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy) -> list:
+def _once(shared: dict, key, build: Callable, *args):
+    """``build(*args)``, made on the first request for ``key`` in this run."""
+    if key not in shared:
+        shared[key] = build(*args)
+    return shared[key]
+
+
+def _generalized_frame(shared: dict, config: SpaceConfig, eta: float, policy):
+    base = _once(shared, "phase_frame", build_phase_frame, config, policy)
+    key = ("generalized_frame", float(eta))
+    return _once(shared, key, build_generalized_frame, config, eta, policy, base)
+
+
+def _period_evolution(shared: dict, config: SpaceConfig, omega: float):
+    period = TWO_PI / float(omega)
+    return _once(shared, "period_evolution", time_evolution, config, omega, period)
+
+
+def suite_pb_core(
+    config: SpaceConfig, policy: TolerancePolicy, shared: dict | None = None
+) -> list:
+    shared = {} if shared is None else shared
     dim = config.dim
-    frame = build_phase_frame(config, policy)
+    frame = _once(shared, "phase_frame", build_phase_frame, config, policy)
     v = frame.matrix
     eye = np.eye(dim)
     records = []
@@ -94,7 +122,7 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy) -> list:
         CheckRecord.measured(
             "phase_frame_orthonormal",
             "<theta_m|theta_k> = delta_mk",
-            max_abs(v.conj().T @ v - eye),
+            frame.deviation,
             policy.tol_op,
         )
     )
@@ -126,23 +154,17 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy) -> list:
         )
     )
 
-    realization = unitary_phase_operator(config)
+    realization = _once(shared, "exp_iphi", unitary_phase_operator, config)
     spectral = unitary_phase_from_spectrum(config, frame)
     corner = np.exp(1j * dim * config.theta0)
 
-    # Shift action measured on the spectral route; the explicit realization
-    # satisfies it by construction.
-    action_dev = 0.0
-    for n in range(1, dim):
-        applied = spectral.entries[:, n]
-        want = eye[:, n - 1]
-        action_dev = max(action_dev, max_abs(applied - want))
-    action_dev = max(action_dev, max_abs(spectral.entries[:, 0] - corner * eye[:, dim - 1]))
+    # Shift action measured on the spectral route, every column at once:
+    # column n of the explicit shift is the wanted image of |n>.
     records.append(
         CheckRecord.measured(
             "unitary_phase_shift_action",
             "exp(iPhi)|n> = |n-1> and exp(iPhi)|0> = exp(i(s+1)theta_0)|s>",
-            action_dev,
+            max_abs(spectral.entries - cyclic_shift(dim, corner)),
             policy.tol_elem,
         )
     )
@@ -165,22 +187,15 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy) -> list:
 
     down = number_shift_operator(config, "-")
     shifted = down.entries @ v
-    shift_dev = max_abs(shifted[:, 0] - v[:, dim - 1])
-    for m in range(1, dim):
-        shift_dev = max(shift_dev, max_abs(shifted[:, m] - v[:, m - 1]))
     records.append(
         CheckRecord.measured(
             "number_shift_action",
             "q^-N |theta_m> = |theta_m-1> and q^-N |theta_0> = |theta_s>",
-            shift_dev,
+            max_abs(shifted - np.roll(v, 1, axis=1)),
             policy.tol_elem,
         )
     )
-    pattern = np.zeros((dim, dim), dtype=np.complex128)
-    for m in range(1, dim):
-        pattern[m - 1, m] = 1.0
-    pattern[dim - 1, 0] = 1.0
-    realization_sum = v @ pattern @ v.conj().T
+    realization_sum = v @ cyclic_shift(dim, 1.0) @ v.conj().T
     records.append(
         CheckRecord.measured(
             "number_shift_realization",
@@ -246,9 +261,11 @@ def suite_gdo(
     eta: float,
     profile: DeformationProfile,
     policy: TolerancePolicy,
+    shared: dict | None = None,
 ) -> list:
+    shared = {} if shared is None else shared
     dim = config.dim
-    frame = build_generalized_frame(config, eta, policy)
+    frame = _generalized_frame(shared, config, eta, policy)
     eye = np.eye(dim)
     records = []
 
@@ -256,7 +273,7 @@ def suite_gdo(
         CheckRecord.measured(
             "generalized_number_frame_orthonormal",
             "<n+eta|k+eta> = delta_nk",
-            max_abs(frame.number_matrix.conj().T @ frame.number_matrix - eye),
+            frame.number_deviation,
             policy.tol_op,
         )
     )
@@ -264,7 +281,7 @@ def suite_gdo(
         CheckRecord.measured(
             "generalized_phase_frame_orthonormal",
             "offset-window <theta_m|theta_k> = delta_mk",
-            max_abs(frame.phase_matrix.conj().T @ frame.phase_matrix - eye),
+            frame.phase_deviation,
             policy.tol_op,
         )
     )
@@ -303,13 +320,14 @@ def suite_gdo(
         )
     )
 
+    phase_op = _once(shared, "exp_iphi", unitary_phase_operator, config)
     if np.all(profile.values > 0.0):
         recovered = recover_phase_operator(ladder.a, profile, frame)
         records.append(
             CheckRecord.measured(
                 "phase_operator_recovery",
                 "A F(q^(N+eta))^(-1/2) = exp(iPhi)",
-                max_abs(recovered.entries - unitary_phase_operator(config).entries),
+                max_abs(recovered.entries - phase_op.entries),
                 policy.tol_op,
             )
         )
@@ -331,9 +349,9 @@ def suite_gdo(
             policy.tol_op,
         )
     )
-    records.extend(duality_check(config, eta, policy, frame))
+    records.extend(duality_check(config, eta, policy, frame, qshift, phase_op))
 
-    cycle = mat_power(qshift, dim)
+    cycle = _once(shared, ("cycle", frame.eta), mat_power, qshift, dim)
     records.append(
         CheckRecord.measured(
             "cycle_identity",
@@ -357,8 +375,13 @@ def suite_gdo(
 
 
 def suite_evolution(
-    config: SpaceConfig, omega: float, seed: int, policy: TolerancePolicy
+    config: SpaceConfig,
+    omega: float,
+    seed: int,
+    policy: TolerancePolicy,
+    shared: dict | None = None,
 ) -> list:
+    shared = {} if shared is None else shared
     dim = config.dim
     spectrum = oscillator_spectrum(config, omega)
     records = []
@@ -381,8 +404,7 @@ def suite_evolution(
         )
     )
 
-    period = TWO_PI / float(omega)
-    u = time_evolution(config, omega, period)
+    u = _period_evolution(shared, config, omega)
     records.append(
         CheckRecord.measured(
             "evolution_unitary",
@@ -414,7 +436,7 @@ def suite_evolution(
         )
     )
 
-    outcome = classify_cycle(config, omega, policy)
+    outcome = classify_cycle(config, omega, policy, u)
     if dim % 2 == 0:
         parity_dev = 0.0 if outcome.classification is CycleClassification.GLOBAL_SIGN_FLIP else 1.0
         if outcome.global_phase is not None:
@@ -442,7 +464,7 @@ def suite_evolution(
         )
     )
 
-    records.extend(compare_shift_vs_evolution(config, omega, policy))
+    records.extend(compare_shift_vs_evolution(config, omega, policy, u))
 
     rng = np.random.default_rng(seed)
     psi = _random_state(rng, dim)
@@ -459,12 +481,18 @@ def suite_evolution(
 
 
 def suite_cross_module(
-    config: SpaceConfig, omega: float, seed: int, policy: TolerancePolicy
+    config: SpaceConfig,
+    omega: float,
+    seed: int,
+    policy: TolerancePolicy,
+    shared: dict | None = None,
 ) -> list:
     """The shift route at eta = 1/2 against the Hamiltonian route."""
+    shared = {} if shared is None else shared
     dim = config.dim
-    cycle = cycle_operator_power(config, 0.5, dim)
-    u = time_evolution(config, omega, TWO_PI / float(omega))
+    frame = _generalized_frame(shared, config, 0.5, policy)
+    cycle = _once(shared, ("cycle", 0.5), cycle_operator_power, config, 0.5, dim, frame)
+    u = _period_evolution(shared, config, omega)
     records = []
 
     if dim % 2 == 0:
@@ -514,14 +542,18 @@ def run_suites(
     policy = policy or TolerancePolicy.for_dim(config.dim)
     selected = [name for name in SUITE_NAMES if name in manifest.suites]
 
-    records = []
+    records, shared = [], {}
     if "pb-core" in selected:
-        records.extend(suite_pb_core(config, policy))
+        records.extend(suite_pb_core(config, policy, shared))
     if "gdo" in selected:
         table = profile or resolve_profile(manifest.profile, config, manifest.eta)
-        records.extend(suite_gdo(config, manifest.eta, table, policy))
+        records.extend(suite_gdo(config, manifest.eta, table, policy, shared))
     if "evolution" in selected:
-        records.extend(suite_evolution(config, manifest.omega, manifest.seed, policy))
+        records.extend(
+            suite_evolution(config, manifest.omega, manifest.seed, policy, shared)
+        )
     if "cross-module" in selected:
-        records.extend(suite_cross_module(config, manifest.omega, manifest.seed, policy))
+        records.extend(
+            suite_cross_module(config, manifest.omega, manifest.seed, policy, shared)
+        )
     return VerificationReport(manifest=manifest, records=tuple(records))

@@ -215,9 +215,14 @@ class TestEqualUpToGlobalPhase:
         assert forward.equal == backward.equal
 
 
+def _columns(*states):
+    """Frame matrix whose columns are the given states."""
+    return np.column_stack([state.amp for state in states])
+
+
 class TestSpectralSynthesize:
     def test_number_operator_from_standard_basis(self):
-        op = spectral_synthesize([basis_state(2, 0), basis_state(2, 1)], [0.0, 1.0])
+        op = spectral_synthesize(_columns(basis_state(2, 0), basis_state(2, 1)), [0.0, 1.0])
         assert np.allclose(op.entries, np.diag([0.0, 1.0]))
 
     def test_phase_operator_by_hand(self):
@@ -228,13 +233,13 @@ class TestSpectralSynthesize:
             theta1.amp, theta1.amp.conj()
         )
         assert np.allclose(hand, np.pi / 2 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        op = spectral_synthesize([theta0, theta1], [0.0, np.pi])
+        op = spectral_synthesize(_columns(theta0, theta1), [0.0, np.pi])
         assert np.allclose(op.entries, hand)
 
     def test_unitary_phase_by_hand(self):
         theta0 = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         theta1 = StateVector(np.array([1.0, -1.0]) / np.sqrt(2.0))
-        op = spectral_synthesize([theta0, theta1], [np.exp(0j), np.exp(1j * np.pi)])
+        op = spectral_synthesize(_columns(theta0, theta1), [np.exp(0j), np.exp(1j * np.pi)])
         assert np.allclose(op.entries, X, atol=1e-15)
 
     def test_eigenvalues_reproduced_over_same_frame(self):
@@ -243,7 +248,7 @@ class TestSpectralSynthesize:
 
         frame = build_phase_frame(config)
         values = np.exp(1j * config.thetas())
-        op = spectral_synthesize(frame.states, values)
+        op = spectral_synthesize(frame.matrix, values)
         recovered = np.array(
             [state.inner(mat_apply(op, state)) for state in frame.states]
         )
@@ -252,12 +257,12 @@ class TestSpectralSynthesize:
     def test_non_orthonormal_frame_rejected_with_diagnostic(self):
         skewed = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         with pytest.raises(NonOrthonormalFrame) as info:
-            spectral_synthesize([basis_state(2, 0), skewed], [1.0, 2.0])
+            spectral_synthesize(_columns(basis_state(2, 0), skewed), [1.0, 2.0])
         assert info.value.max_deviation == pytest.approx(1 / np.sqrt(2.0))
 
     def test_incomplete_frame_rejected(self):
         with pytest.raises(ValueError):
-            spectral_synthesize([basis_state(2, 0)], [1.0])
+            spectral_synthesize(_columns(basis_state(2, 0)), [1.0])
 
 
 class TestCertify:

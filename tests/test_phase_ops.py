@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fdphase.numerics import (
+    TWO_PI,
     DimensionMismatch,
     StateVector,
     basis_state,
@@ -315,3 +316,21 @@ class TestCommutatorDoubleSum:
         a = commutator_double_sum(SpaceConfig.from_dim(4, 0.0))
         b = commutator_double_sum(SpaceConfig.from_dim(4, 2.9))
         assert np.allclose(a.entries, b.entries)
+
+    @staticmethod
+    def _verbatim_double_loop(dim):
+        # The kernel as it is quoted, one (n, n') term at a time.
+        entries = np.zeros((dim, dim), dtype=np.complex128)
+        for n in range(dim):
+            for n_prime in range(dim):
+                if n_prime == n:
+                    continue
+                weight = (n_prime - n) / (np.exp(2j * np.pi * (n - n_prime) / dim) - 1.0)
+                entries[n_prime, n] += weight
+        return entries * (TWO_PI / dim)
+
+    @pytest.mark.parametrize("dim", [*range(1, 41), 511])
+    def test_bit_identical_to_verbatim_double_loop(self, dim):
+        got = commutator_double_sum(SpaceConfig.from_dim(dim, 0.3)).entries
+        # Byte comparison: equal values and equal signs of zero.
+        assert got.tobytes() == self._verbatim_double_loop(dim).tobytes()
