@@ -17,7 +17,7 @@ from .deformed import (
     deformation_linear,
     recover_phase_operator,
 )
-from .pegg_barnett import SpaceConfig, unitary_phase_operator
+from .pegg_barnett import SpaceConfig, build_phase_frame, unitary_phase_operator
 from .report import TOOL_VERSION
 
 __version__ = TOOL_VERSION
@@ -26,6 +26,7 @@ __all__ = [
     "__version__",
     "TOOL_VERSION",
     "SpaceConfig",
+    "build_phase_frame",
     "build_generalized_frame",
     "build_ladder_operators",
     "deformation_linear",

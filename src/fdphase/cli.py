@@ -260,8 +260,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                 raise UsageError(f"omega must be positive, got {args.omega}")
             step_op = time_evolution(config, args.omega, TWO_PI / args.omega)
         else:
-            frame = build_generalized_frame(config, args.eta)
-            step_op = generalized_number_shift(frame, "-")
+            frame = build_generalized_frame(build_phase_frame(config), args.eta)
+            step_op = generalized_number_shift(frame)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -288,7 +288,7 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
             "states": [_pairs(frame.matrix[:, m]) for m in range(config.dim)],
         }
     if name == "phi":
-        op = hermitian_phase_operator(config)
+        op = hermitian_phase_operator(build_phase_frame(config))
         return {
             "kind": "phi",
             "dim": config.dim,
@@ -304,12 +304,13 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
             "matrix": _matrix_json(op.entries),
         }
     if name == "qN":
-        op = number_shift_operator(config, "-")
+        op = number_shift_operator(config)
         return {"kind": "qN", "dim": config.dim, "matrix": _matrix_json(op.entries)}
     if name in ("A", "Adag"):
         try:
             profile = resolve_profile(args.profile, config, args.eta)
-            ladder = build_ladder_operators(config, args.eta, profile)
+            frame = build_generalized_frame(build_phase_frame(config), args.eta)
+            ladder = build_ladder_operators(frame, profile)
         except (ProfileError, OSError, ValueError) as exc:
             raise UsageError(str(exc)) from exc
         op = ladder.a if name == "A" else ladder.a_dag
@@ -332,7 +333,7 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
             "matrix": _matrix_json(op.entries),
         }
     if name == "commutators":
-        phi = hermitian_phase_operator(config)
+        phi = hermitian_phase_operator(build_phase_frame(config))
         direct = commutator(phi, number_operator(config))
         closed = commutator_closed_form(config)
         double = commutator_double_sum(config)

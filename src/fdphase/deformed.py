@@ -6,6 +6,9 @@ produced from the usual ones by the continuous phase shift exp(-i eta Phi);
 the offset-window phase states are then rebuilt from them by the usual
 Fourier sum with exponents n+eta. That constructive order breaks the mutual
 definition of the two families and pins concrete coordinates for both.
+:func:`build_generalized_frame` builds them over a certified phase frame,
+and every builder below takes the resulting frame as a required argument
+and reads the space and eta from it.
 
 Dividing the square-rooted weight back out of the lowering operator
 recovers the undeformed unitary phase operator for every admissible eta and
@@ -25,7 +28,6 @@ import numpy as np
 from .numerics import (
     DimensionMismatch,
     OperatorMatrix,
-    StateVector,
     TolerancePolicy,
     adjoint,
     certified,
@@ -35,7 +37,7 @@ from .numerics import (
     max_abs,
     spectral_synthesize,
 )
-from .pegg_barnett import PhaseFrame, SpaceConfig, build_phase_frame, unitary_phase_operator
+from .pegg_barnett import PhaseFrame, SpaceConfig
 from .report import CheckRecord
 
 __all__ = [
@@ -127,16 +129,15 @@ class GeneralizedFrame:
     Columns of ``number_matrix`` are the |n+eta> in standard coordinates;
     columns of ``phase_matrix`` are the offset-window phase states. The two
     deviations are the orthonormality deviations max |V^dag V - 1| measured
-    when :func:`build_generalized_frame` certified the families; they are
-    None for a frame that was never certified.
+    when :func:`build_generalized_frame` certified the families.
     """
 
     config: SpaceConfig
     eta: float
     number_matrix: np.ndarray
     phase_matrix: np.ndarray
-    number_deviation: float | None = None
-    phase_deviation: float | None = None
+    number_deviation: float
+    phase_deviation: float
 
     def __post_init__(self) -> None:
         for name in ("number_matrix", "phase_matrix"):
@@ -148,12 +149,6 @@ class GeneralizedFrame:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "eta", float(self.eta))
-
-    def number_state(self, n: int) -> StateVector:
-        return StateVector(self.number_matrix[:, n])
-
-    def phase_state(self, m: int) -> StateVector:
-        return StateVector(self.phase_matrix[:, m])
 
     def to_frame(self, op: OperatorMatrix) -> np.ndarray:
         """Matrix of ``op`` in the offset number basis."""
@@ -167,36 +162,23 @@ class GeneralizedFrame:
 
     def synthesize(self, eigvals: np.ndarray) -> OperatorMatrix:
         """sum_n eigvals[n] |n+eta><n+eta| over the certified number states."""
-        return spectral_synthesize(
-            self.number_matrix, eigvals, deviation=self.number_deviation
-        )
+        return spectral_synthesize(self.number_matrix, eigvals, self.number_deviation)
 
 
-def build_generalized_frame(
-    config: SpaceConfig,
-    eta: float,
-    policy: TolerancePolicy | None = None,
-    base: PhaseFrame | None = None,
-) -> GeneralizedFrame:
+def build_generalized_frame(base: PhaseFrame, eta: float) -> GeneralizedFrame:
     """Construct |n+eta> = exp(-i eta Phi)|n> and the offset phase states.
 
-    ``exp(-i eta Phi)`` is synthesized over the phase frame ``base``, which
-    is built here when not given. Both families are certified orthonormal,
+    ``exp(-i eta Phi)`` is synthesized over the phase frame ``base``, whose
+    space the offset frame shares. Both families are certified orthonormal,
     once each, before the frame is returned.
     """
     eta = float(eta)
     if not math.isfinite(eta):
         raise ValueError("eta must be finite")
+    config = base.config
     dim = config.dim
-    policy = policy or TolerancePolicy.for_dim(dim)
-    if base is None:
-        base = build_phase_frame(config, policy)
-    elif base.config.dim != dim or base.config.theta0 != config.theta0:
-        raise DimensionMismatch("base phase frame was built for a different space")
     thetas = config.thetas()
-    shift = spectral_synthesize(
-        base.matrix, np.exp(-1j * eta * thetas), policy, base.deviation
-    )
+    shift = spectral_synthesize(base.matrix, np.exp(-1j * eta * thetas), base.deviation)
     number_matrix = np.array(shift.entries)  # column n is exp(-i eta Phi)|n>
     coeff = np.exp(1j * np.outer(np.arange(dim) + eta, thetas)) / math.sqrt(dim)
     phase_matrix = number_matrix @ coeff
@@ -205,8 +187,8 @@ def build_generalized_frame(
         eta=eta,
         number_matrix=number_matrix,
         phase_matrix=phase_matrix,
-        number_deviation=frame_deviation(number_matrix, policy),
-        phase_deviation=frame_deviation(phase_matrix, policy),
+        number_deviation=frame_deviation(number_matrix),
+        phase_deviation=frame_deviation(phase_matrix),
     )
 
 
@@ -219,27 +201,8 @@ class LadderOperators:
     q_number: OperatorMatrix
 
 
-def _frame_for(
-    config: SpaceConfig, eta: float, frame: GeneralizedFrame | None
-) -> GeneralizedFrame:
-    if frame is None:
-        return build_generalized_frame(config, eta)
-    if frame.config is not config and (
-        frame.config.dim != config.dim or frame.config.theta0 != config.theta0
-    ):
-        raise DimensionMismatch("frame was built for a different space")
-    if frame.eta != float(eta):
-        raise ValueError(
-            f"frame was built for eta = {frame.eta}, not eta = {float(eta)}"
-        )
-    return frame
-
-
 def build_ladder_operators(
-    config: SpaceConfig,
-    eta: float,
-    profile: DeformationProfile,
-    frame: GeneralizedFrame | None = None,
+    frame: GeneralizedFrame, profile: DeformationProfile
 ) -> LadderOperators:
     """Ladder operators over the offset number states.
 
@@ -249,11 +212,11 @@ def build_ladder_operators(
     the wrap-around of the raising operator reuses the bottom-level weight.
     q_number carries eigenvalue q^(n+eta) on |n+eta>.
     """
+    config = frame.config
     if profile.dim != config.dim:
         raise DimensionMismatch(
             f"profile length {profile.dim} does not match dimension {config.dim}"
         )
-    frame = _frame_for(config, eta, frame)
     dim = config.dim
     corner = np.exp(1j * dim * config.theta0)
     a = frame.operator_from_frame(cyclic_shift(dim, corner, np.sqrt(profile.values)))
@@ -282,43 +245,32 @@ def recover_phase_operator(
     return certified(OperatorMatrix(a.entries @ inv_sqrt.entries), "unitary")
 
 
-def generalized_number_shift(frame: GeneralizedFrame, sign: str = "-") -> OperatorMatrix:
-    """q^{sign (N+eta)}: eigenvalue q^{sign (n+eta)} on |n+eta>."""
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    exponents = np.arange(frame.config.dim) + frame.eta
-    if sign == "-":
-        exponents = -exponents
+def generalized_number_shift(frame: GeneralizedFrame) -> OperatorMatrix:
+    """q^-(N+eta): eigenvalue q^-(n+eta) on |n+eta>."""
+    exponents = -(np.arange(frame.config.dim) + frame.eta)
     return certified(frame.synthesize(frame.config.root_power(exponents)), "unitary")
 
 
-def modified_number_shift(
-    config: SpaceConfig, eta: float, frame: GeneralizedFrame | None = None
-) -> OperatorMatrix:
+def modified_number_shift(frame: GeneralizedFrame) -> OperatorMatrix:
     """Phase-state realization of q^-(N+eta).
 
     sum_{m=1..s} |theta_{m-1}><theta_m| plus exp(-2*pi*i*eta) on
     |theta_s><theta_0|, taken over the offset-window phase states. At
     eta = 0 this reduces to the undeformed realization of q^-N.
     """
-    frame = _frame_for(config, eta, frame)
-    pattern = cyclic_shift(config.dim, np.exp(-2j * np.pi * frame.eta))
+    pattern = cyclic_shift(frame.config.dim, np.exp(-2j * np.pi * frame.eta))
     p = frame.phase_matrix
     return certified(OperatorMatrix(p @ pattern @ p.conj().T), "unitary")
 
 
-def cycle_operator_power(
-    config: SpaceConfig, eta: float, k: int, frame: GeneralizedFrame | None = None
-) -> OperatorMatrix:
+def cycle_operator_power(frame: GeneralizedFrame, k: int) -> OperatorMatrix:
     """(q^-(N+eta))^k by explicit repeated multiplication.
 
-    At k = s+1 the result is exp(-2*pi*i*eta) times the identity. The
-    offset frame is built only when ``frame`` is not given.
+    At k = s+1 the result is exp(-2*pi*i*eta) times the identity.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"power must be a positive integer, got {k!r}")
-    frame = _frame_for(config, eta, frame)
-    return mat_power(generalized_number_shift(frame, "-"), int(k))
+    return mat_power(generalized_number_shift(frame), int(k))
 
 
 def eta_class(eta: float, tol: float = 1e-9) -> str:
@@ -332,12 +284,7 @@ def eta_class(eta: float, tol: float = 1e-9) -> str:
 
 
 def duality_check(
-    config: SpaceConfig,
-    eta: float,
-    policy: TolerancePolicy | None = None,
-    frame: GeneralizedFrame | None = None,
-    qshift: OperatorMatrix | None = None,
-    phase_op: OperatorMatrix | None = None,
+    frame: GeneralizedFrame, qshift: OperatorMatrix, phase_op: OperatorMatrix
 ) -> list[CheckRecord]:
     """Report fragment for the matched shift laws of exp(iPhi) and q^-(N+eta).
 
@@ -345,17 +292,12 @@ def duality_check(
     states (wrap-around factor exp(-2*pi*i*eta)), the down-shift action of
     exp(iPhi) on the offset number states (wrap-around factor
     exp(i(s+1)theta_0)), and the two wrap-around phases themselves, which
-    exhibit the window/offset symmetry. ``qshift`` (q^-(N+eta) synthesized
-    over ``frame``) and ``phase_op`` (the explicit exp(iPhi)) are built here
-    when not given.
+    exhibit the window/offset symmetry. ``qshift`` is q^-(N+eta) from
+    :func:`generalized_number_shift` over ``frame`` and ``phase_op`` is the
+    explicit exp(iPhi) from :func:`.pegg_barnett.unitary_phase_operator`.
     """
-    frame = _frame_for(config, eta, frame)
-    policy = policy or TolerancePolicy.for_dim(config.dim)
+    config = frame.config
     dim = config.dim
-    if qshift is None:
-        qshift = generalized_number_shift(frame, "-")
-    if phase_op is None:
-        phase_op = unitary_phase_operator(config)
     p = frame.phase_matrix
     v = frame.number_matrix
     corner_eta = np.exp(-2j * np.pi * frame.eta)
@@ -374,7 +316,7 @@ def duality_check(
     )
     corner_eta_measured = complex(p[:, dim - 1].conj() @ qshift.entries @ p[:, 0])
 
-    tol = policy.tol_elem
+    tol = TolerancePolicy.for_dim(dim).tol_elem
     return [
         CheckRecord.measured(
             "modified_shift_action",

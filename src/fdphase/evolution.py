@@ -7,7 +7,8 @@ level below the top picks up the factor -1 while the top level picks up
 dimension is even; odd dimensions return mixed per-level phases and no
 global factor. Each level's one-cycle factor coincides with the factor
 exp(-2*pi*i(n+eta)) of the deformed shift route once eta is read off the
-sector map (1/2 below the top, 1/2 + (s+1)/2 at the top).
+sector map (1/2 below the top, 1/2 + (s+1)/2 at the top). The checks on one
+period take U(2*pi/omega), built once by :func:`time_evolution`.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from .numerics import (
     TWO_PI,
     OperatorMatrix,
     TolerancePolicy,
-    basis_state,
     certified,
-    equal_up_to_global_phase,
-    mat_apply,
     max_abs,
 )
 from .pegg_barnett import SpaceConfig
@@ -118,37 +116,27 @@ class CycleOutcome:
     global_phase: float | None
 
 
-def classify_cycle(
-    config: SpaceConfig,
-    omega: float = 1.0,
-    policy: TolerancePolicy | None = None,
-    u: OperatorMatrix | None = None,
-) -> CycleOutcome:
+def classify_cycle(config: SpaceConfig, u: OperatorMatrix) -> CycleOutcome:
     """Classify U(2*pi/omega) by testing its columns up to one shared phase.
 
-    ``u`` is U(2*pi/omega) from :func:`time_evolution`, built here when not
-    given.
+    ``u`` is U(2*pi/omega) from :func:`time_evolution`. Column n keeps |n> up
+    to a phase when the overlap <n|U|n> = u[n, n] carries the column's whole
+    norm; all columns are tested at once.
     """
-    policy = policy or TolerancePolicy.for_dim(config.dim)
-    if u is None:
-        u = time_evolution(config, omega, TWO_PI / float(omega))
-    per_level = tuple(complex(z) for z in np.diag(u.entries))
-
-    phases = []
-    for level in range(config.dim):
-        ket = basis_state(config.dim, level)
-        comparison = equal_up_to_global_phase(ket, mat_apply(u, ket), policy.tol_op)
-        if not comparison.equal:
-            return CycleOutcome(CycleClassification.MIXED_PHASES, per_level, None)
-        phases.append(comparison.phase)
-    factors = np.exp(1j * np.asarray(phases))
-    if max_abs(factors - factors[0]) > policy.tol_op:
+    tol = TolerancePolicy.for_dim(config.dim).tol_op
+    diag = np.diag(u.entries)
+    per_level = tuple(complex(z) for z in diag)
+    if np.any(np.abs(diag) < np.linalg.norm(u.entries, axis=0) * (1.0 - tol)):
+        return CycleOutcome(CycleClassification.MIXED_PHASES, per_level, None)
+    phases = np.angle(diag) % TWO_PI
+    factors = np.exp(1j * phases)
+    if max_abs(factors - factors[0]) > tol:
         return CycleOutcome(CycleClassification.MIXED_PHASES, per_level, None)
 
-    global_phase = phases[0]
-    if abs(factors[0] + 1.0) <= policy.tol_op:
+    global_phase = float(phases[0])
+    if abs(factors[0] + 1.0) <= tol:
         kind = CycleClassification.GLOBAL_SIGN_FLIP
-    elif abs(factors[0] - 1.0) <= policy.tol_op:
+    elif abs(factors[0] - 1.0) <= tol:
         kind = CycleClassification.IDENTITY
     else:
         kind = CycleClassification.MIXED_PHASES
@@ -163,21 +151,14 @@ def eta_sector_map(config: SpaceConfig) -> np.ndarray:
     return etas
 
 
-def compare_shift_vs_evolution(
-    config: SpaceConfig,
-    omega: float = 1.0,
-    policy: TolerancePolicy | None = None,
-    u: OperatorMatrix | None = None,
-) -> list[CheckRecord]:
+def compare_shift_vs_evolution(config: SpaceConfig, u: OperatorMatrix) -> list[CheckRecord]:
     """Report fragment matching exp(-2*pi*i(n+eta_n)) to the U(T) diagonal.
 
     The second record checks the uniform eta = 1/2 prediction on every
     level below the top, the part that survives as the space grows. ``u``
-    is U(T) from :func:`time_evolution`, built here when not given.
+    is U(T) from :func:`time_evolution`; the per-entry tolerance is pinned
+    at 1e-9 for this comparison.
     """
-    del policy  # per-entry tolerance is pinned at 1e-9 for this comparison
-    if u is None:
-        u = time_evolution(config, omega, TWO_PI / float(omega))
     diag_u = np.diag(u.entries)
     levels = np.arange(config.dim)
     sector = np.exp(-2j * np.pi * (levels + eta_sector_map(config)))

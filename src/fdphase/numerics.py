@@ -6,14 +6,16 @@ after a numerical certification against a :class:`TolerancePolicy`, never
 assumed. Each tag is measured once: :func:`certify` attaches the tag it has
 just measured without measuring it again. Every operator exponential used
 elsewhere in this package is assembled from a known eigenbasis, passed in as
-the frame matrix, through :func:`spectral_synthesize`, so no general matrix
-exponential or eigensolver lives here.
+the frame matrix with its certified orthonormality deviation, through
+:func:`spectral_synthesize`, so no general matrix exponential or eigensolver
+lives here. Every tolerance is the dimension's :meth:`TolerancePolicy.for_dim`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -178,10 +180,13 @@ class OperatorMatrix:
     to the constructor is measured against the dimension-scaled default
     ``tol_op`` and the constructor refuses uncertified tags. :func:`certify`
     attaches the tag it has just measured without this second measurement.
+    ``deviations`` maps each tag to the deviation measured when it was
+    certified, as frames keep theirs.
     """
 
     entries: np.ndarray
     tags: frozenset = frozenset()
+    deviations: Mapping = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=np.complex128, copy=True)
@@ -197,20 +202,25 @@ class OperatorMatrix:
         if unknown:
             raise ValueError(f"unknown tags: {sorted(unknown)}")
         tol = TolerancePolicy.for_dim(arr.shape[0]).tol_op
+        deviations = {}
         for tag in sorted(tags):
-            deviation = tag_deviation(arr, tag)
-            if deviation > tol:
+            deviations[tag] = tag_deviation(arr, tag)
+            if deviations[tag] > tol:
                 raise ValueError(
-                    f"tag {tag!r} is not certified: deviation {deviation:.3e} "
+                    f"tag {tag!r} is not certified: deviation {deviations[tag]:.3e} "
                     f"exceeds {tol:.3e}"
                 )
         object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "deviations", MappingProxyType(deviations))
 
-    def _with_certified_tag(self, tag: str) -> "OperatorMatrix":
+    def _with_certified_tag(self, tag: str, deviation: float) -> "OperatorMatrix":
         """The same entries with ``tag`` added; the caller has measured it."""
         tagged = object.__new__(OperatorMatrix)
         object.__setattr__(tagged, "entries", self.entries)
         object.__setattr__(tagged, "tags", self.tags | {tag})
+        object.__setattr__(
+            tagged, "deviations", MappingProxyType({**self.deviations, tag: deviation})
+        )
         return tagged
 
     @property
@@ -322,30 +332,25 @@ class Certification:
     matrix: OperatorMatrix
 
 
-def certify(
-    m: OperatorMatrix, tag: str, policy: TolerancePolicy | None = None
-) -> Certification:
+def certify(m: OperatorMatrix, tag: str) -> Certification:
     """Measure the deviation from ``tag`` structure and attach it on success.
 
     Returns the measured deviation together with either the tagged matrix
-    (deviation within ``tol_op``) or the input unchanged. The tag is
-    measured once, here; the tags ``m`` already carries were certified when
-    ``m`` was built and are not measured again either.
+    (deviation within the dimension's ``tol_op``) or the input unchanged.
+    The tag is measured once, here; the tags ``m`` already carries were
+    certified when ``m`` was built and are not measured again either.
     """
     if tag not in VALID_TAGS:
         raise ValueError(f"unknown tag {tag!r}; expected one of {sorted(VALID_TAGS)}")
-    policy = policy or TolerancePolicy.for_dim(m.dim)
     deviation = tag_deviation(m.entries, tag)
-    if deviation <= policy.tol_op:
-        return Certification(tag, True, deviation, m._with_certified_tag(tag))
+    if deviation <= TolerancePolicy.for_dim(m.dim).tol_op:
+        return Certification(tag, True, deviation, m._with_certified_tag(tag, deviation))
     return Certification(tag, False, deviation, m)
 
 
-def certified(
-    m: OperatorMatrix, tag: str, policy: TolerancePolicy | None = None
-) -> OperatorMatrix:
+def certified(m: OperatorMatrix, tag: str) -> OperatorMatrix:
     """Like :func:`certify` but raises when certification fails."""
-    cert = certify(m, tag, policy)
+    cert = certify(m, tag)
     if not cert.passed:
         raise ArithmeticError(
             f"{tag} certification failed with deviation {cert.max_deviation:.3e}"
@@ -353,30 +358,29 @@ def certified(
     return cert.matrix
 
 
-def frame_deviation(frame: np.ndarray, policy: TolerancePolicy) -> float:
+def frame_deviation(frame: np.ndarray) -> float:
     """Orthonormality deviation max |V^dag V - 1| of the columns of ``frame``.
 
-    Raises :class:`NonOrthonormalFrame` when it exceeds ``tol_op``.
+    Raises :class:`NonOrthonormalFrame` when it exceeds the ``tol_op`` of the
+    frame's dimension.
     """
-    deviation = max_abs(frame.conj().T @ frame - np.eye(frame.shape[0]))
-    if deviation > policy.tol_op:
-        raise NonOrthonormalFrame(deviation, policy.tol_op)
+    deviation = max_abs(frame.conj().T @ frame - np.eye(frame.shape[1]))
+    tol = TolerancePolicy.for_dim(frame.shape[0]).tol_op
+    if deviation > tol:
+        raise NonOrthonormalFrame(deviation, tol)
     return deviation
 
 
 def spectral_synthesize(
-    frame: np.ndarray,
-    eigvals: Iterable[complex],
-    policy: TolerancePolicy | None = None,
-    deviation: float | None = None,
+    frame: np.ndarray, eigvals: Iterable[complex], deviation: float
 ) -> OperatorMatrix:
     """Assemble sum_k lambda_k |v_k><v_k| from a complete orthonormal frame.
 
-    Column k of the square ``frame`` matrix is the eigenvector v_k. The frame
-    must pass an orthonormality certification within ``tol_op``; otherwise it
-    is rejected with the measured deviation attached to the error. A frame
-    certified when it was built passes that measured ``deviation`` and is not
-    multiplied out again.
+    Column k of the square ``frame`` matrix is the eigenvector v_k, and
+    ``deviation`` is its orthonormality deviation from :func:`frame_deviation`,
+    measured when the frame was certified; the frame is not multiplied out
+    again here. A deviation above ``tol_op`` is refused with
+    :class:`NonOrthonormalFrame`.
     """
     frame = np.asarray(frame, dtype=np.complex128)
     vals = np.asarray(eigvals, dtype=np.complex128)
@@ -385,9 +389,7 @@ def spectral_synthesize(
     dim = frame.shape[0]
     if vals.shape != (dim,):
         raise ValueError("frame must be complete: one eigenvalue per dimension")
-    policy = policy or TolerancePolicy.for_dim(dim)
-    if deviation is None:
-        frame_deviation(frame, policy)
-    elif deviation > policy.tol_op:
-        raise NonOrthonormalFrame(deviation, policy.tol_op)
+    tol = TolerancePolicy.for_dim(dim).tol_op
+    if deviation > tol:
+        raise NonOrthonormalFrame(deviation, tol)
     return OperatorMatrix((frame * vals) @ frame.conj().T)

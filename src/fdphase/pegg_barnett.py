@@ -5,7 +5,9 @@ over a 2*pi window anchored at theta_0. The hermitian phase operator is
 their real-weighted projector sum, the unitary phase operator steps number
 states down cyclically, and the number-power operator q^-N steps phase
 states down cyclically; the window origin shows up only in the wrap-around
-entry exp(i(s+1)theta_0) of the unitary phase operator.
+entry exp(i(s+1)theta_0) of the unitary phase operator. The phase frame is
+built and certified orthonormal once, by :func:`build_phase_frame`; the
+spectral builders take that frame and read the space from it.
 
 The phase/number commutator is exposed through three routes: the direct
 matrix product, a closed form derived from the phase-state expansion, and a
@@ -25,8 +27,6 @@ from .numerics import (
     TWO_PI,
     DimensionMismatch,
     OperatorMatrix,
-    StateVector,
-    TolerancePolicy,
     certified,
     cyclic_shift,
     frame_deviation,
@@ -103,13 +103,12 @@ class PhaseFrame:
     """The orthonormal phase states as columns of a dim x dim matrix.
 
     ``deviation`` is the orthonormality deviation max |V^dag V - 1| measured
-    when :func:`build_phase_frame` certified the frame; it is None for a
-    frame that was never certified.
+    when :func:`build_phase_frame` certified the frame.
     """
 
     config: SpaceConfig
     matrix: np.ndarray
-    deviation: float | None = None
+    deviation: float
 
     def __post_init__(self) -> None:
         arr = np.array(self.matrix, dtype=np.complex128, copy=True)
@@ -120,24 +119,12 @@ class PhaseFrame:
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
-    @property
-    def states(self) -> tuple[StateVector, ...]:
-        return tuple(StateVector(self.matrix[:, m]) for m in range(self.config.dim))
 
-    def state(self, m: int) -> StateVector:
-        return StateVector(self.matrix[:, m])
-
-
-def build_phase_frame(
-    config: SpaceConfig, policy: TolerancePolicy | None = None
-) -> PhaseFrame:
+def build_phase_frame(config: SpaceConfig) -> PhaseFrame:
     """Build the phase states, certifying the frame orthonormal once."""
     dim = config.dim
-    policy = policy or TolerancePolicy.for_dim(dim)
-    levels = np.arange(dim)
-    matrix = np.exp(1j * np.outer(levels, config.thetas())) / math.sqrt(dim)
-    deviation = frame_deviation(matrix, policy)
-    return PhaseFrame(config=config, matrix=matrix, deviation=deviation)
+    matrix = np.exp(1j * np.outer(np.arange(dim), config.thetas())) / math.sqrt(dim)
+    return PhaseFrame(config=config, matrix=matrix, deviation=frame_deviation(matrix))
 
 
 def number_operator(config: SpaceConfig) -> OperatorMatrix:
@@ -148,15 +135,10 @@ def number_operator(config: SpaceConfig) -> OperatorMatrix:
     )
 
 
-def hermitian_phase_operator(
-    config: SpaceConfig, frame: PhaseFrame | None = None
-) -> OperatorMatrix:
+def hermitian_phase_operator(frame: PhaseFrame) -> OperatorMatrix:
     """Phase operator sum_m theta_m |theta_m><theta_m|, hermitian-certified."""
-    frame = frame or build_phase_frame(config)
-    op = spectral_synthesize(
-        frame.matrix, config.thetas().astype(np.complex128), deviation=frame.deviation
-    )
-    return certified(op, "hermitian")
+    thetas = frame.config.thetas().astype(np.complex128)
+    return certified(spectral_synthesize(frame.matrix, thetas, frame.deviation), "hermitian")
 
 
 def unitary_phase_operator(config: SpaceConfig) -> OperatorMatrix:
@@ -169,25 +151,15 @@ def unitary_phase_operator(config: SpaceConfig) -> OperatorMatrix:
     return certified(OperatorMatrix(cyclic_shift(config.dim, corner)), "unitary")
 
 
-def unitary_phase_from_spectrum(
-    config: SpaceConfig, frame: PhaseFrame | None = None
-) -> OperatorMatrix:
+def unitary_phase_from_spectrum(frame: PhaseFrame) -> OperatorMatrix:
     """sum_m exp(i theta_m)|theta_m><theta_m|, the spectral route to exp(iPhi)."""
-    frame = frame or build_phase_frame(config)
-    op = spectral_synthesize(
-        frame.matrix, np.exp(1j * config.thetas()), deviation=frame.deviation
-    )
-    return certified(op, "unitary")
+    eigvals = np.exp(1j * frame.config.thetas())
+    return certified(spectral_synthesize(frame.matrix, eigvals, frame.deviation), "unitary")
 
 
-def number_shift_operator(config: SpaceConfig, sign: str = "-") -> OperatorMatrix:
-    """q^{sign N} = diag(q^{sign n}); for sign "-" the phase-state down-shift."""
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    exponents = np.arange(config.dim)
-    if sign == "-":
-        exponents = -exponents
-    op = OperatorMatrix(np.diag(config.root_power(exponents)))
+def number_shift_operator(config: SpaceConfig) -> OperatorMatrix:
+    """q^-N = diag(q^-n), the phase-state down-shift."""
+    op = OperatorMatrix(np.diag(config.root_power(-np.arange(config.dim))))
     return certified(certified(op, "diagonal"), "unitary")
 
 

@@ -4,10 +4,11 @@ Each suite turns the operator identities of one subsystem into check
 records at the manifest's dimension and parameters. Record order is fixed
 so that reports with equal manifests are byte-identical.
 
-:func:`run_suites` hands every suite one ``shared`` dict, so that a
-construction two suites use (the phase frame, an offset frame, the explicit
-exp(iPhi), the cycle power of q^-(N+eta), U(2*pi/omega)) is built once per
-run. The dict lives only for that call. A shared object only ever replaces
+:func:`run_suites` hands every suite the one tolerance policy of the
+manifest's dimension and one ``shared`` dict, so that a construction two
+suites use (the phase frame, an offset frame, the explicit exp(iPhi), the
+cycle power of q^-(N+eta), U(2*pi/omega)) is built once per run. The dict
+lives only for that call. A shared object only ever replaces
 a second build of the same route, never the other side of a check.
 """
 
@@ -49,7 +50,6 @@ from .numerics import (
     mat_mul,
     mat_power,
     max_abs,
-    unitary_deviation,
 )
 from .pegg_barnett import (
     SpaceConfig,
@@ -97,10 +97,9 @@ def _once(shared: dict, key, build: Callable, *args):
     return shared[key]
 
 
-def _generalized_frame(shared: dict, config: SpaceConfig, eta: float, policy):
-    base = _once(shared, "phase_frame", build_phase_frame, config, policy)
-    key = ("generalized_frame", float(eta))
-    return _once(shared, key, build_generalized_frame, config, eta, policy, base)
+def _generalized_frame(shared: dict, config: SpaceConfig, eta: float):
+    base = _once(shared, "phase_frame", build_phase_frame, config)
+    return _once(shared, ("generalized_frame", float(eta)), build_generalized_frame, base, eta)
 
 
 def _period_evolution(shared: dict, config: SpaceConfig, omega: float):
@@ -108,12 +107,9 @@ def _period_evolution(shared: dict, config: SpaceConfig, omega: float):
     return _once(shared, "period_evolution", time_evolution, config, omega, period)
 
 
-def suite_pb_core(
-    config: SpaceConfig, policy: TolerancePolicy, shared: dict | None = None
-) -> list:
-    shared = {} if shared is None else shared
+def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict) -> list:
     dim = config.dim
-    frame = _once(shared, "phase_frame", build_phase_frame, config, policy)
+    frame = _once(shared, "phase_frame", build_phase_frame, config)
     v = frame.matrix
     eye = np.eye(dim)
     records = []
@@ -144,7 +140,7 @@ def suite_pb_core(
         )
     )
 
-    phi = hermitian_phase_operator(config, frame)
+    phi = hermitian_phase_operator(frame)
     records.append(
         CheckRecord.measured(
             "phase_operator_hermitian",
@@ -155,7 +151,7 @@ def suite_pb_core(
     )
 
     realization = _once(shared, "exp_iphi", unitary_phase_operator, config)
-    spectral = unitary_phase_from_spectrum(config, frame)
+    spectral = unitary_phase_from_spectrum(frame)
     corner = np.exp(1j * dim * config.theta0)
 
     # Shift action measured on the spectral route, every column at once:
@@ -185,7 +181,7 @@ def suite_pb_core(
         )
     )
 
-    down = number_shift_operator(config, "-")
+    down = number_shift_operator(config)
     shifted = down.entries @ v
     records.append(
         CheckRecord.measured(
@@ -261,11 +257,10 @@ def suite_gdo(
     eta: float,
     profile: DeformationProfile,
     policy: TolerancePolicy,
-    shared: dict | None = None,
+    shared: dict,
 ) -> list:
-    shared = {} if shared is None else shared
     dim = config.dim
-    frame = _generalized_frame(shared, config, eta, policy)
+    frame = _generalized_frame(shared, config, eta)
     eye = np.eye(dim)
     records = []
 
@@ -299,7 +294,7 @@ def suite_gdo(
         )
     )
 
-    ladder = build_ladder_operators(config, eta, profile, frame)
+    ladder = build_ladder_operators(frame, profile)
     records.append(
         CheckRecord.measured(
             "ladder_number_product",
@@ -335,21 +330,21 @@ def suite_gdo(
             CheckRecord.measured(
                 "recovered_phase_unitary",
                 "A F(q^(N+eta))^(-1/2) is unitary",
-                unitary_deviation(recovered.entries),
+                recovered.deviations["unitary"],
                 policy.tol_op,
             )
         )
 
-    qshift = generalized_number_shift(frame, "-")
+    qshift = generalized_number_shift(frame)
     records.append(
         CheckRecord.measured(
             "modified_shift_realization",
             "q^-(N+eta) = sum_m |theta_m-1><theta_m| + exp(-i 2 pi eta)|theta_s><theta_0|",
-            max_abs(modified_number_shift(config, eta, frame).entries - qshift.entries),
+            max_abs(modified_number_shift(frame).entries - qshift.entries),
             policy.tol_op,
         )
     )
-    records.extend(duality_check(config, eta, policy, frame, qshift, phase_op))
+    records.extend(duality_check(frame, qshift, phase_op))
 
     cycle = _once(shared, ("cycle", frame.eta), mat_power, qshift, dim)
     records.append(
@@ -379,9 +374,8 @@ def suite_evolution(
     omega: float,
     seed: int,
     policy: TolerancePolicy,
-    shared: dict | None = None,
+    shared: dict,
 ) -> list:
-    shared = {} if shared is None else shared
     dim = config.dim
     spectrum = oscillator_spectrum(config, omega)
     records = []
@@ -409,7 +403,7 @@ def suite_evolution(
         CheckRecord.measured(
             "evolution_unitary",
             "U(t) = exp(-i H t) is unitary",
-            unitary_deviation(u.entries),
+            u.deviations["unitary"],
             policy.tol_op,
         )
     )
@@ -436,7 +430,7 @@ def suite_evolution(
         )
     )
 
-    outcome = classify_cycle(config, omega, policy, u)
+    outcome = classify_cycle(config, u)
     if dim % 2 == 0:
         parity_dev = 0.0 if outcome.classification is CycleClassification.GLOBAL_SIGN_FLIP else 1.0
         if outcome.global_phase is not None:
@@ -464,7 +458,7 @@ def suite_evolution(
         )
     )
 
-    records.extend(compare_shift_vs_evolution(config, omega, policy, u))
+    records.extend(compare_shift_vs_evolution(config, u))
 
     rng = np.random.default_rng(seed)
     psi = _random_state(rng, dim)
@@ -485,13 +479,12 @@ def suite_cross_module(
     omega: float,
     seed: int,
     policy: TolerancePolicy,
-    shared: dict | None = None,
+    shared: dict,
 ) -> list:
     """The shift route at eta = 1/2 against the Hamiltonian route."""
-    shared = {} if shared is None else shared
     dim = config.dim
-    frame = _generalized_frame(shared, config, 0.5, policy)
-    cycle = _once(shared, ("cycle", 0.5), cycle_operator_power, config, 0.5, dim, frame)
+    frame = _generalized_frame(shared, config, 0.5)
+    cycle = _once(shared, ("cycle", 0.5), cycle_operator_power, frame, dim)
     u = _period_evolution(shared, config, omega)
     records = []
 
@@ -527,26 +520,25 @@ def suite_cross_module(
     return records
 
 
-def run_suites(
-    manifest: RunManifest,
-    profile: DeformationProfile | None = None,
-    policy: TolerancePolicy | None = None,
-) -> VerificationReport:
-    """Run the manifest's suites in canonical order and assemble the report."""
+def run_suites(manifest: RunManifest) -> VerificationReport:
+    """Run the manifest's suites in canonical order and assemble the report.
+
+    One tolerance policy, that of the manifest's dimension, serves every suite.
+    """
     unknown = [name for name in manifest.suites if name not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suite names: {unknown}; expected {SUITE_NAMES}")
     if not manifest.suites:
         raise ValueError("at least one suite is required for a verify run")
     config = SpaceConfig.from_dim(manifest.dim, manifest.theta0)
-    policy = policy or TolerancePolicy.for_dim(config.dim)
+    policy = TolerancePolicy.for_dim(config.dim)
     selected = [name for name in SUITE_NAMES if name in manifest.suites]
 
     records, shared = [], {}
     if "pb-core" in selected:
         records.extend(suite_pb_core(config, policy, shared))
     if "gdo" in selected:
-        table = profile or resolve_profile(manifest.profile, config, manifest.eta)
+        table = resolve_profile(manifest.profile, config, manifest.eta)
         records.extend(suite_gdo(config, manifest.eta, table, policy, shared))
     if "evolution" in selected:
         records.extend(

@@ -60,7 +60,7 @@ def test_criterion_1_frame_duality():
                 np.max(np.abs(v.conj().T @ v - eye)),
                 np.max(np.abs(v @ v.conj().T - eye)),
             ]
-            spectral = unitary_phase_from_spectrum(config, frame)
+            spectral = unitary_phase_from_spectrum(frame)
             explicit = unitary_phase_operator(config)
             deviations.append(np.max(np.abs(spectral.entries - explicit.entries)))
             for n in range(1, dim):
@@ -90,7 +90,7 @@ def test_criterion_2_cyclicity():
             dev = float(
                 np.max(np.abs(phase_cycle.entries - np.exp(1j * dim * theta0) * eye))
             )
-            shift_cycle = mat_power(number_shift_operator(config, "-"), dim)
+            shift_cycle = mat_power(number_shift_operator(config), dim)
             dev = max(dev, float(np.max(np.abs(shift_cycle.entries - eye))))
             worst = max(worst, dev)
             ok = ok and dev <= tol
@@ -106,7 +106,7 @@ def test_criterion_3_commutator():
         for theta0 in THETA_GRID:
             config = SpaceConfig.from_dim(dim, theta0)
             direct = commutator(
-                hermitian_phase_operator(config), number_operator(config)
+                hermitian_phase_operator(build_phase_frame(config)), number_operator(config)
             )
             closed = commutator_closed_form(config)
             dev = float(np.max(np.abs(direct.entries - closed.entries)))
@@ -146,10 +146,11 @@ def test_criterion_4_deformed_recovery():
         for theta0 in (0.0, 2.9):
             config = SpaceConfig.from_dim(dim, theta0)
             expected = unitary_phase_operator(config)
+            base = build_phase_frame(config)
             for eta in ETA_GRID:
-                frame = build_generalized_frame(config, eta)
+                frame = build_generalized_frame(base, eta)
                 profile = deformation_linear(config, eta)
-                ladder = build_ladder_operators(config, eta, profile, frame)
+                ladder = build_ladder_operators(frame, profile)
                 recovered = recover_phase_operator(ladder.a, profile, frame)
                 dev = float(np.max(np.abs(recovered.entries - expected.entries)))
                 worst = max(worst, dev)
@@ -164,9 +165,9 @@ def test_criterion_5_cycle_phase_identity():
     for dim in range(1, 33):
         tol = 1e-11 * dim
         eye = np.eye(dim)
-        config = SpaceConfig.from_dim(dim, 0.0)
+        base = build_phase_frame(SpaceConfig.from_dim(dim, 0.0))
         for eta in ETA_GRID:
-            cycle = cycle_operator_power(config, eta, dim)
+            cycle = cycle_operator_power(build_generalized_frame(base, eta), dim)
             dev = float(
                 np.max(np.abs(cycle.entries - np.exp(-2j * np.pi * eta) * eye))
             )
@@ -189,7 +190,8 @@ def test_criterion_6_parity_reproduction():
     worst = 0.0
     ok = True
     for dim in range(2, 17):
-        outcome = classify_cycle(SpaceConfig.from_dim(dim))
+        config = SpaceConfig.from_dim(dim)
+        outcome = classify_cycle(config, time_evolution(config, 1.0, 2.0 * np.pi))
         if dim % 2 == 0:
             ok = ok and outcome.classification is CycleClassification.GLOBAL_SIGN_FLIP
             dev = abs(outcome.global_phase - np.pi) if outcome.global_phase else 1.0
@@ -226,8 +228,9 @@ def test_criterion_8_continuous_shift():
         tol = 1e-11 * dim
         for theta0 in (0.0, 0.7):
             config = SpaceConfig.from_dim(dim, theta0)
+            base = build_phase_frame(config)
             for eta in (0.25, 0.5, 1.0):
-                frame = build_generalized_frame(config, eta)
+                frame = build_generalized_frame(base, eta)
                 coeff = np.exp(
                     1j * np.outer(np.arange(dim) + eta, config.thetas())
                 ) / np.sqrt(dim)

@@ -8,7 +8,9 @@ import pytest
 from fdphase import numerics, pegg_barnett
 from fdphase.cli import main
 from fdphase.deformed import build_generalized_frame
-from fdphase.numerics import OperatorMatrix, certified, certify
+from fdphase.evolution import time_evolution
+from fdphase.numerics import OperatorMatrix, certified, certify, unitary_deviation
+from fdphase.pegg_barnett import SpaceConfig
 from fdphase.report import RunManifest
 from fdphase.suites import SUITE_NAMES, run_suites
 
@@ -71,10 +73,44 @@ class TestCertifyOnce:
         assert tag_counts == {"unitary": 1}
 
     def test_constructor_still_measures_tags_handed_to_it(self, tag_counts):
-        OperatorMatrix(np.eye(2), tags={"hermitian", "diagonal"})
+        op = OperatorMatrix(np.eye(2), tags={"hermitian", "diagonal"})
         assert tag_counts == {"diagonal": 1, "hermitian": 1}
+        assert dict(op.deviations) == {"diagonal": 0.0, "hermitian": 0.0}
         with pytest.raises(ValueError):
             OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), tags={"unitary"})
+
+
+    def test_matrix_keeps_each_certified_deviation(self, tag_counts):
+        entries = np.array([[0.0, 1.0], [1.0, 1e-13]])
+        tagged = certified(certified(OperatorMatrix(entries), "hermitian"), "unitary")
+        assert dict(tagged.deviations) == {
+            "hermitian": 0.0,
+            "unitary": unitary_deviation(entries),
+        }
+        assert tag_counts == {"hermitian": 1, "unitary": 1}
+        with pytest.raises(TypeError):
+            tagged.deviations["unitary"] = 0.0
+
+    def test_failed_certification_records_no_deviation(self):
+        cert = certify(OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])), "unitary")
+        assert dict(cert.matrix.deviations) == {}
+
+
+class TestCertifiedDeviationsReported:
+    def test_run_makes_no_direct_unitary_measurement(self, monkeypatch):
+        # The unitarity records read the deviation measured at certification.
+        calls = _count_calls(monkeypatch, numerics.unitary_deviation)
+        report = run_suites(RunManifest(dim=6, theta0=0.3, eta=0.5, suites=SUITE_NAMES))
+        assert len(calls) == 0
+        ids = [record.check_id for record in report.records]
+        assert "evolution_unitary" in ids and "recovered_phase_unitary" in ids
+
+    def test_evolution_unitary_reports_the_certified_deviation(self):
+        config = SpaceConfig.from_dim(7, 0.3)
+        u = time_evolution(config, 1.0, 2.0 * np.pi)
+        report = run_suites(RunManifest(dim=7, theta0=0.3, suites=("evolution",)))
+        (record,) = [r for r in report.records if r.check_id == "evolution_unitary"]
+        assert record.max_deviation == unitary_deviation(u.entries)
 
 
 class TestFramesOncePerRun:

@@ -1,12 +1,15 @@
 """Command-line behavior: exit codes, file formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdphase
 from fdphase.cli import main
 from fdphase.report import format_float
 
@@ -311,6 +314,10 @@ class TestDump:
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         out = tmp_path / "report.json"
+        # The child imports the same fdphase as this test, installed or not.
+        source = str(Path(fdphase.__file__).resolve().parents[1])
+        paths = [source, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         proc = subprocess.run(
             [
                 sys.executable,
@@ -324,6 +331,7 @@ class TestModuleEntryPoint:
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "verify:" in proc.stderr

@@ -19,6 +19,7 @@ from fdphase.deformed import (
 )
 from fdphase.numerics import (
     DimensionMismatch,
+    StateVector,
     equal_up_to_global_phase,
     mat_apply,
     mat_mul,
@@ -30,6 +31,11 @@ from fdphase.pegg_barnett import (
     unitary_phase_operator,
 )
 from fdphase.report import STATUS_PASS
+
+
+def _offset_frame(config, eta):
+    """The offset frame |n+eta> over a freshly built phase frame."""
+    return build_generalized_frame(build_phase_frame(config), eta)
 
 
 class TestDeformationProfile:
@@ -90,8 +96,8 @@ class TestProfileFromJson:
 class TestGeneralizedFrame:
     def test_eta_zero_reduces_to_standard_bases(self):
         config = SpaceConfig.from_dim(4, 0.7)
-        frame = build_generalized_frame(config, 0.0)
         base = build_phase_frame(config)
+        frame = build_generalized_frame(base, 0.0)
         assert np.max(np.abs(frame.number_matrix - np.eye(4))) <= 4e-12
         assert np.max(np.abs(frame.phase_matrix - base.matrix)) <= 4e-12
 
@@ -100,16 +106,19 @@ class TestGeneralizedFrame:
         # exp(i eta theta_m) cancels against the eigenvalue of
         # exp(-i eta Phi) on that state.
         config = SpaceConfig.from_dim(2, 0.0)
-        frame = build_generalized_frame(config, 1.0)
         base = build_phase_frame(config)
+        frame = build_generalized_frame(base, 1.0)
         for m in range(2):
-            result = equal_up_to_global_phase(base.state(m), frame.phase_state(m), 1e-12)
+            result = equal_up_to_global_phase(
+                StateVector(base.matrix[:, m]), StateVector(frame.phase_matrix[:, m]), 1e-12
+            )
             assert result.equal
             assert abs(np.exp(1j * result.phase) - 1.0) < 1e-12
 
     def test_half_eta_number_states_orthogonal(self):
-        frame = build_generalized_frame(SpaceConfig.from_dim(2, 0.0), 0.5)
-        overlap = frame.number_state(0).inner(frame.number_state(1))
+        frame = _offset_frame(SpaceConfig.from_dim(2, 0.0), 0.5)
+        number_states = [StateVector(frame.number_matrix[:, n]) for n in range(2)]
+        overlap = number_states[0].inner(number_states[1])
         assert abs(overlap) <= 2e-12
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
@@ -118,7 +127,7 @@ class TestGeneralizedFrame:
         # Rebuild |n+eta> from the inverse Fourier sum over the offset
         # phase states and compare with the direct construction.
         config = SpaceConfig.from_dim(dim, 0.4)
-        frame = build_generalized_frame(config, eta)
+        frame = _offset_frame(config, eta)
         coeff = np.exp(
             1j * np.outer(np.arange(dim) + eta, config.thetas())
         ) / np.sqrt(dim)
@@ -127,23 +136,23 @@ class TestGeneralizedFrame:
 
     def test_rejects_non_finite_eta(self):
         with pytest.raises(ValueError):
-            build_generalized_frame(SpaceConfig.from_dim(2), float("nan"))
+            _offset_frame(SpaceConfig.from_dim(2), float("nan"))
 
 
 class TestLadderOperators:
     def test_dim_1_single_level_cycle(self):
         config = SpaceConfig(s=0, theta0=0.9)
         profile = DeformationProfile(np.array([0.5]))
-        ladder = build_ladder_operators(config, 0.5, profile)
+        ladder = build_ladder_operators(_offset_frame(config, 0.5), profile)
         assert ladder.a.entries[0, 0] == pytest.approx(
             np.sqrt(0.5) * np.exp(0.9j)
         )
 
     def test_dim_2_frame_coordinates(self):
         config = SpaceConfig.from_dim(2, 0.0)
-        frame = build_generalized_frame(config, 0.5)
+        frame = _offset_frame(config, 0.5)
         profile = deformation_linear(config, 0.5)
-        ladder = build_ladder_operators(config, 0.5, profile, frame)
+        ladder = build_ladder_operators(frame, profile)
         in_frame = frame.to_frame(ladder.a)
         assert np.allclose(
             in_frame, [[0.0, np.sqrt(1.5)], [np.sqrt(0.5), 0.0]], atol=1e-14
@@ -154,9 +163,9 @@ class TestLadderOperators:
     def test_ladder_products(self, dim, eta):
         # Oracle: explicit matrix products checked against the weight table.
         config = SpaceConfig.from_dim(dim, 0.3)
-        frame = build_generalized_frame(config, eta)
+        frame = _offset_frame(config, eta)
         profile = deformation_linear(config, eta)
-        ladder = build_ladder_operators(config, eta, profile, frame)
+        ladder = build_ladder_operators(frame, profile)
         lowering_then_raising = frame.to_frame(mat_mul(ladder.a_dag, ladder.a))
         assert np.max(np.abs(lowering_then_raising - np.diag(profile.values))) <= 1e-11 * dim
         raising_then_lowering = frame.to_frame(mat_mul(ladder.a, ladder.a_dag))
@@ -167,8 +176,8 @@ class TestLadderOperators:
 
     def test_q_number_eigenvalues(self):
         config = SpaceConfig.from_dim(3, 0.0)
-        frame = build_generalized_frame(config, 0.5)
-        ladder = build_ladder_operators(config, 0.5, deformation_linear(config, 0.5), frame)
+        frame = _offset_frame(config, 0.5)
+        ladder = build_ladder_operators(frame, deformation_linear(config, 0.5))
         in_frame = frame.to_frame(ladder.q_number)
         expected = np.diag(config.root_power(np.arange(3) + 0.5))
         assert np.max(np.abs(in_frame - expected)) <= 3e-11
@@ -176,51 +185,51 @@ class TestLadderOperators:
     def test_profile_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             build_ladder_operators(
-                SpaceConfig.from_dim(3), 0.5, DeformationProfile(np.array([1.0]))
+                _offset_frame(SpaceConfig.from_dim(3), 0.5), DeformationProfile(np.array([1.0]))
             )
 
 
 class TestRecoverPhaseOperator:
     def test_dim_2_recovers_swap(self):
         config = SpaceConfig.from_dim(2, 0.0)
-        frame = build_generalized_frame(config, 0.5)
+        frame = _offset_frame(config, 0.5)
         profile = deformation_linear(config, 0.5)
-        ladder = build_ladder_operators(config, 0.5, profile, frame)
+        ladder = build_ladder_operators(frame, profile)
         recovered = recover_phase_operator(ladder.a, profile, frame)
         assert np.allclose(recovered.entries, [[0, 1], [1, 0]], atol=1e-14)
 
     def test_dim_3_matches_explicit_realization(self):
         config = SpaceConfig.from_dim(3, 0.4)
-        frame = build_generalized_frame(config, 0.5)
+        frame = _offset_frame(config, 0.5)
         profile = deformation_linear(config, 0.5)
-        ladder = build_ladder_operators(config, 0.5, profile, frame)
+        ladder = build_ladder_operators(frame, profile)
         recovered = recover_phase_operator(ladder.a, profile, frame)
         expected = unitary_phase_operator(config)
         assert np.max(np.abs(recovered.entries - expected.entries)) <= 3e-11
 
     def test_dim_1_gives_window_phase(self):
         config = SpaceConfig(s=0, theta0=0.7)
-        frame = build_generalized_frame(config, 0.5)
+        frame = _offset_frame(config, 0.5)
         profile = DeformationProfile(np.array([0.5]))
-        ladder = build_ladder_operators(config, 0.5, profile, frame)
+        ladder = build_ladder_operators(frame, profile)
         recovered = recover_phase_operator(ladder.a, profile, frame)
         assert recovered.entries[0, 0] == pytest.approx(np.exp(0.7j))
 
     def test_independent_of_weight_table(self):
         config = SpaceConfig.from_dim(3, 1.1)
-        frame = build_generalized_frame(config, 0.25)
+        frame = _offset_frame(config, 0.25)
         expected = unitary_phase_operator(config)
         for values in ([0.7, 2.2, 1.3], [5.0, 0.1, 9.0]):
             profile = DeformationProfile(np.array(values))
-            ladder = build_ladder_operators(config, 0.25, profile, frame)
+            ladder = build_ladder_operators(frame, profile)
             recovered = recover_phase_operator(ladder.a, profile, frame)
             assert np.max(np.abs(recovered.entries - expected.entries)) <= 3e-11
 
     def test_zero_weight_refused(self):
         config = SpaceConfig.from_dim(2, 0.0)
-        frame = build_generalized_frame(config, 0.5)
+        frame = _offset_frame(config, 0.5)
         profile = DeformationProfile(np.array([1.0, 0.0]))
-        ladder = build_ladder_operators(config, 0.5, profile, frame)
+        ladder = build_ladder_operators(frame, profile)
         with pytest.raises(ProfileError):
             recover_phase_operator(ladder.a, profile, frame)
 
@@ -228,39 +237,39 @@ class TestRecoverPhaseOperator:
 class TestModifiedNumberShift:
     def test_eta_zero_reduces_to_undeformed_shift(self):
         config = SpaceConfig.from_dim(4, 0.6)
-        op = modified_number_shift(config, 0.0)
+        op = modified_number_shift(_offset_frame(config, 0.0))
         assert np.max(
-            np.abs(op.entries - number_shift_operator(config, "-").entries)
+            np.abs(op.entries - number_shift_operator(config).entries)
         ) <= 4e-11
 
     def test_dim_2_half_eta_in_frame_coordinates(self):
         config = SpaceConfig.from_dim(2, 0.0)
-        frame = build_generalized_frame(config, 0.5)
-        op = modified_number_shift(config, 0.5, frame)
+        frame = _offset_frame(config, 0.5)
+        op = modified_number_shift(frame)
         in_frame = frame.to_frame(op)
         expected = np.exp(-1j * np.pi / 2) * np.diag([1.0, -1.0])
         assert np.allclose(in_frame, expected, atol=1e-14)
 
     def test_dim_2_half_eta_standard_coordinates(self):
         # Hand value: the two projector terms evaluate to [[0,-1],[1,0]].
-        op = modified_number_shift(SpaceConfig.from_dim(2, 0.0), 0.5)
+        op = modified_number_shift(_offset_frame(SpaceConfig.from_dim(2, 0.0), 0.5))
         assert np.allclose(op.entries, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 1.0, 1.5])
     def test_matches_spectral_form(self, dim, eta):
         config = SpaceConfig.from_dim(dim, 0.2)
-        frame = build_generalized_frame(config, eta)
-        realization = modified_number_shift(config, eta, frame)
-        spectral = generalized_number_shift(frame, "-")
+        frame = _offset_frame(config, eta)
+        realization = modified_number_shift(frame)
+        spectral = generalized_number_shift(frame)
         assert np.max(np.abs(realization.entries - spectral.entries)) <= 1e-11 * dim
 
     def test_wraparound_action(self):
         config = SpaceConfig.from_dim(3, 0.0)
-        frame = build_generalized_frame(config, 0.25)
-        op = modified_number_shift(config, 0.25, frame)
-        out = mat_apply(op, frame.phase_state(0))
-        expected = np.exp(-2j * np.pi * 0.25) * frame.phase_state(2).amp
+        frame = _offset_frame(config, 0.25)
+        op = modified_number_shift(frame)
+        out = mat_apply(op, StateVector(frame.phase_matrix[:, 0]))
+        expected = np.exp(-2j * np.pi * 0.25) * frame.phase_matrix[:, 2]
         assert np.max(np.abs(out.amp - expected)) <= 3e-12
 
 
@@ -269,27 +278,27 @@ class TestCycleOperatorPower:
     @pytest.mark.parametrize("eta", [-1.0, 0.0, 0.25, 0.5, 1.0, 1.5])
     def test_full_cycle_phase(self, dim, eta):
         config = SpaceConfig.from_dim(dim, 0.3)
-        cycle = cycle_operator_power(config, eta, dim)
+        cycle = cycle_operator_power(_offset_frame(config, eta), dim)
         expected = np.exp(-2j * np.pi * eta) * np.eye(dim)
         assert np.max(np.abs(cycle.entries - expected)) <= 1e-11 * dim
 
     def test_integer_eta_keeps_sign(self):
-        cycle = cycle_operator_power(SpaceConfig.from_dim(4), 1.0, 4)
+        cycle = cycle_operator_power(_offset_frame(SpaceConfig.from_dim(4), 1.0), 4)
         assert np.max(np.abs(cycle.entries - np.eye(4))) <= 4e-11
 
     def test_half_odd_eta_flips_sign(self):
-        cycle = cycle_operator_power(SpaceConfig.from_dim(4), 0.5, 4)
+        cycle = cycle_operator_power(_offset_frame(SpaceConfig.from_dim(4), 0.5), 4)
         assert np.max(np.abs(cycle.entries + np.eye(4))) <= 4e-11
 
     def test_partial_cycle_quarter_eta(self):
-        cycle = cycle_operator_power(SpaceConfig.from_dim(3), 0.25, 3)
+        cycle = cycle_operator_power(_offset_frame(SpaceConfig.from_dim(3), 0.25), 3)
         expected = np.exp(-1j * np.pi / 2) * np.eye(3)
         assert np.max(np.abs(cycle.entries - expected)) <= 3e-11
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5])
     def test_power_validation(self, bad):
         with pytest.raises(ValueError):
-            cycle_operator_power(SpaceConfig.from_dim(2), 0.5, bad)
+            cycle_operator_power(_offset_frame(SpaceConfig.from_dim(2), 0.5), bad)
 
 
 class TestEtaClass:
@@ -312,26 +321,33 @@ class TestEtaClass:
 
 
 class TestDualityCheck:
+    @staticmethod
+    def _records(config, eta):
+        frame = _offset_frame(config, eta)
+        return duality_check(
+            frame, generalized_number_shift(frame), unitary_phase_operator(config)
+        )
+
     def test_trivial_window_and_offset(self):
-        records = duality_check(SpaceConfig.from_dim(3, 0.0), 0.0)
+        records = self._records(SpaceConfig.from_dim(3, 0.0), 0.0)
         assert all(record.status == STATUS_PASS for record in records)
 
     def test_generic_run_passes(self):
-        records = duality_check(SpaceConfig.from_dim(5, 1.1), 0.3)
+        records = self._records(SpaceConfig.from_dim(5, 1.1), 0.3)
         assert len(records) == 6
         assert all(record.status == STATUS_PASS for record in records)
         assert max(record.max_deviation for record in records) <= 5e-11
 
     def test_corner_phases_both_minus_one(self):
         config = SpaceConfig.from_dim(2, np.pi / 2)
-        frame = build_generalized_frame(config, 0.5)
+        frame = _offset_frame(config, 0.5)
         phase_op = unitary_phase_operator(config)
         corner_theta = complex(
             frame.number_matrix[:, 1].conj()
             @ phase_op.entries
             @ frame.number_matrix[:, 0]
         )
-        qshift = generalized_number_shift(frame, "-")
+        qshift = generalized_number_shift(frame)
         corner_eta = complex(
             frame.phase_matrix[:, 1].conj() @ qshift.entries @ frame.phase_matrix[:, 0]
         )

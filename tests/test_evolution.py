@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from fdphase.deformed import build_generalized_frame, cycle_operator_power
 from fdphase.evolution import (
     CycleClassification,
+    CycleOutcome,
     classify_cycle,
     compare_shift_vs_evolution,
     cycle_phase_per_level,
@@ -13,10 +15,49 @@ from fdphase.evolution import (
     oscillator_spectrum,
     time_evolution,
 )
-from fdphase.numerics import StateVector, mat_apply
-from fdphase.pegg_barnett import SpaceConfig
+from fdphase.numerics import (
+    OperatorMatrix,
+    StateVector,
+    TolerancePolicy,
+    basis_state,
+    equal_up_to_global_phase,
+    mat_apply,
+    max_abs,
+)
+from fdphase.pegg_barnett import SpaceConfig, build_phase_frame, unitary_phase_operator
 
 TWO_PI = 2.0 * np.pi
+
+
+def _classify(dim):
+    config = SpaceConfig.from_dim(dim)
+    return classify_cycle(config, time_evolution(config, 1.0, TWO_PI))
+
+
+def _classify_level_by_level(config, u):
+    """The per-level classifier loop, verbatim: one matrix-vector product per level."""
+    policy = TolerancePolicy.for_dim(config.dim)
+    per_level = tuple(complex(z) for z in np.diag(u.entries))
+
+    phases = []
+    for level in range(config.dim):
+        ket = basis_state(config.dim, level)
+        comparison = equal_up_to_global_phase(ket, mat_apply(u, ket), policy.tol_op)
+        if not comparison.equal:
+            return CycleOutcome(CycleClassification.MIXED_PHASES, per_level, None)
+        phases.append(comparison.phase)
+    factors = np.exp(1j * np.asarray(phases))
+    if max_abs(factors - factors[0]) > policy.tol_op:
+        return CycleOutcome(CycleClassification.MIXED_PHASES, per_level, None)
+
+    global_phase = phases[0]
+    if abs(factors[0] + 1.0) <= policy.tol_op:
+        kind = CycleClassification.GLOBAL_SIGN_FLIP
+    elif abs(factors[0] - 1.0) <= policy.tol_op:
+        kind = CycleClassification.IDENTITY
+    else:
+        kind = CycleClassification.MIXED_PHASES
+    return CycleOutcome(kind, per_level, global_phase)
 
 
 class TestSpectrum:
@@ -104,13 +145,13 @@ class TestCyclePhasePerLevel:
 class TestClassifyCycle:
     @pytest.mark.parametrize("dim", [2, 4, 6, 8, 12, 16, 24, 32])
     def test_even_dims_flip_sign(self, dim):
-        outcome = classify_cycle(SpaceConfig.from_dim(dim))
+        outcome = _classify(dim)
         assert outcome.classification is CycleClassification.GLOBAL_SIGN_FLIP
         assert outcome.global_phase == pytest.approx(np.pi, abs=1e-9)
 
     @pytest.mark.parametrize("dim", [3, 5, 7, 9, 15, 31])
     def test_odd_dims_are_mixed(self, dim):
-        outcome = classify_cycle(SpaceConfig.from_dim(dim))
+        outcome = _classify(dim)
         assert outcome.classification is CycleClassification.MIXED_PHASES
         assert outcome.global_phase is None
         phases = np.asarray(outcome.per_level_phase)
@@ -118,9 +159,34 @@ class TestClassifyCycle:
         assert np.max(np.abs(phases - expected)) <= 1e-9
 
     def test_dim_1_returns_to_itself(self):
-        outcome = classify_cycle(SpaceConfig.from_dim(1))
+        outcome = _classify(1)
         assert outcome.classification is CycleClassification.IDENTITY
         assert abs(np.exp(1j * outcome.global_phase) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("omega", [1.0, 2.5])
+    @pytest.mark.parametrize("dim", [*range(1, 41), 511, 512])
+    def test_whole_array_test_matches_level_by_level_loop(self, dim, omega):
+        config = SpaceConfig.from_dim(dim, 0.3)
+        u = time_evolution(config, omega, TWO_PI / omega)
+        assert classify_cycle(config, u) == _classify_level_by_level(config, u)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 31, 64])
+    def test_non_diagonal_unitary_matches_level_by_level_loop(self, dim):
+        config = SpaceConfig.from_dim(dim, 0.3)
+        u = unitary_phase_operator(config)
+        outcome = classify_cycle(config, u)
+        assert outcome == _classify_level_by_level(config, u)
+        if dim > 1:
+            assert outcome.classification is CycleClassification.MIXED_PHASES
+
+    @pytest.mark.parametrize("alpha", [0.0, np.pi, -np.pi, 0.7, 2 * np.pi - 1e-13])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
+    def test_scalar_unitary_matches_level_by_level_loop(self, dim, alpha):
+        config = SpaceConfig.from_dim(dim)
+        u = OperatorMatrix(np.exp(1j * alpha) * np.eye(dim))
+        outcome = classify_cycle(config, u)
+        assert outcome == _classify_level_by_level(config, u)
+        assert outcome.global_phase is not None
 
     @pytest.mark.parametrize("dim", [3, 5])
     def test_odd_dims_far_from_any_scalar(self, dim):
@@ -148,7 +214,8 @@ class TestEtaSectorMap:
 class TestCompareShiftVsEvolution:
     @pytest.mark.parametrize("dim", range(1, 17))
     def test_all_levels_match(self, dim):
-        records = compare_shift_vs_evolution(SpaceConfig.from_dim(dim), 1.0)
+        config = SpaceConfig.from_dim(dim)
+        records = compare_shift_vs_evolution(config, time_evolution(config, 1.0, TWO_PI))
         assert [record.check_id for record in records] == [
             "sector_equivalence",
             "uniform_half_eta_below_top",
@@ -177,20 +244,18 @@ class TestShiftRouteAgainstEvolution:
     @pytest.mark.parametrize("dim", [2, 4, 6, 8])
     def test_even_dim_routes_coincide(self, dim):
         # Both one-cycle routes equal -identity when the dimension is even.
-        from fdphase.deformed import cycle_operator_power
-
         config = SpaceConfig.from_dim(dim)
-        shift_route = cycle_operator_power(config, 0.5, dim)
+        frame = build_generalized_frame(build_phase_frame(config), 0.5)
+        shift_route = cycle_operator_power(frame, dim)
         evolution_route = time_evolution(config, 1.0, TWO_PI)
         assert np.max(np.abs(shift_route.entries - evolution_route.entries)) <= 1e-11 * dim
         assert np.max(np.abs(evolution_route.entries + np.eye(dim))) <= 1e-11 * dim
 
     @pytest.mark.parametrize("dim", [3, 5, 9])
     def test_odd_dim_routes_differ_at_top_level(self, dim):
-        from fdphase.deformed import cycle_operator_power
-
         config = SpaceConfig.from_dim(dim)
-        shift_route = cycle_operator_power(config, 0.5, dim)
+        frame = build_generalized_frame(build_phase_frame(config), 0.5)
+        shift_route = cycle_operator_power(frame, dim)
         evolution_route = time_evolution(config, 1.0, TWO_PI)
         below = np.max(
             np.abs(shift_route.entries[:, : dim - 1] - evolution_route.entries[:, : dim - 1])

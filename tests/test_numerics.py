@@ -16,13 +16,14 @@ from fdphase.numerics import (
     basis_state,
     certify,
     equal_up_to_global_phase,
+    frame_deviation,
     identity,
     mat_apply,
     mat_mul,
     mat_power,
     spectral_synthesize,
 )
-from fdphase.pegg_barnett import SpaceConfig, hermitian_phase_operator
+from fdphase.pegg_barnett import SpaceConfig, build_phase_frame, hermitian_phase_operator
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -102,7 +103,7 @@ class TestMatApply:
         expected = phi_oracle @ np.array([1.0, 0.0])
         assert np.allclose(expected, [np.pi / 2, -np.pi / 2])
 
-        phi = hermitian_phase_operator(SpaceConfig.from_dim(2, 0.0))
+        phi = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(2, 0.0)))
         v = mat_apply(phi, StateVector(np.array([1.0, 0.0])))
         assert np.allclose(v.amp, expected, atol=1e-14)
 
@@ -220,9 +221,14 @@ def _columns(*states):
     return np.column_stack([state.amp for state in states])
 
 
+def _synthesize(frame, eigvals):
+    """Spectral synthesis over a raw frame matrix, certified here."""
+    return spectral_synthesize(frame, eigvals, frame_deviation(frame))
+
+
 class TestSpectralSynthesize:
     def test_number_operator_from_standard_basis(self):
-        op = spectral_synthesize(_columns(basis_state(2, 0), basis_state(2, 1)), [0.0, 1.0])
+        op = _synthesize(_columns(basis_state(2, 0), basis_state(2, 1)), [0.0, 1.0])
         assert np.allclose(op.entries, np.diag([0.0, 1.0]))
 
     def test_phase_operator_by_hand(self):
@@ -233,36 +239,39 @@ class TestSpectralSynthesize:
             theta1.amp, theta1.amp.conj()
         )
         assert np.allclose(hand, np.pi / 2 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        op = spectral_synthesize(_columns(theta0, theta1), [0.0, np.pi])
+        op = _synthesize(_columns(theta0, theta1), [0.0, np.pi])
         assert np.allclose(op.entries, hand)
 
     def test_unitary_phase_by_hand(self):
         theta0 = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         theta1 = StateVector(np.array([1.0, -1.0]) / np.sqrt(2.0))
-        op = spectral_synthesize(_columns(theta0, theta1), [np.exp(0j), np.exp(1j * np.pi)])
+        op = _synthesize(_columns(theta0, theta1), [np.exp(0j), np.exp(1j * np.pi)])
         assert np.allclose(op.entries, X, atol=1e-15)
 
     def test_eigenvalues_reproduced_over_same_frame(self):
         config = SpaceConfig.from_dim(5, 0.4)
-        from fdphase.pegg_barnett import build_phase_frame
-
         frame = build_phase_frame(config)
         values = np.exp(1j * config.thetas())
-        op = spectral_synthesize(frame.matrix, values)
-        recovered = np.array(
-            [state.inner(mat_apply(op, state)) for state in frame.states]
-        )
+        op = spectral_synthesize(frame.matrix, values, frame.deviation)
+        states = [StateVector(frame.matrix[:, m]) for m in range(5)]
+        recovered = np.array([state.inner(mat_apply(op, state)) for state in states])
         assert np.max(np.abs(recovered - values)) <= TolerancePolicy.for_dim(5).tol_elem
 
     def test_non_orthonormal_frame_rejected_with_diagnostic(self):
         skewed = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         with pytest.raises(NonOrthonormalFrame) as info:
-            spectral_synthesize(_columns(basis_state(2, 0), skewed), [1.0, 2.0])
+            _synthesize(_columns(basis_state(2, 0), skewed), [1.0, 2.0])
         assert info.value.max_deviation == pytest.approx(1 / np.sqrt(2.0))
 
+    def test_deviation_above_tolerance_refused(self):
+        with pytest.raises(NonOrthonormalFrame) as info:
+            spectral_synthesize(np.eye(2), [1.0, 2.0], 1.0)
+        assert info.value.max_deviation == 1.0
+        assert info.value.tolerance == TolerancePolicy.for_dim(2).tol_op
+
     def test_incomplete_frame_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_synthesize(_columns(basis_state(2, 0)), [1.0])
+        with pytest.raises(ValueError, match="complete"):
+            _synthesize(_columns(basis_state(2, 0)), [1.0])
 
 
 class TestCertify:
@@ -279,7 +288,7 @@ class TestCertify:
         assert cert.matrix.tags == frozenset()
 
     def test_phase_operator_hermitian(self):
-        phi = hermitian_phase_operator(SpaceConfig.from_dim(3, 0.3))
+        phi = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(3, 0.3)))
         cert = certify(phi, "hermitian")
         assert cert.passed
 

@@ -15,7 +15,7 @@ linalg = pytest.importorskip("scipy.linalg")
 from fdphase.deformed import build_generalized_frame  # noqa: E402
 from fdphase.evolution import time_evolution  # noqa: E402
 from fdphase.numerics import TolerancePolicy  # noqa: E402
-from fdphase.pegg_barnett import SpaceConfig  # noqa: E402
+from fdphase.pegg_barnett import SpaceConfig, build_phase_frame  # noqa: E402
 
 DIMS = (1, 2, 3, 4, 5, 8, 11, 16)
 
@@ -39,7 +39,8 @@ def _hamiltonian(dim: int, omega: float) -> np.ndarray:
     "theta0, eta", [(0.0, 0.5), (0.3, 0.25), (np.pi / 2, 1.0), (2.9, 1.5), (1.1, 0.7)]
 )
 def test_offset_number_states_equal_expm_of_phase_operator(dim, theta0, eta):
-    frame = build_generalized_frame(SpaceConfig.from_dim(dim, theta0), eta)
+    base = build_phase_frame(SpaceConfig.from_dim(dim, theta0))
+    frame = build_generalized_frame(base, eta)
     oracle = linalg.expm(-1j * eta * _phase_operator(dim, theta0))
     deviation = np.max(np.abs(frame.number_matrix - oracle))
     assert deviation <= TolerancePolicy.for_dim(dim).tol_op

@@ -58,15 +58,14 @@ class TestPhaseFrame:
 
     def test_dim_2_states(self):
         frame = build_phase_frame(SpaceConfig.from_dim(2, 0.0))
-        assert np.allclose(frame.state(0).amp, np.array([1.0, 1.0]) / np.sqrt(2.0))
-        assert np.allclose(frame.state(1).amp, np.array([1.0, -1.0]) / np.sqrt(2.0))
+        assert np.allclose(frame.matrix[:, 0], np.array([1.0, 1.0]) / np.sqrt(2.0))
+        assert np.allclose(frame.matrix[:, 1], np.array([1.0, -1.0]) / np.sqrt(2.0))
 
     def test_gram_matrix_is_identity(self):
         # Oracle: the Gram matrix of pairwise inner products.
         frame = build_phase_frame(SpaceConfig.from_dim(4, 0.7))
-        gram = np.array(
-            [[a.inner(b) for b in frame.states] for a in frame.states]
-        )
+        states = [StateVector(frame.matrix[:, m]) for m in range(4)]
+        gram = np.array([[a.inner(b) for b in states] for a in states])
         assert np.max(np.abs(gram - np.eye(4))) <= 4e-11
 
     @pytest.mark.parametrize("dim", [*range(1, 17), 24, 33, 48, 64])
@@ -74,7 +73,7 @@ class TestPhaseFrame:
     def test_completeness(self, dim, theta0):
         frame = build_phase_frame(SpaceConfig.from_dim(dim, theta0))
         total = sum(
-            np.outer(state.amp, state.amp.conj()) for state in frame.states
+            np.outer(frame.matrix[:, m], frame.matrix[:, m].conj()) for m in range(dim)
         )
         assert np.max(np.abs(total - np.eye(dim))) <= 1e-11 * dim
 
@@ -89,23 +88,23 @@ class TestNumberOperator:
 
 class TestHermitianPhaseOperator:
     def test_dim_1_is_theta0(self):
-        op = hermitian_phase_operator(SpaceConfig(s=0, theta0=0.4))
+        op = hermitian_phase_operator(build_phase_frame(SpaceConfig(s=0, theta0=0.4)))
         assert np.allclose(op.entries, [[0.4]])
 
     def test_dim_2_matrix(self):
-        op = hermitian_phase_operator(SpaceConfig.from_dim(2, 0.0))
+        op = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(2, 0.0)))
         assert np.allclose(op.entries, np.pi / 2 * np.array([[1, -1], [-1, 1]]))
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 9])
     @pytest.mark.parametrize("theta0", THETA_GRID)
     def test_diagonal_entries_closed_form(self, dim, theta0):
         # <n|Phi|n> = theta0 + pi s/(s+1), independent of n.
-        op = hermitian_phase_operator(SpaceConfig.from_dim(dim, theta0))
+        op = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(dim, theta0)))
         expected = theta0 + np.pi * (dim - 1) / dim
         assert np.allclose(np.diag(op.entries), expected)
 
     def test_hermitian_tag(self):
-        op = hermitian_phase_operator(SpaceConfig.from_dim(3, 0.3))
+        op = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(3, 0.3)))
         assert "hermitian" in op.tags
 
 
@@ -129,18 +128,18 @@ class TestUnitaryPhaseOperator:
     def test_spectral_route_agrees(self, dim, theta0):
         config = SpaceConfig.from_dim(dim, theta0)
         explicit = unitary_phase_operator(config)
-        spectral = unitary_phase_from_spectrum(config)
+        spectral = unitary_phase_from_spectrum(build_phase_frame(config))
         assert np.max(np.abs(explicit.entries - spectral.entries)) <= 1e-11 * dim
 
     def test_spectrum_route_dim_1(self):
-        op = unitary_phase_from_spectrum(SpaceConfig(s=0, theta0=1.1))
+        op = unitary_phase_from_spectrum(build_phase_frame(SpaceConfig(s=0, theta0=1.1)))
         assert np.allclose(op.entries, [[np.exp(1.1j)]])
 
     @pytest.mark.parametrize("dim", range(1, 10))
     @pytest.mark.parametrize("theta0", THETA_GRID)
     def test_shift_action_on_number_states(self, dim, theta0):
         config = SpaceConfig.from_dim(dim, theta0)
-        op = unitary_phase_from_spectrum(config)
+        op = unitary_phase_from_spectrum(build_phase_frame(config))
         for n in range(1, dim):
             out = mat_apply(op, basis_state(dim, n))
             assert np.max(np.abs(out.amp - basis_state(dim, n - 1).amp)) <= 1e-12 * dim
@@ -159,22 +158,12 @@ class TestUnitaryPhaseOperator:
 
 class TestNumberShiftOperator:
     def test_dim_2_is_diag_1_minus_1(self):
-        op = number_shift_operator(SpaceConfig.from_dim(2), "-")
+        op = number_shift_operator(SpaceConfig.from_dim(2))
         assert np.allclose(op.entries, np.diag([1.0, -1.0]))
         assert {"unitary", "diagonal"} <= op.tags
 
-    def test_plus_is_adjoint_of_minus(self):
-        config = SpaceConfig.from_dim(5, 0.2)
-        plus = number_shift_operator(config, "+")
-        minus = number_shift_operator(config, "-")
-        assert np.allclose(plus.entries, minus.entries.conj().T)
-
-    def test_bad_sign(self):
-        with pytest.raises(ValueError):
-            number_shift_operator(SpaceConfig.from_dim(2), "*")
-
     def test_shifts_phase_state_down_at_dim_2(self):
-        op = number_shift_operator(SpaceConfig.from_dim(2, 0.0), "-")
+        op = number_shift_operator(SpaceConfig.from_dim(2, 0.0))
         theta1 = StateVector(np.array([1.0, -1.0]) / np.sqrt(2.0))
         out = mat_apply(op, theta1)
         assert np.allclose(out.amp, np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -182,9 +171,9 @@ class TestNumberShiftOperator:
     def test_wraparound_has_no_extra_phase(self):
         config = SpaceConfig.from_dim(3, 0.0)
         frame = build_phase_frame(config)
-        op = number_shift_operator(config, "-")
-        out = mat_apply(op, frame.state(0))
-        assert np.max(np.abs(out.amp - frame.state(2).amp)) <= 3e-12
+        op = number_shift_operator(config)
+        out = mat_apply(op, StateVector(frame.matrix[:, 0]))
+        assert np.max(np.abs(out.amp - frame.matrix[:, 2])) <= 3e-12
 
     @pytest.mark.parametrize("dim", range(1, 10))
     @pytest.mark.parametrize("theta0", THETA_GRID)
@@ -192,15 +181,15 @@ class TestNumberShiftOperator:
         config = SpaceConfig.from_dim(dim, theta0)
         frame = build_phase_frame(config)
         realization = sum(
-            np.outer(frame.state((m - 1) % dim).amp, frame.state(m).amp.conj())
+            np.outer(frame.matrix[:, (m - 1) % dim], frame.matrix[:, m].conj())
             for m in range(dim)
         )
-        op = number_shift_operator(config, "-")
+        op = number_shift_operator(config)
         assert np.max(np.abs(realization - op.entries)) <= 1e-11 * dim
 
     @pytest.mark.parametrize("dim", range(1, 10))
     def test_cyclic_power_is_identity(self, dim):
-        op = number_shift_operator(SpaceConfig.from_dim(dim, 1.2), "-")
+        op = number_shift_operator(SpaceConfig.from_dim(dim, 1.2))
         assert np.max(np.abs(mat_power(op, dim).entries - np.eye(dim))) <= 1e-11 * dim
 
 
@@ -220,7 +209,7 @@ class TestWeylDuality:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 9])
     def test_number_shift_diagonal_in_number_basis(self, dim):
-        op = number_shift_operator(SpaceConfig.from_dim(dim, 0.4), "-")
+        op = number_shift_operator(SpaceConfig.from_dim(dim, 0.4))
         assert "diagonal" in op.tags
         off_diagonal = op.entries - np.diag(np.diag(op.entries))
         assert np.max(np.abs(off_diagonal)) == 0.0
@@ -239,7 +228,8 @@ class TestCommutator:
         assert np.allclose(hand, [[0, -np.pi / 2], [np.pi / 2, 0]])
 
         config = SpaceConfig.from_dim(2, 0.0)
-        got = commutator(hermitian_phase_operator(config), number_operator(config))
+        phi = hermitian_phase_operator(build_phase_frame(config))
+        got = commutator(phi, number_operator(config))
         assert np.allclose(got.entries, hand, atol=1e-14)
 
     def test_weyl_pair_does_not_commute(self):
@@ -251,7 +241,7 @@ class TestCommutator:
 
         config = SpaceConfig.from_dim(2, 0.0)
         got = commutator(
-            unitary_phase_operator(config), number_shift_operator(config, "-")
+            unitary_phase_operator(config), number_shift_operator(config)
         )
         assert np.allclose(got.entries, hand, atol=1e-14)
 
@@ -276,14 +266,16 @@ class TestCommutatorClosedForm:
         got = commutator_closed_form(config)
         expected_01 = -(np.pi / 2) * np.exp(-1j * np.pi / 3)
         assert got.entries[0, 1] == pytest.approx(expected_01)
-        direct = commutator(hermitian_phase_operator(config), number_operator(config))
+        phi = hermitian_phase_operator(build_phase_frame(config))
+        direct = commutator(phi, number_operator(config))
         assert np.max(np.abs(direct.entries - got.entries)) <= 2e-11
 
     @pytest.mark.parametrize("dim", range(2, 17))
     @pytest.mark.parametrize("theta0", THETA_GRID)
     def test_agrees_with_direct_commutator(self, dim, theta0):
         config = SpaceConfig.from_dim(dim, theta0)
-        direct = commutator(hermitian_phase_operator(config), number_operator(config))
+        phi = hermitian_phase_operator(build_phase_frame(config))
+        direct = commutator(phi, number_operator(config))
         closed = commutator_closed_form(config)
         assert np.max(np.abs(direct.entries - closed.entries)) <= 1e-11 * dim
 
