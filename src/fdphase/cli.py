@@ -19,7 +19,7 @@ from .deformed import (
     ProfileError,
     build_generalized_frame,
     build_ladder_operators,
-    generalized_number_shift,
+    cycle_operator_power,
 )
 from .evolution import hamiltonian, time_evolution
 from .numerics import (
@@ -258,14 +258,15 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         if args.mode == "hamiltonian":
             if args.omega <= 0 or not math.isfinite(args.omega):
                 raise UsageError(f"omega must be positive, got {args.omega}")
-            step_op = time_evolution(config, args.omega, TWO_PI / args.omega)
+            period = time_evolution(config, args.omega, TWO_PI / args.omega)
+            evolution = mat_power(period, args.steps)
         else:
             frame = build_generalized_frame(build_phase_frame(config), args.eta)
-            step_op = generalized_number_shift(frame)
+            evolution = cycle_operator_power(frame, args.steps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    result = mat_apply(mat_power(step_op, args.steps), psi)
+    result = mat_apply(evolution, psi)
     comparison = equal_up_to_global_phase(psi, result, policy.tol_op)
     payload = {
         "dim": dim,

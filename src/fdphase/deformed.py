@@ -29,11 +29,11 @@ from .numerics import (
     DimensionMismatch,
     OperatorMatrix,
     TolerancePolicy,
+    _binary_power,
     adjoint,
     certified,
     cyclic_shift,
     frame_deviation,
-    mat_power,
     max_abs,
     spectral_synthesize,
 )
@@ -245,10 +245,14 @@ def recover_phase_operator(
     return certified(OperatorMatrix(a.entries @ inv_sqrt.entries), "unitary")
 
 
+def _number_shift_eigenvalues(frame: GeneralizedFrame) -> np.ndarray:
+    """q^-(n+eta) for n = 0..s, the eigenvalues of q^-(N+eta) on |n+eta>."""
+    return frame.config.root_power(-(np.arange(frame.config.dim) + frame.eta))
+
+
 def generalized_number_shift(frame: GeneralizedFrame) -> OperatorMatrix:
     """q^-(N+eta): eigenvalue q^-(n+eta) on |n+eta>."""
-    exponents = -(np.arange(frame.config.dim) + frame.eta)
-    return certified(frame.synthesize(frame.config.root_power(exponents)), "unitary")
+    return certified(frame.synthesize(_number_shift_eigenvalues(frame)), "unitary")
 
 
 def modified_number_shift(frame: GeneralizedFrame) -> OperatorMatrix:
@@ -264,17 +268,21 @@ def modified_number_shift(frame: GeneralizedFrame) -> OperatorMatrix:
 
 
 def cycle_operator_power(frame: GeneralizedFrame, k: int) -> OperatorMatrix:
-    """(q^-(N+eta))^k by explicit repeated multiplication.
+    """(q^-(N+eta))^k for any k >= 0, synthesized over the offset number states.
 
+    The eigenvalues q^-(n+eta) are raised by repeated multiplication, in the
+    binary order :func:`.numerics.mat_power` uses, and one spectral synthesis
+    over the certified frame assembles the power; no dense product is taken.
     At k = s+1 the result is exp(-2*pi*i*eta) times the identity.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"power must be a positive integer, got {k!r}")
-    return mat_power(generalized_number_shift(frame), int(k))
+    dim = frame.config.dim
+    _, powered = _binary_power(np.arange(dim), _number_shift_eigenvalues(frame), k)
+    return frame.synthesize(powered)
 
 
-def eta_class(eta: float, tol: float = 1e-9) -> str:
-    """Classify eta as "integer", "half-odd", or "generic" within tol."""
+def eta_class(eta: float) -> str:
+    """Classify eta as "integer", "half-odd", or "generic" within 1e-9."""
+    tol = 1e-9
     eta = float(eta)
     if abs(eta - round(eta)) <= tol:
         return "integer"

@@ -66,7 +66,7 @@ class OscillatorSpectrum:
         object.__setattr__(self, "omega", float(self.omega))
 
 
-def oscillator_spectrum(config: SpaceConfig, omega: float = 1.0) -> OscillatorSpectrum:
+def oscillator_spectrum(config: SpaceConfig, omega: float) -> OscillatorSpectrum:
     omega = float(omega)
     if not (math.isfinite(omega) and omega > 0.0):
         raise ValueError(f"omega must be a positive real, got {omega!r}")
@@ -76,7 +76,7 @@ def oscillator_spectrum(config: SpaceConfig, omega: float = 1.0) -> OscillatorSp
     return OscillatorSpectrum(config=config, omega=omega, energies=energies)
 
 
-def hamiltonian(config: SpaceConfig, omega: float = 1.0) -> OperatorMatrix:
+def hamiltonian(config: SpaceConfig, omega: float) -> OperatorMatrix:
     spectrum = oscillator_spectrum(config, omega)
     return OperatorMatrix(
         np.diag(spectrum.energies.astype(np.complex128)),
@@ -84,7 +84,7 @@ def hamiltonian(config: SpaceConfig, omega: float = 1.0) -> OperatorMatrix:
     )
 
 
-def time_evolution(config: SpaceConfig, omega: float = 1.0, t: float = 0.0) -> OperatorMatrix:
+def time_evolution(config: SpaceConfig, omega: float, t: float) -> OperatorMatrix:
     """U(t) = diag(exp(-i E_n t)), unitary-certified."""
     t = float(t)
     if not math.isfinite(t):

@@ -9,6 +9,12 @@ elsewhere in this package is assembled from a known eigenbasis, passed in as
 the frame matrix with its certified orthonormality deviation, through
 :func:`spectral_synthesize`, so no general matrix exponential or eigensolver
 lives here. Every tolerance is the dimension's :meth:`TolerancePolicy.for_dim`.
+
+Monomial operators, with exactly one nonzero entry per row and per column
+(the diagonals and the weighted cyclic shifts), are recognised from their
+entries: :func:`mat_power` composes them index by index in O(d log k), and
+their unitarity deviation is read off the column norms without a d^3
+product.
 """
 
 from __future__ import annotations
@@ -105,9 +111,66 @@ def hermitian_deviation(entries: np.ndarray) -> float:
     return max_abs(entries - entries.conj().T)
 
 
+def _gram_deviation(columns: np.ndarray) -> float:
+    """max |V^dag V - 1| over the columns of ``columns``, one dense product."""
+    return max_abs(columns.conj().T @ columns - np.eye(columns.shape[1]))
+
+
+def _monomial(entries: np.ndarray):
+    """``(rows, values)`` with column j equal to values[j] |rows[j]>, or None.
+
+    None unless the matrix has exactly one nonzero entry per row and per
+    column, read from the entries themselves.
+    """
+    nonzero = entries != 0
+    if not (np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1)):
+        return None
+    rows = np.argmax(nonzero, axis=0)
+    return rows, entries[rows, np.arange(entries.shape[1])]
+
+
+def _compose(left: tuple, right: tuple) -> tuple:
+    """The product left @ right of two monomials in ``(rows, values)`` form."""
+    left_rows, left_values = left
+    right_rows, right_values = right
+    return left_rows[right_rows], left_values[right_rows] * right_values
+
+
+def _binary_power(rows: np.ndarray, values: np.ndarray, k: int) -> tuple:
+    """The k-th power of the monomial sum_j values[j] |rows[j]><j|.
+
+    Squares and multiplies in the order of ``numpy.linalg.matrix_power``:
+    the bits of k from the lowest up, each set bit multiplying its square
+    into the result from the right. A diagonal has ``rows = arange(d)``, so
+    its eigenvalues are raised by repeated multiplication. k = 0 gives the
+    identity.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"power must be a non-negative integer, got {k!r}")
+    k = int(k)
+    result = square = None
+    while k > 0:
+        square = (rows, values) if square is None else _compose(square, square)
+        k, bit = divmod(k, 2)
+        if bit:
+            result = square if result is None else _compose(result, square)
+    if result is None:
+        return np.arange(rows.size), np.ones(rows.size, dtype=np.complex128)
+    return result
+
+
 def unitary_deviation(entries: np.ndarray) -> float:
-    dim = entries.shape[0]
-    return max_abs(entries.conj().T @ entries - np.eye(dim))
+    """max |M^dag M - 1|.
+
+    For a monomial M the off-diagonal entries of M^dag M are exact zeros, so
+    the deviation is max_j ||v_j|^2 - 1| over its nonzero values v_j; any
+    other matrix takes the dense product.
+    """
+    monomial = _monomial(entries)
+    if monomial is None:
+        return _gram_deviation(entries)
+    values = monomial[1]
+    return max_abs(values.real**2 + values.imag**2 - 1.0)
 
 
 def diagonal_deviation(entries: np.ndarray) -> float:
@@ -262,11 +325,26 @@ def mat_mul(ml: OperatorMatrix, mr: OperatorMatrix) -> OperatorMatrix:
 
 
 def mat_power(m: OperatorMatrix, k: int) -> OperatorMatrix:
-    """Non-negative integer matrix power by repeated multiplication."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"power must be a non-negative integer, got {k!r}")
+    """Non-negative integer power of a monomial operator by repeated multiplication.
+
+    The operator must have exactly one nonzero entry per row and per column
+    (a diagonal or a weighted cyclic shift); its powers are composed index
+    by index in O(d log k). Any other operator is refused: raise it through
+    the eigenvalues of its frame instead, as
+    :func:`.deformed.cycle_operator_power` does for q^-(N+eta).
+    """
+    monomial = _monomial(m.entries)
+    if monomial is None:
+        raise ValueError(
+            "mat_power takes a monomial operator (one nonzero entry per row "
+            "and column); raise a dense operator through the eigenvalues of "
+            "its frame, as cycle_operator_power does"
+        )
+    rows, values = _binary_power(*monomial, k)
+    entries = np.zeros((m.dim, m.dim), dtype=np.complex128)
+    entries[rows, np.arange(m.dim)] = values
     tags = frozenset({"diagonal"}) if "diagonal" in m.tags else frozenset()
-    return OperatorMatrix(np.linalg.matrix_power(m.entries, int(k)), tags=tags)
+    return OperatorMatrix(entries, tags=tags)
 
 
 def cyclic_shift(dim: int, corner: complex, weights: np.ndarray | None = None) -> np.ndarray:
@@ -364,7 +442,7 @@ def frame_deviation(frame: np.ndarray) -> float:
     Raises :class:`NonOrthonormalFrame` when it exceeds the ``tol_op`` of the
     frame's dimension.
     """
-    deviation = max_abs(frame.conj().T @ frame - np.eye(frame.shape[1]))
+    deviation = _gram_deviation(frame)
     tol = TolerancePolicy.for_dim(frame.shape[0]).tol_op
     if deviation > tol:
         raise NonOrthonormalFrame(deviation, tol)

@@ -31,7 +31,7 @@ __all__ = [
     "render_pretty",
 ]
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"

@@ -130,7 +130,10 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict) ->
             policy.tol_op,
         )
     )
-    expected = np.exp(1j * np.outer(np.arange(dim), config.thetas())) / np.sqrt(dim)
+    # The frame's exponentials exp(i n theta_m) against diag(exp(i n theta_0))
+    # times the unitary DFT, which np.fft builds from the identity.
+    expected = np.fft.ifft(eye, axis=0, norm="ortho")
+    expected *= np.exp(1j * config.theta0 * np.arange(dim))[:, None]
     records.append(
         CheckRecord.measured(
             "phase_state_components",
@@ -172,6 +175,8 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict) ->
             policy.tol_op,
         )
     )
+    # The explicit shift raised by repeated multiplication against the
+    # closed-form corner phase.
     records.append(
         CheckRecord.measured(
             "unitary_phase_cyclic",
@@ -200,6 +205,8 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict) ->
             policy.tol_op,
         )
     )
+    # The explicit diagonal q^-N raised by repeated multiplication against
+    # the identity.
     records.append(
         CheckRecord.measured(
             "number_shift_cyclic",
@@ -222,11 +229,15 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict) ->
             policy.tol_op,
         )
     )
+    # q^-N, whose diagonal is root_power(-n), against the powers of the
+    # scalar q^-1 = conj(q) taken by cumulative multiplication.
+    inverse_q = np.full(dim, np.conj(config.q))
+    inverse_q[0] = 1.0
     records.append(
         CheckRecord.measured(
             "number_shift_diagonal_in_number_basis",
             "q^-N |n> = q^-n |n>",
-            max_abs(down.entries - np.diag(config.root_power(-np.arange(dim)))),
+            max_abs(down.entries - np.diag(np.cumprod(inverse_q))),
             policy.tol_op,
         )
     )
@@ -346,7 +357,9 @@ def suite_gdo(
     )
     records.extend(duality_check(frame, qshift, phase_op))
 
-    cycle = _once(shared, ("cycle", frame.eta), mat_power, qshift, dim)
+    # Both cycle records take the eigenvalues q^-(n+eta) raised by repeated
+    # multiplication over the certified offset frame against the closed form.
+    cycle = _once(shared, ("cycle", frame.eta), cycle_operator_power, frame, dim)
     records.append(
         CheckRecord.measured(
             "cycle_identity",
@@ -481,7 +494,12 @@ def suite_cross_module(
     policy: TolerancePolicy,
     shared: dict,
 ) -> list:
-    """The shift route at eta = 1/2 against the Hamiltonian route."""
+    """The shift route at eta = 1/2 against the Hamiltonian route.
+
+    The shift route raises the eigenvalues q^-(n+1/2) by repeated
+    multiplication and synthesizes the power over the certified offset
+    frame; the Hamiltonian route is U(2*pi/omega) built from the energies.
+    """
     dim = config.dim
     frame = _generalized_frame(shared, config, 0.5)
     cycle = _once(shared, ("cycle", 0.5), cycle_operator_power, frame, dim)

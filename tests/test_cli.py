@@ -200,6 +200,20 @@ class TestEvolve:
         assert np.allclose(amp, -np.ones(2) / np.sqrt(2.0), atol=1e-12)
         assert data["global_phase"] == pytest.approx(np.pi, abs=1e-9)
 
+    @pytest.mark.parametrize("mode", ["shift", "hamiltonian"])
+    def test_zero_steps_return_the_input_state(self, tmp_path, mode):
+        amplitudes = np.array([0.6, 0.48j, -0.64])
+        state = write_state(tmp_path / "state.json", amplitudes)
+        out = tmp_path / "out.json"
+        assert main(
+            ["evolve", str(state), "--mode", mode, "--eta", "0.25", "--steps", "0",
+             "--out", str(out)]
+        ) == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        amp = np.array([complex(re, im) for re, im in data["amp"]])
+        assert np.max(np.abs(amp - amplitudes)) <= 3e-12
+        assert abs(np.exp(1j * data["global_phase"]) - 1.0) <= 1e-9
+
     def test_single_shift_is_not_phase_proportional(self, tmp_path):
         # (1,1,1)/sqrt(3) is the theta_0 phase state; one down-shift sends it
         # to the orthogonal theta_2 state, so no global phase exists.

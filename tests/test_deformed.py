@@ -20,6 +20,7 @@ from fdphase.deformed import (
 from fdphase.numerics import (
     DimensionMismatch,
     StateVector,
+    TolerancePolicy,
     equal_up_to_global_phase,
     mat_apply,
     mat_mul,
@@ -295,7 +296,21 @@ class TestCycleOperatorPower:
         expected = np.exp(-1j * np.pi / 2) * np.eye(3)
         assert np.max(np.abs(cycle.entries - expected)) <= 3e-11
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 16, 33, 64])
+    @pytest.mark.parametrize("eta", [0.25, 1.5])
+    def test_matches_dense_power_of_the_shift(self, dim, eta):
+        frame = _offset_frame(SpaceConfig.from_dim(dim, 2.9), eta)
+        qshift = generalized_number_shift(frame).entries
+        tol = TolerancePolicy.for_dim(dim).tol_op
+        for k in (1, 2, 3, dim, 2 * dim + 1):
+            dense = np.linalg.matrix_power(qshift, k)
+            assert np.max(np.abs(cycle_operator_power(frame, k).entries - dense)) <= tol
+
+    def test_zero_power_is_the_identity(self):
+        cycle = cycle_operator_power(_offset_frame(SpaceConfig.from_dim(5, 0.3), 0.25), 0)
+        assert np.max(np.abs(cycle.entries - np.eye(5))) <= 5e-12
+
+    @pytest.mark.parametrize("bad", [-1, 1.5])
     def test_power_validation(self, bad):
         with pytest.raises(ValueError):
             cycle_operator_power(_offset_frame(SpaceConfig.from_dim(2), 0.5), bad)

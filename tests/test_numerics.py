@@ -22,6 +22,7 @@ from fdphase.numerics import (
     mat_mul,
     mat_power,
     spectral_synthesize,
+    unitary_deviation,
 )
 from fdphase.pegg_barnett import SpaceConfig, build_phase_frame, hermitian_phase_operator
 
@@ -161,6 +162,48 @@ class TestMatPower:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             mat_power(identity(2), -1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 31, 64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_monomial_power_matches_dense_oracle(self, dim, seed):
+        entries = _random_monomial(np.random.default_rng(seed), dim)
+        for k in (0, 1, 2, 3, dim, 2 * dim + 1):
+            oracle = np.linalg.matrix_power(entries, k)
+            got = mat_power(OperatorMatrix(entries), k).entries
+            assert np.max(np.abs(got - oracle)) <= 1e-13 * max(1.0, np.max(np.abs(oracle)))
+
+    def test_diagonal_tag_survives(self):
+        op = OperatorMatrix(np.diag([1.0, 1j, -1.0]), tags={"diagonal"})
+        assert mat_power(op, 5).tags == {"diagonal"}
+
+    def test_dense_operator_refused(self):
+        dense = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(4, 0.3)))
+        with pytest.raises(ValueError, match="frame"):
+            mat_power(dense, 4)
+
+
+def _random_monomial(rng, dim):
+    """A random permutation matrix with random complex weights."""
+    entries = np.zeros((dim, dim), dtype=np.complex128)
+    values = rng.uniform(0.5, 1.5, dim) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, dim))
+    entries[rng.permutation(dim), np.arange(dim)] = values
+    return entries
+
+
+class TestUnitaryDeviation:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 64])
+    def test_monomial_matches_dense_formula(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in (1e-14, 1e-9, 0.3):
+            entries = _random_monomial(rng, dim)
+            entries /= np.abs(entries).sum(axis=0)  # unit columns
+            entries *= 1.0 + scale * rng.standard_normal(dim)
+            dense = np.max(np.abs(entries.conj().T @ entries - np.eye(dim)))
+            assert abs(unitary_deviation(entries) - dense) <= 1e-15
+
+    def test_dense_matrix_keeps_the_product(self):
+        entries = np.array([[1.0, 1e-7], [0.0, 1.0]])
+        assert unitary_deviation(entries) == pytest.approx(1e-7)
 
 
 class TestEqualUpToGlobalPhase:
