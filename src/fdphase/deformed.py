@@ -31,7 +31,7 @@ from .numerics import (
     TolerancePolicy,
     _binary_power,
     adjoint,
-    certified,
+    certify,
     cyclic_shift,
     frame_deviation,
     max_abs,
@@ -194,11 +194,10 @@ def build_generalized_frame(base: PhaseFrame, eta: float) -> GeneralizedFrame:
 
 @dataclass(frozen=True, eq=False)
 class LadderOperators:
-    """Lowering/raising pair and the offset number-power operator."""
+    """The lowering operator and its adjoint, the raising operator."""
 
     a: OperatorMatrix
     a_dag: OperatorMatrix
-    q_number: OperatorMatrix
 
 
 def build_ladder_operators(
@@ -210,7 +209,6 @@ def build_ladder_operators(
     |n+eta-1><n+eta| for n = 1..s and sqrt(F_0) exp(i(s+1)theta_0) on the
     wrap-around |s+eta><eta|; the raising operator is its exact adjoint, so
     the wrap-around of the raising operator reuses the bottom-level weight.
-    q_number carries eigenvalue q^(n+eta) on |n+eta>.
     """
     config = frame.config
     if profile.dim != config.dim:
@@ -220,10 +218,7 @@ def build_ladder_operators(
     dim = config.dim
     corner = np.exp(1j * dim * config.theta0)
     a = frame.operator_from_frame(cyclic_shift(dim, corner, np.sqrt(profile.values)))
-    q_number = certified(
-        frame.synthesize(config.root_power(np.arange(dim) + frame.eta)), "unitary"
-    )
-    return LadderOperators(a=a, a_dag=adjoint(a), q_number=q_number)
+    return LadderOperators(a=a, a_dag=adjoint(a))
 
 
 def recover_phase_operator(
@@ -242,7 +237,7 @@ def recover_phase_operator(
             "inverse square root refused: profile has a zero weight"
         )
     inv_sqrt = frame.synthesize((profile.values ** -0.5).astype(np.complex128))
-    return certified(OperatorMatrix(a.entries @ inv_sqrt.entries), "unitary")
+    return certify(OperatorMatrix(a.entries @ inv_sqrt.entries), "unitary")
 
 
 def _number_shift_eigenvalues(frame: GeneralizedFrame) -> np.ndarray:
@@ -251,8 +246,8 @@ def _number_shift_eigenvalues(frame: GeneralizedFrame) -> np.ndarray:
 
 
 def generalized_number_shift(frame: GeneralizedFrame) -> OperatorMatrix:
-    """q^-(N+eta): eigenvalue q^-(n+eta) on |n+eta>."""
-    return certified(frame.synthesize(_number_shift_eigenvalues(frame)), "unitary")
+    """q^-(N+eta): eigenvalue q^-(n+eta) on |n+eta>, unitary-certified."""
+    return certify(frame.synthesize(_number_shift_eigenvalues(frame)), "unitary")
 
 
 def modified_number_shift(frame: GeneralizedFrame) -> OperatorMatrix:
@@ -264,7 +259,7 @@ def modified_number_shift(frame: GeneralizedFrame) -> OperatorMatrix:
     """
     pattern = cyclic_shift(frame.config.dim, np.exp(-2j * np.pi * frame.eta))
     p = frame.phase_matrix
-    return certified(OperatorMatrix(p @ pattern @ p.conj().T), "unitary")
+    return certify(OperatorMatrix(p @ pattern @ p.conj().T), "unitary")
 
 
 def cycle_operator_power(frame: GeneralizedFrame, k: int) -> OperatorMatrix:

@@ -23,7 +23,7 @@ from .numerics import (
     TWO_PI,
     OperatorMatrix,
     TolerancePolicy,
-    certified,
+    certify,
     max_abs,
 )
 from .pegg_barnett import SpaceConfig
@@ -78,10 +78,7 @@ def oscillator_spectrum(config: SpaceConfig, omega: float) -> OscillatorSpectrum
 
 def hamiltonian(config: SpaceConfig, omega: float) -> OperatorMatrix:
     spectrum = oscillator_spectrum(config, omega)
-    return OperatorMatrix(
-        np.diag(spectrum.energies.astype(np.complex128)),
-        tags={"hermitian", "diagonal"},
-    )
+    return OperatorMatrix(np.diag(spectrum.energies.astype(np.complex128)))
 
 
 def time_evolution(config: SpaceConfig, omega: float, t: float) -> OperatorMatrix:
@@ -90,8 +87,7 @@ def time_evolution(config: SpaceConfig, omega: float, t: float) -> OperatorMatri
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     spectrum = oscillator_spectrum(config, omega)
-    op = OperatorMatrix(np.diag(np.exp(-1j * spectrum.energies * t)))
-    return certified(certified(op, "diagonal"), "unitary")
+    return certify(OperatorMatrix(np.diag(np.exp(-1j * spectrum.energies * t))), "unitary")
 
 
 def cycle_phase_per_level(config: SpaceConfig) -> np.ndarray:

@@ -1,14 +1,16 @@
-"""Small dense complex linear algebra with certified structural tags.
+"""Small dense complex linear algebra with certified hermiticity and unitarity.
 
-Vectors and operators are immutable wrappers around numpy arrays. Structural
-facts (hermitian / unitary / diagonal) travel as tags that are attached only
-after a numerical certification against a :class:`TolerancePolicy`, never
-assumed. Each tag is measured once: :func:`certify` attaches the tag it has
-just measured without measuring it again. Every operator exponential used
-elsewhere in this package is assembled from a known eigenbasis, passed in as
-the frame matrix with its certified orthonormality deviation, through
-:func:`spectral_synthesize`, so no general matrix exponential or eigensolver
-lives here. Every tolerance is the dimension's :meth:`TolerancePolicy.for_dim`.
+Vectors and operators are immutable wrappers around numpy arrays. An
+operator counts as hermitian or unitary only once :func:`certify` has
+measured it: the deviation is measured once, against the dimension's
+``tol_op``, and either recorded in the operator's ``deviations`` or refused
+with an error. Any other structure (a diagonal, a monomial) is read from the
+entries where it is used, never carried as a flag. Every operator
+exponential used elsewhere in this package is assembled from a known
+eigenbasis, passed in as the frame matrix with its certified orthonormality
+deviation, through :func:`spectral_synthesize`, so no general matrix
+exponential or eigensolver lives here. Every tolerance is the dimension's
+:meth:`TolerancePolicy.for_dim`.
 
 Monomial operators, with exactly one nonzero entry per row and per column
 (the diagonals and the weighted cyclic shifts), are recognised from their
@@ -27,16 +29,13 @@ import numpy as np
 
 __all__ = [
     "TWO_PI",
-    "VALID_TAGS",
     "DimensionMismatch",
     "NonOrthonormalFrame",
     "TolerancePolicy",
     "StateVector",
     "OperatorMatrix",
     "PhaseComparison",
-    "Certification",
     "basis_state",
-    "identity",
     "mat_apply",
     "mat_mul",
     "mat_power",
@@ -46,17 +45,13 @@ __all__ = [
     "frame_deviation",
     "spectral_synthesize",
     "certify",
-    "certified",
     "hermitian_deviation",
     "unitary_deviation",
-    "diagonal_deviation",
     "tag_deviation",
     "max_abs",
 ]
 
 TWO_PI = 2.0 * np.pi
-
-VALID_TAGS = frozenset({"hermitian", "unitary", "diagonal"})
 
 
 class DimensionMismatch(ValueError):
@@ -81,7 +76,7 @@ class TolerancePolicy:
 
     ``tol_elem`` bounds per-element and per-state deviations, ``tol_norm``
     bounds norm drift, and ``tol_op`` bounds operator-level identities and
-    tag certifications.
+    the certifications of :func:`certify`.
     """
 
     tol_elem: float
@@ -173,15 +168,9 @@ def unitary_deviation(entries: np.ndarray) -> float:
     return max_abs(values.real**2 + values.imag**2 - 1.0)
 
 
-def diagonal_deviation(entries: np.ndarray) -> float:
-    off = entries - np.diag(np.diag(entries))
-    return max_abs(off)
-
-
 _TAG_DEVIATIONS = {
     "hermitian": hermitian_deviation,
     "unitary": unitary_deviation,
-    "diagonal": diagonal_deviation,
 }
 
 
@@ -190,7 +179,7 @@ def tag_deviation(entries: np.ndarray, tag: str) -> float:
     try:
         measure = _TAG_DEVIATIONS[tag]
     except KeyError:
-        raise ValueError(f"unknown tag {tag!r}; expected one of {sorted(VALID_TAGS)}")
+        raise ValueError(f"unknown tag {tag!r}; expected one of {sorted(_TAG_DEVIATIONS)}")
     return measure(entries)
 
 
@@ -237,18 +226,15 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """A dense square operator whose tags name certified structure.
+    """A dense square operator with finite entries, held read-only.
 
-    Tags may only name structure the entries actually have: each tag handed
-    to the constructor is measured against the dimension-scaled default
-    ``tol_op`` and the constructor refuses uncertified tags. :func:`certify`
-    attaches the tag it has just measured without this second measurement.
-    ``deviations`` maps each tag to the deviation measured when it was
-    certified, as frames keep theirs.
+    ``deviations`` maps each structure :func:`certify` has confirmed on these
+    entries ("hermitian", "unitary") to the deviation it measured, as frames
+    keep theirs. It is read-only, empty at construction, and not a
+    constructor argument.
     """
 
     entries: np.ndarray
-    tags: frozenset = frozenset()
     deviations: Mapping = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -259,32 +245,7 @@ class OperatorMatrix:
             raise ValueError("operator entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-
-        tags = frozenset(self.tags)
-        unknown = tags - VALID_TAGS
-        if unknown:
-            raise ValueError(f"unknown tags: {sorted(unknown)}")
-        tol = TolerancePolicy.for_dim(arr.shape[0]).tol_op
-        deviations = {}
-        for tag in sorted(tags):
-            deviations[tag] = tag_deviation(arr, tag)
-            if deviations[tag] > tol:
-                raise ValueError(
-                    f"tag {tag!r} is not certified: deviation {deviations[tag]:.3e} "
-                    f"exceeds {tol:.3e}"
-                )
-        object.__setattr__(self, "tags", tags)
-        object.__setattr__(self, "deviations", MappingProxyType(deviations))
-
-    def _with_certified_tag(self, tag: str, deviation: float) -> "OperatorMatrix":
-        """The same entries with ``tag`` added; the caller has measured it."""
-        tagged = object.__new__(OperatorMatrix)
-        object.__setattr__(tagged, "entries", self.entries)
-        object.__setattr__(tagged, "tags", self.tags | {tag})
-        object.__setattr__(
-            tagged, "deviations", MappingProxyType({**self.deviations, tag: deviation})
-        )
-        return tagged
+        object.__setattr__(self, "deviations", MappingProxyType({}))
 
     @property
     def dim(self) -> int:
@@ -300,10 +261,6 @@ def basis_state(dim: int, n: int) -> StateVector:
     return StateVector(amp)
 
 
-def identity(dim: int) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(dim), tags=VALID_TAGS)
-
-
 def mat_apply(m: OperatorMatrix, v: StateVector) -> StateVector:
     if m.dim != v.dim:
         raise DimensionMismatch(
@@ -313,15 +270,12 @@ def mat_apply(m: OperatorMatrix, v: StateVector) -> StateVector:
 
 
 def mat_mul(ml: OperatorMatrix, mr: OperatorMatrix) -> OperatorMatrix:
-    """Matrix product. Only diagonal-times-diagonal keeps its tag."""
+    """Matrix product."""
     if ml.dim != mr.dim:
         raise DimensionMismatch(
             f"operator dimensions differ: {ml.dim} vs {mr.dim}"
         )
-    tags = frozenset()
-    if "diagonal" in ml.tags and "diagonal" in mr.tags:
-        tags = frozenset({"diagonal"})
-    return OperatorMatrix(ml.entries @ mr.entries, tags=tags)
+    return OperatorMatrix(ml.entries @ mr.entries)
 
 
 def mat_power(m: OperatorMatrix, k: int) -> OperatorMatrix:
@@ -343,8 +297,7 @@ def mat_power(m: OperatorMatrix, k: int) -> OperatorMatrix:
     rows, values = _binary_power(*monomial, k)
     entries = np.zeros((m.dim, m.dim), dtype=np.complex128)
     entries[rows, np.arange(m.dim)] = values
-    tags = frozenset({"diagonal"}) if "diagonal" in m.tags else frozenset()
-    return OperatorMatrix(entries, tags=tags)
+    return OperatorMatrix(entries)
 
 
 def cyclic_shift(dim: int, corner: complex, weights: np.ndarray | None = None) -> np.ndarray:
@@ -365,9 +318,8 @@ def cyclic_shift(dim: int, corner: complex, weights: np.ndarray | None = None) -
 
 
 def adjoint(m: OperatorMatrix) -> OperatorMatrix:
-    """Conjugate transpose; a hermitian tag survives unchanged."""
-    tags = frozenset({"hermitian"}) if "hermitian" in m.tags else frozenset()
-    return OperatorMatrix(m.entries.conj().T, tags=tags)
+    """Conjugate transpose."""
+    return OperatorMatrix(m.entries.conj().T)
 
 
 @dataclass(frozen=True)
@@ -400,40 +352,21 @@ def equal_up_to_global_phase(
     return PhaseComparison(equal=True, phase=float(np.angle(overlap)) % TWO_PI)
 
 
-@dataclass(frozen=True)
-class Certification:
-    """Result of measuring one structural tag on one operator."""
+def certify(m: OperatorMatrix, tag: str) -> OperatorMatrix:
+    """``m`` certified "hermitian" or "unitary", with the deviation recorded.
 
-    tag: str
-    passed: bool
-    max_deviation: float
-    matrix: OperatorMatrix
-
-
-def certify(m: OperatorMatrix, tag: str) -> Certification:
-    """Measure the deviation from ``tag`` structure and attach it on success.
-
-    Returns the measured deviation together with either the tagged matrix
-    (deviation within the dimension's ``tol_op``) or the input unchanged.
-    The tag is measured once, here; the tags ``m`` already carries were
-    certified when ``m`` was built and are not measured again either.
+    The deviation is measured once, by :func:`tag_deviation`. Above the
+    dimension's ``tol_op`` certification fails with :class:`ArithmeticError`;
+    otherwise the result shares ``m``'s read-only entries, without a copy,
+    and adds ``deviations[tag]`` to the deviations ``m`` already records.
     """
-    if tag not in VALID_TAGS:
-        raise ValueError(f"unknown tag {tag!r}; expected one of {sorted(VALID_TAGS)}")
     deviation = tag_deviation(m.entries, tag)
-    if deviation <= TolerancePolicy.for_dim(m.dim).tol_op:
-        return Certification(tag, True, deviation, m._with_certified_tag(tag, deviation))
-    return Certification(tag, False, deviation, m)
-
-
-def certified(m: OperatorMatrix, tag: str) -> OperatorMatrix:
-    """Like :func:`certify` but raises when certification fails."""
-    cert = certify(m, tag)
-    if not cert.passed:
-        raise ArithmeticError(
-            f"{tag} certification failed with deviation {cert.max_deviation:.3e}"
-        )
-    return cert.matrix
+    if deviation > TolerancePolicy.for_dim(m.dim).tol_op:
+        raise ArithmeticError(f"{tag} certification failed with deviation {deviation:.3e}")
+    result = object.__new__(OperatorMatrix)
+    object.__setattr__(result, "entries", m.entries)
+    object.__setattr__(result, "deviations", MappingProxyType({**m.deviations, tag: deviation}))
+    return result
 
 
 def frame_deviation(frame: np.ndarray) -> float:

@@ -27,7 +27,7 @@ from .numerics import (
     TWO_PI,
     DimensionMismatch,
     OperatorMatrix,
-    certified,
+    certify,
     cyclic_shift,
     frame_deviation,
     spectral_synthesize,
@@ -129,16 +129,13 @@ def build_phase_frame(config: SpaceConfig) -> PhaseFrame:
 
 def number_operator(config: SpaceConfig) -> OperatorMatrix:
     """diag(0, 1, ..., s)."""
-    return OperatorMatrix(
-        np.diag(np.arange(config.dim, dtype=np.complex128)),
-        tags={"hermitian", "diagonal"},
-    )
+    return OperatorMatrix(np.diag(np.arange(config.dim, dtype=np.complex128)))
 
 
 def hermitian_phase_operator(frame: PhaseFrame) -> OperatorMatrix:
     """Phase operator sum_m theta_m |theta_m><theta_m|, hermitian-certified."""
     thetas = frame.config.thetas().astype(np.complex128)
-    return certified(spectral_synthesize(frame.matrix, thetas, frame.deviation), "hermitian")
+    return certify(spectral_synthesize(frame.matrix, thetas, frame.deviation), "hermitian")
 
 
 def unitary_phase_operator(config: SpaceConfig) -> OperatorMatrix:
@@ -148,19 +145,19 @@ def unitary_phase_operator(config: SpaceConfig) -> OperatorMatrix:
     exp(i(s+1)theta_0) on |s><0|; unitary-certified.
     """
     corner = np.exp(1j * config.dim * config.theta0)
-    return certified(OperatorMatrix(cyclic_shift(config.dim, corner)), "unitary")
+    return certify(OperatorMatrix(cyclic_shift(config.dim, corner)), "unitary")
 
 
 def unitary_phase_from_spectrum(frame: PhaseFrame) -> OperatorMatrix:
     """sum_m exp(i theta_m)|theta_m><theta_m|, the spectral route to exp(iPhi)."""
     eigvals = np.exp(1j * frame.config.thetas())
-    return certified(spectral_synthesize(frame.matrix, eigvals, frame.deviation), "unitary")
+    return certify(spectral_synthesize(frame.matrix, eigvals, frame.deviation), "unitary")
 
 
 def number_shift_operator(config: SpaceConfig) -> OperatorMatrix:
-    """q^-N = diag(q^-n), the phase-state down-shift."""
+    """q^-N = diag(q^-n), the phase-state down-shift; unitary-certified."""
     op = OperatorMatrix(np.diag(config.root_power(-np.arange(config.dim))))
-    return certified(certified(op, "diagonal"), "unitary")
+    return certify(op, "unitary")
 
 
 def commutator(ml: OperatorMatrix, mr: OperatorMatrix) -> OperatorMatrix:

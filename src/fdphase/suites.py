@@ -45,7 +45,6 @@ from .numerics import (
     StateVector,
     TolerancePolicy,
     cyclic_shift,
-    hermitian_deviation,
     mat_apply,
     mat_mul,
     mat_power,
@@ -148,7 +147,7 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict) ->
         CheckRecord.measured(
             "phase_operator_hermitian",
             "Phi = sum_m theta_m |theta_m><theta_m|",
-            hermitian_deviation(phi.entries),
+            phi.deviations["hermitian"],
             policy.tol_op,
         )
     )

@@ -1,16 +1,33 @@
-"""Each dense step of a verify run happens once: tag measurements, frame builds."""
+"""Each dense step of a verify run happens once: certifications, frame builds."""
 
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fdphase import numerics, pegg_barnett
 from fdphase.cli import main
-from fdphase.deformed import build_generalized_frame
-from fdphase.evolution import time_evolution
-from fdphase.numerics import OperatorMatrix, certified, certify, unitary_deviation
-from fdphase.pegg_barnett import SpaceConfig
+from fdphase.deformed import (
+    build_generalized_frame,
+    build_ladder_operators,
+    cycle_operator_power,
+    deformation_linear,
+    generalized_number_shift,
+    modified_number_shift,
+    recover_phase_operator,
+)
+from fdphase.evolution import hamiltonian, time_evolution
+from fdphase.numerics import OperatorMatrix, certify, unitary_deviation
+from fdphase.pegg_barnett import (
+    SpaceConfig,
+    build_phase_frame,
+    hermitian_phase_operator,
+    number_operator,
+    number_shift_operator,
+    unitary_phase_from_spectrum,
+    unitary_phase_operator,
+)
 from fdphase.report import RunManifest
 from fdphase.suites import SUITE_NAMES, run_suites
 
@@ -48,62 +65,105 @@ def _count_calls(monkeypatch, fn) -> list:
 
 class TestCertifyOnce:
     def test_chained_certification_measures_each_tag_once(self, tag_counts):
-        op = OperatorMatrix(np.diag([1.0, 1j, -1.0]))
-        tagged = certified(certified(op, "diagonal"), "unitary")
-        assert tagged.tags == {"diagonal", "unitary"}
-        assert tag_counts == {"diagonal": 1, "unitary": 1}
-
-    def test_existing_tags_are_not_measured_again(self, tag_counts):
-        base = OperatorMatrix(np.eye(3), tags={"hermitian"})
-        assert tag_counts == {"hermitian": 1}
-        cert = certify(base, "unitary")
-        assert cert.passed and cert.matrix.tags == {"hermitian", "unitary"}
+        op = OperatorMatrix(np.diag([1.0, -1.0, 1.0]))
+        both = certify(certify(op, "hermitian"), "unitary")
+        assert dict(both.deviations) == {"hermitian": 0.0, "unitary": 0.0}
         assert tag_counts == {"hermitian": 1, "unitary": 1}
 
-    def test_certified_matrix_keeps_the_entries(self):
+    def test_constructor_measures_nothing(self, tag_counts):
+        op = OperatorMatrix(np.eye(2))
+        assert dict(op.deviations) == {}
+        assert tag_counts == {}
+
+    def test_certified_matrix_shares_the_entries(self):
         op = OperatorMatrix(np.diag([1.0, -1.0]))
-        tagged = certified(op, "unitary")
-        assert np.array_equal(tagged.entries, op.entries)
-        assert not tagged.entries.flags.writeable
-
-    def test_failed_certification_attaches_nothing(self, tag_counts):
-        op = OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        cert = certify(op, "unitary")
-        assert not cert.passed and cert.matrix.tags == frozenset()
-        assert tag_counts == {"unitary": 1}
-
-    def test_constructor_still_measures_tags_handed_to_it(self, tag_counts):
-        op = OperatorMatrix(np.eye(2), tags={"hermitian", "diagonal"})
-        assert tag_counts == {"diagonal": 1, "hermitian": 1}
-        assert dict(op.deviations) == {"diagonal": 0.0, "hermitian": 0.0}
-        with pytest.raises(ValueError):
-            OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), tags={"unitary"})
-
+        unitary = certify(op, "unitary")
+        assert unitary.entries is op.entries
+        assert not unitary.entries.flags.writeable
+        assert dict(op.deviations) == {}
 
     def test_matrix_keeps_each_certified_deviation(self, tag_counts):
         entries = np.array([[0.0, 1.0], [1.0, 1e-13]])
-        tagged = certified(certified(OperatorMatrix(entries), "hermitian"), "unitary")
-        assert dict(tagged.deviations) == {
+        both = certify(certify(OperatorMatrix(entries), "hermitian"), "unitary")
+        assert dict(both.deviations) == {
             "hermitian": 0.0,
             "unitary": unitary_deviation(entries),
         }
         assert tag_counts == {"hermitian": 1, "unitary": 1}
         with pytest.raises(TypeError):
-            tagged.deviations["unitary"] = 0.0
+            both.deviations["unitary"] = 0.0
 
-    def test_failed_certification_records_no_deviation(self):
-        cert = certify(OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])), "unitary")
-        assert dict(cert.matrix.deviations) == {}
+    def test_failed_certification_measures_once_and_raises(self, tag_counts):
+        op = certify(OperatorMatrix(np.diag([1.0, 2.0])), "hermitian")
+        with pytest.raises(ArithmeticError, match="unitary certification failed with deviation 3.000e"):
+            certify(op, "unitary")
+        assert tag_counts == {"hermitian": 1, "unitary": 1}
+        assert set(op.deviations) == {"hermitian"}
+
+    def test_unknown_tag_is_refused_unmeasured(self, tag_counts):
+        with pytest.raises(ValueError, match="unknown tag 'diagonal'"):
+            certify(OperatorMatrix(np.eye(2)), "diagonal")
+        assert tag_counts == {}
+
+
+# Each builder over one small space, and the tags it certifies.
+BUILDERS = {
+    "hermitian_phase_operator": ({"hermitian"}, lambda c: hermitian_phase_operator(c.frame)),
+    "unitary_phase_operator": ({"unitary"}, lambda c: unitary_phase_operator(c.config)),
+    "unitary_phase_from_spectrum": ({"unitary"}, lambda c: unitary_phase_from_spectrum(c.frame)),
+    "number_shift_operator": ({"unitary"}, lambda c: number_shift_operator(c.config)),
+    "number_operator": (set(), lambda c: number_operator(c.config)),
+    "hamiltonian": (set(), lambda c: hamiltonian(c.config, 1.0)),
+    "time_evolution": ({"unitary"}, lambda c: time_evolution(c.config, 1.0, 0.7)),
+    "ladder_lowering": (set(), lambda c: build_ladder_operators(c.offset, c.profile).a),
+    "recover_phase_operator": (
+        {"unitary"},
+        lambda c: recover_phase_operator(c.ladder.a, c.profile, c.offset),
+    ),
+    "generalized_number_shift": ({"unitary"}, lambda c: generalized_number_shift(c.offset)),
+    "modified_number_shift": ({"unitary"}, lambda c: modified_number_shift(c.offset)),
+    "cycle_operator_power": (set(), lambda c: cycle_operator_power(c.offset, 5)),
+}
+
+
+class TestBuilderCertifications:
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_deviations_name_exactly_what_the_builder_certifies(self, name, tag_counts):
+        tags, build = BUILDERS[name]
+        config = SpaceConfig.from_dim(5, 0.3)
+        frame = build_phase_frame(config)
+        offset = build_generalized_frame(frame, 0.5)
+        profile = deformation_linear(config, 0.5)
+        context = SimpleNamespace(
+            config=config, frame=frame, offset=offset, profile=profile,
+            ladder=build_ladder_operators(offset, profile),
+        )
+        tag_counts.clear()
+        op = build(context)
+        assert set(op.deviations) == tags
+        assert tag_counts == {tag: 1 for tag in tags}
+
+    def test_run_measures_once_per_certification(self, monkeypatch):
+        measured = _count_calls(monkeypatch, numerics.tag_deviation)
+        certifications = _count_calls(monkeypatch, numerics.certify)
+        run_suites(RunManifest(dim=64, theta0=0.3, eta=0.5, suites=SUITE_NAMES))
+        assert len(certifications) > 0
+        assert len(measured) == len(certifications)
 
 
 class TestCertifiedDeviationsReported:
-    def test_run_makes_no_direct_unitary_measurement(self, monkeypatch):
-        # The unitarity records read the deviation measured at certification.
-        calls = _count_calls(monkeypatch, numerics.unitary_deviation)
+    @pytest.mark.parametrize(
+        "measure", [numerics.unitary_deviation, numerics.hermitian_deviation],
+        ids=["unitary_deviation", "hermitian_deviation"],
+    )
+    def test_run_makes_no_direct_unitary_measurement(self, monkeypatch, measure):
+        # The unitarity and hermiticity records read the deviation measured
+        # at certification.
+        calls = _count_calls(monkeypatch, measure)
         report = run_suites(RunManifest(dim=6, theta0=0.3, eta=0.5, suites=SUITE_NAMES))
         assert len(calls) == 0
         ids = [record.check_id for record in report.records]
-        assert "evolution_unitary" in ids and "recovered_phase_unitary" in ids
+        assert {"evolution_unitary", "recovered_phase_unitary", "phase_operator_hermitian"} <= set(ids)
 
     def test_evolution_unitary_reports_the_certified_deviation(self):
         config = SpaceConfig.from_dim(7, 0.3)
@@ -111,7 +171,6 @@ class TestCertifiedDeviationsReported:
         report = run_suites(RunManifest(dim=7, theta0=0.3, suites=("evolution",)))
         (record,) = [r for r in report.records if r.check_id == "evolution_unitary"]
         assert record.max_deviation == unitary_deviation(u.entries)
-
 
 class TestFramesOncePerRun:
     @pytest.mark.parametrize("dim, eta", [(1, 0.5), (6, 1.5), (7, 0.5), (5, 0.25)])

@@ -175,14 +175,6 @@ class TestLadderOperators:
             <= 1e-11 * dim
         )
 
-    def test_q_number_eigenvalues(self):
-        config = SpaceConfig.from_dim(3, 0.0)
-        frame = _offset_frame(config, 0.5)
-        ladder = build_ladder_operators(frame, deformation_linear(config, 0.5))
-        in_frame = frame.to_frame(ladder.q_number)
-        expected = np.diag(config.root_power(np.arange(3) + 0.5))
-        assert np.max(np.abs(in_frame - expected)) <= 3e-11
-
     def test_profile_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             build_ladder_operators(
@@ -236,6 +228,13 @@ class TestRecoverPhaseOperator:
 
 
 class TestModifiedNumberShift:
+    def test_number_shift_eigenvalues(self):
+        config = SpaceConfig.from_dim(3, 0.0)
+        frame = _offset_frame(config, 0.5)
+        in_frame = frame.to_frame(generalized_number_shift(frame))
+        expected = np.diag(config.root_power(-(np.arange(3) + 0.5)))
+        assert np.max(np.abs(in_frame - expected)) <= 3e-11
+
     def test_eta_zero_reduces_to_undeformed_shift(self):
         config = SpaceConfig.from_dim(4, 0.6)
         op = modified_number_shift(_offset_frame(config, 0.0))

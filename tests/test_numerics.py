@@ -1,4 +1,4 @@
-"""Substrate tests: containers, tags, comparisons, spectral synthesis."""
+"""Substrate tests: containers, certification, comparisons, spectral synthesis."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdphase.numerics import (
-    Certification,
     DimensionMismatch,
     NonOrthonormalFrame,
     OperatorMatrix,
@@ -17,7 +16,6 @@ from fdphase.numerics import (
     certify,
     equal_up_to_global_phase,
     frame_deviation,
-    identity,
     mat_apply,
     mat_mul,
     mat_power,
@@ -78,18 +76,15 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             OperatorMatrix(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
-    def test_rejects_uncertified_tag(self):
-        with pytest.raises(ValueError):
-            OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), tags={"unitary"})
-
-    def test_rejects_unknown_tag(self):
-        with pytest.raises(ValueError):
-            OperatorMatrix(np.eye(2), tags={"sparse"})
+    @pytest.mark.parametrize("keyword", ["tags", "deviations"])
+    def test_takes_only_entries(self, keyword):
+        with pytest.raises(TypeError):
+            OperatorMatrix(np.eye(2), **{keyword: {"unitary": 0.0}})
 
 
 class TestMatApply:
     def test_identity(self):
-        v = mat_apply(identity(2), StateVector(np.array([1.0, 0.0])))
+        v = mat_apply(OperatorMatrix(np.eye(2)), StateVector(np.array([1.0, 0.0])))
         assert np.allclose(v.amp, [1.0, 0.0])
 
     def test_permutation(self):
@@ -110,13 +105,13 @@ class TestMatApply:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mat_apply(identity(2), basis_state(3, 0))
+            mat_apply(OperatorMatrix(np.eye(2)), basis_state(3, 0))
 
 
 class TestMatMul:
     def test_identity_absorbs(self):
         m = OperatorMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.allclose(mat_mul(identity(2), m).entries, m.entries)
+        assert np.allclose(mat_mul(OperatorMatrix(np.eye(2)), m).entries, m.entries)
 
     def test_involution(self):
         assert np.allclose(mat_mul(OperatorMatrix(X), OperatorMatrix(X)).entries, np.eye(2))
@@ -126,22 +121,21 @@ class TestMatMul:
         qm = OperatorMatrix(np.diag([1.0, -1.0]))
         assert np.allclose(mat_mul(qm, qm).entries, np.eye(2))
 
-    def test_diagonal_tag_propagates(self):
-        d = OperatorMatrix(np.diag([1.0, 2.0]), tags={"diagonal"})
-        assert "diagonal" in mat_mul(d, d).tags
-        assert mat_mul(d, OperatorMatrix(X)).tags == frozenset()
+    def test_product_records_no_deviation(self):
+        u = certify(OperatorMatrix(np.diag([1.0, -1.0])), "unitary")
+        assert dict(mat_mul(u, u).deviations) == {}
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mat_mul(identity(2), identity(3))
+            mat_mul(OperatorMatrix(np.eye(2)), OperatorMatrix(np.eye(3)))
 
 
 class TestAdjoint:
     def test_hermitian_fixed_point(self):
-        m = OperatorMatrix(np.array([[1.0, 1j], [-1j, 2.0]]), tags={"hermitian"})
+        m = certify(OperatorMatrix(np.array([[1.0, 1j], [-1j, 2.0]])), "hermitian")
         out = adjoint(m)
         assert np.allclose(out.entries, m.entries)
-        assert "hermitian" in out.tags
+        assert dict(out.deviations) == {}
 
     def test_conjugates_unit_modulus_diagonal(self):
         w = np.exp(-2j * np.pi / 3)
@@ -161,7 +155,7 @@ class TestMatPower:
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            mat_power(identity(2), -1)
+            mat_power(OperatorMatrix(np.eye(2)), -1)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 31, 64])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -172,9 +166,11 @@ class TestMatPower:
             got = mat_power(OperatorMatrix(entries), k).entries
             assert np.max(np.abs(got - oracle)) <= 1e-13 * max(1.0, np.max(np.abs(oracle)))
 
-    def test_diagonal_tag_survives(self):
-        op = OperatorMatrix(np.diag([1.0, 1j, -1.0]), tags={"diagonal"})
-        assert mat_power(op, 5).tags == {"diagonal"}
+    def test_diagonal_power_is_the_diagonal_of_powers(self):
+        values = np.array([1.0, 1j, -1.0])
+        powered = mat_power(OperatorMatrix(np.diag(values)), 5)
+        assert np.array_equal(powered.entries, np.diag(values**5))
+        assert dict(powered.deviations) == {}
 
     def test_dense_operator_refused(self):
         dense = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(4, 0.3)))
@@ -319,22 +315,20 @@ class TestSpectralSynthesize:
 
 class TestCertify:
     def test_unitary_diagonal_signs(self):
-        cert = certify(OperatorMatrix(np.diag([1.0, -1.0])), "unitary")
-        assert isinstance(cert, Certification)
-        assert cert.passed
-        assert cert.max_deviation == 0.0
-        assert "unitary" in cert.matrix.tags
+        op = certify(OperatorMatrix(np.diag([1.0, -1.0])), "unitary")
+        assert isinstance(op, OperatorMatrix)
+        assert dict(op.deviations) == {"unitary": 0.0}
 
     def test_rank_deficient_not_unitary(self):
-        cert = certify(OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])), "unitary")
-        assert not cert.passed
-        assert cert.matrix.tags == frozenset()
+        with pytest.raises(ArithmeticError, match="unitary certification failed"):
+            certify(OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])), "unitary")
 
     def test_phase_operator_hermitian(self):
         phi = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(3, 0.3)))
-        cert = certify(phi, "hermitian")
-        assert cert.passed
+        again = certify(phi, "hermitian")
+        assert again.deviations["hermitian"] == phi.deviations["hermitian"]
 
-    def test_unknown_tag(self):
-        with pytest.raises(ValueError):
-            certify(identity(2), "normal")
+    @pytest.mark.parametrize("tag", ["normal", "diagonal"])
+    def test_unknown_tag(self, tag):
+        with pytest.raises(ValueError, match="unknown tag"):
+            certify(OperatorMatrix(np.eye(2)), tag)

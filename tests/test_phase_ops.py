@@ -83,7 +83,7 @@ class TestNumberOperator:
     def test_diagonal_levels(self, dim):
         op = number_operator(SpaceConfig.from_dim(dim))
         assert np.allclose(op.entries, np.diag(np.arange(dim)))
-        assert {"hermitian", "diagonal"} <= op.tags
+        assert dict(op.deviations) == {}
 
 
 class TestHermitianPhaseOperator:
@@ -103,9 +103,9 @@ class TestHermitianPhaseOperator:
         expected = theta0 + np.pi * (dim - 1) / dim
         assert np.allclose(np.diag(op.entries), expected)
 
-    def test_hermitian_tag(self):
+    def test_hermitian_certified(self):
         op = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(3, 0.3)))
-        assert "hermitian" in op.tags
+        assert set(op.deviations) == {"hermitian"}
 
 
 class TestUnitaryPhaseOperator:
@@ -160,7 +160,7 @@ class TestNumberShiftOperator:
     def test_dim_2_is_diag_1_minus_1(self):
         op = number_shift_operator(SpaceConfig.from_dim(2))
         assert np.allclose(op.entries, np.diag([1.0, -1.0]))
-        assert {"unitary", "diagonal"} <= op.tags
+        assert set(op.deviations) == {"unitary"}
 
     def test_shifts_phase_state_down_at_dim_2(self):
         op = number_shift_operator(SpaceConfig.from_dim(2, 0.0))
@@ -210,7 +210,6 @@ class TestWeylDuality:
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 9])
     def test_number_shift_diagonal_in_number_basis(self, dim):
         op = number_shift_operator(SpaceConfig.from_dim(dim, 0.4))
-        assert "diagonal" in op.tags
         off_diagonal = op.entries - np.diag(np.diag(op.entries))
         assert np.max(np.abs(off_diagonal)) == 0.0
 
