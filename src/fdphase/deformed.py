@@ -6,9 +6,11 @@ produced from the usual ones by the continuous phase shift exp(-i eta Phi);
 the offset-window phase states are then rebuilt from them by the usual
 Fourier sum with exponents n+eta. That constructive order breaks the mutual
 definition of the two families and pins concrete coordinates for both.
-:func:`build_generalized_frame` builds them over a certified phase frame,
-and every builder below takes the resulting frame as a required argument
-and reads the space and eta from it.
+:func:`build_generalized_frame` builds the offset number states over a
+certified phase frame, and :func:`offset_phase_frame` builds the offset
+phase states from them, only where they are read. Every builder below takes
+the frame it uses as a required argument and reads the space and eta from
+it; operators act through :meth:`.numerics.OperatorMatrix.apply`.
 
 Dividing the square-rooted weight back out of the lowering operator
 recovers the undeformed unitary phase operator for every admissible eta and
@@ -30,7 +32,6 @@ from .numerics import (
     OperatorMatrix,
     TolerancePolicy,
     _binary_power,
-    adjoint,
     certify,
     cyclic_shift,
     frame_deviation,
@@ -47,6 +48,7 @@ __all__ = [
     "profile_from_json",
     "GeneralizedFrame",
     "build_generalized_frame",
+    "offset_phase_frame",
     "LadderOperators",
     "build_ladder_operators",
     "recover_phase_operator",
@@ -124,41 +126,28 @@ def profile_from_json(text: str, dim: int) -> DeformationProfile:
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedFrame:
-    """Offset number states |n+eta> and the matching phase states.
+    """The offset number states |n+eta>.
 
-    Columns of ``number_matrix`` are the |n+eta> in standard coordinates;
-    columns of ``phase_matrix`` are the offset-window phase states. The two
-    deviations are the orthonormality deviations max |V^dag V - 1| measured
-    when :func:`build_generalized_frame` certified the families.
+    Columns of ``number_matrix`` are the |n+eta> in standard coordinates,
+    and ``number_deviation`` is their orthonormality deviation
+    max |V^dag V - 1|, measured when :func:`build_generalized_frame`
+    certified them.
     """
 
     config: SpaceConfig
     eta: float
     number_matrix: np.ndarray
-    phase_matrix: np.ndarray
     number_deviation: float
-    phase_deviation: float
 
     def __post_init__(self) -> None:
-        for name in ("number_matrix", "phase_matrix"):
-            arr = np.array(getattr(self, name), dtype=np.complex128, copy=True)
-            if arr.shape != (self.config.dim, self.config.dim):
-                raise DimensionMismatch(
-                    f"{name} must be {self.config.dim} x {self.config.dim}"
-                )
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        arr = np.array(self.number_matrix, dtype=np.complex128, copy=True)
+        if arr.shape != (self.config.dim, self.config.dim):
+            raise DimensionMismatch(
+                f"number_matrix must be {self.config.dim} x {self.config.dim}"
+            )
+        arr.setflags(write=False)
+        object.__setattr__(self, "number_matrix", arr)
         object.__setattr__(self, "eta", float(self.eta))
-
-    def to_frame(self, op: OperatorMatrix) -> np.ndarray:
-        """Matrix of ``op`` in the offset number basis."""
-        v = self.number_matrix
-        return v.conj().T @ op.entries @ v
-
-    def operator_from_frame(self, coeffs: np.ndarray) -> OperatorMatrix:
-        """Operator whose offset-number-basis matrix is ``coeffs``."""
-        v = self.number_matrix
-        return OperatorMatrix(v @ np.asarray(coeffs, dtype=np.complex128) @ v.conj().T)
 
     def synthesize(self, eigvals: np.ndarray) -> OperatorMatrix:
         """sum_n eigvals[n] |n+eta><n+eta| over the certified number states."""
@@ -166,30 +155,36 @@ class GeneralizedFrame:
 
 
 def build_generalized_frame(base: PhaseFrame, eta: float) -> GeneralizedFrame:
-    """Construct |n+eta> = exp(-i eta Phi)|n> and the offset phase states.
+    """Construct |n+eta> = exp(-i eta Phi)|n>, certified orthonormal once.
 
     ``exp(-i eta Phi)`` is synthesized over the phase frame ``base``, whose
-    space the offset frame shares. Both families are certified orthonormal,
-    once each, before the frame is returned.
+    space the offset frame shares.
     """
     eta = float(eta)
     if not math.isfinite(eta):
         raise ValueError("eta must be finite")
     config = base.config
-    dim = config.dim
-    thetas = config.thetas()
-    shift = spectral_synthesize(base.matrix, np.exp(-1j * eta * thetas), base.deviation)
+    shift = spectral_synthesize(base.matrix, np.exp(-1j * eta * config.thetas()), base.deviation)
     number_matrix = np.array(shift.entries)  # column n is exp(-i eta Phi)|n>
-    coeff = np.exp(1j * np.outer(np.arange(dim) + eta, thetas)) / math.sqrt(dim)
-    phase_matrix = number_matrix @ coeff
     return GeneralizedFrame(
         config=config,
         eta=eta,
         number_matrix=number_matrix,
-        phase_matrix=phase_matrix,
         number_deviation=frame_deviation(number_matrix),
-        phase_deviation=frame_deviation(phase_matrix),
     )
+
+
+def offset_phase_frame(frame: GeneralizedFrame) -> PhaseFrame:
+    """The offset-window phase states, certified orthonormal once.
+
+    Column m is sum_n exp(i(n+eta)theta_m)/sqrt(s+1) |n+eta>, the Fourier sum
+    over the offset number states of ``frame`` with exponents n+eta.
+    """
+    config = frame.config
+    dim = config.dim
+    coeff = np.exp(1j * np.outer(np.arange(dim) + frame.eta, config.thetas())) / math.sqrt(dim)
+    matrix = frame.number_matrix @ coeff
+    return PhaseFrame(config=config, matrix=matrix, deviation=frame_deviation(matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,8 +212,9 @@ def build_ladder_operators(
         )
     dim = config.dim
     corner = np.exp(1j * dim * config.theta0)
-    a = frame.operator_from_frame(cyclic_shift(dim, corner, np.sqrt(profile.values)))
-    return LadderOperators(a=a, a_dag=adjoint(a))
+    v = frame.number_matrix
+    a = OperatorMatrix(v @ cyclic_shift(dim, corner, np.sqrt(profile.values)) @ v.conj().T)
+    return LadderOperators(a=a, a_dag=OperatorMatrix(a.entries.conj().T))
 
 
 def recover_phase_operator(
@@ -237,7 +233,7 @@ def recover_phase_operator(
             "inverse square root refused: profile has a zero weight"
         )
     inv_sqrt = frame.synthesize((profile.values ** -0.5).astype(np.complex128))
-    return certify(OperatorMatrix(a.entries @ inv_sqrt.entries), "unitary")
+    return certify(OperatorMatrix(a.apply(inv_sqrt.entries)), "unitary")
 
 
 def _number_shift_eigenvalues(frame: GeneralizedFrame) -> np.ndarray:
@@ -250,15 +246,16 @@ def generalized_number_shift(frame: GeneralizedFrame) -> OperatorMatrix:
     return certify(frame.synthesize(_number_shift_eigenvalues(frame)), "unitary")
 
 
-def modified_number_shift(frame: GeneralizedFrame) -> OperatorMatrix:
+def modified_number_shift(frame: GeneralizedFrame, phases: PhaseFrame) -> OperatorMatrix:
     """Phase-state realization of q^-(N+eta).
 
     sum_{m=1..s} |theta_{m-1}><theta_m| plus exp(-2*pi*i*eta) on
-    |theta_s><theta_0|, taken over the offset-window phase states. At
-    eta = 0 this reduces to the undeformed realization of q^-N.
+    |theta_s><theta_0|, taken over the offset-window phase states
+    ``phases`` from :func:`offset_phase_frame` of ``frame``. At eta = 0 this
+    reduces to the undeformed realization of q^-N.
     """
     pattern = cyclic_shift(frame.config.dim, np.exp(-2j * np.pi * frame.eta))
-    p = frame.phase_matrix
+    p = phases.matrix
     return certify(OperatorMatrix(p @ pattern @ p.conj().T), "unitary")
 
 
@@ -287,7 +284,10 @@ def eta_class(eta: float) -> str:
 
 
 def duality_check(
-    frame: GeneralizedFrame, qshift: OperatorMatrix, phase_op: OperatorMatrix
+    frame: GeneralizedFrame,
+    phases: PhaseFrame,
+    qshift: OperatorMatrix,
+    phase_op: OperatorMatrix,
 ) -> list[CheckRecord]:
     """Report fragment for the matched shift laws of exp(iPhi) and q^-(N+eta).
 
@@ -295,22 +295,23 @@ def duality_check(
     states (wrap-around factor exp(-2*pi*i*eta)), the down-shift action of
     exp(iPhi) on the offset number states (wrap-around factor
     exp(i(s+1)theta_0)), and the two wrap-around phases themselves, which
-    exhibit the window/offset symmetry. ``qshift`` is q^-(N+eta) from
+    exhibit the window/offset symmetry. ``phases`` is
+    :func:`offset_phase_frame` of ``frame``, ``qshift`` is q^-(N+eta) from
     :func:`generalized_number_shift` over ``frame`` and ``phase_op`` is the
     explicit exp(iPhi) from :func:`.pegg_barnett.unitary_phase_operator`.
     """
     config = frame.config
     dim = config.dim
-    p = frame.phase_matrix
+    p = phases.matrix
     v = frame.number_matrix
     corner_eta = np.exp(-2j * np.pi * frame.eta)
     corner_theta = np.exp(1j * dim * config.theta0)
 
-    shifted_phase = qshift.entries @ p
+    shifted_phase = qshift.apply(p)
     action_dev = max_abs(shifted_phase[:, 1:] - p[:, :-1])
     wrap_dev = max_abs(shifted_phase[:, 0] - corner_eta * p[:, dim - 1])
 
-    shifted_number = phase_op.entries @ v
+    shifted_number = phase_op.apply(v)
     phase_action_dev = max_abs(shifted_number[:, 1:] - v[:, :-1])
     phase_wrap_dev = max_abs(shifted_number[:, 0] - corner_theta * v[:, dim - 1])
 

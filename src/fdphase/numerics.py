@@ -1,15 +1,18 @@
 """Small dense complex linear algebra with certified hermiticity and unitarity.
 
-Vectors and operators are immutable wrappers around numpy arrays. An
-operator counts as hermitian or unitary only once :func:`certify` has
-measured it: the deviation is measured once, against the dimension's
-``tol_op``, and either recorded in the operator's ``deviations`` or refused
-with an error. Any other structure (a diagonal, a monomial) is read from the
-entries where it is used, never carried as a flag. Every operator
-exponential used elsewhere in this package is assembled from a known
-eigenbasis, passed in as the frame matrix with its certified orthonormality
-deviation, through :func:`spectral_synthesize`, so no general matrix
-exponential or eigensolver lives here. Every tolerance is the dimension's
+An operator is an immutable :class:`OperatorMatrix`, and a state is a plain
+read-only 1-d complex array in number-basis coordinates. An operator acts
+in one way only, through :meth:`OperatorMatrix.apply`, on a state or on the
+columns of a d x k block such as a frame. An operator counts as hermitian
+or unitary only once :func:`certify` has measured it: the deviation is
+measured once, against the dimension's ``tol_op``, and either recorded in
+the operator's ``deviations`` or refused with an error. Any other structure
+(a diagonal, a monomial) is read from the entries where it is used, never
+carried as a flag. Every operator exponential used elsewhere in this
+package is assembled from a known eigenbasis, passed in as the frame matrix
+with its certified orthonormality deviation, through
+:func:`spectral_synthesize`, so no general matrix exponential or eigensolver
+lives here. Every tolerance is the dimension's
 :meth:`TolerancePolicy.for_dim`.
 
 Monomial operators, with exactly one nonzero entry per row and per column
@@ -32,14 +35,8 @@ __all__ = [
     "DimensionMismatch",
     "NonOrthonormalFrame",
     "TolerancePolicy",
-    "StateVector",
     "OperatorMatrix",
-    "PhaseComparison",
-    "basis_state",
-    "mat_apply",
-    "mat_mul",
     "mat_power",
-    "adjoint",
     "cyclic_shift",
     "equal_up_to_global_phase",
     "frame_deviation",
@@ -74,17 +71,16 @@ class NonOrthonormalFrame(ValueError):
 class TolerancePolicy:
     """Comparison thresholds, scaled linearly with the dimension.
 
-    ``tol_elem`` bounds per-element and per-state deviations, ``tol_norm``
-    bounds norm drift, and ``tol_op`` bounds operator-level identities and
-    the certifications of :func:`certify`.
+    ``tol_elem`` bounds per-element and per-state deviations and norm
+    drift, and ``tol_op`` bounds operator-level identities and the
+    certifications of :func:`certify`.
     """
 
     tol_elem: float
-    tol_norm: float
     tol_op: float
 
     def __post_init__(self) -> None:
-        for name in ("tol_elem", "tol_norm", "tol_op"):
+        for name in ("tol_elem", "tol_op"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
@@ -92,7 +88,7 @@ class TolerancePolicy:
     @classmethod
     def for_dim(cls, dim: int) -> "TolerancePolicy":
         """Default thresholds for a space of the given dimension."""
-        return cls(tol_elem=1e-12 * dim, tol_norm=1e-12 * dim, tol_op=1e-11 * dim)
+        return cls(tol_elem=1e-12 * dim, tol_op=1e-11 * dim)
 
 
 def max_abs(values: np.ndarray) -> float:
@@ -184,47 +180,6 @@ def tag_deviation(entries: np.ndarray, tag: str) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    """A ket in number-basis coordinates (finite amplitudes, any norm)."""
-
-    amp: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.amp, dtype=np.complex128, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("state amplitudes must form a non-empty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("state amplitudes must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "amp", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.amp.shape[0]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amp))
-
-    def is_normalized(self, tol_norm: float) -> bool:
-        return abs(self.norm - 1.0) <= tol_norm
-
-    def normalized(self) -> "StateVector":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amp / n)
-
-    def inner(self, other: "StateVector") -> complex:
-        """Inner product <self|other>, conjugate-linear in ``self``."""
-        if self.dim != other.dim:
-            raise DimensionMismatch(
-                f"state dimensions differ: {self.dim} vs {other.dim}"
-            )
-        return complex(np.vdot(self.amp, other.amp))
-
-
-@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """A dense square operator with finite entries, held read-only.
 
@@ -251,31 +206,17 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The operator acting on a d-vector, or on each column of a d x k block.
 
-def basis_state(dim: int, n: int) -> StateVector:
-    """The standard basis ket |n> in a space of the given dimension."""
-    if not 0 <= n < dim:
-        raise ValueError(f"basis index {n} out of range for dimension {dim}")
-    amp = np.zeros(dim, dtype=np.complex128)
-    amp[n] = 1.0
-    return StateVector(amp)
-
-
-def mat_apply(m: OperatorMatrix, v: StateVector) -> StateVector:
-    if m.dim != v.dim:
-        raise DimensionMismatch(
-            f"operator dimension {m.dim} does not match state dimension {v.dim}"
-        )
-    return StateVector(m.entries @ v.amp)
-
-
-def mat_mul(ml: OperatorMatrix, mr: OperatorMatrix) -> OperatorMatrix:
-    """Matrix product."""
-    if ml.dim != mr.dim:
-        raise DimensionMismatch(
-            f"operator dimensions differ: {ml.dim} vs {mr.dim}"
-        )
-    return OperatorMatrix(ml.entries @ mr.entries)
+        Returns ``entries @ x``; any other shape is refused with
+        :class:`DimensionMismatch`.
+        """
+        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
+            raise DimensionMismatch(
+                f"operator dimension {self.dim} does not act on an operand of shape {x.shape}"
+            )
+        return self.entries @ x
 
 
 def mat_power(m: OperatorMatrix, k: int) -> OperatorMatrix:
@@ -317,52 +258,38 @@ def cyclic_shift(dim: int, corner: complex, weights: np.ndarray | None = None) -
     return entries
 
 
-def adjoint(m: OperatorMatrix) -> OperatorMatrix:
-    """Conjugate transpose."""
-    return OperatorMatrix(m.entries.conj().T)
-
-
-@dataclass(frozen=True)
-class PhaseComparison:
-    """Outcome of a global-phase comparison; ``phase`` is set only on match."""
-
-    equal: bool
-    phase: float | None = None
-
-
-def equal_up_to_global_phase(
-    u: StateVector, v: StateVector, tol: float
-) -> PhaseComparison:
-    """Decide whether two nonzero states differ only by a global phase.
+def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float) -> float | None:
+    """arg<u|v> in [0, 2*pi) when two nonzero states differ only by a global phase, else None.
 
     The states compare equal when the overlap modulus |<u|v>| reaches
-    ``|u| |v| (1 - tol)``. On a match the reported phase is arg<u|v>
-    reduced into [0, 2*pi), so (u, exp(i a) u) reports a mod 2*pi.
+    ``|u| |v| (1 - tol)``; so (u, exp(i a) u) gives a mod 2*pi.
     """
-    if u.dim != v.dim:
-        raise DimensionMismatch(
-            f"state dimensions differ: {u.dim} vs {v.dim}"
-        )
-    nu, nv = u.norm, v.norm
+    if u.shape != v.shape:
+        raise DimensionMismatch(f"state shapes differ: {u.shape} vs {v.shape}")
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
         raise ValueError("global-phase comparison requires nonzero vectors")
-    overlap = u.inner(v)
+    overlap = complex(np.vdot(u, v))
     if abs(overlap) < nu * nv * (1.0 - tol):
-        return PhaseComparison(equal=False, phase=None)
-    return PhaseComparison(equal=True, phase=float(np.angle(overlap)) % TWO_PI)
+        return None
+    return float(np.angle(overlap)) % TWO_PI
 
 
 def certify(m: OperatorMatrix, tag: str) -> OperatorMatrix:
     """``m`` certified "hermitian" or "unitary", with the deviation recorded.
 
-    The deviation is measured once, by :func:`tag_deviation`. Above the
-    dimension's ``tol_op`` certification fails with :class:`ArithmeticError`;
-    otherwise the result shares ``m``'s read-only entries, without a copy,
-    and adds ``deviations[tag]`` to the deviations ``m`` already records.
+    The deviation is measured once, by :func:`tag_deviation`. Unless it is
+    within the dimension's ``tol_op`` (a NaN deviation never is),
+    certification fails with :class:`ArithmeticError`; otherwise the result
+    shares ``m``'s read-only entries, without a copy, and adds
+    ``deviations[tag]`` to the deviations ``m`` already records.
     """
     deviation = tag_deviation(m.entries, tag)
-    if deviation > TolerancePolicy.for_dim(m.dim).tol_op:
-        raise ArithmeticError(f"{tag} certification failed with deviation {deviation:.3e}")
+    tol = TolerancePolicy.for_dim(m.dim).tol_op
+    if not deviation <= tol:
+        raise ArithmeticError(
+            f"{tag} certification failed with deviation {deviation:.3e} (tolerance {tol:.3e})"
+        )
     result = object.__new__(OperatorMatrix)
     object.__setattr__(result, "entries", m.entries)
     object.__setattr__(result, "deviations", MappingProxyType({**m.deviations, tag: deviation}))
@@ -372,12 +299,12 @@ def certify(m: OperatorMatrix, tag: str) -> OperatorMatrix:
 def frame_deviation(frame: np.ndarray) -> float:
     """Orthonormality deviation max |V^dag V - 1| of the columns of ``frame``.
 
-    Raises :class:`NonOrthonormalFrame` when it exceeds the ``tol_op`` of the
-    frame's dimension.
+    Raises :class:`NonOrthonormalFrame` unless it is within the ``tol_op`` of
+    the frame's dimension; a frame with NaN entries never is.
     """
     deviation = _gram_deviation(frame)
     tol = TolerancePolicy.for_dim(frame.shape[0]).tol_op
-    if deviation > tol:
+    if not deviation <= tol:
         raise NonOrthonormalFrame(deviation, tol)
     return deviation
 
@@ -390,8 +317,8 @@ def spectral_synthesize(
     Column k of the square ``frame`` matrix is the eigenvector v_k, and
     ``deviation`` is its orthonormality deviation from :func:`frame_deviation`,
     measured when the frame was certified; the frame is not multiplied out
-    again here. A deviation above ``tol_op`` is refused with
-    :class:`NonOrthonormalFrame`.
+    again here. A deviation not within ``tol_op`` (NaN included) is refused
+    with :class:`NonOrthonormalFrame`.
     """
     frame = np.asarray(frame, dtype=np.complex128)
     vals = np.asarray(eigvals, dtype=np.complex128)
@@ -401,6 +328,6 @@ def spectral_synthesize(
     if vals.shape != (dim,):
         raise ValueError("frame must be complete: one eigenvalue per dimension")
     tol = TolerancePolicy.for_dim(dim).tol_op
-    if deviation > tol:
+    if not deviation <= tol:
         raise NonOrthonormalFrame(deviation, tol)
     return OperatorMatrix((frame * vals) @ frame.conj().T)

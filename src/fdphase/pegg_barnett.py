@@ -19,6 +19,7 @@ per element and is kept for flagged comparison, not as ground truth.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,9 @@ class SpaceConfig:
 
     The deformation parameter q = exp(2*pi*i/(s+1)) is the primitive root
     of unity inherent to the space, and the admissible phase angles are
-    theta_m = theta0 + 2*pi*m/(s+1) for m = 0..s.
+    theta_m = theta0 + 2*pi*m/(s+1) for m = 0..s. The corner phase
+    exp(i(s+1)theta_0) needs (s+1)*theta0 finite, so larger |theta0| are
+    refused.
     """
 
     s: int
@@ -69,6 +72,12 @@ class SpaceConfig:
         theta0 = float(self.theta0)
         if not math.isfinite(theta0):
             raise ValueError("theta0 must be finite")
+        if not math.isfinite((self.s + 1) * theta0):
+            raise ValueError(
+                f"theta0 = {theta0!r} is out of range: (s+1)*theta0 must be finite, "
+                f"so |theta0| must stay below {sys.float_info.max / (self.s + 1):.3e} "
+                f"at dimension {self.s + 1}"
+            )
         object.__setattr__(self, "theta0", theta0)
 
     @classmethod
@@ -93,9 +102,6 @@ class SpaceConfig:
     def thetas(self) -> np.ndarray:
         """All phase angles theta_m = theta0 + 2*pi*m/(s+1), m = 0..s."""
         return self.theta0 + TWO_PI * np.arange(self.dim) / self.dim
-
-    def theta(self, m: int) -> float:
-        return self.theta0 + TWO_PI * m / self.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,9 +168,7 @@ def number_shift_operator(config: SpaceConfig) -> OperatorMatrix:
 
 def commutator(ml: OperatorMatrix, mr: OperatorMatrix) -> OperatorMatrix:
     """Ml Mr - Mr Ml."""
-    if ml.dim != mr.dim:
-        raise DimensionMismatch(f"operator dimensions differ: {ml.dim} vs {mr.dim}")
-    return OperatorMatrix(ml.entries @ mr.entries - mr.entries @ ml.entries)
+    return OperatorMatrix(ml.apply(mr.entries) - mr.apply(ml.entries))
 
 
 def commutator_closed_form(config: SpaceConfig) -> OperatorMatrix:

@@ -148,10 +148,6 @@ class VerificationReport:
             counts[record.status] += 1
         return counts
 
-    @property
-    def failed(self) -> tuple:
-        return tuple(r for r in self.records if r.status == STATUS_FAIL)
-
     def as_dict(self) -> dict:
         return {
             "tool_version": self.tool_version,

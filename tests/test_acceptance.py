@@ -13,6 +13,7 @@ from fdphase.deformed import (
     build_ladder_operators,
     cycle_operator_power,
     deformation_linear,
+    offset_phase_frame,
     recover_phase_operator,
 )
 from fdphase.evolution import (
@@ -21,7 +22,7 @@ from fdphase.evolution import (
     eta_sector_map,
     time_evolution,
 )
-from fdphase.numerics import basis_state, mat_power
+from fdphase.numerics import mat_power
 from fdphase.pegg_barnett import (
     SpaceConfig,
     build_phase_frame,
@@ -234,7 +235,7 @@ def test_criterion_8_continuous_shift():
                 coeff = np.exp(
                     1j * np.outer(np.arange(dim) + eta, config.thetas())
                 ) / np.sqrt(dim)
-                rebuilt = frame.phase_matrix @ coeff.conj().T
+                rebuilt = offset_phase_frame(frame).matrix @ coeff.conj().T
                 dev = float(np.max(np.abs(rebuilt - frame.number_matrix)))
                 worst = max(worst, dev)
                 ok = ok and dev <= tol

@@ -15,6 +15,7 @@ from fdphase.deformed import (
     deformation_linear,
     generalized_number_shift,
     modified_number_shift,
+    offset_phase_frame,
     recover_phase_operator,
 )
 from fdphase.evolution import hamiltonian, time_evolution
@@ -121,7 +122,10 @@ BUILDERS = {
         lambda c: recover_phase_operator(c.ladder.a, c.profile, c.offset),
     ),
     "generalized_number_shift": ({"unitary"}, lambda c: generalized_number_shift(c.offset)),
-    "modified_number_shift": ({"unitary"}, lambda c: modified_number_shift(c.offset)),
+    "modified_number_shift": (
+        {"unitary"},
+        lambda c: modified_number_shift(c.offset, c.phases),
+    ),
     "cycle_operator_power": (set(), lambda c: cycle_operator_power(c.offset, 5)),
 }
 
@@ -136,7 +140,7 @@ class TestBuilderCertifications:
         profile = deformation_linear(config, 0.5)
         context = SimpleNamespace(
             config=config, frame=frame, offset=offset, profile=profile,
-            ladder=build_ladder_operators(offset, profile),
+            ladder=build_ladder_operators(offset, profile), phases=offset_phase_frame(offset),
         )
         tag_counts.clear()
         op = build(context)
@@ -203,3 +207,41 @@ class TestFramesOncePerRun:
             ).records
         ]
         assert [r.as_dict() for r in whole] == [r.as_dict() for r in one_by_one]
+
+
+class TestOffsetPhaseFamilyOnlyWhereRead:
+    """Only the gdo suite reads the offset phase states, so only it builds them."""
+
+    @staticmethod
+    def _expected_frames(dim, theta0, eta):
+        """The phase frame, the offset number states and the offset phase states."""
+        base = build_phase_frame(SpaceConfig.from_dim(dim, theta0))
+        offset = build_generalized_frame(base, eta)
+        return base.matrix, offset.number_matrix, offset_phase_frame(offset).matrix
+
+    def test_cross_module_verify_certifies_no_offset_phase_family(self, monkeypatch):
+        base, number, _ = self._expected_frames(6, 2.9, 0.5)
+        certified = _count_calls(monkeypatch, numerics.frame_deviation)
+        run_suites(RunManifest(dim=6, theta0=2.9, eta=1.5, suites=("cross-module",)))
+        assert len(certified) == 2
+        assert np.array_equal(certified[0][0], base)
+        assert np.array_equal(certified[1][0], number)
+
+    def test_shift_evolve_certifies_no_offset_phase_family(self, monkeypatch, tmp_path, capsys):
+        base, number, _ = self._expected_frames(3, 0.0, 0.25)
+        state = tmp_path / "state.json"
+        state.write_text('{"dim": 3, "amp": [[1, 0], [0, 0], [0, 0]]}', encoding="utf-8")
+        certified = _count_calls(monkeypatch, numerics.frame_deviation)
+        argv = ["evolve", str(state), "--mode", "shift", "--eta", "0.25", "--steps", "2"]
+        assert main(argv) == 0
+        assert len(certified) == 2
+        assert np.array_equal(certified[0][0], base)
+        assert np.array_equal(certified[1][0], number)
+
+    def test_gdo_certifies_the_offset_phase_family_once(self, monkeypatch):
+        expected = self._expected_frames(5, 0.3, 0.25)
+        certified = _count_calls(monkeypatch, numerics.frame_deviation)
+        run_suites(RunManifest(dim=5, theta0=0.3, eta=0.25, suites=("gdo",)))
+        assert len(certified) == 3
+        for (matrix,), want in zip(certified, expected):
+            assert np.array_equal(matrix, want)

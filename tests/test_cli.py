@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fdphase
 from fdphase.cli import main
@@ -34,6 +37,15 @@ class TestVerify:
         flagged = [r for r in data["records"] if r["status"] == "flagged"]
         assert flagged[0]["check_id"] == "commutator_double_sum_vs_closed_form"
         assert flagged[0]["max_deviation"] == pytest.approx(np.pi)
+
+    def test_theta0_with_an_infinite_corner_exponent_exits_2(self, capsys):
+        assert main(["verify", "--dim", "8", "--theta0", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: theta0 = 1e+308 is out of range: (s+1)*theta0 must be finite, "
+            "so |theta0| must stay below 2.247e+307 at dimension 8\n"
+        )
 
     def test_dim_zero_is_usage_error(self, capsys):
         assert main(["verify", "--dim", "0"]) == 2
@@ -122,6 +134,19 @@ class TestVerify:
                 "gdo",
             ]
         ) == 2
+
+    def test_failed_certification_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # sqrt(F) divided back out of A over weights 40 orders apart loses
+        # unitarity far beyond tolerance; that is unusable input, not a
+        # failed check.
+        profile = tmp_path / "p.json"
+        profile.write_text("[1e-20, 1e20, 1, 1]", encoding="utf-8")
+        assert main(["verify", "--dim", "4", "--suite", "gdo", "--profile", str(profile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: unitary certification failed with deviation ")
+        assert line.endswith("(tolerance 4.000e-11)")
 
     def test_byte_identical_reports(self, tmp_path):
         args = ["verify", "--dim", "3", "--theta0", "0.3", "--seed", "7"]
@@ -260,9 +285,42 @@ class TestEvolve:
         bad.write_text('{"dim": 2, "amp": [[1.0, 0.0]]}', encoding="utf-8")
         assert main(["evolve", str(bad), "--mode", "hamiltonian"]) == 2
 
-    def test_zero_state_rejected(self, tmp_path):
+    def test_zero_state_rejected(self, tmp_path, capsys):
         state = write_state(tmp_path / "state.json", [0.0, 0.0])
         assert main(["evolve", str(state), "--mode", "hamiltonian"]) == 2
+        assert "error: cannot normalize the zero vector" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("amplitude", ["1e400", "-1e400", "NaN", "Infinity"])
+    def test_non_finite_amplitude_rejected(self, tmp_path, capsys, amplitude):
+        # 1e400 parses as inf; Python's json also reads NaN and Infinity.
+        state = tmp_path / "state.json"
+        state.write_text(
+            '{"dim": 2, "amp": [[%s, 0.0], [0.0, 0.0]]}' % amplitude, encoding="utf-8"
+        )
+        assert main(["evolve", str(state), "--mode", "hamiltonian"]) == 2
+        assert capsys.readouterr().err == "error: state amplitudes must be finite\n"
+
+    @pytest.mark.parametrize("payload", ['{"dim": 0, "amp": []}', '{"dim": 1, "amp": [[[1, 0]]]}'])
+    def test_empty_or_nested_state_rejected(self, tmp_path, payload):
+        state = tmp_path / "state.json"
+        state.write_text(payload, encoding="utf-8")
+        assert main(["evolve", str(state), "--mode", "hamiltonian"]) == 2
+
+    def test_loaded_state_is_a_read_only_complex_array(self, tmp_path):
+        from fdphase.cli import load_state
+
+        state = load_state(write_state(tmp_path / "state.json", [0.6, 0.8j]))
+        assert state.dtype == np.complex128 and state.shape == (2,)
+        assert np.array_equal(state, [0.6, 0.8j])
+        with pytest.raises(ValueError):
+            state[0] = 1.0
+
+    def test_theta0_with_an_infinite_corner_exponent_exits_2(self, tmp_path, capsys):
+        state = write_state(tmp_path / "state.json", np.ones(8) / np.sqrt(8.0))
+        assert main(["evolve", str(state), "--mode", "shift", "--theta0", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: theta0 = 1e+308 is out of range")
+        assert "below 2.247e+307 at dimension 8" in err
 
     def test_output_state_is_reloadable(self, tmp_path):
         from fdphase.cli import load_state
@@ -271,7 +329,7 @@ class TestEvolve:
         out = tmp_path / "out.json"
         main(["evolve", str(state), "--mode", "hamiltonian", "--out", str(out)])
         reloaded = load_state(out)
-        assert reloaded.dim == 2
+        assert reloaded.shape == (2,)
 
 
 class TestDump:
@@ -319,6 +377,13 @@ class TestDump:
         diag = [complex(*data["matrix"][n][n]).real for n in range(3)]
         assert diag == pytest.approx([0.5, 1.5, 4.0])
 
+    def test_theta0_with_an_infinite_corner_exponent_exits_2(self, capsys):
+        assert main(["dump", "exp-iphi", "--dim", "8", "--theta0", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: theta0 = 1e+308 is out of range")
+        assert "(s+1)*theta0 must be finite" in captured.err
+
     def test_unknown_object_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["dump", "einstein", "--dim", "2"])
@@ -350,3 +415,30 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "verify:" in proc.stderr
         assert json.loads(out.read_text(encoding="utf-8"))["manifest"]["dim"] == 2
+
+
+class TestExitContract:
+    """Any finite input ends in exit status 0, 1 or 2, never a traceback."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(min_value=1, max_value=12),
+        theta0=st.floats(allow_nan=False, allow_infinity=False),
+        eta=st.floats(allow_nan=False, allow_infinity=False),
+        omega=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        weights=st.lists(st.floats(min_value=1e-30, max_value=1e30), min_size=12, max_size=12),
+    )
+    # A weight table whose recovered exp(iPhi) fails its unitarity
+    # certification, and a window origin whose corner exponent overflows.
+    @example(dim=4, theta0=0.0, eta=0.5, omega=1.0, weights=[1e-20, 1e20] + [1.0] * 10)
+    @example(dim=8, theta0=1e308, eta=0.5, omega=1.0, weights=[1.0] * 12)
+    def test_verify_and_dump_return_a_status(self, dim, theta0, eta, omega, weights):
+        space = [f"--dim={dim}", f"--theta0={theta0!r}", f"--eta={eta!r}", f"--omega={omega!r}"]
+        with tempfile.TemporaryDirectory() as tmp:
+            profile = Path(tmp) / "profile.json"
+            profile.write_text(json.dumps(weights[:dim]), encoding="utf-8")
+            out = str(Path(tmp) / "out.json")
+            verify = ["verify", *space, "--profile", str(profile), "--out", out]
+            assert main(verify) in (0, 1, 2)
+            assert main(["dump", "exp-iphi", *space, "--out", out]) in (0, 1, 2)

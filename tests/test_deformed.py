@@ -1,5 +1,7 @@
 """Deformed ladder algebra: profiles, frames, recovery, cycle phases."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,18 +16,13 @@ from fdphase.deformed import (
     eta_class,
     generalized_number_shift,
     modified_number_shift,
+    offset_phase_frame,
     profile_from_json,
     recover_phase_operator,
 )
-from fdphase.numerics import (
-    DimensionMismatch,
-    StateVector,
-    TolerancePolicy,
-    equal_up_to_global_phase,
-    mat_apply,
-    mat_mul,
-)
+from fdphase.numerics import DimensionMismatch, TolerancePolicy, equal_up_to_global_phase
 from fdphase.pegg_barnett import (
+    PhaseFrame,
     SpaceConfig,
     build_phase_frame,
     number_shift_operator,
@@ -37,6 +34,12 @@ from fdphase.report import STATUS_PASS
 def _offset_frame(config, eta):
     """The offset frame |n+eta> over a freshly built phase frame."""
     return build_generalized_frame(build_phase_frame(config), eta)
+
+
+def _in_frame(frame, matrix):
+    """Coordinates V^dag M V of the matrix M in the offset number basis V."""
+    v = frame.number_matrix
+    return v.conj().T @ matrix @ v
 
 
 class TestDeformationProfile:
@@ -100,7 +103,7 @@ class TestGeneralizedFrame:
         base = build_phase_frame(config)
         frame = build_generalized_frame(base, 0.0)
         assert np.max(np.abs(frame.number_matrix - np.eye(4))) <= 4e-12
-        assert np.max(np.abs(frame.phase_matrix - base.matrix)) <= 4e-12
+        assert np.max(np.abs(offset_phase_frame(frame).matrix - base.matrix)) <= 4e-12
 
     def test_integer_eta_phase_states_match_base_frame(self):
         # The net factor on each phase state is one: the coefficient factor
@@ -108,18 +111,15 @@ class TestGeneralizedFrame:
         # exp(-i eta Phi) on that state.
         config = SpaceConfig.from_dim(2, 0.0)
         base = build_phase_frame(config)
-        frame = build_generalized_frame(base, 1.0)
+        phases = offset_phase_frame(build_generalized_frame(base, 1.0))
         for m in range(2):
-            result = equal_up_to_global_phase(
-                StateVector(base.matrix[:, m]), StateVector(frame.phase_matrix[:, m]), 1e-12
-            )
-            assert result.equal
-            assert abs(np.exp(1j * result.phase) - 1.0) < 1e-12
+            phase = equal_up_to_global_phase(base.matrix[:, m], phases.matrix[:, m], 1e-12)
+            assert phase is not None
+            assert abs(np.exp(1j * phase) - 1.0) < 1e-12
 
     def test_half_eta_number_states_orthogonal(self):
         frame = _offset_frame(SpaceConfig.from_dim(2, 0.0), 0.5)
-        number_states = [StateVector(frame.number_matrix[:, n]) for n in range(2)]
-        overlap = number_states[0].inner(number_states[1])
+        overlap = np.vdot(frame.number_matrix[:, 0], frame.number_matrix[:, 1])
         assert abs(overlap) <= 2e-12
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
@@ -132,8 +132,23 @@ class TestGeneralizedFrame:
         coeff = np.exp(
             1j * np.outer(np.arange(dim) + eta, config.thetas())
         ) / np.sqrt(dim)
-        rebuilt = frame.phase_matrix @ coeff.conj().T
+        rebuilt = offset_phase_frame(frame).matrix @ coeff.conj().T
         assert np.max(np.abs(rebuilt - frame.number_matrix)) <= 1e-11 * dim
+
+    def test_carries_no_phase_family(self):
+        frame = _offset_frame(SpaceConfig.from_dim(2), 0.5)
+        names = [f.name for f in dataclasses.fields(frame)]
+        assert names == ["config", "eta", "number_matrix", "number_deviation"]
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_offset_phase_frame_is_a_certified_phase_frame(self, dim):
+        config = SpaceConfig.from_dim(dim, 0.4)
+        phases = offset_phase_frame(_offset_frame(config, 0.25))
+        assert isinstance(phases, PhaseFrame)
+        assert phases.config is config
+        gram = phases.matrix.conj().T @ phases.matrix
+        assert phases.deviation == np.max(np.abs(gram - np.eye(dim)))
+        assert phases.deviation <= TolerancePolicy.for_dim(dim).tol_op
 
     def test_rejects_non_finite_eta(self):
         with pytest.raises(ValueError):
@@ -154,7 +169,7 @@ class TestLadderOperators:
         frame = _offset_frame(config, 0.5)
         profile = deformation_linear(config, 0.5)
         ladder = build_ladder_operators(frame, profile)
-        in_frame = frame.to_frame(ladder.a)
+        in_frame = _in_frame(frame, ladder.a.entries)
         assert np.allclose(
             in_frame, [[0.0, np.sqrt(1.5)], [np.sqrt(0.5), 0.0]], atol=1e-14
         )
@@ -167,13 +182,20 @@ class TestLadderOperators:
         frame = _offset_frame(config, eta)
         profile = deformation_linear(config, eta)
         ladder = build_ladder_operators(frame, profile)
-        lowering_then_raising = frame.to_frame(mat_mul(ladder.a_dag, ladder.a))
+        lowering_then_raising = _in_frame(frame, ladder.a_dag.apply(ladder.a.entries))
         assert np.max(np.abs(lowering_then_raising - np.diag(profile.values))) <= 1e-11 * dim
-        raising_then_lowering = frame.to_frame(mat_mul(ladder.a, ladder.a_dag))
+        raising_then_lowering = _in_frame(frame, ladder.a.apply(ladder.a_dag.entries))
         assert (
             np.max(np.abs(raising_then_lowering - np.diag(np.roll(profile.values, -1))))
             <= 1e-11 * dim
         )
+
+    def test_raising_is_the_exact_adjoint(self):
+        config = SpaceConfig.from_dim(4, 0.3)
+        frame = _offset_frame(config, 0.25)
+        ladder = build_ladder_operators(frame, deformation_linear(config, 0.25))
+        assert np.array_equal(ladder.a_dag.entries, ladder.a.entries.conj().T)
+        assert dict(ladder.a_dag.deviations) == {}
 
     def test_profile_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -231,13 +253,14 @@ class TestModifiedNumberShift:
     def test_number_shift_eigenvalues(self):
         config = SpaceConfig.from_dim(3, 0.0)
         frame = _offset_frame(config, 0.5)
-        in_frame = frame.to_frame(generalized_number_shift(frame))
+        in_frame = _in_frame(frame, generalized_number_shift(frame).entries)
         expected = np.diag(config.root_power(-(np.arange(3) + 0.5)))
         assert np.max(np.abs(in_frame - expected)) <= 3e-11
 
     def test_eta_zero_reduces_to_undeformed_shift(self):
         config = SpaceConfig.from_dim(4, 0.6)
-        op = modified_number_shift(_offset_frame(config, 0.0))
+        frame = _offset_frame(config, 0.0)
+        op = modified_number_shift(frame, offset_phase_frame(frame))
         assert np.max(
             np.abs(op.entries - number_shift_operator(config).entries)
         ) <= 4e-11
@@ -245,14 +268,15 @@ class TestModifiedNumberShift:
     def test_dim_2_half_eta_in_frame_coordinates(self):
         config = SpaceConfig.from_dim(2, 0.0)
         frame = _offset_frame(config, 0.5)
-        op = modified_number_shift(frame)
-        in_frame = frame.to_frame(op)
+        op = modified_number_shift(frame, offset_phase_frame(frame))
+        in_frame = _in_frame(frame, op.entries)
         expected = np.exp(-1j * np.pi / 2) * np.diag([1.0, -1.0])
         assert np.allclose(in_frame, expected, atol=1e-14)
 
     def test_dim_2_half_eta_standard_coordinates(self):
         # Hand value: the two projector terms evaluate to [[0,-1],[1,0]].
-        op = modified_number_shift(_offset_frame(SpaceConfig.from_dim(2, 0.0), 0.5))
+        frame = _offset_frame(SpaceConfig.from_dim(2, 0.0), 0.5)
+        op = modified_number_shift(frame, offset_phase_frame(frame))
         assert np.allclose(op.entries, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
@@ -260,17 +284,17 @@ class TestModifiedNumberShift:
     def test_matches_spectral_form(self, dim, eta):
         config = SpaceConfig.from_dim(dim, 0.2)
         frame = _offset_frame(config, eta)
-        realization = modified_number_shift(frame)
+        realization = modified_number_shift(frame, offset_phase_frame(frame))
         spectral = generalized_number_shift(frame)
         assert np.max(np.abs(realization.entries - spectral.entries)) <= 1e-11 * dim
 
     def test_wraparound_action(self):
         config = SpaceConfig.from_dim(3, 0.0)
         frame = _offset_frame(config, 0.25)
-        op = modified_number_shift(frame)
-        out = mat_apply(op, StateVector(frame.phase_matrix[:, 0]))
-        expected = np.exp(-2j * np.pi * 0.25) * frame.phase_matrix[:, 2]
-        assert np.max(np.abs(out.amp - expected)) <= 3e-12
+        phases = offset_phase_frame(frame)
+        out = modified_number_shift(frame, phases).apply(phases.matrix[:, 0])
+        expected = np.exp(-2j * np.pi * 0.25) * phases.matrix[:, 2]
+        assert np.max(np.abs(out - expected)) <= 3e-12
 
 
 class TestCycleOperatorPower:
@@ -339,7 +363,10 @@ class TestDualityCheck:
     def _records(config, eta):
         frame = _offset_frame(config, eta)
         return duality_check(
-            frame, generalized_number_shift(frame), unitary_phase_operator(config)
+            frame,
+            offset_phase_frame(frame),
+            generalized_number_shift(frame),
+            unitary_phase_operator(config),
         )
 
     def test_trivial_window_and_offset(self):
@@ -362,8 +389,7 @@ class TestDualityCheck:
             @ frame.number_matrix[:, 0]
         )
         qshift = generalized_number_shift(frame)
-        corner_eta = complex(
-            frame.phase_matrix[:, 1].conj() @ qshift.entries @ frame.phase_matrix[:, 0]
-        )
+        phases = offset_phase_frame(frame).matrix
+        corner_eta = complex(phases[:, 1].conj() @ qshift.entries @ phases[:, 0])
         assert corner_theta == pytest.approx(-1.0, abs=1e-12)
         assert corner_eta == pytest.approx(-1.0, abs=1e-12)

@@ -1,23 +1,21 @@
 """Substrate tests: containers, certification, comparisons, spectral synthesis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdphase import numerics
 from fdphase.numerics import (
     DimensionMismatch,
     NonOrthonormalFrame,
     OperatorMatrix,
-    StateVector,
     TolerancePolicy,
-    adjoint,
-    basis_state,
     certify,
     equal_up_to_global_phase,
     frame_deviation,
-    mat_apply,
-    mat_mul,
     mat_power,
     spectral_synthesize,
     unitary_deviation,
@@ -27,44 +25,26 @@ from fdphase.pegg_barnett import SpaceConfig, build_phase_frame, hermitian_phase
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def basis(dim, n):
+    """The standard basis ket |n> as a complex array."""
+    return np.eye(dim, dtype=np.complex128)[:, n]
+
+
 class TestTolerancePolicy:
     def test_defaults_scale_with_dim(self):
         policy = TolerancePolicy.for_dim(4)
         assert policy.tol_elem == pytest.approx(4e-12)
-        assert policy.tol_norm == pytest.approx(4e-12)
         assert policy.tol_op == pytest.approx(4e-11)
+
+    def test_has_one_element_and_one_operator_tolerance(self):
+        assert [f.name for f in dataclasses.fields(TolerancePolicy)] == ["tol_elem", "tol_op"]
 
     @pytest.mark.parametrize("bad", [0.0, -1e-9, float("nan"), float("inf")])
     def test_rejects_non_positive(self, bad):
         with pytest.raises(ValueError):
-            TolerancePolicy(tol_elem=bad, tol_norm=1e-12, tol_op=1e-11)
-
-
-class TestStateVector:
-    def test_norm_and_normalize(self):
-        v = StateVector(np.array([3.0, 4.0j]))
-        assert v.norm == pytest.approx(5.0)
-        assert v.normalized().norm == pytest.approx(1.0)
-        assert not v.is_normalized(1e-12)
-
-    def test_rejects_nan(self):
+            TolerancePolicy(tol_elem=bad, tol_op=1e-11)
         with pytest.raises(ValueError):
-            StateVector(np.array([np.nan, 0.0]))
-
-    def test_rejects_empty_and_matrix(self):
-        with pytest.raises(ValueError):
-            StateVector(np.zeros(0))
-        with pytest.raises(ValueError):
-            StateVector(np.zeros((2, 2)))
-
-    def test_zero_normalize_rejected(self):
-        with pytest.raises(ValueError):
-            StateVector(np.zeros(3)).normalized()
-
-    def test_amplitudes_are_frozen(self):
-        v = basis_state(2, 0)
-        with pytest.raises(ValueError):
-            v.amp[0] = 2.0
+            TolerancePolicy(tol_elem=1e-12, tol_op=bad)
 
 
 class TestOperatorMatrix:
@@ -82,14 +62,12 @@ class TestOperatorMatrix:
             OperatorMatrix(np.eye(2), **{keyword: {"unitary": 0.0}})
 
 
-class TestMatApply:
+class TestApplyToState:
     def test_identity(self):
-        v = mat_apply(OperatorMatrix(np.eye(2)), StateVector(np.array([1.0, 0.0])))
-        assert np.allclose(v.amp, [1.0, 0.0])
+        assert np.allclose(OperatorMatrix(np.eye(2)).apply(basis(2, 0)), [1.0, 0.0])
 
     def test_permutation(self):
-        v = mat_apply(OperatorMatrix(X), StateVector(np.array([1.0, 0.0])))
-        assert np.allclose(v.amp, [0.0, 1.0])
+        assert np.allclose(OperatorMatrix(X).apply(basis(2, 0)), [0.0, 1.0])
 
     def test_phase_operator_on_ground_state(self):
         # Oracle: Phi at dim 2, theta0 0 is pi |theta_1><theta_1| with
@@ -100,53 +78,59 @@ class TestMatApply:
         assert np.allclose(expected, [np.pi / 2, -np.pi / 2])
 
         phi = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(2, 0.0)))
-        v = mat_apply(phi, StateVector(np.array([1.0, 0.0])))
-        assert np.allclose(v.amp, expected, atol=1e-14)
+        assert np.allclose(phi.apply(np.array([1.0, 0.0])), expected, atol=1e-14)
+
+    def test_is_the_entries_product(self):
+        rng = np.random.default_rng(3)
+        m = OperatorMatrix(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        psi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        assert np.array_equal(m.apply(psi), m.entries @ psi)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mat_apply(OperatorMatrix(np.eye(2)), basis_state(3, 0))
+            OperatorMatrix(np.eye(2)).apply(basis(3, 0))
 
 
-class TestMatMul:
+class TestApplyToBlock:
     def test_identity_absorbs(self):
         m = OperatorMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.allclose(mat_mul(OperatorMatrix(np.eye(2)), m).entries, m.entries)
+        assert np.allclose(OperatorMatrix(np.eye(2)).apply(m.entries), m.entries)
 
     def test_involution(self):
-        assert np.allclose(mat_mul(OperatorMatrix(X), OperatorMatrix(X)).entries, np.eye(2))
+        assert np.allclose(OperatorMatrix(X).apply(X), np.eye(2))
 
     def test_number_shift_squared_at_dim_2(self):
         # q = -1 at dim 2, so q^-N = diag(1, -1) squares to the identity.
         qm = OperatorMatrix(np.diag([1.0, -1.0]))
-        assert np.allclose(mat_mul(qm, qm).entries, np.eye(2))
+        assert np.allclose(qm.apply(qm.entries), np.eye(2))
 
-    def test_product_records_no_deviation(self):
+    def test_product_is_a_plain_array(self):
+        # A product is not an operator, so it carries no certification.
         u = certify(OperatorMatrix(np.diag([1.0, -1.0])), "unitary")
-        assert dict(mat_mul(u, u).deviations) == {}
+        product = u.apply(u.entries)
+        assert type(product) is np.ndarray
+        assert np.array_equal(product, u.entries @ u.entries)
 
-    def test_dimension_mismatch(self):
+    def test_rectangular_block_acts_column_by_column(self):
+        m = OperatorMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        block = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
+        out = m.apply(block)
+        assert out.shape == (2, 3)
+        for k in range(3):
+            assert np.array_equal(out[:, k], m.apply(block[:, k]))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 2), (2, 2, 2), ()])
+    def test_dimension_mismatch(self, shape):
         with pytest.raises(DimensionMismatch):
-            mat_mul(OperatorMatrix(np.eye(2)), OperatorMatrix(np.eye(3)))
+            OperatorMatrix(np.eye(2)).apply(np.ones(shape))
 
 
-class TestAdjoint:
-    def test_hermitian_fixed_point(self):
-        m = certify(OperatorMatrix(np.array([[1.0, 1j], [-1j, 2.0]])), "hermitian")
-        out = adjoint(m)
-        assert np.allclose(out.entries, m.entries)
-        assert dict(out.deviations) == {}
-
-    def test_conjugates_unit_modulus_diagonal(self):
-        w = np.exp(-2j * np.pi / 3)
-        out = adjoint(OperatorMatrix(np.diag([1.0 + 0j, w])))
-        assert np.allclose(out.entries, np.diag([1.0, w.conjugate()]))
-
+class TestConjugateTranspose:
     def test_unitary_phase_at_dim_2_is_self_adjoint(self):
         from fdphase.pegg_barnett import unitary_phase_operator
 
         u = unitary_phase_operator(SpaceConfig.from_dim(2, 0.0))
-        assert np.allclose(adjoint(u).entries, u.entries)
+        assert np.allclose(u.entries.conj().T, u.entries)
 
 
 class TestMatPower:
@@ -204,30 +188,24 @@ class TestUnitaryDeviation:
 
 class TestEqualUpToGlobalPhase:
     def test_identical(self):
-        u = StateVector(np.array([0.6, 0.8j]))
-        result = equal_up_to_global_phase(u, u, 1e-12)
-        assert result.equal
-        assert abs(np.exp(1j * result.phase) - 1.0) < 1e-12
+        u = np.array([0.6, 0.8j])
+        phase = equal_up_to_global_phase(u, u, 1e-12)
+        assert abs(np.exp(1j * phase) - 1.0) < 1e-12
 
     def test_sign_flip(self):
-        u = StateVector(np.array([0.6, 0.8j]))
-        v = StateVector(-u.amp)
-        result = equal_up_to_global_phase(u, v, 1e-12)
-        assert result.equal
-        assert result.phase == pytest.approx(np.pi)
+        u = np.array([0.6, 0.8j])
+        assert equal_up_to_global_phase(u, -u, 1e-12) == pytest.approx(np.pi)
 
     def test_orthogonal(self):
-        result = equal_up_to_global_phase(basis_state(2, 0), basis_state(2, 1), 1e-12)
-        assert not result.equal
-        assert result.phase is None
+        assert equal_up_to_global_phase(basis(2, 0), basis(2, 1), 1e-12) is None
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            equal_up_to_global_phase(StateVector(np.zeros(2) + 0j), basis_state(2, 0), 1e-12)
+            equal_up_to_global_phase(np.zeros(2) + 0j, basis(2, 0), 1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            equal_up_to_global_phase(basis_state(2, 0), basis_state(3, 0), 1e-12)
+            equal_up_to_global_phase(basis(2, 0), basis(3, 0), 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -237,27 +215,27 @@ class TestEqualUpToGlobalPhase:
     def test_reported_phase_matches_applied_phase(self, alpha, seed):
         rng = np.random.default_rng(seed)
         amp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        u = StateVector(amp).normalized()
-        v = StateVector(np.exp(1j * alpha) * u.amp)
-        result = equal_up_to_global_phase(u, v, 1e-9)
-        assert result.equal
-        assert abs(np.exp(1j * result.phase) - np.exp(1j * alpha)) < 1e-9
+        u = amp / np.linalg.norm(amp)
+        phase = equal_up_to_global_phase(u, np.exp(1j * alpha) * u, 1e-9)
+        assert phase is not None
+        assert abs(np.exp(1j * phase) - np.exp(1j * alpha)) < 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_symmetric_and_reflexive(self, seed):
         rng = np.random.default_rng(seed)
-        u = StateVector(rng.standard_normal(3) + 1j * rng.standard_normal(3)).normalized()
-        v = StateVector(rng.standard_normal(3) + 1j * rng.standard_normal(3)).normalized()
-        assert equal_up_to_global_phase(u, u, 1e-12).equal
+        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        assert equal_up_to_global_phase(u, u, 1e-12) is not None
         forward = equal_up_to_global_phase(u, v, 1e-6)
         backward = equal_up_to_global_phase(v, u, 1e-6)
-        assert forward.equal == backward.equal
+        assert (forward is None) == (backward is None)
 
 
 def _columns(*states):
     """Frame matrix whose columns are the given states."""
-    return np.column_stack([state.amp for state in states])
+    return np.column_stack(states)
 
 
 def _synthesize(frame, eigvals):
@@ -267,23 +245,21 @@ def _synthesize(frame, eigvals):
 
 class TestSpectralSynthesize:
     def test_number_operator_from_standard_basis(self):
-        op = _synthesize(_columns(basis_state(2, 0), basis_state(2, 1)), [0.0, 1.0])
+        op = _synthesize(_columns(basis(2, 0), basis(2, 1)), [0.0, 1.0])
         assert np.allclose(op.entries, np.diag([0.0, 1.0]))
 
     def test_phase_operator_by_hand(self):
         # Oracle: outer-product sum over the two phase states at theta0 = 0.
-        theta0 = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        theta1 = StateVector(np.array([1.0, -1.0]) / np.sqrt(2.0))
-        hand = 0.0 * np.outer(theta0.amp, theta0.amp.conj()) + np.pi * np.outer(
-            theta1.amp, theta1.amp.conj()
-        )
+        theta0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        theta1 = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        hand = 0.0 * np.outer(theta0, theta0.conj()) + np.pi * np.outer(theta1, theta1.conj())
         assert np.allclose(hand, np.pi / 2 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
         op = _synthesize(_columns(theta0, theta1), [0.0, np.pi])
         assert np.allclose(op.entries, hand)
 
     def test_unitary_phase_by_hand(self):
-        theta0 = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        theta1 = StateVector(np.array([1.0, -1.0]) / np.sqrt(2.0))
+        theta0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        theta1 = np.array([1.0, -1.0]) / np.sqrt(2.0)
         op = _synthesize(_columns(theta0, theta1), [np.exp(0j), np.exp(1j * np.pi)])
         assert np.allclose(op.entries, X, atol=1e-15)
 
@@ -292,14 +268,14 @@ class TestSpectralSynthesize:
         frame = build_phase_frame(config)
         values = np.exp(1j * config.thetas())
         op = spectral_synthesize(frame.matrix, values, frame.deviation)
-        states = [StateVector(frame.matrix[:, m]) for m in range(5)]
-        recovered = np.array([state.inner(mat_apply(op, state)) for state in states])
+        states = frame.matrix
+        recovered = np.einsum("nm,nm->m", states.conj(), op.apply(states))
         assert np.max(np.abs(recovered - values)) <= TolerancePolicy.for_dim(5).tol_elem
 
     def test_non_orthonormal_frame_rejected_with_diagnostic(self):
-        skewed = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        skewed = np.array([1.0, 1.0]) / np.sqrt(2.0)
         with pytest.raises(NonOrthonormalFrame) as info:
-            _synthesize(_columns(basis_state(2, 0), skewed), [1.0, 2.0])
+            _synthesize(_columns(basis(2, 0), skewed), [1.0, 2.0])
         assert info.value.max_deviation == pytest.approx(1 / np.sqrt(2.0))
 
     def test_deviation_above_tolerance_refused(self):
@@ -308,12 +284,36 @@ class TestSpectralSynthesize:
         assert info.value.max_deviation == 1.0
         assert info.value.tolerance == TolerancePolicy.for_dim(2).tol_op
 
+    def test_nan_deviation_refused(self):
+        with pytest.raises(NonOrthonormalFrame, match="nan"):
+            spectral_synthesize(np.eye(2), [1.0, 2.0], float("nan"))
+
     def test_incomplete_frame_rejected(self):
         with pytest.raises(ValueError, match="complete"):
-            _synthesize(_columns(basis_state(2, 0)), [1.0])
+            _synthesize(_columns(basis(2, 0)), [1.0])
+
+
+class TestFrameDeviation:
+    def test_nan_frame_refused(self):
+        # A NaN Gram deviation is never within tolerance.
+        frame = np.eye(3, dtype=np.complex128)
+        frame[1, 2] = np.nan
+        with pytest.raises(NonOrthonormalFrame, match="nan"):
+            frame_deviation(frame)
 
 
 class TestCertify:
+    def test_nan_deviation_refused(self, monkeypatch):
+        # A NaN deviation compares False against any tolerance, both ways.
+        monkeypatch.setitem(numerics._TAG_DEVIATIONS, "unitary", lambda entries: float("nan"))
+        with pytest.raises(ArithmeticError, match="deviation nan"):
+            certify(OperatorMatrix(np.eye(2)), "unitary")
+
+    def test_failure_names_the_tolerance(self):
+        message = r"deviation 3\.000e\+00 \(tolerance 2\.000e-11\)"
+        with pytest.raises(ArithmeticError, match=message):
+            certify(OperatorMatrix(np.diag([1.0, 2.0])), "unitary")
+
     def test_unitary_diagonal_signs(self):
         op = certify(OperatorMatrix(np.diag([1.0, -1.0])), "unitary")
         assert isinstance(op, OperatorMatrix)

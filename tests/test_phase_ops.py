@@ -1,16 +1,11 @@
 """Phase bases, shift operators, and the three commutator routes."""
 
+import re
+
 import numpy as np
 import pytest
 
-from fdphase.numerics import (
-    TWO_PI,
-    DimensionMismatch,
-    StateVector,
-    basis_state,
-    mat_apply,
-    mat_power,
-)
+from fdphase.numerics import TWO_PI, DimensionMismatch, mat_power
 from fdphase.pegg_barnett import (
     SpaceConfig,
     build_phase_frame,
@@ -50,6 +45,16 @@ class TestSpaceConfig:
         with pytest.raises(ValueError):
             SpaceConfig(s=1, theta0=float("nan"))
 
+    @pytest.mark.parametrize("dim, theta0", [(8, 1e308), (2, -1e308), (10**6, 1e303)])
+    def test_theta0_with_an_infinite_corner_exponent_is_refused(self, dim, theta0):
+        limit = re.escape("%.3e" % (np.finfo(float).max / dim))
+        with pytest.raises(ValueError, match=r"\(s\+1\)\*theta0 must be finite.*" + limit):
+            SpaceConfig.from_dim(dim, theta0)
+
+    def test_theta0_at_the_limit_is_accepted(self):
+        assert SpaceConfig.from_dim(1, 1e308).theta0 == 1e308
+        assert SpaceConfig.from_dim(8, 2e307).theta0 == 2e307
+
 
 class TestPhaseFrame:
     def test_dim_1_is_the_scalar_one(self):
@@ -64,8 +69,8 @@ class TestPhaseFrame:
     def test_gram_matrix_is_identity(self):
         # Oracle: the Gram matrix of pairwise inner products.
         frame = build_phase_frame(SpaceConfig.from_dim(4, 0.7))
-        states = [StateVector(frame.matrix[:, m]) for m in range(4)]
-        gram = np.array([[a.inner(b) for b in states] for a in states])
+        states = [frame.matrix[:, m] for m in range(4)]
+        gram = np.array([[np.vdot(a, b) for b in states] for a in states])
         assert np.max(np.abs(gram - np.eye(4))) <= 4e-11
 
     @pytest.mark.parametrize("dim", [*range(1, 17), 24, 33, 48, 64])
@@ -140,12 +145,13 @@ class TestUnitaryPhaseOperator:
     def test_shift_action_on_number_states(self, dim, theta0):
         config = SpaceConfig.from_dim(dim, theta0)
         op = unitary_phase_from_spectrum(build_phase_frame(config))
+        kets = np.eye(dim, dtype=np.complex128)
         for n in range(1, dim):
-            out = mat_apply(op, basis_state(dim, n))
-            assert np.max(np.abs(out.amp - basis_state(dim, n - 1).amp)) <= 1e-12 * dim
-        wrapped = mat_apply(op, basis_state(dim, 0))
-        expected = np.exp(1j * dim * theta0) * basis_state(dim, dim - 1).amp
-        assert np.max(np.abs(wrapped.amp - expected)) <= 1e-12 * dim
+            out = op.apply(kets[:, n])
+            assert np.max(np.abs(out - kets[:, n - 1])) <= 1e-12 * dim
+        wrapped = op.apply(kets[:, 0])
+        expected = np.exp(1j * dim * theta0) * kets[:, dim - 1]
+        assert np.max(np.abs(wrapped - expected)) <= 1e-12 * dim
 
     @pytest.mark.parametrize("dim", range(1, 10))
     def test_cyclic_power(self, dim):
@@ -164,16 +170,15 @@ class TestNumberShiftOperator:
 
     def test_shifts_phase_state_down_at_dim_2(self):
         op = number_shift_operator(SpaceConfig.from_dim(2, 0.0))
-        theta1 = StateVector(np.array([1.0, -1.0]) / np.sqrt(2.0))
-        out = mat_apply(op, theta1)
-        assert np.allclose(out.amp, np.array([1.0, 1.0]) / np.sqrt(2.0))
+        theta1 = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        assert np.allclose(op.apply(theta1), np.array([1.0, 1.0]) / np.sqrt(2.0))
 
     def test_wraparound_has_no_extra_phase(self):
         config = SpaceConfig.from_dim(3, 0.0)
         frame = build_phase_frame(config)
         op = number_shift_operator(config)
-        out = mat_apply(op, StateVector(frame.matrix[:, 0]))
-        assert np.max(np.abs(out.amp - frame.matrix[:, 2])) <= 3e-12
+        out = op.apply(frame.matrix[:, 0])
+        assert np.max(np.abs(out - frame.matrix[:, 2])) <= 3e-12
 
     @pytest.mark.parametrize("dim", range(1, 10))
     @pytest.mark.parametrize("theta0", THETA_GRID)

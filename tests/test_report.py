@@ -164,4 +164,3 @@ class TestStatusCounts:
         report = _sample_report()
         counts = report.status_counts()
         assert counts == {"pass": 1, "fail": 0, "flagged": 1}
-        assert report.failed == ()
