@@ -1,8 +1,10 @@
 """Command-line front end: verify suites, evolve states, dump operators.
 
 Exit status contract: 0 means every check passed (flagged records are
-allowed), 1 means at least one check failed, 2 means the invocation or its
-input files were unusable.
+allowed), 1 means at least one check failed, 2 means the invocation, its
+input files or its output file were unusable, or the numerics refused the
+input. :func:`main` is the one place that maps such an error to one
+``error:`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .deformed import (
-    ProfileError,
     build_generalized_frame,
     build_ladder_operators,
     cycle_operator_power,
@@ -149,13 +150,6 @@ def _write_output(text: str, out: Path | None) -> None:
             handle.write(text)
 
 
-def _space_config(dim: int, theta0: float) -> SpaceConfig:
-    try:
-        return SpaceConfig.from_dim(dim, theta0)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _pairs(values: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in values]
 
@@ -171,7 +165,7 @@ def load_state(path: Path) -> np.ndarray:
     """
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read state file: {exc}") from exc
     try:
         data = json.loads(text)
@@ -196,7 +190,10 @@ def load_state(path: Path) -> np.ndarray:
         )
         if not ok:
             raise UsageError("state amplitudes must be [re, im] pairs of reals")
-        values.append(complex(pair[0], pair[1]))
+        try:
+            values.append(complex(pair[0], pair[1]))
+        except OverflowError:  # a JSON integer beyond the float range
+            raise UsageError("state amplitudes must be finite") from None
     state = np.asarray(values, dtype=np.complex128)
     if not np.all(np.isfinite(state)):
         raise UsageError("state amplitudes must be finite")
@@ -207,20 +204,17 @@ def load_state(path: Path) -> np.ndarray:
 def cmd_verify(args: argparse.Namespace) -> int:
     selected = args.suites or ["all"]
     suites = SUITE_NAMES if "all" in selected else tuple(dict.fromkeys(selected))
-    try:
-        manifest = RunManifest(
-            dim=args.dim,
-            theta0=args.theta0,
-            eta=args.eta,
-            omega=args.omega,
-            profile=args.profile,
-            suites=suites,
-            seed=args.seed,
-            format=args.format,
-        )
-        report = run_suites(manifest)
-    except (ValueError, OSError, ArithmeticError) as exc:
-        raise UsageError(str(exc)) from exc
+    manifest = RunManifest(
+        dim=args.dim,
+        theta0=args.theta0,
+        eta=args.eta,
+        omega=args.omega,
+        profile=args.profile,
+        suites=suites,
+        seed=args.seed,
+        format=args.format,
+    )
+    report = run_suites(manifest)
     _write_output(_RENDERERS[manifest.format](report), args.out)
     counts = report.status_counts()
     print(
@@ -240,7 +234,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         )
     if args.steps < 0:
         raise UsageError(f"steps must be non-negative, got {args.steps}")
-    config = _space_config(dim, args.theta0)
+    config = SpaceConfig.from_dim(dim, args.theta0)
     policy = TolerancePolicy.for_dim(dim)
 
     notes = []
@@ -256,17 +250,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         psi = state / norm
         notes.append("input state was not normalized; renormalized before evolving")
 
-    try:
-        if args.mode == "hamiltonian":
-            if args.omega <= 0 or not math.isfinite(args.omega):
-                raise UsageError(f"omega must be positive, got {args.omega}")
-            period = time_evolution(config, args.omega, TWO_PI / args.omega)
-            evolution = mat_power(period, args.steps)
-        else:
-            frame = build_generalized_frame(build_phase_frame(config), args.eta)
-            evolution = cycle_operator_power(frame, args.steps)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.mode == "hamiltonian":
+        if args.omega <= 0 or not math.isfinite(args.omega):
+            raise UsageError(f"omega must be positive, got {args.omega}")
+        period = time_evolution(config, args.omega, TWO_PI / args.omega)
+        evolution = mat_power(period, args.steps)
+    else:
+        frame = build_generalized_frame(build_phase_frame(config), args.eta)
+        evolution = cycle_operator_power(frame, args.steps)
 
     result = evolution.apply(psi)
     payload = {
@@ -287,7 +278,7 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
             "kind": "phase-states",
             "dim": config.dim,
             "theta0": config.theta0,
-            "states": [_pairs(frame.matrix[:, m]) for m in range(config.dim)],
+            "states": [_pairs(frame.basis.entries[:, m]) for m in range(config.dim)],
         }
     if name == "phi":
         op = hermitian_phase_operator(build_phase_frame(config))
@@ -309,12 +300,9 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
         op = number_shift_operator(config)
         return {"kind": "qN", "dim": config.dim, "matrix": _matrix_json(op.entries)}
     if name in ("A", "Adag"):
-        try:
-            profile = resolve_profile(args.profile, config, args.eta)
-            frame = build_generalized_frame(build_phase_frame(config), args.eta)
-            ladder = build_ladder_operators(frame, profile)
-        except (ProfileError, OSError, ValueError) as exc:
-            raise UsageError(str(exc)) from exc
+        profile = resolve_profile(args.profile, config, args.eta)
+        frame = build_generalized_frame(build_phase_frame(config), args.eta)
+        ladder = build_ladder_operators(frame, profile)
         op = ladder.a if name == "A" else ladder.a_dag
         return {
             "kind": name,
@@ -358,16 +346,17 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
-    config = _space_config(args.dim, args.theta0)
+    config = SpaceConfig.from_dim(args.dim, args.theta0)
     _write_output(to_json(_dump_payload(args, config)), args.out)
     return 0
 
 
 def main(argv=None) -> int:
+    """Run one command; any refusal becomes one ``error:`` line and exit status 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,11 +6,13 @@ produced from the usual ones by the continuous phase shift exp(-i eta Phi);
 the offset-window phase states are then rebuilt from them by the usual
 Fourier sum with exponents n+eta. That constructive order breaks the mutual
 definition of the two families and pins concrete coordinates for both.
-:func:`build_generalized_frame` builds the offset number states over a
-certified phase frame, and :func:`offset_phase_frame` builds the offset
-phase states from them, only where they are read. Every builder below takes
-the frame it uses as a required argument and reads the space and eta from
-it; operators act through :meth:`.numerics.OperatorMatrix.apply`.
+Both families are :class:`.pegg_barnett.Frame` objects, bases certified
+unitary, with offset eta: :func:`build_generalized_frame` builds the offset
+number states over a certified phase frame, and :func:`offset_phase_frame`
+builds the offset phase states from them, only where they are read. Every
+builder below takes the frame it uses as a required argument and reads the
+space and eta from it; operators act through
+:meth:`.numerics.OperatorMatrix.apply`.
 
 Dividing the square-rooted weight back out of the lowering operator
 recovers the undeformed unitary phase operator for every admissible eta and
@@ -34,11 +36,10 @@ from .numerics import (
     _binary_power,
     certify,
     cyclic_shift,
-    frame_deviation,
     max_abs,
     spectral_synthesize,
 )
-from .pegg_barnett import PhaseFrame, SpaceConfig
+from .pegg_barnett import Frame, SpaceConfig
 from .report import CheckRecord
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "DeformationProfile",
     "deformation_linear",
     "profile_from_json",
-    "GeneralizedFrame",
     "build_generalized_frame",
     "offset_phase_frame",
     "LadderOperators",
@@ -59,9 +59,6 @@ __all__ = [
     "duality_check",
 ]
 
-PROFILE_VARIANTS = ("linear", "user")
-
-
 class ProfileError(ValueError):
     """Deformation weight table violates positivity or the cyclic condition."""
 
@@ -71,7 +68,6 @@ class DeformationProfile:
     """Level weights F_0..F_s; all non-negative with F_0 > 0 (cyclic)."""
 
     values: np.ndarray
-    variant: str = "user"
 
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=np.float64, copy=True)
@@ -87,8 +83,6 @@ class DeformationProfile:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        if self.variant not in PROFILE_VARIANTS:
-            raise ProfileError(f"variant must be one of {PROFILE_VARIANTS}")
 
     @property
     def dim(self) -> int:
@@ -103,7 +97,7 @@ def deformation_linear(config: SpaceConfig, eta: float) -> DeformationProfile:
         raise ProfileError(
             f"linear profile requires min(n + eta) > 0, got eta = {eta}"
         )
-    return DeformationProfile(values=values, variant="linear")
+    return DeformationProfile(values=values)
 
 
 def profile_from_json(text: str, dim: int) -> DeformationProfile:
@@ -121,60 +115,24 @@ def profile_from_json(text: str, dim: int) -> DeformationProfile:
         raise ProfileError(
             f"profile length {len(data)} does not match dimension {dim}"
         )
-    return DeformationProfile(values=np.asarray(data, dtype=np.float64), variant="user")
+    return DeformationProfile(values=np.asarray(data, dtype=np.float64))
 
 
-@dataclass(frozen=True, eq=False)
-class GeneralizedFrame:
-    """The offset number states |n+eta>.
-
-    Columns of ``number_matrix`` are the |n+eta> in standard coordinates,
-    and ``number_deviation`` is their orthonormality deviation
-    max |V^dag V - 1|, measured when :func:`build_generalized_frame`
-    certified them.
-    """
-
-    config: SpaceConfig
-    eta: float
-    number_matrix: np.ndarray
-    number_deviation: float
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.number_matrix, dtype=np.complex128, copy=True)
-        if arr.shape != (self.config.dim, self.config.dim):
-            raise DimensionMismatch(
-                f"number_matrix must be {self.config.dim} x {self.config.dim}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "number_matrix", arr)
-        object.__setattr__(self, "eta", float(self.eta))
-
-    def synthesize(self, eigvals: np.ndarray) -> OperatorMatrix:
-        """sum_n eigvals[n] |n+eta><n+eta| over the certified number states."""
-        return spectral_synthesize(self.number_matrix, eigvals, self.number_deviation)
-
-
-def build_generalized_frame(base: PhaseFrame, eta: float) -> GeneralizedFrame:
-    """Construct |n+eta> = exp(-i eta Phi)|n>, certified orthonormal once.
+def build_generalized_frame(base: Frame, eta: float) -> Frame:
+    """The offset number states |n+eta> = exp(-i eta Phi)|n>, certified once.
 
     ``exp(-i eta Phi)`` is synthesized over the phase frame ``base``, whose
-    space the offset frame shares.
+    space the offset frame shares; its column n is |n+eta>.
     """
     eta = float(eta)
     if not math.isfinite(eta):
         raise ValueError("eta must be finite")
     config = base.config
-    shift = spectral_synthesize(base.matrix, np.exp(-1j * eta * config.thetas()), base.deviation)
-    number_matrix = np.array(shift.entries)  # column n is exp(-i eta Phi)|n>
-    return GeneralizedFrame(
-        config=config,
-        eta=eta,
-        number_matrix=number_matrix,
-        number_deviation=frame_deviation(number_matrix),
-    )
+    shift = spectral_synthesize(base.basis, np.exp(-1j * eta * config.thetas()))
+    return Frame(config=config, eta=eta, basis=shift)
 
 
-def offset_phase_frame(frame: GeneralizedFrame) -> PhaseFrame:
+def offset_phase_frame(frame: Frame) -> Frame:
     """The offset-window phase states, certified orthonormal once.
 
     Column m is sum_n exp(i(n+eta)theta_m)/sqrt(s+1) |n+eta>, the Fourier sum
@@ -183,8 +141,7 @@ def offset_phase_frame(frame: GeneralizedFrame) -> PhaseFrame:
     config = frame.config
     dim = config.dim
     coeff = np.exp(1j * np.outer(np.arange(dim) + frame.eta, config.thetas())) / math.sqrt(dim)
-    matrix = frame.number_matrix @ coeff
-    return PhaseFrame(config=config, matrix=matrix, deviation=frame_deviation(matrix))
+    return Frame(config=config, eta=frame.eta, basis=OperatorMatrix(frame.basis.apply(coeff)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +153,7 @@ class LadderOperators:
 
 
 def build_ladder_operators(
-    frame: GeneralizedFrame, profile: DeformationProfile
+    frame: Frame, profile: DeformationProfile
 ) -> LadderOperators:
     """Ladder operators over the offset number states.
 
@@ -212,13 +169,13 @@ def build_ladder_operators(
         )
     dim = config.dim
     corner = np.exp(1j * dim * config.theta0)
-    v = frame.number_matrix
+    v = frame.basis.entries
     a = OperatorMatrix(v @ cyclic_shift(dim, corner, np.sqrt(profile.values)) @ v.conj().T)
     return LadderOperators(a=a, a_dag=OperatorMatrix(a.entries.conj().T))
 
 
 def recover_phase_operator(
-    a: OperatorMatrix, profile: DeformationProfile, frame: GeneralizedFrame
+    a: OperatorMatrix, profile: DeformationProfile, frame: Frame
 ) -> OperatorMatrix:
     """Divide sqrt(F) out of the lowering operator: A F(q^(N+eta))^(-1/2).
 
@@ -232,21 +189,21 @@ def recover_phase_operator(
         raise ProfileError(
             "inverse square root refused: profile has a zero weight"
         )
-    inv_sqrt = frame.synthesize((profile.values ** -0.5).astype(np.complex128))
+    inv_sqrt = spectral_synthesize(frame.basis, (profile.values ** -0.5).astype(np.complex128))
     return certify(OperatorMatrix(a.apply(inv_sqrt.entries)), "unitary")
 
 
-def _number_shift_eigenvalues(frame: GeneralizedFrame) -> np.ndarray:
+def _number_shift_eigenvalues(frame: Frame) -> np.ndarray:
     """q^-(n+eta) for n = 0..s, the eigenvalues of q^-(N+eta) on |n+eta>."""
     return frame.config.root_power(-(np.arange(frame.config.dim) + frame.eta))
 
 
-def generalized_number_shift(frame: GeneralizedFrame) -> OperatorMatrix:
+def generalized_number_shift(frame: Frame) -> OperatorMatrix:
     """q^-(N+eta): eigenvalue q^-(n+eta) on |n+eta>, unitary-certified."""
-    return certify(frame.synthesize(_number_shift_eigenvalues(frame)), "unitary")
+    return certify(spectral_synthesize(frame.basis, _number_shift_eigenvalues(frame)), "unitary")
 
 
-def modified_number_shift(frame: GeneralizedFrame, phases: PhaseFrame) -> OperatorMatrix:
+def modified_number_shift(frame: Frame, phases: Frame) -> OperatorMatrix:
     """Phase-state realization of q^-(N+eta).
 
     sum_{m=1..s} |theta_{m-1}><theta_m| plus exp(-2*pi*i*eta) on
@@ -255,11 +212,11 @@ def modified_number_shift(frame: GeneralizedFrame, phases: PhaseFrame) -> Operat
     reduces to the undeformed realization of q^-N.
     """
     pattern = cyclic_shift(frame.config.dim, np.exp(-2j * np.pi * frame.eta))
-    p = phases.matrix
+    p = phases.basis.entries
     return certify(OperatorMatrix(p @ pattern @ p.conj().T), "unitary")
 
 
-def cycle_operator_power(frame: GeneralizedFrame, k: int) -> OperatorMatrix:
+def cycle_operator_power(frame: Frame, k: int) -> OperatorMatrix:
     """(q^-(N+eta))^k for any k >= 0, synthesized over the offset number states.
 
     The eigenvalues q^-(n+eta) are raised by repeated multiplication, in the
@@ -269,7 +226,7 @@ def cycle_operator_power(frame: GeneralizedFrame, k: int) -> OperatorMatrix:
     """
     dim = frame.config.dim
     _, powered = _binary_power(np.arange(dim), _number_shift_eigenvalues(frame), k)
-    return frame.synthesize(powered)
+    return spectral_synthesize(frame.basis, powered)
 
 
 def eta_class(eta: float) -> str:
@@ -284,8 +241,8 @@ def eta_class(eta: float) -> str:
 
 
 def duality_check(
-    frame: GeneralizedFrame,
-    phases: PhaseFrame,
+    frame: Frame,
+    phases: Frame,
     qshift: OperatorMatrix,
     phase_op: OperatorMatrix,
 ) -> list[CheckRecord]:
@@ -302,8 +259,8 @@ def duality_check(
     """
     config = frame.config
     dim = config.dim
-    p = phases.matrix
-    v = frame.number_matrix
+    p = phases.basis.entries
+    v = frame.basis.entries
     corner_eta = np.exp(-2j * np.pi * frame.eta)
     corner_theta = np.exp(1j * dim * config.theta0)
 

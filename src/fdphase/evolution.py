@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +68,18 @@ class OscillatorSpectrum:
 
 
 def oscillator_spectrum(config: SpaceConfig, omega: float) -> OscillatorSpectrum:
+    """The energies at omega; an omega whose top energy overflows is refused."""
     omega = float(omega)
     if not (math.isfinite(omega) and omega > 0.0):
         raise ValueError(f"omega must be a positive real, got {omega!r}")
+    # The top, largest, energy rounded in the order of the array below.
+    if not math.isfinite(omega * (config.s + 0.5) + omega * config.dim / 2.0):
+        raise ValueError(
+            f"omega = {omega!r} is out of range: the top energy omega*(s+1/2) + "
+            f"omega*(s+1)/2 must be finite, so omega must stay below "
+            f"{sys.float_info.max / (config.s + 0.5 + config.dim / 2.0):.3e} "
+            f"at dimension {config.dim}"
+        )
     levels = np.arange(config.dim, dtype=np.float64)
     energies = omega * (levels + 0.5)
     energies[-1] += omega * config.dim / 2.0  # at dim 1 the only level is the top

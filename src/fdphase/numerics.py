@@ -8,11 +8,12 @@ or unitary only once :func:`certify` has measured it: the deviation is
 measured once, against the dimension's ``tol_op``, and either recorded in
 the operator's ``deviations`` or refused with an error. Any other structure
 (a diagonal, a monomial) is read from the entries where it is used, never
-carried as a flag. Every operator exponential used elsewhere in this
-package is assembled from a known eigenbasis, passed in as the frame matrix
-with its certified orthonormality deviation, through
-:func:`spectral_synthesize`, so no general matrix exponential or eigensolver
-lives here. Every tolerance is the dimension's
+carried as a flag. A frame, a complete orthonormal basis stored as the
+columns of a square matrix, is an operator certified "unitary", since for a
+square matrix V orthonormality is exactly V^dag V = 1. Every operator
+exponential used elsewhere in this package is assembled from such a frame
+through :func:`spectral_synthesize`, so no general matrix exponential or
+eigensolver lives here. Every tolerance is the dimension's
 :meth:`TolerancePolicy.for_dim`.
 
 Monomial operators, with exactly one nonzero entry per row and per column
@@ -33,13 +34,11 @@ import numpy as np
 __all__ = [
     "TWO_PI",
     "DimensionMismatch",
-    "NonOrthonormalFrame",
     "TolerancePolicy",
     "OperatorMatrix",
     "mat_power",
     "cyclic_shift",
     "equal_up_to_global_phase",
-    "frame_deviation",
     "spectral_synthesize",
     "certify",
     "hermitian_deviation",
@@ -53,18 +52,6 @@ TWO_PI = 2.0 * np.pi
 
 class DimensionMismatch(ValueError):
     """Operands live in Hilbert spaces of different dimension."""
-
-
-class NonOrthonormalFrame(ValueError):
-    """An eigenvector frame failed its orthonormality certification."""
-
-    def __init__(self, max_deviation: float, tolerance: float) -> None:
-        super().__init__(
-            "frame is not orthonormal: max deviation %.3e exceeds tolerance %.3e"
-            % (max_deviation, tolerance)
-        )
-        self.max_deviation = max_deviation
-        self.tolerance = tolerance
 
 
 @dataclass(frozen=True)
@@ -296,38 +283,18 @@ def certify(m: OperatorMatrix, tag: str) -> OperatorMatrix:
     return result
 
 
-def frame_deviation(frame: np.ndarray) -> float:
-    """Orthonormality deviation max |V^dag V - 1| of the columns of ``frame``.
+def spectral_synthesize(frame: OperatorMatrix, eigvals: Iterable[complex]) -> OperatorMatrix:
+    """Assemble sum_k lambda_k |v_k><v_k| over the columns v_k of ``frame``.
 
-    Raises :class:`NonOrthonormalFrame` unless it is within the ``tol_op`` of
-    the frame's dimension; a frame with NaN entries never is.
+    The frame must already be certified "unitary" by :func:`certify`, which
+    for a square matrix is orthonormality of its columns; it is not
+    multiplied out again here. An uncertified frame is refused with a
+    ``ValueError``.
     """
-    deviation = _gram_deviation(frame)
-    tol = TolerancePolicy.for_dim(frame.shape[0]).tol_op
-    if not deviation <= tol:
-        raise NonOrthonormalFrame(deviation, tol)
-    return deviation
-
-
-def spectral_synthesize(
-    frame: np.ndarray, eigvals: Iterable[complex], deviation: float
-) -> OperatorMatrix:
-    """Assemble sum_k lambda_k |v_k><v_k| from a complete orthonormal frame.
-
-    Column k of the square ``frame`` matrix is the eigenvector v_k, and
-    ``deviation`` is its orthonormality deviation from :func:`frame_deviation`,
-    measured when the frame was certified; the frame is not multiplied out
-    again here. A deviation not within ``tol_op`` (NaN included) is refused
-    with :class:`NonOrthonormalFrame`.
-    """
-    frame = np.asarray(frame, dtype=np.complex128)
+    if "unitary" not in frame.deviations:
+        raise ValueError("spectral synthesis needs a frame certified unitary")
     vals = np.asarray(eigvals, dtype=np.complex128)
-    if frame.ndim != 2 or frame.shape[0] != frame.shape[1] or frame.size == 0:
-        raise ValueError("frame must be complete: a non-empty square matrix")
-    dim = frame.shape[0]
-    if vals.shape != (dim,):
+    if vals.shape != (frame.dim,):
         raise ValueError("frame must be complete: one eigenvalue per dimension")
-    tol = TolerancePolicy.for_dim(dim).tol_op
-    if not deviation <= tol:
-        raise NonOrthonormalFrame(deviation, tol)
-    return OperatorMatrix((frame * vals) @ frame.conj().T)
+    v = frame.entries
+    return OperatorMatrix((v * vals) @ v.conj().T)

@@ -5,9 +5,10 @@ over a 2*pi window anchored at theta_0. The hermitian phase operator is
 their real-weighted projector sum, the unitary phase operator steps number
 states down cyclically, and the number-power operator q^-N steps phase
 states down cyclically; the window origin shows up only in the wrap-around
-entry exp(i(s+1)theta_0) of the unitary phase operator. The phase frame is
-built and certified orthonormal once, by :func:`build_phase_frame`; the
-spectral builders take that frame and read the space from it.
+entry exp(i(s+1)theta_0) of the unitary phase operator. A :class:`Frame`
+is an orthonormal basis held as an operator certified "unitary"; the phase
+frame is built and certified once, by :func:`build_phase_frame`, and the
+spectral builders take it and read the space from it.
 
 The phase/number commutator is exposed through three routes: the direct
 matrix product, a closed form derived from the phase-state expansion, and a
@@ -30,13 +31,12 @@ from .numerics import (
     OperatorMatrix,
     certify,
     cyclic_shift,
-    frame_deviation,
     spectral_synthesize,
 )
 
 __all__ = [
     "SpaceConfig",
-    "PhaseFrame",
+    "Frame",
     "build_phase_frame",
     "number_operator",
     "hermitian_phase_operator",
@@ -105,32 +105,31 @@ class SpaceConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseFrame:
-    """The orthonormal phase states as columns of a dim x dim matrix.
+class Frame:
+    """An orthonormal basis of the space: the columns of a unitary operator.
 
-    ``deviation`` is the orthonormality deviation max |V^dag V - 1| measured
-    when :func:`build_phase_frame` certified the frame.
+    ``basis`` is certified "unitary" on construction, so the frame's
+    orthonormality deviation is ``basis.deviations["unitary"]``. ``eta`` is
+    0 for the phase states and the offset for the offset number and phase states.
     """
 
     config: SpaceConfig
-    matrix: np.ndarray
-    deviation: float
+    eta: float
+    basis: OperatorMatrix
 
     def __post_init__(self) -> None:
-        arr = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if arr.shape != (self.config.dim, self.config.dim):
+        if self.basis.dim != self.config.dim:
             raise DimensionMismatch(
-                f"frame matrix must be {self.config.dim} x {self.config.dim}"
+                f"basis of dimension {self.basis.dim} for a space of dimension {self.config.dim}"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "basis", certify(self.basis, "unitary"))
 
 
-def build_phase_frame(config: SpaceConfig) -> PhaseFrame:
+def build_phase_frame(config: SpaceConfig) -> Frame:
     """Build the phase states, certifying the frame orthonormal once."""
     dim = config.dim
     matrix = np.exp(1j * np.outer(np.arange(dim), config.thetas())) / math.sqrt(dim)
-    return PhaseFrame(config=config, matrix=matrix, deviation=frame_deviation(matrix))
+    return Frame(config=config, eta=0.0, basis=OperatorMatrix(matrix))
 
 
 def number_operator(config: SpaceConfig) -> OperatorMatrix:
@@ -138,10 +137,10 @@ def number_operator(config: SpaceConfig) -> OperatorMatrix:
     return OperatorMatrix(np.diag(np.arange(config.dim, dtype=np.complex128)))
 
 
-def hermitian_phase_operator(frame: PhaseFrame) -> OperatorMatrix:
+def hermitian_phase_operator(frame: Frame) -> OperatorMatrix:
     """Phase operator sum_m theta_m |theta_m><theta_m|, hermitian-certified."""
     thetas = frame.config.thetas().astype(np.complex128)
-    return certify(spectral_synthesize(frame.matrix, thetas, frame.deviation), "hermitian")
+    return certify(spectral_synthesize(frame.basis, thetas), "hermitian")
 
 
 def unitary_phase_operator(config: SpaceConfig) -> OperatorMatrix:
@@ -154,10 +153,10 @@ def unitary_phase_operator(config: SpaceConfig) -> OperatorMatrix:
     return certify(OperatorMatrix(cyclic_shift(config.dim, corner)), "unitary")
 
 
-def unitary_phase_from_spectrum(frame: PhaseFrame) -> OperatorMatrix:
+def unitary_phase_from_spectrum(frame: Frame) -> OperatorMatrix:
     """sum_m exp(i theta_m)|theta_m><theta_m|, the spectral route to exp(iPhi)."""
     eigvals = np.exp(1j * frame.config.thetas())
-    return certify(spectral_synthesize(frame.matrix, eigvals, frame.deviation), "unitary")
+    return certify(spectral_synthesize(frame.basis, eigvals), "unitary")
 
 
 def number_shift_operator(config: SpaceConfig) -> OperatorMatrix:

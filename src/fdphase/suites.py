@@ -76,7 +76,7 @@ SUITE_NAMES = ("pb-core", "gdo", "evolution", "cross-module")
 
 
 def resolve_profile(source: str, config: SpaceConfig, eta: float) -> DeformationProfile:
-    """Turn a manifest profile entry (a variant name or a file path) into a table."""
+    """Turn a manifest profile entry ("linear" or a file path) into a table."""
     if source == "linear":
         return deformation_linear(config, eta)
     return profile_from_json(Path(source).read_text(encoding="utf-8"), config.dim)
@@ -107,7 +107,7 @@ def _period_evolution(shared: dict, config: SpaceConfig, omega: float):
 def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict) -> list:
     dim = config.dim
     frame = _once(shared, "phase_frame", build_phase_frame, config)
-    v = frame.matrix
+    v = frame.basis.entries
     eye = np.eye(dim)
     records = []
 
@@ -115,7 +115,7 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict) ->
         CheckRecord.measured(
             "phase_frame_orthonormal",
             "<theta_m|theta_k> = delta_mk",
-            frame.deviation,
+            frame.basis.deviations["unitary"],
             policy.tol_op,
         )
     )
@@ -270,7 +270,7 @@ def suite_gdo(
     dim = config.dim
     frame = _generalized_frame(shared, config, eta)
     phases = offset_phase_frame(frame)
-    v = frame.number_matrix
+    v = frame.basis.entries
     eye = np.eye(dim)
     records = []
 
@@ -278,7 +278,7 @@ def suite_gdo(
         CheckRecord.measured(
             "generalized_number_frame_orthonormal",
             "<n+eta|k+eta> = delta_nk",
-            frame.number_deviation,
+            frame.basis.deviations["unitary"],
             policy.tol_op,
         )
     )
@@ -286,7 +286,7 @@ def suite_gdo(
         CheckRecord.measured(
             "generalized_phase_frame_orthonormal",
             "offset-window <theta_m|theta_k> = delta_mk",
-            phases.deviation,
+            phases.basis.deviations["unitary"],
             policy.tol_op,
         )
     )
@@ -294,7 +294,7 @@ def suite_gdo(
     coeff = np.exp(
         1j * np.outer(np.arange(dim) + frame.eta, config.thetas())
     ) / np.sqrt(dim)
-    rebuilt = phases.matrix @ coeff.conj().T
+    rebuilt = phases.basis.entries @ coeff.conj().T
     records.append(
         CheckRecord.measured(
             "continuous_shift_roundtrip",

@@ -55,7 +55,7 @@ def test_criterion_1_frame_duality():
         for theta0 in THETA_GRID:
             config = SpaceConfig.from_dim(dim, theta0)
             frame = build_phase_frame(config)
-            v = frame.matrix
+            v = frame.basis.entries
             eye = np.eye(dim)
             deviations = [
                 np.max(np.abs(v.conj().T @ v - eye)),
@@ -235,8 +235,8 @@ def test_criterion_8_continuous_shift():
                 coeff = np.exp(
                     1j * np.outer(np.arange(dim) + eta, config.thetas())
                 ) / np.sqrt(dim)
-                rebuilt = offset_phase_frame(frame).matrix @ coeff.conj().T
-                dev = float(np.max(np.abs(rebuilt - frame.number_matrix)))
+                rebuilt = offset_phase_frame(frame).basis.entries @ coeff.conj().T
+                dev = float(np.max(np.abs(rebuilt - frame.basis.entries)))
                 worst = max(worst, dev)
                 ok = ok and dev <= tol
     report_line(8, "continuous shift", ok, f"max deviation {worst:.3e}")

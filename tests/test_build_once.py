@@ -209,6 +209,45 @@ class TestFramesOncePerRun:
         assert [r.as_dict() for r in whole] == [r.as_dict() for r in one_by_one]
 
 
+def _built_frames(monkeypatch) -> list:
+    """The frames built, in order, through every fdphase module that binds ``Frame``."""
+    frames = []
+    original = pegg_barnett.Frame
+
+    def built(*args, **kwargs):
+        frames.append(original(*args, **kwargs))
+        return frames[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fdphase" and module is not None:
+            if vars(module).get("Frame") is original:
+                monkeypatch.setattr(module, "Frame", built)
+    return frames
+
+
+class TestFramesAreCertifiedOperators:
+    """A frame is certified once, by certify, like any other unitary operator."""
+
+    def test_verify_certifies_every_frame_through_certify(self, monkeypatch):
+        # At eta != 1/2 a d=64 verify builds four frames (the phase frame,
+        # the offset number and phase states at eta, the offset number states
+        # at 1/2) beside eleven operator certifications, and measures
+        # orthonormality nowhere else.
+        frames = _built_frames(monkeypatch)
+        certified = _count_calls(monkeypatch, numerics.certify)
+        measured = _count_calls(monkeypatch, numerics.tag_deviation)
+        run_suites(RunManifest(dim=64, theta0=2.9, eta=0.25, suites=SUITE_NAMES))
+        assert len(frames) == 4
+        assert len(certified) == 15
+        assert len(measured) == 15
+        frame_entries = [frame.basis.entries for frame in frames]
+        certified_frames = [
+            m for m, tag in certified if tag == "unitary"
+            and any(m.entries is entries for entries in frame_entries)
+        ]
+        assert len(certified_frames) == 4
+
+
 class TestOffsetPhaseFamilyOnlyWhereRead:
     """Only the gdo suite reads the offset phase states, so only it builds them."""
 
@@ -217,31 +256,32 @@ class TestOffsetPhaseFamilyOnlyWhereRead:
         """The phase frame, the offset number states and the offset phase states."""
         base = build_phase_frame(SpaceConfig.from_dim(dim, theta0))
         offset = build_generalized_frame(base, eta)
-        return base.matrix, offset.number_matrix, offset_phase_frame(offset).matrix
+        return base.basis.entries, offset.basis.entries, offset_phase_frame(offset).basis.entries
 
     def test_cross_module_verify_certifies_no_offset_phase_family(self, monkeypatch):
         base, number, _ = self._expected_frames(6, 2.9, 0.5)
-        certified = _count_calls(monkeypatch, numerics.frame_deviation)
+        frames = _built_frames(monkeypatch)
         run_suites(RunManifest(dim=6, theta0=2.9, eta=1.5, suites=("cross-module",)))
-        assert len(certified) == 2
-        assert np.array_equal(certified[0][0], base)
-        assert np.array_equal(certified[1][0], number)
+        assert len(frames) == 2
+        assert np.array_equal(frames[0].basis.entries, base)
+        assert np.array_equal(frames[1].basis.entries, number)
 
     def test_shift_evolve_certifies_no_offset_phase_family(self, monkeypatch, tmp_path, capsys):
         base, number, _ = self._expected_frames(3, 0.0, 0.25)
         state = tmp_path / "state.json"
         state.write_text('{"dim": 3, "amp": [[1, 0], [0, 0], [0, 0]]}', encoding="utf-8")
-        certified = _count_calls(monkeypatch, numerics.frame_deviation)
+        frames = _built_frames(monkeypatch)
         argv = ["evolve", str(state), "--mode", "shift", "--eta", "0.25", "--steps", "2"]
         assert main(argv) == 0
-        assert len(certified) == 2
-        assert np.array_equal(certified[0][0], base)
-        assert np.array_equal(certified[1][0], number)
+        assert len(frames) == 2
+        assert np.array_equal(frames[0].basis.entries, base)
+        assert np.array_equal(frames[1].basis.entries, number)
 
     def test_gdo_certifies_the_offset_phase_family_once(self, monkeypatch):
         expected = self._expected_frames(5, 0.3, 0.25)
-        certified = _count_calls(monkeypatch, numerics.frame_deviation)
+        frames = _built_frames(monkeypatch)
         run_suites(RunManifest(dim=5, theta0=0.3, eta=0.25, suites=("gdo",)))
-        assert len(certified) == 3
-        for (matrix,), want in zip(certified, expected):
-            assert np.array_equal(matrix, want)
+        assert len(frames) == 3
+        for frame, want in zip(frames, expected):
+            assert np.array_equal(frame.basis.entries, want)
+            assert set(frame.basis.deviations) == {"unitary"}

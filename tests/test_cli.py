@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdphase
-from fdphase.cli import main
+from fdphase.cli import DUMP_OBJECTS, main
 from fdphase.report import format_float
 
 
@@ -24,6 +24,12 @@ def write_state(path, amplitudes):
     }
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+OMEGA_LIMIT_AT_DIM_3 = (
+    "error: omega = 1e+308 is out of range: the top energy omega*(s+1/2) + "
+    "omega*(s+1)/2 must be finite, so omega must stay below 4.494e+307 at dimension 3\n"
+)
 
 
 class TestVerify:
@@ -147,6 +153,17 @@ class TestVerify:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: unitary certification failed with deviation ")
         assert line.endswith("(tolerance 4.000e-11)")
+
+    def test_unwritable_out_exits_2_with_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["verify", "--dim", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    def test_omega_with_an_infinite_top_energy_exits_2(self, capsys):
+        assert main(["verify", "--dim", "3", "--omega", "1e308"]) == 2
+        assert capsys.readouterr().err == OMEGA_LIMIT_AT_DIM_3
 
     def test_byte_identical_reports(self, tmp_path):
         args = ["verify", "--dim", "3", "--theta0", "0.3", "--seed", "7"]
@@ -280,6 +297,27 @@ class TestEvolve:
             ["evolve", str(tmp_path / "absent.json"), "--mode", "hamiltonian"]
         ) == 2
 
+    def test_undecodable_state_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"dim": 1}')
+        assert main(["evolve", str(bad), "--mode", "hamiltonian"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot read state file: 'utf-8' codec can't decode")
+
+    def test_refused_offset_frame_exits_2(self, tmp_path, capsys):
+        state = write_state(tmp_path / "state.json", [1.0, 0.0, 0.0])
+        assert main(["evolve", str(state), "--mode", "shift", "--theta0", "1e6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: unitary certification failed with deviation ")
+        assert line.endswith("(tolerance 3.000e-11)")
+
+    def test_omega_with_an_infinite_top_energy_exits_2(self, tmp_path, capsys):
+        state = write_state(tmp_path / "state.json", [1.0, 0.0, 0.0])
+        assert main(["evolve", str(state), "--mode", "hamiltonian", "--omega", "1e308"]) == 2
+        assert capsys.readouterr().err == OMEGA_LIMIT_AT_DIM_3
+
     def test_wrong_amp_shape(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 2, "amp": [[1.0, 0.0]]}', encoding="utf-8")
@@ -290,9 +328,13 @@ class TestEvolve:
         assert main(["evolve", str(state), "--mode", "hamiltonian"]) == 2
         assert "error: cannot normalize the zero vector" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("amplitude", ["1e400", "-1e400", "NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "amplitude", ["1e400", "-1e400", "NaN", "Infinity", "1" + "0" * 400],
+        ids=["1e400", "-1e400", "NaN", "Infinity", "int1e400"],
+    )
     def test_non_finite_amplitude_rejected(self, tmp_path, capsys, amplitude):
-        # 1e400 parses as inf; Python's json also reads NaN and Infinity.
+        # 1e400 parses as inf; Python's json also reads NaN and Infinity, and
+        # the integer 10**400 has no float.
         state = tmp_path / "state.json"
         state.write_text(
             '{"dim": 2, "amp": [[%s, 0.0], [0.0, 0.0]]}' % amplitude, encoding="utf-8"
@@ -384,6 +426,28 @@ class TestDump:
         assert captured.err.startswith("error: theta0 = 1e+308 is out of range")
         assert "(s+1)*theta0 must be finite" in captured.err
 
+    @pytest.mark.parametrize("name", ["phi", "phase-states", "commutators", "A"])
+    def test_refused_phase_frame_exits_2(self, capsys, name):
+        assert main(["dump", name, "--dim", "8", "--theta0", "1e6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unitary certification failed with deviation 2.264e-10 "
+            "(tolerance 8.000e-11)\n"
+        )
+
+    def test_omega_with_an_infinite_top_energy_exits_2(self, capsys):
+        assert main(["dump", "H", "--dim", "3", "--omega", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == OMEGA_LIMIT_AT_DIM_3
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dump.json"
+        assert main(["dump", "qN", "--dim", "2", "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: [Errno 2] No such file or directory")
+
     def test_unknown_object_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["dump", "einstein", "--dim", "2"])
@@ -430,15 +494,23 @@ class TestExitContract:
         weights=st.lists(st.floats(min_value=1e-30, max_value=1e30), min_size=12, max_size=12),
     )
     # A weight table whose recovered exp(iPhi) fails its unitarity
-    # certification, and a window origin whose corner exponent overflows.
+    # certification, a window origin whose corner exponent overflows, a
+    # phase frame that fails its certification, and an omega whose top
+    # energy overflows.
     @example(dim=4, theta0=0.0, eta=0.5, omega=1.0, weights=[1e-20, 1e20] + [1.0] * 10)
     @example(dim=8, theta0=1e308, eta=0.5, omega=1.0, weights=[1.0] * 12)
-    def test_verify_and_dump_return_a_status(self, dim, theta0, eta, omega, weights):
+    @example(dim=8, theta0=1e6, eta=0.5, omega=1.0, weights=[1.0] * 12)
+    @example(dim=3, theta0=0.0, eta=0.5, omega=1e308, weights=[1.0] * 12)
+    def test_every_command_returns_a_status(self, dim, theta0, eta, omega, weights):
         space = [f"--dim={dim}", f"--theta0={theta0!r}", f"--eta={eta!r}", f"--omega={omega!r}"]
         with tempfile.TemporaryDirectory() as tmp:
             profile = Path(tmp) / "profile.json"
             profile.write_text(json.dumps(weights[:dim]), encoding="utf-8")
+            state = write_state(Path(tmp) / "state.json", np.ones(dim) / np.sqrt(dim))
             out = str(Path(tmp) / "out.json")
-            verify = ["verify", *space, "--profile", str(profile), "--out", out]
-            assert main(verify) in (0, 1, 2)
-            assert main(["dump", "exp-iphi", *space, "--out", out]) in (0, 1, 2)
+            common = [*space, "--profile", str(profile), "--out", out]
+            assert main(["verify", *common]) in (0, 1, 2)
+            for name in DUMP_OBJECTS:
+                assert main(["dump", name, *common]) in (0, 1, 2)
+            for mode in ("hamiltonian", "shift"):
+                assert main(["evolve", str(state), "--mode", mode, *common]) in (0, 1, 2)

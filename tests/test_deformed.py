@@ -22,7 +22,7 @@ from fdphase.deformed import (
 )
 from fdphase.numerics import DimensionMismatch, TolerancePolicy, equal_up_to_global_phase
 from fdphase.pegg_barnett import (
-    PhaseFrame,
+    Frame,
     SpaceConfig,
     build_phase_frame,
     number_shift_operator,
@@ -38,7 +38,7 @@ def _offset_frame(config, eta):
 
 def _in_frame(frame, matrix):
     """Coordinates V^dag M V of the matrix M in the offset number basis V."""
-    v = frame.number_matrix
+    v = frame.basis.entries
     return v.conj().T @ matrix @ v
 
 
@@ -46,7 +46,6 @@ class TestDeformationProfile:
     def test_linear_values(self):
         profile = deformation_linear(SpaceConfig.from_dim(3), 0.5)
         assert np.allclose(profile.values, [0.5, 1.5, 2.5])
-        assert profile.variant == "linear"
 
     def test_linear_integer_offset(self):
         profile = deformation_linear(SpaceConfig.from_dim(2), 1.0)
@@ -74,7 +73,6 @@ class TestProfileFromJson:
     def test_accepts_matching_array(self):
         profile = profile_from_json("[0.5, 1.25, 7]", 3)
         assert np.allclose(profile.values, [0.5, 1.25, 7.0])
-        assert profile.variant == "user"
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ProfileError):
@@ -102,8 +100,9 @@ class TestGeneralizedFrame:
         config = SpaceConfig.from_dim(4, 0.7)
         base = build_phase_frame(config)
         frame = build_generalized_frame(base, 0.0)
-        assert np.max(np.abs(frame.number_matrix - np.eye(4))) <= 4e-12
-        assert np.max(np.abs(offset_phase_frame(frame).matrix - base.matrix)) <= 4e-12
+        assert np.max(np.abs(frame.basis.entries - np.eye(4))) <= 4e-12
+        phases = offset_phase_frame(frame).basis.entries
+        assert np.max(np.abs(phases - base.basis.entries)) <= 4e-12
 
     def test_integer_eta_phase_states_match_base_frame(self):
         # The net factor on each phase state is one: the coefficient factor
@@ -113,13 +112,15 @@ class TestGeneralizedFrame:
         base = build_phase_frame(config)
         phases = offset_phase_frame(build_generalized_frame(base, 1.0))
         for m in range(2):
-            phase = equal_up_to_global_phase(base.matrix[:, m], phases.matrix[:, m], 1e-12)
+            phase = equal_up_to_global_phase(
+                base.basis.entries[:, m], phases.basis.entries[:, m], 1e-12
+            )
             assert phase is not None
             assert abs(np.exp(1j * phase) - 1.0) < 1e-12
 
     def test_half_eta_number_states_orthogonal(self):
         frame = _offset_frame(SpaceConfig.from_dim(2, 0.0), 0.5)
-        overlap = np.vdot(frame.number_matrix[:, 0], frame.number_matrix[:, 1])
+        overlap = np.vdot(frame.basis.entries[:, 0], frame.basis.entries[:, 1])
         assert abs(overlap) <= 2e-12
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
@@ -132,23 +133,37 @@ class TestGeneralizedFrame:
         coeff = np.exp(
             1j * np.outer(np.arange(dim) + eta, config.thetas())
         ) / np.sqrt(dim)
-        rebuilt = offset_phase_frame(frame).matrix @ coeff.conj().T
-        assert np.max(np.abs(rebuilt - frame.number_matrix)) <= 1e-11 * dim
+        rebuilt = offset_phase_frame(frame).basis.entries @ coeff.conj().T
+        assert np.max(np.abs(rebuilt - frame.basis.entries)) <= 1e-11 * dim
 
     def test_carries_no_phase_family(self):
         frame = _offset_frame(SpaceConfig.from_dim(2), 0.5)
         names = [f.name for f in dataclasses.fields(frame)]
-        assert names == ["config", "eta", "number_matrix", "number_deviation"]
+        assert names == ["config", "eta", "basis"]
+        assert frame.eta == 0.5
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
-    def test_offset_phase_frame_is_a_certified_phase_frame(self, dim):
+    def test_offset_phase_frame_is_a_certified_frame(self, dim):
         config = SpaceConfig.from_dim(dim, 0.4)
         phases = offset_phase_frame(_offset_frame(config, 0.25))
-        assert isinstance(phases, PhaseFrame)
+        assert isinstance(phases, Frame)
         assert phases.config is config
-        gram = phases.matrix.conj().T @ phases.matrix
-        assert phases.deviation == np.max(np.abs(gram - np.eye(dim)))
-        assert phases.deviation <= TolerancePolicy.for_dim(dim).tol_op
+        assert phases.eta == 0.25
+        gram = phases.basis.entries.conj().T @ phases.basis.entries
+        deviation = phases.basis.deviations["unitary"]
+        assert deviation == np.max(np.abs(gram - np.eye(dim)))
+        assert deviation <= TolerancePolicy.for_dim(dim).tol_op
+
+    def test_offset_number_states_are_the_synthesized_shift_certified(self):
+        # The frame's basis is exp(-i eta Phi) itself, certified unitary, with
+        # no other orthonormality measurement beside it.
+        config = SpaceConfig.from_dim(5, 0.4)
+        base = build_phase_frame(config)
+        frame = build_generalized_frame(base, 0.25)
+        v = base.basis.entries
+        shift = (v * np.exp(-0.25j * config.thetas())) @ v.conj().T
+        assert np.array_equal(frame.basis.entries, shift)
+        assert set(frame.basis.deviations) == {"unitary"}
 
     def test_rejects_non_finite_eta(self):
         with pytest.raises(ValueError):
@@ -292,8 +307,8 @@ class TestModifiedNumberShift:
         config = SpaceConfig.from_dim(3, 0.0)
         frame = _offset_frame(config, 0.25)
         phases = offset_phase_frame(frame)
-        out = modified_number_shift(frame, phases).apply(phases.matrix[:, 0])
-        expected = np.exp(-2j * np.pi * 0.25) * phases.matrix[:, 2]
+        out = modified_number_shift(frame, phases).apply(phases.basis.entries[:, 0])
+        expected = np.exp(-2j * np.pi * 0.25) * phases.basis.entries[:, 2]
         assert np.max(np.abs(out - expected)) <= 3e-12
 
 
@@ -384,12 +399,12 @@ class TestDualityCheck:
         frame = _offset_frame(config, 0.5)
         phase_op = unitary_phase_operator(config)
         corner_theta = complex(
-            frame.number_matrix[:, 1].conj()
+            frame.basis.entries[:, 1].conj()
             @ phase_op.entries
-            @ frame.number_matrix[:, 0]
+            @ frame.basis.entries[:, 0]
         )
         qshift = generalized_number_shift(frame)
-        phases = offset_phase_frame(frame).matrix
+        phases = offset_phase_frame(frame).basis.entries
         corner_eta = complex(phases[:, 1].conj() @ qshift.entries @ phases[:, 0])
         assert corner_theta == pytest.approx(-1.0, abs=1e-12)
         assert corner_eta == pytest.approx(-1.0, abs=1e-12)

@@ -1,6 +1,7 @@
 """Substrate tests: containers, certification, comparisons, spectral synthesis."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -10,12 +11,10 @@ from hypothesis import strategies as st
 from fdphase import numerics
 from fdphase.numerics import (
     DimensionMismatch,
-    NonOrthonormalFrame,
     OperatorMatrix,
     TolerancePolicy,
     certify,
     equal_up_to_global_phase,
-    frame_deviation,
     mat_power,
     spectral_synthesize,
     unitary_deviation,
@@ -240,7 +239,7 @@ def _columns(*states):
 
 def _synthesize(frame, eigvals):
     """Spectral synthesis over a raw frame matrix, certified here."""
-    return spectral_synthesize(frame, eigvals, frame_deviation(frame))
+    return spectral_synthesize(certify(OperatorMatrix(frame), "unitary"), eigvals)
 
 
 class TestSpectralSynthesize:
@@ -267,39 +266,34 @@ class TestSpectralSynthesize:
         config = SpaceConfig.from_dim(5, 0.4)
         frame = build_phase_frame(config)
         values = np.exp(1j * config.thetas())
-        op = spectral_synthesize(frame.matrix, values, frame.deviation)
-        states = frame.matrix
+        op = spectral_synthesize(frame.basis, values)
+        states = frame.basis.entries
         recovered = np.einsum("nm,nm->m", states.conj(), op.apply(states))
         assert np.max(np.abs(recovered - values)) <= TolerancePolicy.for_dim(5).tol_elem
 
     def test_non_orthonormal_frame_rejected_with_diagnostic(self):
         skewed = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        with pytest.raises(NonOrthonormalFrame) as info:
+        message = r"deviation 7\.071e-01 \(tolerance 2\.000e-11\)"
+        with pytest.raises(ArithmeticError, match=message):
             _synthesize(_columns(basis(2, 0), skewed), [1.0, 2.0])
-        assert info.value.max_deviation == pytest.approx(1 / np.sqrt(2.0))
 
-    def test_deviation_above_tolerance_refused(self):
-        with pytest.raises(NonOrthonormalFrame) as info:
-            spectral_synthesize(np.eye(2), [1.0, 2.0], 1.0)
-        assert info.value.max_deviation == 1.0
-        assert info.value.tolerance == TolerancePolicy.for_dim(2).tol_op
+    def test_takes_the_frame_and_the_eigenvalues_only(self):
+        parameters = inspect.signature(spectral_synthesize).parameters
+        assert list(parameters) == ["frame", "eigvals"]
 
-    def test_nan_deviation_refused(self):
-        with pytest.raises(NonOrthonormalFrame, match="nan"):
-            spectral_synthesize(np.eye(2), [1.0, 2.0], float("nan"))
+    @pytest.mark.parametrize("tags", [(), ("hermitian",)], ids=["uncertified", "hermitian"])
+    def test_frame_without_unitary_certification_refused(self, tags):
+        frame = OperatorMatrix(np.eye(2))
+        for tag in tags:
+            frame = certify(frame, tag)
+        with pytest.raises(ValueError, match="certified unitary"):
+            spectral_synthesize(frame, [1.0, 2.0])
 
     def test_incomplete_frame_rejected(self):
-        with pytest.raises(ValueError, match="complete"):
+        with pytest.raises(ValueError, match="square"):
             _synthesize(_columns(basis(2, 0)), [1.0])
-
-
-class TestFrameDeviation:
-    def test_nan_frame_refused(self):
-        # A NaN Gram deviation is never within tolerance.
-        frame = np.eye(3, dtype=np.complex128)
-        frame[1, 2] = np.nan
-        with pytest.raises(NonOrthonormalFrame, match="nan"):
-            frame_deviation(frame)
+        with pytest.raises(ValueError, match="complete"):
+            _synthesize(np.eye(2), [1.0])
 
 
 class TestCertify:

@@ -42,7 +42,7 @@ def test_offset_number_states_equal_expm_of_phase_operator(dim, theta0, eta):
     base = build_phase_frame(SpaceConfig.from_dim(dim, theta0))
     frame = build_generalized_frame(base, eta)
     oracle = linalg.expm(-1j * eta * _phase_operator(dim, theta0))
-    deviation = np.max(np.abs(frame.number_matrix - oracle))
+    deviation = np.max(np.abs(frame.basis.entries - oracle))
     assert deviation <= TolerancePolicy.for_dim(dim).tol_op
 
 

@@ -5,8 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from fdphase.numerics import TWO_PI, DimensionMismatch, mat_power
+from fdphase.numerics import (
+    TWO_PI,
+    DimensionMismatch,
+    OperatorMatrix,
+    mat_power,
+    unitary_deviation,
+)
 from fdphase.pegg_barnett import (
+    Frame,
     SpaceConfig,
     build_phase_frame,
     commutator,
@@ -59,17 +66,17 @@ class TestSpaceConfig:
 class TestPhaseFrame:
     def test_dim_1_is_the_scalar_one(self):
         frame = build_phase_frame(SpaceConfig.from_dim(1, 0.0))
-        assert np.allclose(frame.matrix, [[1.0]])
+        assert np.allclose(frame.basis.entries, [[1.0]])
 
     def test_dim_2_states(self):
         frame = build_phase_frame(SpaceConfig.from_dim(2, 0.0))
-        assert np.allclose(frame.matrix[:, 0], np.array([1.0, 1.0]) / np.sqrt(2.0))
-        assert np.allclose(frame.matrix[:, 1], np.array([1.0, -1.0]) / np.sqrt(2.0))
+        assert np.allclose(frame.basis.entries[:, 0], np.array([1.0, 1.0]) / np.sqrt(2.0))
+        assert np.allclose(frame.basis.entries[:, 1], np.array([1.0, -1.0]) / np.sqrt(2.0))
 
     def test_gram_matrix_is_identity(self):
         # Oracle: the Gram matrix of pairwise inner products.
         frame = build_phase_frame(SpaceConfig.from_dim(4, 0.7))
-        states = [frame.matrix[:, m] for m in range(4)]
+        states = [frame.basis.entries[:, m] for m in range(4)]
         gram = np.array([[np.vdot(a, b) for b in states] for a in states])
         assert np.max(np.abs(gram - np.eye(4))) <= 4e-11
 
@@ -77,10 +84,35 @@ class TestPhaseFrame:
     @pytest.mark.parametrize("theta0", THETA_GRID)
     def test_completeness(self, dim, theta0):
         frame = build_phase_frame(SpaceConfig.from_dim(dim, theta0))
-        total = sum(
-            np.outer(frame.matrix[:, m], frame.matrix[:, m].conj()) for m in range(dim)
-        )
+        v = frame.basis.entries
+        total = sum(np.outer(v[:, m], v[:, m].conj()) for m in range(dim))
         assert np.max(np.abs(total - np.eye(dim))) <= 1e-11 * dim
+
+
+class TestFrame:
+    def test_basis_is_certified_unitary_on_construction(self):
+        config = SpaceConfig.from_dim(2)
+        frame = Frame(config=config, eta=1.0, basis=OperatorMatrix(np.array([[0, 1j], [1, 0]])))
+        assert dict(frame.basis.deviations) == {"unitary": 0.0}
+
+    def test_phase_frame_has_no_offset_and_records_its_deviation(self):
+        frame = build_phase_frame(SpaceConfig.from_dim(6, 0.3))
+        assert frame.eta == 0.0
+        assert dict(frame.basis.deviations) == {"unitary": unitary_deviation(frame.basis.entries)}
+
+    def test_non_unitary_basis_refused(self):
+        skewed = np.array([[1.0, 1.0], [0.0, 1.0]]) / np.sqrt([1.0, 2.0])
+        with pytest.raises(ArithmeticError, match="unitary certification failed"):
+            Frame(config=SpaceConfig.from_dim(2), eta=0.0, basis=OperatorMatrix(skewed))
+
+    def test_basis_of_another_dimension_refused(self):
+        with pytest.raises(DimensionMismatch, match="dimension 3"):
+            Frame(config=SpaceConfig.from_dim(3), eta=0.0, basis=OperatorMatrix(np.eye(2)))
+
+    def test_is_frozen(self):
+        frame = build_phase_frame(SpaceConfig.from_dim(2))
+        with pytest.raises(AttributeError):
+            frame.eta = 0.5
 
 
 class TestNumberOperator:
@@ -177,8 +209,8 @@ class TestNumberShiftOperator:
         config = SpaceConfig.from_dim(3, 0.0)
         frame = build_phase_frame(config)
         op = number_shift_operator(config)
-        out = op.apply(frame.matrix[:, 0])
-        assert np.max(np.abs(out - frame.matrix[:, 2])) <= 3e-12
+        out = op.apply(frame.basis.entries[:, 0])
+        assert np.max(np.abs(out - frame.basis.entries[:, 2])) <= 3e-12
 
     @pytest.mark.parametrize("dim", range(1, 10))
     @pytest.mark.parametrize("theta0", THETA_GRID)
@@ -186,7 +218,7 @@ class TestNumberShiftOperator:
         config = SpaceConfig.from_dim(dim, theta0)
         frame = build_phase_frame(config)
         realization = sum(
-            np.outer(frame.matrix[:, (m - 1) % dim], frame.matrix[:, m].conj())
+            np.outer(frame.basis.entries[:, (m - 1) % dim], frame.basis.entries[:, m].conj())
             for m in range(dim)
         )
         op = number_shift_operator(config)
@@ -204,7 +236,7 @@ class TestWeylDuality:
     def test_phase_operator_diagonal_in_phase_frame(self, dim, theta0):
         config = SpaceConfig.from_dim(dim, theta0)
         frame = build_phase_frame(config)
-        v = frame.matrix
+        v = frame.basis.entries
         changed = v.conj().T @ unitary_phase_operator(config).entries @ v
         off_diagonal = changed - np.diag(np.diag(changed))
         assert np.max(np.abs(off_diagonal)) <= 1e-11 * dim

@@ -26,7 +26,7 @@ class TestRecordsCompareTwoRoutes:
         config = SpaceConfig.from_dim(dim, theta0)
         dft = np.fft.ifft(np.eye(dim), axis=0, norm="ortho")
         twisted = dft * np.exp(1j * theta0 * np.arange(dim))[:, None]
-        deviation = np.max(np.abs(build_phase_frame(config).matrix - twisted))
+        deviation = np.max(np.abs(build_phase_frame(config).basis.entries - twisted))
         assert deviation > 0.0
         record = _record(dim, theta0, "phase_state_components")
         assert record.max_deviation == pytest.approx(deviation, rel=1e-9, abs=0.0)
