@@ -260,6 +260,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         evolution = cycle_operator_power(frame, args.steps)
 
     result = evolution.apply(psi)
+    drift = abs(float(np.linalg.norm(result)) - 1.0)
+    if not drift <= policy.tol_elem:
+        raise ArithmeticError(
+            f"evolve lost precision over {args.steps} steps: the output norm is off "
+            f"by {drift:.3e} (tolerance {policy.tol_elem:.3e})"
+        )
     payload = {
         "dim": dim,
         "amp": _pairs(result),

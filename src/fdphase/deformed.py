@@ -19,6 +19,9 @@ recovers the undeformed unitary phase operator for every admissible eta and
 weight table, while the offset number-power operator q^-(N+eta) picks up
 the per-cycle factor exp(-2*pi*i*eta): integer eta leaves states unchanged
 after a full cycle, half-odd eta flips their sign.
+
+This module builds the frames, operators and powers only; the checks that
+compare them live in :mod:`.suites`.
 """
 
 from __future__ import annotations
@@ -32,15 +35,12 @@ import numpy as np
 from .numerics import (
     DimensionMismatch,
     OperatorMatrix,
-    TolerancePolicy,
     _binary_power,
     certify,
     cyclic_shift,
-    max_abs,
     spectral_synthesize,
 )
 from .pegg_barnett import Frame, SpaceConfig
-from .report import CheckRecord
 
 __all__ = [
     "ProfileError",
@@ -55,8 +55,6 @@ __all__ = [
     "generalized_number_shift",
     "modified_number_shift",
     "cycle_operator_power",
-    "eta_class",
-    "duality_check",
 ]
 
 class ProfileError(ValueError):
@@ -227,92 +225,3 @@ def cycle_operator_power(frame: Frame, k: int) -> OperatorMatrix:
     dim = frame.config.dim
     _, powered = _binary_power(np.arange(dim), _number_shift_eigenvalues(frame), k)
     return spectral_synthesize(frame.basis, powered)
-
-
-def eta_class(eta: float) -> str:
-    """Classify eta as "integer", "half-odd", or "generic" within 1e-9."""
-    tol = 1e-9
-    eta = float(eta)
-    if abs(eta - round(eta)) <= tol:
-        return "integer"
-    if abs(eta - (round(eta - 0.5) + 0.5)) <= tol:
-        return "half-odd"
-    return "generic"
-
-
-def duality_check(
-    frame: Frame,
-    phases: Frame,
-    qshift: OperatorMatrix,
-    phase_op: OperatorMatrix,
-) -> list[CheckRecord]:
-    """Report fragment for the matched shift laws of exp(iPhi) and q^-(N+eta).
-
-    Checks the down-shift action of q^-(N+eta) on the offset-window phase
-    states (wrap-around factor exp(-2*pi*i*eta)), the down-shift action of
-    exp(iPhi) on the offset number states (wrap-around factor
-    exp(i(s+1)theta_0)), and the two wrap-around phases themselves, which
-    exhibit the window/offset symmetry. ``phases`` is
-    :func:`offset_phase_frame` of ``frame``, ``qshift`` is q^-(N+eta) from
-    :func:`generalized_number_shift` over ``frame`` and ``phase_op`` is the
-    explicit exp(iPhi) from :func:`.pegg_barnett.unitary_phase_operator`.
-    """
-    config = frame.config
-    dim = config.dim
-    p = phases.basis.entries
-    v = frame.basis.entries
-    corner_eta = np.exp(-2j * np.pi * frame.eta)
-    corner_theta = np.exp(1j * dim * config.theta0)
-
-    shifted_phase = qshift.apply(p)
-    action_dev = max_abs(shifted_phase[:, 1:] - p[:, :-1])
-    wrap_dev = max_abs(shifted_phase[:, 0] - corner_eta * p[:, dim - 1])
-
-    shifted_number = phase_op.apply(v)
-    phase_action_dev = max_abs(shifted_number[:, 1:] - v[:, :-1])
-    phase_wrap_dev = max_abs(shifted_number[:, 0] - corner_theta * v[:, dim - 1])
-
-    corner_theta_measured = complex(
-        v[:, dim - 1].conj() @ phase_op.entries @ v[:, 0]
-    )
-    corner_eta_measured = complex(p[:, dim - 1].conj() @ qshift.entries @ p[:, 0])
-
-    tol = TolerancePolicy.for_dim(dim).tol_elem
-    return [
-        CheckRecord.measured(
-            "modified_shift_action",
-            "q^-(N+eta)|theta_m> = |theta_m-1>",
-            action_dev,
-            tol,
-        ),
-        CheckRecord.measured(
-            "modified_shift_wraparound",
-            "q^-(N+eta)|theta_0> = exp(-i 2 pi eta)|theta_s>",
-            wrap_dev,
-            tol,
-        ),
-        CheckRecord.measured(
-            "unitary_phase_on_generalized_states",
-            "exp(iPhi)|n+eta> = |n+eta-1>",
-            phase_action_dev,
-            tol,
-        ),
-        CheckRecord.measured(
-            "unitary_phase_generalized_wraparound",
-            "exp(iPhi)|eta> = exp(i(s+1)theta_0)|s+eta>",
-            phase_wrap_dev,
-            tol,
-        ),
-        CheckRecord.measured(
-            "corner_phase_phase_operator",
-            "wrap-around phase of exp(iPhi) is exp(i(s+1)theta_0)",
-            abs(corner_theta_measured - corner_theta),
-            tol,
-        ),
-        CheckRecord.measured(
-            "corner_phase_number_shift",
-            "wrap-around phase of q^-(N+eta) is exp(-i 2 pi eta)",
-            abs(corner_eta_measured - corner_eta),
-            tol,
-        ),
-    ]

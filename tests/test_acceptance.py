@@ -16,13 +16,8 @@ from fdphase.deformed import (
     offset_phase_frame,
     recover_phase_operator,
 )
-from fdphase.evolution import (
-    CycleClassification,
-    classify_cycle,
-    eta_sector_map,
-    time_evolution,
-)
-from fdphase.numerics import mat_power
+from fdphase.evolution import eta_sector_map, time_evolution
+from fdphase.numerics import TolerancePolicy, mat_power
 from fdphase.pegg_barnett import (
     SpaceConfig,
     build_phase_frame,
@@ -36,7 +31,7 @@ from fdphase.pegg_barnett import (
     unitary_phase_operator,
 )
 from fdphase.report import RunManifest, STATUS_FLAGGED
-from fdphase.suites import run_suites
+from fdphase.suites import run_suites, suite_evolution
 
 THETA_GRID = (0.0, 0.3, np.pi / 2, 2.9)
 ETA_GRID = (0.25, 0.5, 1.0, 1.5)
@@ -192,17 +187,15 @@ def test_criterion_6_parity_reproduction():
     ok = True
     for dim in range(2, 17):
         config = SpaceConfig.from_dim(dim)
-        outcome = classify_cycle(config, time_evolution(config, 1.0, 2.0 * np.pi))
-        if dim % 2 == 0:
-            ok = ok and outcome.classification is CycleClassification.GLOBAL_SIGN_FLIP
-            dev = abs(outcome.global_phase - np.pi) if outcome.global_phase else 1.0
-        else:
-            ok = ok and outcome.classification is not CycleClassification.GLOBAL_SIGN_FLIP
-            ok = ok and outcome.classification is not CycleClassification.IDENTITY
-            expected = np.concatenate([-np.ones(dim - 1), [1.0]])
-            dev = float(np.max(np.abs(np.asarray(outcome.per_level_phase) - expected)))
-        worst = max(worst, dev)
-        ok = ok and dev <= 1e-9
+        diag = np.diag(time_evolution(config, 1.0, 2.0 * np.pi).entries)
+        # Even dimensions return -1 on every level; odd ones keep the top level
+        # at +1, so no global factor exists.
+        expected = -np.ones(dim) if dim % 2 == 0 else np.concatenate([-np.ones(dim - 1), [1.0]])
+        dev = float(np.max(np.abs(diag - expected)))
+        records = suite_evolution(config, 1.0, 0, TolerancePolicy.for_dim(dim), {})
+        (parity,) = [record for record in records if record.check_id == "cycle_parity"]
+        worst = max(worst, dev, parity.max_deviation)
+        ok = ok and dev <= 1e-9 and parity.status == "pass"
     report_line(6, "parity reproduction", ok, f"max deviation {worst:.3e}")
     assert ok
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,6 +30,10 @@ def write_state(path, amplitudes):
 OMEGA_LIMIT_AT_DIM_3 = (
     "error: omega = 1e+308 is out of range: the top energy omega*(s+1/2) + "
     "omega*(s+1)/2 must be finite, so omega must stay below 4.494e+307 at dimension 3\n"
+)
+SMALL_OMEGA_LIMIT = (
+    "error: omega = 1e-310 is out of range: the period 2*pi/omega must be finite, "
+    "so omega must be at least 3.49513784379046e-308\n"
 )
 
 
@@ -164,6 +169,13 @@ class TestVerify:
     def test_omega_with_an_infinite_top_energy_exits_2(self, capsys):
         assert main(["verify", "--dim", "3", "--omega", "1e308"]) == 2
         assert capsys.readouterr().err == OMEGA_LIMIT_AT_DIM_3
+
+    @pytest.mark.parametrize("suite", ["evolution", "cross-module", "all"])
+    def test_omega_with_an_infinite_period_exits_2(self, capsys, suite):
+        assert main(["verify", "--dim", "3", "--omega", "1e-310", "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == SMALL_OMEGA_LIMIT
 
     def test_byte_identical_reports(self, tmp_path):
         args = ["verify", "--dim", "3", "--theta0", "0.3", "--seed", "7"]
@@ -364,6 +376,51 @@ class TestEvolve:
         assert err.startswith("error: theta0 = 1e+308 is out of range")
         assert "below 2.247e+307 at dimension 8" in err
 
+    def test_omega_with_an_infinite_period_exits_2(self, tmp_path, capsys):
+        state = write_state(tmp_path / "state.json", [1.0, 0.0, 0.0])
+        assert main(["evolve", str(state), "--mode", "hamiltonian", "--omega", "1e-310"]) == 2
+        assert capsys.readouterr().err == SMALL_OMEGA_LIMIT
+
+    @pytest.mark.parametrize(
+        "mode, steps", [("shift", "1000000000000"), ("hamiltonian", "1000000000000000")]
+    )
+    def test_output_that_lost_precision_exits_2(self, tmp_path, capsys, mode, steps):
+        # Repeated squaring of the unit-modulus eigenvalues doubles their
+        # rounding error per bit of steps: the output norm drifts from 1 by
+        # about 3.6e-5 (shift) and 2.8e-10 (hamiltonian) here.
+        state = write_state(tmp_path / "state.json", [1.0, 0.0, 0.0])
+        out = tmp_path / "out.json"
+        argv = ["evolve", str(state), "--mode", mode, "--eta", "0.3", "--steps", steps]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        match = re.fullmatch(
+            rf"error: evolve lost precision over {steps} steps: the output norm is off "
+            r"by (\S+) \(tolerance 3\.000e-12\)\n",
+            capsys.readouterr().err,
+        )
+        assert match and float(match.group(1)) > 3e-12
+
+    def test_output_within_precision_keeps_its_bytes(self, tmp_path, capsys):
+        from fdphase.deformed import build_generalized_frame, cycle_operator_power
+        from fdphase.numerics import equal_up_to_global_phase
+        from fdphase.pegg_barnett import SpaceConfig, build_phase_frame
+        from fdphase.report import to_json
+
+        psi = np.array([1.0, 0.0, 0.0], dtype=complex)
+        state = write_state(tmp_path / "state.json", psi)
+        assert main(["evolve", str(state), "--mode", "shift", "--eta", "0.3", "--steps", "1000"]) == 0
+        frame = build_generalized_frame(build_phase_frame(SpaceConfig.from_dim(3)), 0.3)
+        result = cycle_operator_power(frame, 1000).apply(psi)
+        expected = {
+            "dim": 3,
+            "amp": [[float(z.real), float(z.imag)] for z in result],
+            "global_phase": equal_up_to_global_phase(psi, result, 3e-11),
+            "notes": [],
+        }
+        captured = capsys.readouterr()
+        assert captured.out == to_json(expected)
+        assert captured.err == ""
+
     def test_output_state_is_reloadable(self, tmp_path):
         from fdphase.cli import load_state
 
@@ -441,6 +498,12 @@ class TestDump:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == OMEGA_LIMIT_AT_DIM_3
+
+    def test_omega_with_an_infinite_period_exits_2(self, capsys):
+        assert main(["dump", "H", "--dim", "3", "--omega", "1e-310"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == SMALL_OMEGA_LIMIT
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "dump.json"

@@ -12,8 +12,6 @@ from fdphase.deformed import (
     build_ladder_operators,
     cycle_operator_power,
     deformation_linear,
-    duality_check,
-    eta_class,
     generalized_number_shift,
     modified_number_shift,
     offset_phase_frame,
@@ -29,6 +27,7 @@ from fdphase.pegg_barnett import (
     unitary_phase_operator,
 )
 from fdphase.report import STATUS_PASS
+from fdphase.suites import suite_gdo
 
 
 def _offset_frame(config, eta):
@@ -354,7 +353,27 @@ class TestCycleOperatorPower:
             cycle_operator_power(_offset_frame(SpaceConfig.from_dim(2), 0.5), bad)
 
 
+def _eta_class(eta):
+    """Reference for the 1e-9 integer / half-odd test that decides whether
+    ``cycle_sign_dichotomy`` is emitted."""
+    if abs(eta - round(eta)) <= 1e-9:
+        return "integer"
+    if abs(eta - (round(eta - 0.5) + 0.5)) <= 1e-9:
+        return "half-odd"
+    return "generic"
+
+
+def _gdo_records(config, eta):
+    """The gdo suite's records by id, at unit weights so any eta is admissible."""
+    profile = DeformationProfile(values=np.ones(config.dim))
+    records = suite_gdo(config, eta, profile, TolerancePolicy.for_dim(config.dim), {})
+    return {record.check_id: record for record in records}, records
+
+
 class TestEtaClass:
+    """``cycle_sign_dichotomy`` is emitted exactly where the reference class
+    is integer or half-odd, and compares the cycle with +1 or -1."""
+
     @pytest.mark.parametrize(
         "eta,expected",
         [
@@ -367,32 +386,67 @@ class TestEtaClass:
             (-0.5, "half-odd"),
             (0.25, "generic"),
             (0.3, "generic"),
+            (2.5, "half-odd"),
+            (0.5 + 5e-10, "half-odd"),
         ],
     )
     def test_classification(self, eta, expected):
-        assert eta_class(eta) == expected
+        assert _eta_class(eta) == expected
+        for dim in (1, 4, 5):
+            by_id, _ = _gdo_records(SpaceConfig.from_dim(dim, 0.3), eta)
+            if expected == "generic":
+                assert "cycle_sign_dichotomy" not in by_id
+                continue
+            sign = 1.0 if expected == "integer" else -1.0
+            record = by_id["cycle_sign_dichotomy"]
+            tol = TolerancePolicy.for_dim(dim).tol_op
+            assert record.tolerance == tol
+            assert record.max_deviation == pytest.approx(
+                abs(np.exp(-2j * np.pi * eta) - sign), abs=tol
+            )
+
+
+DUALITY_IDS = [
+    "modified_shift_action",
+    "modified_shift_wraparound",
+    "unitary_phase_on_generalized_states",
+    "unitary_phase_generalized_wraparound",
+    "corner_phase_phase_operator",
+    "corner_phase_number_shift",
+]
 
 
 class TestDualityCheck:
-    @staticmethod
-    def _records(config, eta):
-        frame = _offset_frame(config, eta)
-        return duality_check(
-            frame,
-            offset_phase_frame(frame),
-            generalized_number_shift(frame),
-            unitary_phase_operator(config),
-        )
+    """The six shift-law records of the gdo suite."""
+
+    def test_six_records_follow_the_realization_in_order(self):
+        _, records = _gdo_records(SpaceConfig.from_dim(4, 0.3), 0.25)
+        ids = [record.check_id for record in records]
+        start = ids.index("modified_shift_realization") + 1
+        assert ids[start : start + 6] == DUALITY_IDS
+        assert all(record.tolerance == 4e-12 for record in records[start : start + 6])
 
     def test_trivial_window_and_offset(self):
-        records = self._records(SpaceConfig.from_dim(3, 0.0), 0.0)
-        assert all(record.status == STATUS_PASS for record in records)
+        by_id, _ = _gdo_records(SpaceConfig.from_dim(3, 0.0), 0.0)
+        assert all(by_id[check_id].status == STATUS_PASS for check_id in DUALITY_IDS)
 
     def test_generic_run_passes(self):
-        records = self._records(SpaceConfig.from_dim(5, 1.1), 0.3)
-        assert len(records) == 6
-        assert all(record.status == STATUS_PASS for record in records)
-        assert max(record.max_deviation for record in records) <= 5e-11
+        by_id, _ = _gdo_records(SpaceConfig.from_dim(5, 1.1), 0.3)
+        assert all(by_id[check_id].status == STATUS_PASS for check_id in DUALITY_IDS)
+        assert max(by_id[check_id].max_deviation for check_id in DUALITY_IDS) <= 5e-11
+
+    def test_a_wrong_corner_phase_fails(self):
+        # A window origin moves exp(i(s+1)theta_0), so the explicit exp(iPhi) of
+        # another window misses the offset number states' wrap-around.
+        config = SpaceConfig.from_dim(3, 0.0)
+        shared = {"exp_iphi": unitary_phase_operator(SpaceConfig.from_dim(3, 0.4))}
+        profile = DeformationProfile(values=np.ones(3))
+        records = suite_gdo(config, 0.3, profile, TolerancePolicy.for_dim(3), shared)
+        by_id = {record.check_id: record for record in records}
+        assert by_id["unitary_phase_generalized_wraparound"].status == "fail"
+        assert by_id["corner_phase_phase_operator"].status == "fail"
+        assert by_id["modified_shift_action"].status == STATUS_PASS
+        assert by_id["corner_phase_number_shift"].status == STATUS_PASS
 
     def test_corner_phases_both_minus_one(self):
         config = SpaceConfig.from_dim(2, np.pi / 2)
