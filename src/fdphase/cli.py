@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -22,14 +21,8 @@ from .deformed import (
     build_ladder_operators,
     cycle_operator_power,
 )
-from .evolution import hamiltonian, time_evolution
-from .numerics import (
-    TWO_PI,
-    TolerancePolicy,
-    equal_up_to_global_phase,
-    mat_power,
-    max_abs,
-)
+from .evolution import hamiltonian, period_evolution
+from .numerics import TolerancePolicy, equal_up_to_global_phase, mat_power, max_abs
 from .pegg_barnett import (
     SpaceConfig,
     build_phase_frame,
@@ -41,14 +34,7 @@ from .pegg_barnett import (
     number_shift_operator,
     unitary_phase_operator,
 )
-from .report import (
-    REPORT_FORMATS,
-    RunManifest,
-    render_csv,
-    render_json,
-    render_pretty,
-    to_json,
-)
+from .report import REPORT_FORMATS, RunManifest, render, to_json
 from .suites import SUITE_NAMES, resolve_profile, run_suites
 
 __all__ = ["UsageError", "main", "build_parser", "load_state"]
@@ -63,8 +49,6 @@ DUMP_OBJECTS = (
     "H",
     "commutators",
 )
-
-_RENDERERS = {"json": render_json, "csv": render_csv, "pretty": render_pretty}
 
 
 class UsageError(Exception):
@@ -150,14 +134,6 @@ def _write_output(text: str, out: Path | None) -> None:
             handle.write(text)
 
 
-def _pairs(values: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in values]
-
-
-def _matrix_json(entries: np.ndarray) -> list:
-    return [_pairs(row) for row in entries]
-
-
 def load_state(path: Path) -> np.ndarray:
     """Read a state file, {"dim": int, "amp": [[re, im], ...]}, as a read-only array.
 
@@ -215,7 +191,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         format=args.format,
     )
     report = run_suites(manifest)
-    _write_output(_RENDERERS[manifest.format](report), args.out)
+    _write_output(render(report), args.out)
     counts = report.status_counts()
     print(
         "verify: %d checks | pass %d | flagged %d | fail %d"
@@ -251,10 +227,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         notes.append("input state was not normalized; renormalized before evolving")
 
     if args.mode == "hamiltonian":
-        if args.omega <= 0 or not math.isfinite(args.omega):
-            raise UsageError(f"omega must be positive, got {args.omega}")
-        period = time_evolution(config, args.omega, TWO_PI / args.omega)
-        evolution = mat_power(period, args.steps)
+        evolution = mat_power(period_evolution(config, args.omega), args.steps)
     else:
         frame = build_generalized_frame(build_phase_frame(config), args.eta)
         evolution = cycle_operator_power(frame, args.steps)
@@ -268,7 +241,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         )
     payload = {
         "dim": dim,
-        "amp": _pairs(result),
+        "amp": result,
         "global_phase": equal_up_to_global_phase(psi, result, policy.tol_op),
         "notes": notes,
     }
@@ -284,7 +257,7 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
             "kind": "phase-states",
             "dim": config.dim,
             "theta0": config.theta0,
-            "states": [_pairs(frame.basis.entries[:, m]) for m in range(config.dim)],
+            "states": frame.basis.entries.T,
         }
     if name == "phi":
         op = hermitian_phase_operator(build_phase_frame(config))
@@ -292,7 +265,7 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
             "kind": "phi",
             "dim": config.dim,
             "theta0": config.theta0,
-            "matrix": _matrix_json(op.entries),
+            "matrix": op.entries,
         }
     if name == "exp-iphi":
         op = unitary_phase_operator(config)
@@ -300,11 +273,11 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
             "kind": "exp-iphi",
             "dim": config.dim,
             "theta0": config.theta0,
-            "matrix": _matrix_json(op.entries),
+            "matrix": op.entries,
         }
     if name == "qN":
         op = number_shift_operator(config)
-        return {"kind": "qN", "dim": config.dim, "matrix": _matrix_json(op.entries)}
+        return {"kind": "qN", "dim": config.dim, "matrix": op.entries}
     if name in ("A", "Adag"):
         profile = resolve_profile(args.profile, config, args.eta)
         frame = build_generalized_frame(build_phase_frame(config), args.eta)
@@ -315,18 +288,16 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
             "dim": config.dim,
             "theta0": config.theta0,
             "eta": args.eta,
-            "profile": [float(x) for x in profile.values],
-            "matrix": _matrix_json(op.entries),
+            "profile": profile.values,
+            "matrix": op.entries,
         }
     if name == "H":
-        if args.omega <= 0 or not math.isfinite(args.omega):
-            raise UsageError(f"omega must be positive, got {args.omega}")
         op = hamiltonian(config, args.omega)
         return {
             "kind": "H",
             "dim": config.dim,
             "omega": args.omega,
-            "matrix": _matrix_json(op.entries),
+            "matrix": op.entries,
         }
     if name == "commutators":
         phi = hermitian_phase_operator(build_phase_frame(config))
@@ -338,15 +309,11 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
             "kind": "commutators",
             "dim": config.dim,
             "theta0": config.theta0,
-            "direct": _matrix_json(direct.entries),
-            "closed_form": _matrix_json(closed.entries),
-            "double_sum": _matrix_json(double.entries),
-            "max_abs_deviation_double_sum_vs_closed": max_abs(
-                double.entries - closed.entries
-            ),
-            "elementwise_deviation": [
-                [float(x) for x in row] for row in deviation
-            ],
+            "direct": direct.entries,
+            "closed_form": closed.entries,
+            "double_sum": double.entries,
+            "max_abs_deviation_double_sum_vs_closed": max_abs(deviation),
+            "elementwise_deviation": deviation,
         }
     raise UsageError(f"unknown dump object {name!r}")
 

@@ -27,6 +27,7 @@ __all__ = [
     "oscillator_spectrum",
     "hamiltonian",
     "time_evolution",
+    "period_evolution",
     "cycle_phase_per_level",
     "eta_sector_map",
 ]
@@ -73,6 +74,12 @@ def time_evolution(config: SpaceConfig, omega: float, t: float) -> OperatorMatri
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     return certify(OperatorMatrix(np.diag(np.exp(-1j * energies * t))), "unitary")
+
+
+def period_evolution(config: SpaceConfig, omega: float) -> OperatorMatrix:
+    """U(T) over one period T = 2*pi/omega; omega is refused before T is taken."""
+    oscillator_spectrum(config, omega)
+    return time_evolution(config, omega, TWO_PI / float(omega))
 
 
 def cycle_phase_per_level(config: SpaceConfig) -> np.ndarray:

@@ -121,19 +121,24 @@ def _binary_power(rows: np.ndarray, values: np.ndarray, k: int) -> tuple:
     the bits of k from the lowest up, each set bit multiplying its square
     into the result from the right. A diagonal has ``rows = arange(d)``, so
     its eigenvalues are raised by repeated multiplication. k = 0 gives the
-    identity.
+    identity. A power whose values overflow is refused with ArithmeticError.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"power must be a non-negative integer, got {k!r}")
-    k = int(k)
+    power = k = int(k)
     result = square = None
-    while k > 0:
-        square = (rows, values) if square is None else _compose(square, square)
-        k, bit = divmod(k, 2)
-        if bit:
-            result = square if result is None else _compose(result, square)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k > 0:
+            square = (rows, values) if square is None else _compose(square, square)
+            k, bit = divmod(k, 2)
+            if bit:
+                result = square if result is None else _compose(result, square)
     if result is None:
         return np.arange(rows.size), np.ones(rows.size, dtype=np.complex128)
+    if not np.all(np.isfinite(result[1])):
+        raise ArithmeticError(
+            f"the power {power} overflows: its values are not finite in double precision"
+        )
     return result
 
 

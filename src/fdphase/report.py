@@ -1,9 +1,13 @@
-"""Verification manifests, check records, and byte-stable report rendering.
+"""Verification manifests, check records, and byte-stable rendering.
 
-Reports must be reproducible down to the byte: floats are written as decimal
-with 17 significant digits and a lowercase exponent (round-trip exact for
-doubles), field order is fixed, and no timestamps or environment data are
-embedded.
+This is the one module that turns values into output bytes: the verify
+report in each of its formats and the JSON payloads of ``dump`` and
+``evolve``. Output must be reproducible down to the byte: floats are
+written as decimal with 17 significant digits and a lowercase exponent
+(round-trip exact for doubles), field order is fixed, and no timestamps or
+environment data are embedded. The fields of the dataclasses, in their
+declared order, are the report schema. A numpy array renders as nested
+lists in its own layout; a complex entry becomes an ``[re, im]`` pair.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,6 +33,7 @@ __all__ = [
     "render_json",
     "render_csv",
     "render_pretty",
+    "render",
 ]
 
 TOOL_VERSION = "0.2.0"
@@ -37,8 +42,6 @@ STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_FLAGGED = "flagged"
 _STATUSES = (STATUS_PASS, STATUS_FAIL, STATUS_FLAGGED)
-
-REPORT_FORMATS = ("json", "csv", "pretty")
 
 
 @dataclass(frozen=True)
@@ -71,18 +74,6 @@ class RunManifest:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "suites", tuple(self.suites))
-
-    def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "theta0": self.theta0,
-            "eta": self.eta,
-            "omega": self.omega,
-            "profile": self.profile,
-            "suites": list(self.suites),
-            "seed": self.seed,
-            "format": self.format,
-        }
 
 
 @dataclass(frozen=True)
@@ -121,15 +112,6 @@ class CheckRecord:
             check_id, paper_anchor, float(max_deviation), float(tolerance), STATUS_FLAGGED
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "paper_anchor": self.paper_anchor,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "status": self.status,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -137,7 +119,6 @@ class VerificationReport:
 
     manifest: RunManifest
     records: tuple
-    tool_version: str = TOOL_VERSION
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
@@ -148,13 +129,6 @@ class VerificationReport:
             counts[record.status] += 1
         return counts
 
-    def as_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "manifest": self.manifest.as_dict(),
-            "records": [record.as_dict() for record in self.records],
-        }
-
 
 def format_float(value: float) -> str:
     """Decimal float text: 17 significant digits, lowercase exponent."""
@@ -162,6 +136,10 @@ def format_float(value: float) -> str:
 
 
 def _render(value, indent: int = 0) -> str:
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            value = np.stack((value.real, value.imag), axis=-1)
+        value = value.tolist()
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
@@ -193,12 +171,12 @@ def _render(value, indent: int = 0) -> str:
 
 
 def to_json(value) -> str:
-    """Render any plain dict/list/scalar structure with the stable policy."""
+    """Render a dict/list/array/scalar structure with the stable policy."""
     return _render(value) + "\n"
 
 
 def render_json(report: VerificationReport) -> str:
-    return to_json(report.as_dict())
+    return to_json({"tool_version": TOOL_VERSION, **asdict(report)})
 
 
 def render_csv(report: VerificationReport) -> str:
@@ -221,7 +199,7 @@ def render_csv(report: VerificationReport) -> str:
 def render_pretty(report: VerificationReport) -> str:
     manifest = report.manifest
     lines = [
-        f"verification report (tool {report.tool_version})",
+        f"verification report (tool {TOOL_VERSION})",
         "manifest: dim=%d theta0=%s eta=%s omega=%s profile=%s seed=%d"
         % (
             manifest.dim,
@@ -254,3 +232,12 @@ def render_pretty(report: VerificationReport) -> str:
         % (len(report.records), counts["pass"], counts["flagged"], counts["fail"])
     )
     return "\n".join(lines) + "\n"
+
+
+_RENDERERS = {"json": render_json, "csv": render_csv, "pretty": render_pretty}
+REPORT_FORMATS = tuple(_RENDERERS)
+
+
+def render(report: VerificationReport) -> str:
+    """The report in the format its manifest names."""
+    return _RENDERERS[report.manifest.format](report)

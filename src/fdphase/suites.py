@@ -38,6 +38,7 @@ from .evolution import (
     cycle_phase_per_level,
     eta_sector_map,
     oscillator_spectrum,
+    period_evolution,
     time_evolution,
 )
 from .numerics import (
@@ -99,8 +100,7 @@ def _generalized_frame(shared: dict, config: SpaceConfig, eta: float):
 
 
 def _period_evolution(shared: dict, config: SpaceConfig, omega: float):
-    period = TWO_PI / float(omega)
-    return _once(shared, "period_evolution", time_evolution, config, omega, period)
+    return _once(shared, "period_evolution", period_evolution, config, omega)
 
 
 def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict) -> list:

@@ -206,7 +206,7 @@ class TestFramesOncePerRun:
                 RunManifest(dim=9, theta0=1.1, eta=0.5, suites=(name,))
             ).records
         ]
-        assert [r.as_dict() for r in whole] == [r.as_dict() for r in one_by_one]
+        assert list(whole) == one_by_one
 
 
 def _built_frames(monkeypatch) -> list:

@@ -177,6 +177,13 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == SMALL_OMEGA_LIMIT
 
+    @pytest.mark.parametrize("omega", ["0", "-0.0"])
+    def test_cross_module_names_a_non_positive_omega(self, capsys, omega):
+        assert main(["verify", "--dim", "3", "--suite", "cross-module", f"--omega={omega}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: omega must be a positive real, got {float(omega)!r}\n"
+
     def test_byte_identical_reports(self, tmp_path):
         args = ["verify", "--dim", "3", "--theta0", "0.3", "--seed", "7"]
         first = tmp_path / "a.json"
@@ -400,6 +407,27 @@ class TestEvolve:
         )
         assert match and float(match.group(1)) > 3e-12
 
+    @pytest.mark.parametrize(
+        "mode, steps", [("shift", str(10**23)), ("hamiltonian", str(10**300))]
+    )
+    def test_overflowing_power_exits_2_naming_the_steps(self, tmp_path, capsys, mode, steps):
+        state = write_state(tmp_path / "state.json", [1.0, 0.0, 0.0])
+        argv = ["evolve", str(state), "--mode", mode, "--eta", "0.3", "--steps", steps]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert steps in line
+
+    @pytest.mark.parametrize("omega", ["0", "-1"])
+    def test_non_positive_omega_exits_2(self, tmp_path, capsys, omega):
+        state = write_state(tmp_path / "state.json", [1.0, 0.0, 0.0])
+        assert main(["evolve", str(state), "--mode", "hamiltonian", "--omega", omega]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: omega must be a positive real, got {float(omega)!r}\n"
+
     def test_output_within_precision_keeps_its_bytes(self, tmp_path, capsys):
         from fdphase.deformed import build_generalized_frame, cycle_operator_power
         from fdphase.numerics import equal_up_to_global_phase
@@ -504,6 +532,12 @@ class TestDump:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == SMALL_OMEGA_LIMIT
+
+    def test_non_positive_omega_exits_2(self, capsys):
+        assert main(["dump", "H", "--dim", "3", "--omega", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: omega must be a positive real, got 0.0\n"
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "dump.json"

@@ -19,6 +19,7 @@ from fdphase.evolution import (
     eta_sector_map,
     hamiltonian,
     oscillator_spectrum,
+    period_evolution,
     time_evolution,
 )
 from fdphase.numerics import (
@@ -221,6 +222,19 @@ class TestSmallOmegaLimit:
             time_evolution(config, 1e-310, TWO_PI / 1e-310)
         with pytest.raises(ValueError, match="time must be finite"):
             time_evolution(config, 1.0, float("inf"))
+
+
+class TestPeriodEvolution:
+    @pytest.mark.parametrize("omega", [1.0, 0.37, 2.5])
+    def test_equals_the_evolution_over_one_period(self, omega):
+        config = SpaceConfig.from_dim(5)
+        expected = time_evolution(config, omega, TWO_PI / omega)
+        assert np.array_equal(period_evolution(config, omega).entries, expected.entries)
+
+    @pytest.mark.parametrize("omega", [0.0, -0.0, -1.0])
+    def test_names_a_non_positive_omega(self, omega):
+        with pytest.raises(ValueError, match=rf"^omega must be a positive real, got {omega!r}$"):
+            period_evolution(SpaceConfig.from_dim(3), omega)
 
 
 class TestTimeEvolution:

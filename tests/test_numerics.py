@@ -155,6 +155,14 @@ class TestMatPower:
         assert np.array_equal(powered.entries, np.diag(values**5))
         assert dict(powered.deviations) == {}
 
+    @pytest.mark.parametrize("k", [1100, 10**23])
+    def test_overflowing_power_refused_by_name(self, k):
+        # 2**1100 overflows, and inf * 0 in the complex products is invalid;
+        # neither may surface as a numpy warning.
+        entries = np.diag([2.0, 0.5j, -1.0]).astype(np.complex128)
+        with pytest.raises(ArithmeticError, match=rf"^the power {k} overflows"):
+            mat_power(OperatorMatrix(entries), k)
+
     def test_dense_operator_refused(self):
         dense = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(4, 0.3)))
         with pytest.raises(ValueError, match="frame"):

@@ -11,8 +11,10 @@ from fdphase.report import (
     STATUS_PASS,
     CheckRecord,
     RunManifest,
+    REPORT_FORMATS,
     VerificationReport,
     format_float,
+    render,
     render_csv,
     render_json,
     render_pretty,
@@ -58,9 +60,9 @@ class TestRunManifest:
         with pytest.raises(ValueError):
             RunManifest(dim=2, theta0=float("inf"))
 
-    def test_as_dict_key_order(self):
-        manifest = RunManifest(dim=2, suites=("pb-core",))
-        assert list(manifest.as_dict()) == [
+    def test_rendered_key_order(self):
+        data = json.loads(render_json(_sample_report()))
+        assert list(data["manifest"]) == [
             "dim",
             "theta0",
             "eta",
@@ -69,6 +71,13 @@ class TestRunManifest:
             "suites",
             "seed",
             "format",
+        ]
+        assert list(data["records"][0]) == [
+            "check_id",
+            "paper_anchor",
+            "max_deviation",
+            "tolerance",
+            "status",
         ]
 
 
@@ -124,6 +133,20 @@ class TestRenderJson:
         assert "3.1415926535897931" in text
 
 
+class TestRender:
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_picks_the_manifest_format(self, fmt):
+        report = VerificationReport(
+            manifest=RunManifest(dim=2, suites=("pb-core",), seed=3, format=fmt),
+            records=_sample_report().records,
+        )
+        by_format = {"json": render_json, "csv": render_csv, "pretty": render_pretty}
+        assert render(report) == by_format[fmt](report)
+
+    def test_formats(self):
+        assert REPORT_FORMATS == ("json", "csv", "pretty")
+
+
 class TestRenderCsv:
     def test_header_and_rows(self):
         text = render_csv(_sample_report())
@@ -157,6 +180,83 @@ class TestToJson:
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             to_json({"a": object()})
+
+
+EDGE_VALUES = [0.0, -0.0, 1e-300, 5e-324, -1.7976931348623157e308]
+
+
+def _pairs(values) -> list:
+    """Complex entries as the [re, im] lists of Python floats the dumps hold."""
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+def _as_lists(array: np.ndarray) -> list:
+    """The nested lists an array renders as, built entry by entry."""
+    if np.iscomplexobj(array):
+        return _pairs(array) if array.ndim == 1 else [_pairs(row) for row in array]
+    if array.ndim == 1:
+        return [float(x) for x in array]
+    return [[float(x) for x in row] for row in array]
+
+
+def _edge_complex(count: int) -> np.ndarray:
+    """Every edge value as a real part and as an imaginary part, signs kept."""
+    array = np.empty(count, dtype=np.complex128)
+    array.real = np.resize(EDGE_VALUES, count)
+    array.imag = np.resize(EDGE_VALUES[::-1], count)
+    return array
+
+
+class TestArrayRendering:
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array(EDGE_VALUES),
+            np.array(EDGE_VALUES).reshape(1, 5),
+            np.array(EDGE_VALUES[:4]).reshape(2, 2),
+            _edge_complex(5),
+            _edge_complex(6).reshape(2, 3),
+            np.array([-0.0]),
+            np.array([[5e-324]]),
+            np.array([complex(1e-300, -0.0)]),
+            np.array([[complex(-0.0, -1.7976931348623157e308)]]),
+        ],
+        ids=[
+            "real-1d",
+            "real-row",
+            "real-2x2",
+            "complex-1d",
+            "complex-2x3",
+            "real-(1,)",
+            "real-(1,1)",
+            "complex-(1,)",
+            "complex-(1,1)",
+        ],
+    )
+    def test_matches_the_nested_lists(self, array):
+        assert to_json(array) == to_json(_as_lists(array))
+        assert to_json({"matrix": array}) == to_json({"matrix": _as_lists(array)})
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_transposed_view(self, dtype):
+        base = np.arange(12, dtype=dtype).reshape(3, 4)
+        if dtype is np.complex128:
+            base.imag = -0.5 * base.real
+        base[0, 1] = -0.0
+        base[2, 3] = 5e-324
+        view = base.T
+        assert not view.flags["C_CONTIGUOUS"]
+        assert to_json({"states": view}) == to_json({"states": _as_lists(view)})
+
+    def test_complex_entries_are_re_im_pairs(self):
+        assert to_json(np.array([1.5 - 2j, complex(-0.0, 0.0)])) == (
+            "[\n  [1.5, -2],\n  [-0, 0]\n]\n"
+        )
+
+    def test_round_trip_exact(self):
+        array = _edge_complex(5)
+        pairs = json.loads(to_json(array))
+        assert [complex(re, im) for re, im in pairs] == list(array)
 
 
 class TestStatusCounts:
