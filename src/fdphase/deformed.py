@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,13 +121,22 @@ def build_generalized_frame(base: Frame, eta: float) -> Frame:
     """The offset number states |n+eta> = exp(-i eta Phi)|n>, certified once.
 
     ``exp(-i eta Phi)`` is synthesized over the phase frame ``base``, whose
-    space the offset frame shares; its column n is |n+eta>.
+    space the offset frame shares; its column n is |n+eta>. An eta whose
+    phases (n+eta)*theta_m or 2*pi*(n+eta) overflow is refused by name.
     """
     eta = float(eta)
     if not math.isfinite(eta):
         raise ValueError("eta must be finite")
     config = base.config
-    shift = spectral_synthesize(base.basis, np.exp(-1j * eta * config.thetas()))
+    thetas = config.thetas()
+    scale = max(2.0 * math.pi, float(np.max(np.abs(thetas))))
+    if not math.isfinite((abs(eta) + config.s) * scale):
+        raise ValueError(
+            f"eta = {eta!r} is out of range: the phases (n+eta)*theta_m and 2*pi*(n+eta) "
+            f"must be finite, so |eta| must stay below {sys.float_info.max / scale - config.s:.3e} "
+            f"at dimension {config.dim} and theta0 = {config.theta0!r}"
+        )
+    shift = spectral_synthesize(base.basis, np.exp(-1j * eta * thetas))
     return Frame(config=config, eta=eta, basis=shift)
 
 

@@ -36,7 +36,7 @@ __all__ = [
     "render",
 ]
 
-TOOL_VERSION = "0.2.0"
+TOOL_VERSION = "0.3.0"
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"

@@ -13,6 +13,10 @@ suites use (the phase frame, an offset frame, the explicit exp(iPhi), the
 cycle power of q^-(N+eta), U(2*pi/omega)) is built once per run. The dict
 lives only for that call. A shared object only ever replaces
 a second build of the same route, never the other side of a check.
+
+Every record's tolerance is a field of that policy (``tol_elem`` times
+omega for the energies), and each sign law of the cyclic evolution is
+compared level by level with its exact sign.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from .evolution import (
     time_evolution,
 )
 from .numerics import (
-    TWO_PI,
     TolerancePolicy,
+    _binary_power,
     cyclic_shift,
     mat_power,
     max_abs,
@@ -212,7 +216,8 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict) ->
         )
     )
 
-    in_phase_basis = v.conj().T @ spectral.entries @ v
+    # The explicit shift: the spectral route, built from v, would test only v's orthonormality.
+    in_phase_basis = v.conj().T @ realization.apply(v)
     duality_dev = max(
         max_abs(in_phase_basis - np.diag(np.diag(in_phase_basis))),
         max_abs(np.diag(in_phase_basis) - np.exp(1j * config.thetas())),
@@ -412,14 +417,10 @@ def suite_gdo(
             policy.tol_op,
         )
     )
-    # Integer eta keeps the sign and half-odd eta flips it; an eta within
-    # 1e-9 of neither emits no record.
+    # Integer eta keeps the sign and half-odd eta flips it; any other eta,
+    # however close to one of these, emits no record.
     eta = frame.eta
-    sign = None
-    if abs(eta - round(eta)) <= 1e-9:
-        sign = 1.0
-    elif abs(eta - (round(eta - 0.5) + 0.5)) <= 1e-9:
-        sign = -1.0
+    sign = 1.0 if eta == round(eta) else -1.0 if 2.0 * eta == round(2.0 * eta) else None
     if sign is not None:
         records.append(
             CheckRecord.measured(
@@ -449,7 +450,7 @@ def suite_evolution(
             "spectrum_monotone",
             "E_n = omega(n + 1/2 + (s+1)/2 delta_ns) increases with n",
             max(0.0, float(-diffs.min())) if diffs.size else 0.0,
-            policy.tol_elem,
+            policy.tol_elem * omega,
         )
     )
     records.append(
@@ -457,7 +458,7 @@ def suite_evolution(
             "spectrum_top_level_shift",
             "E_s sits (s+1)/2 quanta above the equally spaced ladder",
             abs(energies[-1] - (config.s + 0.5) * omega - dim / 2.0 * omega),
-            policy.tol_elem,
+            policy.tol_elem * omega,
         )
     )
 
@@ -493,46 +494,30 @@ def suite_evolution(
         )
     )
 
-    if dim % 2 == 0 or dim == 1:
-        # One period must act as one shared phase, -1 (+1 at d=1): within
-        # tol_op, each column is an eigenvector and every level's phase equals
-        # level 0's. The deviation is level 0's phase error.
-        phases = np.angle(diag) % TWO_PI
-        unit = np.exp(1j * phases)
-        shared_phase = (
-            np.all(np.abs(diag) >= np.linalg.norm(u.entries, axis=0) * (1.0 - policy.tol_op))
-            and max_abs(unit - unit[0]) <= policy.tol_op
-            and abs(unit[0] - (1.0 if dim == 1 else -1.0)) <= policy.tol_op
-        )
-        if not shared_phase:
-            parity_dev = 1.0
-        elif dim == 1:
-            parity_dev = abs(np.exp(1j * phases[0]) - 1.0)
-        else:
-            parity_dev = abs(phases[0] - np.pi)
-    else:
-        parity_dev = max_abs(diag - np.concatenate([-np.ones(dim - 1), [1.0]]))
+    # One period flips every level below the top; the top level picks up
+    # (-1)^s, so every state flips exactly when s+1 is even (d=1: +1).
+    signs = np.append(-np.ones(dim - 1), (-1.0) ** config.s)
     records.append(
         CheckRecord.measured(
             "cycle_parity",
             "one period flips the sign of every state iff s+1 is even",
-            parity_dev,
-            1e-9,
+            max_abs(diag - signs),
+            policy.tol_elem,
         )
     )
 
-    # The shift route's factor exp(-2 pi i(n + eta_n)) at the sector map's
-    # eta, and the uniform eta = 1/2 prediction on every level below the top,
-    # the part that survives as the space grows.
+    # The shift route's eigenvalues q^-(n+eta_n) at the sector map's eta, raised
+    # to the power s+1 as cycle_operator_power raises them, and the uniform
+    # eta = 1/2 prediction below the top, which survives as the space grows.
     levels = np.arange(dim)
-    sector = np.exp(-2j * np.pi * (levels + eta_sector_map(config)))
+    _, sector = _binary_power(levels, config.root_power(-(levels + eta_sector_map(config))), dim)
     uniform = np.exp(-2j * np.pi * (levels[:-1] + 0.5))
     records.append(
         CheckRecord.measured(
             "sector_equivalence",
             "eta = 1/2 for n<s and eta = 1/2 + (s+1)/2 for n=s",
             max_abs(diag - sector),
-            1e-9,
+            policy.tol_elem,
         )
     )
     records.append(
@@ -540,7 +525,7 @@ def suite_evolution(
             "uniform_half_eta_below_top",
             "exp(-i 2 pi (n + 1/2)) matches every level below the top",
             max_abs(diag[:-1] - uniform),
-            1e-9,
+            policy.tol_elem,
         )
     )
 

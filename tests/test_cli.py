@@ -31,6 +31,10 @@ OMEGA_LIMIT_AT_DIM_3 = (
     "error: omega = 1e+308 is out of range: the top energy omega*(s+1/2) + "
     "omega*(s+1)/2 must be finite, so omega must stay below 4.494e+307 at dimension 3\n"
 )
+ETA_LIMIT_AT_DIM_3 = (
+    "error: eta = 1e+308 is out of range: the phases (n+eta)*theta_m and 2*pi*(n+eta) "
+    "must be finite, so |eta| must stay below 1.764e+307 at dimension 3 and theta0 = 6.0\n"
+)
 SMALL_OMEGA_LIMIT = (
     "error: omega = 1e-310 is out of range: the period 2*pi/omega must be finite, "
     "so omega must be at least 3.49513784379046e-308\n"
@@ -184,6 +188,24 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"error: omega must be a positive real, got {float(omega)!r}\n"
 
+    def test_eta_near_but_not_at_a_half_odd_value_emits_no_sign_record(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["verify", "--dim", "2", "--suite", "gdo", "--eta", "0.5000000001"]
+        assert main([*argv, "--out", str(out)]) == 0
+        ids = [record["check_id"] for record in json.loads(out.read_text("utf-8"))["records"]]
+        assert "cycle_identity" in ids
+        assert "cycle_sign_dichotomy" not in ids
+
+    def test_huge_omega_passes_the_energy_records(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--dim", "16", "--omega", "1e300", "--out", str(out)]) == 0
+
+    def test_eta_whose_phases_overflow_exits_2(self, capsys):
+        assert main(["verify", "--dim", "3", "--theta0", "6", "--eta", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ETA_LIMIT_AT_DIM_3
+
     def test_byte_identical_reports(self, tmp_path):
         args = ["verify", "--dim", "3", "--theta0", "0.3", "--seed", "7"]
         first = tmp_path / "a.json"
@@ -331,6 +353,12 @@ class TestEvolve:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: unitary certification failed with deviation ")
         assert line.endswith("(tolerance 3.000e-11)")
+
+    def test_eta_whose_phases_overflow_exits_2(self, tmp_path, capsys):
+        state = write_state(tmp_path / "state.json", [1.0, 0.0, 0.0])
+        argv = ["evolve", str(state), "--mode", "shift", "--theta0", "6", "--eta", "1e308"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ETA_LIMIT_AT_DIM_3
 
     def test_omega_with_an_infinite_top_energy_exits_2(self, tmp_path, capsys):
         state = write_state(tmp_path / "state.json", [1.0, 0.0, 0.0])
@@ -521,6 +549,13 @@ class TestDump:
             "(tolerance 8.000e-11)\n"
         )
 
+    @pytest.mark.parametrize("name", ["A", "Adag"])
+    def test_eta_whose_phases_overflow_exits_2(self, capsys, name):
+        assert main(["dump", name, "--dim", "3", "--theta0", "6", "--eta", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ETA_LIMIT_AT_DIM_3
+
     def test_omega_with_an_infinite_top_energy_exits_2(self, capsys):
         assert main(["dump", "H", "--dim", "3", "--omega", "1e308"]) == 2
         captured = capsys.readouterr()
@@ -581,7 +616,6 @@ class TestModuleEntryPoint:
 class TestExitContract:
     """Any finite input ends in exit status 0, 1 or 2, never a traceback."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(
         dim=st.integers(min_value=1, max_value=12),
@@ -592,12 +626,14 @@ class TestExitContract:
     )
     # A weight table whose recovered exp(iPhi) fails its unitarity
     # certification, a window origin whose corner exponent overflows, a
-    # phase frame that fails its certification, and an omega whose top
-    # energy overflows.
+    # phase frame that fails its certification, an omega whose top
+    # energy overflows, and offsets whose phases overflow.
     @example(dim=4, theta0=0.0, eta=0.5, omega=1.0, weights=[1e-20, 1e20] + [1.0] * 10)
     @example(dim=8, theta0=1e308, eta=0.5, omega=1.0, weights=[1.0] * 12)
     @example(dim=8, theta0=1e6, eta=0.5, omega=1.0, weights=[1.0] * 12)
     @example(dim=3, theta0=0.0, eta=0.5, omega=1e308, weights=[1.0] * 12)
+    @example(dim=3, theta0=6.0, eta=1e308, omega=1.0, weights=[1.0] * 12)
+    @example(dim=1, theta0=6.0, eta=2.9961552247705263e307, omega=1.0, weights=[1.0] * 12)
     def test_every_command_returns_a_status(self, dim, theta0, eta, omega, weights):
         space = [f"--dim={dim}", f"--theta0={theta0!r}", f"--eta={eta!r}", f"--omega={omega!r}"]
         with tempfile.TemporaryDirectory() as tmp:

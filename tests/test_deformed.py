@@ -168,6 +168,31 @@ class TestGeneralizedFrame:
         with pytest.raises(ValueError):
             _offset_frame(SpaceConfig.from_dim(2), float("nan"))
 
+    @pytest.mark.parametrize(
+        "dim, theta0, eta",
+        [(3, 6.0, 1e308), (1, 6.0, 2.9961552247705263e307), (4, 0.0, -1e308), (2, -1e3, 1e306)],
+    )
+    def test_refuses_an_eta_whose_phases_overflow(self, dim, theta0, eta):
+        # (n+eta)*theta_m or 2*pi*(n+eta) is not finite: refused by name,
+        # before numpy can warn about an overflow.
+        with pytest.raises(ValueError, match=r"\|eta\| must stay below"):
+            _offset_frame(SpaceConfig.from_dim(dim, theta0), eta)
+
+    @pytest.mark.parametrize("dim, theta0", [(1, 0.0), (3, 6.0), (8, -2.9)])
+    def test_accepts_every_eta_up_to_the_named_limit(self, dim, theta0):
+        # Just inside the limit the frame's phases are finite; its
+        # certification may still refuse the imprecise basis.
+        config = SpaceConfig.from_dim(dim, theta0)
+        scale = max(2 * np.pi, float(np.max(np.abs(config.thetas()))))
+        eta = np.finfo(float).max / scale
+        while not np.isfinite((eta + config.s) * scale):
+            eta = np.nextafter(eta, 0.0)
+        try:
+            frame = _offset_frame(config, eta)
+        except ArithmeticError:
+            return
+        assert np.all(np.isfinite(generalized_number_shift(frame).entries))
+
 
 class TestLadderOperators:
     def test_dim_1_single_level_cycle(self):
@@ -354,11 +379,11 @@ class TestCycleOperatorPower:
 
 
 def _eta_class(eta):
-    """Reference for the 1e-9 integer / half-odd test that decides whether
+    """Reference for the exact integer / half-odd test that decides whether
     ``cycle_sign_dichotomy`` is emitted."""
-    if abs(eta - round(eta)) <= 1e-9:
+    if float(eta).is_integer():
         return "integer"
-    if abs(eta - (round(eta - 0.5) + 0.5)) <= 1e-9:
+    if float(2 * eta).is_integer():
         return "half-odd"
     return "generic"
 
@@ -380,14 +405,16 @@ class TestEtaClass:
             (0.0, "integer"),
             (1.0, "integer"),
             (-2.0, "integer"),
-            (1.0 + 5e-10, "integer"),
+            (1.0 + 5e-10, "generic"),
+            (1.0 - 5e-10, "generic"),
             (0.5, "half-odd"),
             (1.5, "half-odd"),
             (-0.5, "half-odd"),
             (0.25, "generic"),
             (0.3, "generic"),
             (2.5, "half-odd"),
-            (0.5 + 5e-10, "half-odd"),
+            (0.5 + 5e-10, "generic"),
+            (0.5000000001, "generic"),
         ],
     )
     def test_classification(self, eta, expected):

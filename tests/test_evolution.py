@@ -1,14 +1,13 @@
 """Truncated-oscillator spectrum, one-cycle phases, parity, sector map.
 
-The cycle classifier below is the reference for the verify suite's
-``cycle_parity`` record: the suite reads the parity off diag U(T) directly,
-and it must agree with the classifier and its parity branches.
+The verify suite's ``cycle_parity`` record compares diag U(T) with the sign
+each level should pick up over one period, and ``sector_equivalence``
+compares it with the shift route's factors; the references below spell
+both out level by level.
 """
 
-import enum
 import re
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,83 +21,31 @@ from fdphase.evolution import (
     period_evolution,
     time_evolution,
 )
-from fdphase.numerics import (
-    OperatorMatrix,
-    TolerancePolicy,
-    certify,
-    equal_up_to_global_phase,
-    max_abs,
-)
+from fdphase.numerics import OperatorMatrix, TolerancePolicy, certify, max_abs
 from fdphase.pegg_barnett import SpaceConfig, build_phase_frame, unitary_phase_operator
 from fdphase.suites import suite_evolution
 
 TWO_PI = 2.0 * np.pi
 
 
-class CycleClassification(enum.Enum):
-    GLOBAL_SIGN_FLIP = "GlobalSignFlip"
-    IDENTITY = "Identity"
-    MIXED_PHASES = "MixedPhases"
+def _one_period_signs(dim):
+    """-1 on every level below the top and (-1)^s on the top, level by level."""
+    return np.array([-1.0 if n < dim - 1 else (-1.0) ** (dim - 1) for n in range(dim)])
 
 
-@dataclass(frozen=True)
-class CycleOutcome:
-    """How one full period acts: global factor, or mixed per-level phases."""
-
-    classification: CycleClassification
-    per_level_phase: tuple
-    global_phase: float | None
-
-
-def classify_cycle(config, u):
-    """Classify U(2*pi/omega) by testing its columns up to one shared phase.
-
-    Column n keeps |n> up to a phase when the overlap <n|U|n> = u[n, n]
-    carries the column's whole norm; all columns are tested at once.
-    """
-    tol = TolerancePolicy.for_dim(config.dim).tol_op
-    diag = np.diag(u.entries)
-    per_level = tuple(complex(z) for z in diag)
-    if np.any(np.abs(diag) < np.linalg.norm(u.entries, axis=0) * (1.0 - tol)):
-        return CycleOutcome(CycleClassification.MIXED_PHASES, per_level, None)
-    phases = np.angle(diag) % TWO_PI
-    factors = np.exp(1j * phases)
-    if max_abs(factors - factors[0]) > tol:
-        return CycleOutcome(CycleClassification.MIXED_PHASES, per_level, None)
-
-    global_phase = float(phases[0])
-    if abs(factors[0] + 1.0) <= tol:
-        kind = CycleClassification.GLOBAL_SIGN_FLIP
-    elif abs(factors[0] - 1.0) <= tol:
-        kind = CycleClassification.IDENTITY
-    else:
-        kind = CycleClassification.MIXED_PHASES
-    return CycleOutcome(kind, per_level, global_phase)
-
-
-def _parity_deviation(config, u):
-    """``cycle_parity``'s deviation read off the classifier's outcome."""
-    dim = config.dim
-    outcome = classify_cycle(config, u)
-    if dim % 2 == 0:
-        parity_dev = 0.0 if outcome.classification is CycleClassification.GLOBAL_SIGN_FLIP else 1.0
-        if outcome.global_phase is not None:
-            parity_dev = max(parity_dev, abs(outcome.global_phase - np.pi))
-        else:
-            parity_dev = 1.0
-    elif dim == 1:
-        parity_dev = 0.0 if outcome.classification is CycleClassification.IDENTITY else 1.0
-        if outcome.global_phase is not None:
-            parity_dev = max(parity_dev, abs(np.exp(1j * outcome.global_phase) - 1.0))
-        else:
-            parity_dev = 1.0
-    else:
-        parity_dev = 0.0 if outcome.classification is CycleClassification.MIXED_PHASES else 1.0
-        expected = np.concatenate([-np.ones(dim - 1), [1.0]])
-        parity_dev = max(
-            parity_dev, max_abs(np.asarray(outcome.per_level_phase) - expected)
-        )
-    return parity_dev
+def _sector_shift_route(config):
+    """q^-(n+eta_n) raised to the power s+1 level by level, by repeated
+    squaring from the lowest bit of s+1 up."""
+    factors = []
+    for n, eta in enumerate(eta_sector_map(config)):
+        square, result, k = complex(config.root_power(-(n + eta))), 1.0 + 0.0j, config.dim
+        while k:
+            k, bit = divmod(k, 2)
+            if bit:
+                result *= square
+            square *= square
+        factors.append(result)
+    return np.array(factors)
 
 
 def _evolution_records(config, omega, period_evolution=None):
@@ -106,37 +53,6 @@ def _evolution_records(config, omega, period_evolution=None):
     shared = {} if period_evolution is None else {"period_evolution": period_evolution}
     records = suite_evolution(config, omega, 0, TolerancePolicy.for_dim(config.dim), shared)
     return {record.check_id: record for record in records}
-
-
-def _classify(dim):
-    config = SpaceConfig.from_dim(dim)
-    return classify_cycle(config, time_evolution(config, 1.0, TWO_PI))
-
-
-def _classify_level_by_level(config, u):
-    """The per-level classifier loop, verbatim: one matrix-vector product per level."""
-    policy = TolerancePolicy.for_dim(config.dim)
-    per_level = tuple(complex(z) for z in np.diag(u.entries))
-
-    phases = []
-    for level in range(config.dim):
-        ket = np.eye(config.dim, dtype=np.complex128)[:, level]
-        phase = equal_up_to_global_phase(ket, u.apply(ket), policy.tol_op)
-        if phase is None:
-            return CycleOutcome(CycleClassification.MIXED_PHASES, per_level, None)
-        phases.append(phase)
-    factors = np.exp(1j * np.asarray(phases))
-    if max_abs(factors - factors[0]) > policy.tol_op:
-        return CycleOutcome(CycleClassification.MIXED_PHASES, per_level, None)
-
-    global_phase = phases[0]
-    if abs(factors[0] + 1.0) <= policy.tol_op:
-        kind = CycleClassification.GLOBAL_SIGN_FLIP
-    elif abs(factors[0] - 1.0) <= policy.tol_op:
-        kind = CycleClassification.IDENTITY
-    else:
-        kind = CycleClassification.MIXED_PHASES
-    return CycleOutcome(kind, per_level, global_phase)
 
 
 class TestSpectrum:
@@ -176,6 +92,18 @@ class TestSpectrum:
         op = hamiltonian(config, 1.0)
         assert np.array_equal(op.entries, np.diag(oscillator_spectrum(config, 1.0)))
         assert dict(op.deviations) == {}
+
+
+class TestEnergyRecords:
+    @pytest.mark.parametrize("omega", [1e-3, 0.37, 1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("dim", [1, 2, 16, 512])
+    def test_tolerances_scale_with_omega(self, dim, omega):
+        # The energies are omega times exact half-integers, so their rounding
+        # error, and the tolerance, scale with omega.
+        records = _evolution_records(SpaceConfig.from_dim(dim), omega)
+        for check_id in ("spectrum_monotone", "spectrum_top_level_shift"):
+            assert records[check_id].tolerance == TolerancePolicy.for_dim(dim).tol_elem * omega
+            assert records[check_id].status == "pass"
 
 
 def _refused(config, omega):
@@ -283,51 +211,21 @@ class TestCyclePhasePerLevel:
         ) <= 1e-12 * dim
 
 
-class TestClassifyCycle:
+class TestOnePeriodSigns:
     @pytest.mark.parametrize("dim", [2, 4, 6, 8, 12, 16, 24, 32])
     def test_even_dims_flip_sign(self, dim):
-        outcome = _classify(dim)
-        assert outcome.classification is CycleClassification.GLOBAL_SIGN_FLIP
-        assert outcome.global_phase == pytest.approx(np.pi, abs=1e-9)
+        u = period_evolution(SpaceConfig.from_dim(dim), 1.0)
+        assert max_abs(u.entries + np.eye(dim)) <= 1e-12 * dim
 
     @pytest.mark.parametrize("dim", [3, 5, 7, 9, 15, 31])
-    def test_odd_dims_are_mixed(self, dim):
-        outcome = _classify(dim)
-        assert outcome.classification is CycleClassification.MIXED_PHASES
-        assert outcome.global_phase is None
-        phases = np.asarray(outcome.per_level_phase)
+    def test_odd_dims_flip_every_level_but_the_top(self, dim):
+        u = period_evolution(SpaceConfig.from_dim(dim), 1.0)
         expected = np.concatenate([-np.ones(dim - 1), [1.0]])
-        assert np.max(np.abs(phases - expected)) <= 1e-9
+        assert max_abs(u.entries - np.diag(expected)) <= 1e-12 * dim
 
     def test_dim_1_returns_to_itself(self):
-        outcome = _classify(1)
-        assert outcome.classification is CycleClassification.IDENTITY
-        assert abs(np.exp(1j * outcome.global_phase) - 1.0) <= 1e-9
-
-    @pytest.mark.parametrize("omega", [1.0, 2.5])
-    @pytest.mark.parametrize("dim", [*range(1, 41), 511, 512])
-    def test_whole_array_test_matches_level_by_level_loop(self, dim, omega):
-        config = SpaceConfig.from_dim(dim, 0.3)
-        u = time_evolution(config, omega, TWO_PI / omega)
-        assert classify_cycle(config, u) == _classify_level_by_level(config, u)
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 31, 64])
-    def test_non_diagonal_unitary_matches_level_by_level_loop(self, dim):
-        config = SpaceConfig.from_dim(dim, 0.3)
-        u = unitary_phase_operator(config)
-        outcome = classify_cycle(config, u)
-        assert outcome == _classify_level_by_level(config, u)
-        if dim > 1:
-            assert outcome.classification is CycleClassification.MIXED_PHASES
-
-    @pytest.mark.parametrize("alpha", [0.0, np.pi, -np.pi, 0.7, 2 * np.pi - 1e-13])
-    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
-    def test_scalar_unitary_matches_level_by_level_loop(self, dim, alpha):
-        config = SpaceConfig.from_dim(dim)
-        u = OperatorMatrix(np.exp(1j * alpha) * np.eye(dim))
-        outcome = classify_cycle(config, u)
-        assert outcome == _classify_level_by_level(config, u)
-        assert outcome.global_phase is not None
+        u = period_evolution(SpaceConfig.from_dim(1), 1.0)
+        assert abs(u.entries[0, 0] - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("dim", [3, 5])
     def test_odd_dims_far_from_any_scalar(self, dim):
@@ -347,7 +245,7 @@ INJECTED_STATUS = {
     ("flipped_level", 5): "fail",
     ("flipped_level", 1): "fail",
     ("top_phase_error", 4): "fail",
-    ("top_phase_error", 5): "pass",  # 10*tol_op = 5e-10 is within the record's 1e-9
+    ("top_phase_error", 5): "fail",
     ("top_phase_error", 1): "fail",
     ("plus_one", 4): "fail",
     ("plus_one", 5): "fail",
@@ -373,29 +271,38 @@ def _injected_period(config, case):
 class TestCycleParityRecord:
     @pytest.mark.parametrize("omega", [1.0, 2.5])
     @pytest.mark.parametrize("dim", [*range(1, 41), 511, 512])
-    def test_deviation_matches_the_classifier_bit_for_bit(self, dim, omega):
+    def test_deviation_is_the_worst_level_sign_error(self, dim, omega):
         config = SpaceConfig.from_dim(dim, 0.3)
         record = _evolution_records(config, omega)["cycle_parity"]
-        oracle = _parity_deviation(config, time_evolution(config, omega, TWO_PI / omega))
-        assert record.max_deviation == float(oracle)
+        diag = np.diag(time_evolution(config, omega, TWO_PI / omega).entries)
+        assert record.max_deviation == max_abs(diag - _one_period_signs(dim))
+        assert record.tolerance == TolerancePolicy.for_dim(dim).tol_elem
         assert record.status == "pass"
 
+    def test_every_level_counts_at_even_dims(self):
+        # Level 0 is -1 to one rounding here; the reported error comes from
+        # the levels above it, which a level-0 phase reading would miss.
+        config = SpaceConfig.from_dim(512)
+        records = _evolution_records(config, 0.37)
+        diag = np.diag(period_evolution(config, 0.37).entries)
+        assert abs(diag[0] + 1.0) <= 1e-15
+        assert records["cycle_parity"].max_deviation >= 1e-13
+        assert records["cycle_parity"].max_deviation == max_abs(diag + 1.0)
+
     @pytest.mark.parametrize("case, dim", sorted(INJECTED_STATUS))
-    def test_status_matches_the_classifier_on_injected_cycles(self, case, dim):
+    def test_status_on_injected_cycles(self, case, dim):
         config = SpaceConfig.from_dim(dim)
         u = _injected_period(config, case)
         record = _evolution_records(config, 1.0, u)["cycle_parity"]
-        oracle_status = "pass" if _parity_deviation(config, u) <= 1e-9 else "fail"
-        assert record.status == oracle_status == INJECTED_STATUS[case, dim]
-        if record.status == "pass":
-            assert record.max_deviation == float(_parity_deviation(config, u))
+        deviation = max_abs(np.diag(u.entries) - _one_period_signs(dim))
+        assert record.max_deviation == deviation
+        assert record.status == INJECTED_STATUS[case, dim]
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_non_diagonal_cycle_fails(self, dim):
-        # exp(iPhi) keeps no number state: no column is an eigenvector.
+        # exp(iPhi) keeps no number state: its diagonal is zero.
         config = SpaceConfig.from_dim(dim, 0.3)
         u = unitary_phase_operator(config)
-        assert classify_cycle(config, u).classification is CycleClassification.MIXED_PHASES
         assert _evolution_records(config, 1.0, u)["cycle_parity"].status == "fail"
 
 
@@ -422,8 +329,26 @@ class TestCompareShiftVsEvolution:
         for check_id in ids[start : start + 2]:
             record = records[check_id]
             assert record.status == "pass"
-            assert record.tolerance == 1e-9
-            assert record.max_deviation <= 1e-9
+            assert record.tolerance == TolerancePolicy.for_dim(dim).tol_elem
+
+    @pytest.mark.parametrize("dim", [*range(1, 41), 64, 511, 512])
+    def test_sector_map_takes_the_shift_route(self, dim):
+        # The reference squares in Python complex arithmetic, which may round
+        # differently from numpy's: a few ulps per squaring.
+        config = SpaceConfig.from_dim(dim)
+        diag = np.diag(period_evolution(config, 1.0).entries)
+        record = _evolution_records(config, 1.0)["sector_equivalence"]
+        expected = max_abs(diag - _sector_shift_route(config))
+        assert abs(record.max_deviation - expected) <= 4 * np.finfo(float).eps * np.log2(2 * dim)
+        assert record.status == "pass"
+
+    def test_sector_map_is_not_the_closed_form(self):
+        # cycle_phase_factors compares diag U(T) with the closed form; the
+        # shift route rounds differently, so the two records differ.
+        records = _evolution_records(SpaceConfig.from_dim(511), 1.0)
+        sector = records["sector_equivalence"].max_deviation
+        assert sector != records["cycle_phase_factors"].max_deviation
+        assert sector > 1e-13
 
     def test_a_flipped_top_level_fails_the_sector_map_only(self):
         config = SpaceConfig.from_dim(3)
