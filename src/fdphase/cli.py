@@ -50,9 +50,23 @@ DUMP_OBJECTS = (
     "commutators",
 )
 
+# The largest dimension each command accepts. A run holds a few dozen dense
+# complex d x d matrices: a d=1024 verify peaks near 305 MB and a d=1024
+# commutators dump near 676 MB, which grow as d^2, so these limits keep a
+# run within a few GB.
+MAX_DUMP_DIM = 2048
+MAX_DIM = 4096
+
 
 class UsageError(Exception):
     """Bad invocation or unusable input; maps to exit status 2."""
+
+
+def _within_limit(dim: int, command: str, limit: int) -> int:
+    """``dim``, refused before anything is built when it exceeds the command's limit."""
+    if dim > limit:
+        raise UsageError(f"dim = {dim} is out of range: {command} accepts dimensions up to {limit}")
+    return dim
 
 
 def _add_space_args(parser: argparse.ArgumentParser, dim_required: bool = True) -> None:
@@ -178,6 +192,7 @@ def load_state(path: Path) -> np.ndarray:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _within_limit(args.dim, "verify", MAX_DIM)
     selected = args.suites or ["all"]
     suites = SUITE_NAMES if "all" in selected else tuple(dict.fromkeys(selected))
     manifest = RunManifest(
@@ -203,11 +218,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     state = load_state(args.state_file)
-    dim = state.size if args.dim is None else args.dim
-    if args.dim is not None and args.dim != state.size:
-        raise UsageError(
-            f"state dimension {state.size} does not match --dim {args.dim}"
-        )
+    dim = _within_limit(state.size, "evolve", MAX_DIM)
+    if args.dim is not None and args.dim != dim:
+        raise UsageError(f"state dimension {dim} does not match --dim {args.dim}")
     if args.steps < 0:
         raise UsageError(f"steps must be non-negative, got {args.steps}")
     config = SpaceConfig.from_dim(dim, args.theta0)
@@ -319,6 +332,7 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
+    _within_limit(args.dim, "dump", MAX_DUMP_DIM)
     config = SpaceConfig.from_dim(args.dim, args.theta0)
     _write_output(to_json(_dump_payload(args, config)), args.out)
     return 0

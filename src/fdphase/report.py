@@ -36,7 +36,7 @@ __all__ = [
     "render",
 ]
 
-TOOL_VERSION = "0.3.0"
+TOOL_VERSION = "0.4.0"
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -72,6 +72,8 @@ class RunManifest:
             raise ValueError(f"format must be one of {REPORT_FORMATS}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "suites", tuple(self.suites))
 
@@ -94,23 +96,6 @@ class CheckRecord:
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and non-negative")
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def measured(
-        cls, check_id: str, paper_anchor: str, max_deviation: float, tolerance: float
-    ) -> "CheckRecord":
-        """Pass/fail record from a measured deviation against its tolerance."""
-        status = STATUS_PASS if max_deviation <= tolerance else STATUS_FAIL
-        return cls(check_id, paper_anchor, float(max_deviation), float(tolerance), status)
-
-    @classmethod
-    def flagged(
-        cls, check_id: str, paper_anchor: str, max_deviation: float, tolerance: float
-    ) -> "CheckRecord":
-        """Record for the one documented expected deviation; never a failure."""
-        return cls(
-            check_id, paper_anchor, float(max_deviation), float(tolerance), STATUS_FLAGGED
-        )
 
 
 @dataclass(frozen=True)

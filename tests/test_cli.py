@@ -14,8 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdphase
-from fdphase.cli import DUMP_OBJECTS, main
+from fdphase.cli import DUMP_OBJECTS, MAX_DIM, MAX_DUMP_DIM, main
 from fdphase.report import format_float
+from fdphase.suites import SUITE_NAMES
 
 
 def write_state(path, amplitudes):
@@ -206,6 +207,20 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == ETA_LIMIT_AT_DIM_3
 
+    @pytest.mark.parametrize("suite", [*SUITE_NAMES, "all"])
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_negative_seed_exits_2_naming_the_seed(self, capsys, suite, dim):
+        assert main(["verify", "--dim", str(dim), "--seed", "-1", "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -1\n"
+
+    def test_dim_above_the_limit_exits_2_naming_it(self, capsys):
+        assert main(["verify", "--dim", str(MAX_DIM + 1)]) == 2
+        assert capsys.readouterr().err == (
+            "error: dim = 4097 is out of range: verify accepts dimensions up to 4096\n"
+        )
+
     def test_byte_identical_reports(self, tmp_path):
         args = ["verify", "--dim", "3", "--theta0", "0.3", "--seed", "7"]
         first = tmp_path / "a.json"
@@ -364,6 +379,15 @@ class TestEvolve:
         state = write_state(tmp_path / "state.json", [1.0, 0.0, 0.0])
         assert main(["evolve", str(state), "--mode", "hamiltonian", "--omega", "1e308"]) == 2
         assert capsys.readouterr().err == OMEGA_LIMIT_AT_DIM_3
+
+    def test_state_dim_above_the_limit_exits_2_naming_it(self, tmp_path, capsys):
+        amplitudes = np.zeros(MAX_DIM + 1)
+        amplitudes[0] = 1.0
+        state = write_state(tmp_path / "state.json", amplitudes)
+        assert main(["evolve", str(state), "--mode", "shift"]) == 2
+        assert capsys.readouterr().err == (
+            "error: dim = 4097 is out of range: evolve accepts dimensions up to 4096\n"
+        )
 
     def test_wrong_amp_shape(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -579,6 +603,13 @@ class TestDump:
         assert main(["dump", "qN", "--dim", "2", "--out", str(out)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: [Errno 2] No such file or directory")
+
+    @pytest.mark.parametrize("name", DUMP_OBJECTS)
+    def test_dim_above_the_limit_exits_2_naming_it(self, capsys, name):
+        assert main(["dump", name, "--dim", str(MAX_DUMP_DIM + 1)]) == 2
+        assert capsys.readouterr().err == (
+            "error: dim = 2049 is out of range: dump accepts dimensions up to 2048\n"
+        )
 
     def test_unknown_object_exits_2(self):
         with pytest.raises(SystemExit) as info:

@@ -63,3 +63,29 @@ def test_builders_import_no_check_layer(module):
 )
 def test_check_records_live_in_suites_and_report_only(module):
     assert "CheckRecord" not in set(_names(_tree(module)))
+
+
+def _record_constructions(tree):
+    """The innermost enclosing function of each ``CheckRecord(...)`` call."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            if name == "CheckRecord":
+                found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_check_records_are_constructed_in_one_loop_only():
+    # Every record is made from a suite row by suites._record; report only
+    # defines the class, and no other module constructs one.
+    made = {path.stem: _record_constructions(_tree(path.stem)) for path in PACKAGE.glob("*.py")}
+    assert {module: where for module, where in made.items() if where} == {"suites": ["_record"]}

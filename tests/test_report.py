@@ -1,6 +1,8 @@
 """Report records, manifests, and the byte-stable renderers."""
 
+import inspect
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from fdphase.report import (
     render_pretty,
     to_json,
 )
+from fdphase.suites import FLAGGED_CHECK, _suite, suite_pb_core
 
 
 class TestFormatFloat:
@@ -56,6 +59,10 @@ class TestRunManifest:
         with pytest.raises(ValueError):
             RunManifest(dim=2, format="yaml")
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            RunManifest(dim=2, seed=-1)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             RunManifest(dim=2, theta0=float("inf"))
@@ -81,19 +88,63 @@ class TestRunManifest:
         ]
 
 
-class TestCheckRecord:
-    def test_measured_pass_at_equality(self):
-        record = CheckRecord.measured("x", "anchor", 1e-12, 1e-12)
-        assert record.status == STATUS_PASS
+class TestRecordLoop:
+    """``suites._suite`` turns each yielded row into its record."""
 
-    def test_measured_fail_above_tolerance(self):
-        record = CheckRecord.measured("x", "anchor", 2e-12, 1e-12)
+    @staticmethod
+    def _records(*rows):
+        @_suite
+        def suite():
+            yield from rows
+
+        return suite()
+
+    def test_pass_at_equality(self):
+        (record,) = self._records(("x", "anchor", 1e-12, 0.0, 1e-12))
+        assert record.status == STATUS_PASS
+        assert record.max_deviation == 1e-12
+
+    def test_fail_above_tolerance(self):
+        (record,) = self._records(("x", "anchor", 2e-12, 0.0, 1e-12))
         assert record.status == STATUS_FAIL
 
     def test_flagged_never_fails(self):
-        record = CheckRecord.flagged("x", "anchor", 3.14, 1e-12)
+        (record,) = self._records((FLAGGED_CHECK, "anchor", 3.14, 0.0, 1e-12))
         assert record.status == STATUS_FLAGGED
+        assert record.max_deviation == 3.14
 
+    def test_deviation_is_the_largest_entry_modulus(self):
+        route = np.array([[1.0, 2.0j], [0.5, -1.0]])
+        reference = np.array([[1.0, 0.0], [0.0, -1.0]])
+        (record,) = self._records(("x", "anchor", route, reference, 3.0))
+        assert record.max_deviation == 2.0
+        assert record.status == STATUS_PASS
+
+    def test_empty_routes_read_zero(self):
+        (record,) = self._records(("x", "anchor", np.zeros(0), np.zeros(0), 1e-12))
+        assert record.max_deviation == 0.0
+
+    def test_a_row_is_released_before_the_next_is_built(self):
+        released = []
+
+        @_suite
+        def suite():
+            route = np.ones(4)
+            alive = weakref.ref(route)
+            yield ("first", "anchor", route, np.ones(4), 1e-12)
+            del route
+            released.append(alive() is None)
+            yield ("second", "anchor", 0.0, 0.0, 1e-12)
+
+        assert [record.check_id for record in suite()] == ["first", "second"]
+        assert released == [True]
+
+    def test_suites_stay_plain_functions(self):
+        assert inspect.isfunction(suite_pb_core)
+        assert suite_pb_core.__module__ == "fdphase.suites"
+
+
+class TestCheckRecord:
     def test_rejects_negative_deviation(self):
         with pytest.raises(ValueError):
             CheckRecord("x", "anchor", -1.0, 1e-12, STATUS_PASS)
@@ -106,8 +157,8 @@ class TestCheckRecord:
 def _sample_report() -> VerificationReport:
     manifest = RunManifest(dim=2, suites=("pb-core",), seed=3)
     records = (
-        CheckRecord.measured("alpha", "a = b", 1.5e-16, 2e-11),
-        CheckRecord.flagged("beta", "c differs from d", np.pi, 2e-11),
+        CheckRecord("alpha", "a = b", 1.5e-16, 2e-11, STATUS_PASS),
+        CheckRecord("beta", "c differs from d", np.pi, 2e-11, STATUS_FLAGGED),
     )
     return VerificationReport(manifest=manifest, records=records)
 
