@@ -88,9 +88,6 @@ def _add_space_args(parser: argparse.ArgumentParser, dim_required: bool = True) 
         help="deformation weights: 'linear' or a path to a JSON array",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized state checks"
-    )
-    parser.add_argument(
         "--out", type=Path, default=None, help="output file (default: stdout)"
     )
 
@@ -117,6 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--format", choices=REPORT_FORMATS, default="json", help="report format"
+    )
+    verify.add_argument(
+        "--seed", type=int, default=0, help="seed for randomized state checks"
     )
     verify.set_defaults(func=cmd_verify)
 

@@ -8,6 +8,7 @@ written as decimal with 17 significant digits and a lowercase exponent
 environment data are embedded. The fields of the dataclasses, in their
 declared order, are the report schema. A numpy array renders as nested
 lists in its own layout; a complex entry becomes an ``[re, im]`` pair.
+Arrays are formatted a block at a time with the same ``%.17g`` policy.
 """
 
 from __future__ import annotations
@@ -115,15 +116,36 @@ class VerificationReport:
         return counts
 
 
+_FLOAT_SPEC = "%.17g"
+
+
 def format_float(value: float) -> str:
     """Decimal float text: 17 significant digits, lowercase exponent."""
-    return "%.17g" % float(value)
+    return _FLOAT_SPEC % float(value)
+
+
+def _render_array(array: np.ndarray, indent: int) -> str:
+    """A float or int array laid out as its nested lists, one ``%`` fill per 1-D or 2-D block."""
+    if not len(array):
+        return "[]"
+    spec = _FLOAT_SPEC if array.dtype.kind == "f" else "%d"
+    pad = "  " * indent
+    if array.ndim == 1:
+        return ("[" + ", ".join([spec] * len(array)) + "]") % tuple(array.tolist())
+    if array.ndim == 2:
+        row = pad + "  [" + ", ".join([spec] * array.shape[1]) + "]"
+        body = ",\n".join([row] * len(array)) % tuple(array.ravel().tolist())
+    else:
+        body = ",\n".join(pad + "  " + _render_array(block, indent + 1) for block in array)
+    return "[\n" + body + "\n" + pad + "]"
 
 
 def _render(value, indent: int = 0) -> str:
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
             value = np.stack((value.real, value.imag), axis=-1)
+        if value.ndim and value.dtype.kind in "fiu":
+            return _render_array(value, indent)
         value = value.tolist()
     pad = "  " * indent
     if isinstance(value, dict):

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import fdphase
 from fdphase.cli import DUMP_OBJECTS, MAX_DIM, MAX_DUMP_DIM, main
-from fdphase.report import format_float
+from fdphase.report import format_float, to_json
 from fdphase.suites import SUITE_NAMES
+from test_report import _as_lists
 
 
 def write_state(path, amplitudes):
@@ -501,6 +502,14 @@ class TestEvolve:
         assert captured.out == to_json(expected)
         assert captured.err == ""
 
+    @pytest.mark.parametrize("seed", ["0", "-5"])
+    def test_seed_is_an_unknown_flag(self, tmp_path, capsys, seed):
+        state = write_state(tmp_path / "state.json", [1.0, 0.0])
+        with pytest.raises(SystemExit) as info:
+            main(["evolve", str(state), "--mode", "shift", "--seed", seed])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
     def test_output_state_is_reloadable(self, tmp_path):
         from fdphase.cli import load_state
 
@@ -615,6 +624,47 @@ class TestDump:
         with pytest.raises(SystemExit) as info:
             main(["dump", "einstein", "--dim", "2"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("seed", ["0", "-1"])
+    def test_seed_is_an_unknown_flag(self, capsys, seed):
+        with pytest.raises(SystemExit) as info:
+            main(["dump", "qN", "--dim", "2", "--seed", seed])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+class TestPayloadBytes:
+    """The CLI's bytes equal the nested-list rendering of the payload it built."""
+
+    def run(self, monkeypatch, capsys, argv):
+        payloads = []
+
+        def recording_to_json(payload):
+            payloads.append(payload)
+            return to_json(payload)
+
+        monkeypatch.setattr(fdphase.cli, "to_json", recording_to_json)
+        assert main(argv) == 0
+        (payload,) = payloads
+        lists = {
+            key: _as_lists(value) if isinstance(value, np.ndarray) else value
+            for key, value in payload.items()
+        }
+        # Line lists: pytest names the first differing line, where a diff of
+        # two whole dumps would take minutes.
+        assert capsys.readouterr().out.splitlines(True) == to_json(lists).splitlines(True)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 31, 64])
+    @pytest.mark.parametrize("name", DUMP_OBJECTS)
+    def test_dump(self, monkeypatch, capsys, name, dim):
+        self.run(monkeypatch, capsys, ["dump", name, "--dim", str(dim), "--theta0", "2.9"])
+
+    @pytest.mark.parametrize("dim", [1, 3, 31])
+    @pytest.mark.parametrize("mode", ["hamiltonian", "shift"])
+    def test_evolve(self, tmp_path, monkeypatch, capsys, mode, dim):
+        amp = np.exp(1j * np.arange(dim)) * np.linspace(1.0, 2.0, dim)
+        state = write_state(tmp_path / "state.json", amp / np.linalg.norm(amp))
+        self.run(monkeypatch, capsys, ["evolve", str(state), "--mode", mode, "--steps", "3"])
 
 
 class TestModuleEntryPoint:

@@ -6,6 +6,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fdphase.report import (
     STATUS_FAIL,
@@ -236,18 +239,20 @@ class TestToJson:
 EDGE_VALUES = [0.0, -0.0, 1e-300, 5e-324, -1.7976931348623157e308]
 
 
-def _pairs(values) -> list:
-    """Complex entries as the [re, im] lists of Python floats the dumps hold."""
-    return [[float(z.real), float(z.imag)] for z in values]
-
-
-def _as_lists(array: np.ndarray) -> list:
+def _as_lists(array: np.ndarray):
     """The nested lists an array renders as, built entry by entry."""
-    if np.iscomplexobj(array):
-        return _pairs(array) if array.ndim == 1 else [_pairs(row) for row in array]
-    if array.ndim == 1:
-        return [float(x) for x in array]
-    return [[float(x) for x in row] for row in array]
+    if array.ndim == 0:
+        value = array.item()
+        return [value.real, value.imag] if isinstance(value, complex) else value
+    return [_as_lists(entry) for entry in array]
+
+
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+_ELEMENTS = {
+    np.float64: _FINITE_FLOATS | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    np.complex128: st.builds(complex, _FINITE_FLOATS, _FINITE_FLOATS),
+    np.int64: st.integers(min_value=-(2**63), max_value=2**63 - 1),
+}
 
 
 def _edge_complex(count: int) -> np.ndarray:
@@ -271,6 +276,23 @@ class TestArrayRendering:
             np.array([[5e-324]]),
             np.array([complex(1e-300, -0.0)]),
             np.array([[complex(-0.0, -1.7976931348623157e308)]]),
+            np.resize(EDGE_VALUES, 24).reshape(2, 3, 4),
+            _edge_complex(12).reshape(2, 3, 2),
+            np.resize(EDGE_VALUES, 32).reshape(2, 2, 2, 4),
+            np.array([0, -1, 2**63 - 1, -(2**63)], dtype=np.int64),
+            np.arange(-6, 6, dtype=np.int64).reshape(2, 3, 2),
+            np.array([[0, 2**64 - 1]], dtype=np.uint64),
+            np.array([True, False]),
+            np.array([[True], [False]]),
+            np.array(-0.0),
+            np.array(complex(5e-324, -0.0)),
+            np.empty(0),
+            np.empty((2, 0)),
+            np.empty((0, 3)),
+            np.empty((2, 0, 2)),
+            np.empty((2, 0), dtype=np.complex128),
+            np.empty((0, 3), dtype=np.int64),
+            np.empty((2, 0), dtype=bool),
         ],
         ids=[
             "real-1d",
@@ -282,9 +304,41 @@ class TestArrayRendering:
             "real-(1,1)",
             "complex-(1,)",
             "complex-(1,1)",
+            "real-2x3x4",
+            "complex-2x3x2",
+            "real-2x2x2x4",
+            "int-1d",
+            "int-2x3x2",
+            "uint-1x2",
+            "bool-1d",
+            "bool-2x1",
+            "real-0d",
+            "complex-0d",
+            "real-(0,)",
+            "real-(2,0)",
+            "real-(0,3)",
+            "real-(2,0,2)",
+            "complex-(2,0)",
+            "int-(0,3)",
+            "bool-(2,0)",
         ],
     )
     def test_matches_the_nested_lists(self, array):
+        assert to_json(array) == to_json(_as_lists(array))
+        assert to_json({"matrix": array}) == to_json({"matrix": _as_lists(array)})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([np.float64, np.complex128, np.int64]).flatmap(
+            lambda dtype: hnp.arrays(
+                dtype,
+                hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+                elements=_ELEMENTS[dtype],
+            )
+        )
+    )
+    @example(np.array([[0.0, -0.0], [5e-324, -2.2250738585072009e-308]]))
+    def test_random_arrays_match_the_nested_lists(self, array):
         assert to_json(array) == to_json(_as_lists(array))
         assert to_json({"matrix": array}) == to_json({"matrix": _as_lists(array)})
 
