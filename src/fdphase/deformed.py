@@ -49,6 +49,7 @@ __all__ = [
     "deformation_linear",
     "profile_from_json",
     "build_generalized_frame",
+    "offset_phase_coefficients",
     "offset_phase_frame",
     "LadderOperators",
     "build_ladder_operators",
@@ -140,16 +141,21 @@ def build_generalized_frame(base: Frame, eta: float) -> Frame:
     return Frame(config=config, eta=eta, basis=shift)
 
 
-def offset_phase_frame(frame: Frame) -> Frame:
+def offset_phase_coefficients(frame: Frame) -> np.ndarray:
+    """exp(i(n+eta)theta_m)/sqrt(s+1) at (n, m): |theta_m> over the states of ``frame``."""
+    config, dim = frame.config, frame.config.dim
+    coeff = np.exp(1j * np.outer(np.arange(dim) + frame.eta, config.thetas())) / math.sqrt(dim)
+    coeff.setflags(write=False)
+    return coeff
+
+
+def offset_phase_frame(frame: Frame, coeff: np.ndarray) -> Frame:
     """The offset-window phase states, certified orthonormal once.
 
-    Column m is sum_n exp(i(n+eta)theta_m)/sqrt(s+1) |n+eta>, the Fourier sum
-    over the offset number states of ``frame`` with exponents n+eta.
+    Column m is sum_n coeff[n, m] |n+eta>, the Fourier sum over the offset
+    number states of ``frame`` with ``coeff = offset_phase_coefficients(frame)``.
     """
-    config = frame.config
-    dim = config.dim
-    coeff = np.exp(1j * np.outer(np.arange(dim) + frame.eta, config.thetas())) / math.sqrt(dim)
-    return Frame(config=config, eta=frame.eta, basis=OperatorMatrix(frame.basis.apply(coeff)))
+    return Frame(config=frame.config, eta=frame.eta, basis=OperatorMatrix(frame.basis.apply(coeff)))
 
 
 @dataclass(frozen=True, eq=False)

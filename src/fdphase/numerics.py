@@ -16,6 +16,9 @@ through :func:`spectral_synthesize`, so no general matrix exponential or
 eigensolver lives here. Every tolerance is the dimension's
 :meth:`TolerancePolicy.for_dim`.
 
+Whole-operator identities are read on the probe block P of :func:`probes`
+(Freivalds-style verification): max |(X - Y) P| costs d^2 per probe, not d^3.
+
 Monomial operators, with exactly one nonzero entry per row and per column
 (the diagonals and the weighted cyclic shifts), are recognised from their
 entries: :func:`mat_power` composes them index by index in O(d log k), and
@@ -45,9 +48,14 @@ __all__ = [
     "unitary_deviation",
     "tag_deviation",
     "max_abs",
+    "probes",
 ]
 
 TWO_PI = 2.0 * np.pi
+
+PROBE_EXACT_DIM = 64
+PROBE_COUNT = 8
+PROBE_SEED = 1977
 
 
 class DimensionMismatch(ValueError):
@@ -85,13 +93,34 @@ def max_abs(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
+def probes(dim: int) -> np.ndarray:
+    """The read-only probe block P of dimension d: the identity up to ``PROBE_EXACT_DIM``.
+
+    Above it, e_0 and e_s (the wrap-around corners) and ``PROBE_COUNT`` unit
+    complex Gaussian columns from ``PROBE_SEED``; a wrong entry E[j, l] reads
+    |E[j, l]| max_c |P[l, c]|, and that max is >= 0.6/sqrt(d) at every d tested.
+    """
+    if dim <= PROBE_EXACT_DIM:
+        block = np.eye(dim)
+    else:
+        rng = np.random.default_rng(PROBE_SEED)
+        shape = (dim, PROBE_COUNT)
+        gaussian = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        block = np.zeros((dim, 2 + PROBE_COUNT), dtype=np.complex128)
+        block[0, 0] = block[dim - 1, 1] = 1.0
+        block[:, 2:] = gaussian / np.linalg.norm(gaussian, axis=0)
+    block.setflags(write=False)
+    return block
+
+
 def hermitian_deviation(entries: np.ndarray) -> float:
     return max_abs(entries - entries.conj().T)
 
 
 def _gram_deviation(columns: np.ndarray) -> float:
-    """max |V^dag V - 1| over the columns of ``columns``, one dense product."""
-    return max_abs(columns.conj().T @ columns - np.eye(columns.shape[1]))
+    """max |V^dag (V P) - P| on the probe block P: max |V^dag V - 1| while P = I."""
+    block = probes(columns.shape[1])
+    return max_abs(columns.conj().T @ (columns @ block) - block)
 
 
 def _monomial(entries: np.ndarray):
@@ -147,7 +176,7 @@ def unitary_deviation(entries: np.ndarray) -> float:
 
     For a monomial M the off-diagonal entries of M^dag M are exact zeros, so
     the deviation is max_j ||v_j|^2 - 1| over its nonzero values v_j; any
-    other matrix takes the dense product.
+    other matrix is read on the probe block P, as max |M^dag (M P) - P|.
     """
     monomial = _monomial(entries)
     if monomial is None:

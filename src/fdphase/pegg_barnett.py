@@ -170,27 +170,32 @@ def commutator(ml: OperatorMatrix, mr: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(ml.apply(mr.entries) - mr.apply(ml.entries))
 
 
+def _toeplitz(values: np.ndarray) -> np.ndarray:
+    """The d x d matrix whose entry (row, col) is ``values[row - col + d - 1]``."""
+    levels = np.arange((values.size + 1) // 2)
+    return values[levels[:, None] - levels[None, :] + levels.size - 1]
+
+
 def commutator_closed_form(config: SpaceConfig) -> OperatorMatrix:
     """Closed form of [Phi, N] derived from the phase-state expansion.
 
     Element (n, n') for n != n' is
     (2*pi/(s+1)) (n'-n) exp(i(n-n')theta_0) / (exp(2*pi*i(n-n')/(s+1)) - 1)
     with zero diagonal. This agrees with the direct commutator for every
-    window origin and dimension.
+    window origin and dimension. Its 2s+1 values of n - n' are gathered.
     """
     dim = config.dim
-    levels = np.arange(dim)
-    delta = levels[:, None] - levels[None, :]  # n - n'
-    entries = np.zeros((dim, dim), dtype=np.complex128)
+    delta = np.arange(1 - dim, dim)  # n - n'
+    values = np.zeros(delta.size, dtype=np.complex128)
     off = delta != 0
     denom = np.exp(2j * np.pi * delta[off] / dim) - 1.0
-    entries[off] = (
+    values[off] = (
         (TWO_PI / dim)
         * (-delta[off])
         * np.exp(1j * delta[off] * config.theta0)
         / denom
     )
-    return OperatorMatrix(entries)
+    return OperatorMatrix(_toeplitz(values))
 
 
 def commutator_double_sum(config: SpaceConfig) -> OperatorMatrix:
@@ -203,14 +208,13 @@ def commutator_double_sum(config: SpaceConfig) -> OperatorMatrix:
     element, so it is reported as a flagged deviation rather than asserted.
     """
     dim = config.dim
-    levels = np.arange(dim)
-    n_prime, n = levels[:, None], levels[None, :]  # entry (n', n)
-    off = n_prime != n
+    delta = np.arange(1 - dim, dim)  # n' - n
+    off = delta != 0
     # Bit for bit the verbatim double loop: the exponent's imaginary part is
     # the real (2*pi*k)/dim, the value the scalar 2j*pi*k/dim takes (a
     # complex/real array division multiplies by a reciprocal and rounds
     # differently), and the terms are added onto zeros as the loop did.
-    k = (n - n_prime)[off]
-    entries = np.zeros((dim, dim), dtype=np.complex128)
-    entries[off] += (n_prime - n)[off] / (np.exp(1j * ((2 * np.pi * k) / dim)) - 1.0)
-    return OperatorMatrix(entries * (TWO_PI / dim))
+    k = -delta[off]  # n - n'
+    values = np.zeros(delta.size, dtype=np.complex128)
+    values[off] += delta[off] / (np.exp(1j * ((2 * np.pi * k) / dim)) - 1.0)
+    return OperatorMatrix(_toeplitz(values * (TWO_PI / dim)))

@@ -17,6 +17,9 @@ otherwise, except for the one id in ``FLAGGED_CHECK``, which is always
 ``(deviation, 0.0)``. Each ``suite_*`` is still a plain function that does
 all its work when called and returns its list of records.
 
+A row whose side would take a d^3 product the builders do not make compares
+both sides applied to the probe block P of :func:`.numerics.probes` instead.
+
 :func:`run_suites` hands every suite the one tolerance policy of the
 manifest's dimension and one ``shared`` dict, so that a construction two
 suites use (the phase frame, an offset frame, the explicit exp(iPhi), q^-N,
@@ -46,6 +49,7 @@ from .deformed import (
     deformation_linear,
     generalized_number_shift,
     modified_number_shift,
+    offset_phase_coefficients,
     offset_phase_frame,
     profile_from_json,
     recover_phase_operator,
@@ -63,11 +67,11 @@ from .numerics import (
     cyclic_shift,
     mat_power,
     max_abs,
+    probes,
 )
 from .pegg_barnett import (
     SpaceConfig,
     build_phase_frame,
-    commutator,
     commutator_closed_form,
     commutator_double_sum,
     hermitian_phase_operator,
@@ -159,11 +163,12 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
     frame = _once(shared, "phase_frame", build_phase_frame, config)
     v = frame.basis.entries
     eye = np.eye(dim)
+    block = probes(dim)
 
     yield ("phase_frame_orthonormal", "<theta_m|theta_k> = delta_mk",
            frame.basis.deviations["unitary"], 0.0, policy.tol_op)
     yield ("phase_frame_complete", "sum_m |theta_m><theta_m| = 1",
-           v @ v.conj().T, eye, policy.tol_op)
+           v @ (v.conj().T @ block), block, policy.tol_op)
     # The frame's exponentials exp(i n theta_m) against diag(exp(i n theta_0))
     # times the unitary DFT, which np.fft builds from the identity.
     expected = np.fft.ifft(eye, axis=0, norm="ortho")
@@ -193,9 +198,9 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
 
     down = _once(shared, "number_shift", number_shift_operator, config)
     yield ("number_shift_action", "q^-N |theta_m> = |theta_m-1> and q^-N |theta_0> = |theta_s>",
-           down.apply(v), np.roll(v, 1, axis=1), policy.tol_elem)
+           down.apply(v @ block), np.roll(v, 1, axis=1) @ block, policy.tol_elem)
     yield ("number_shift_realization", "q^-N = sum_m |theta_m-1><theta_m| + |theta_s><theta_0|",
-           v @ cyclic_shift(dim, 1.0) @ v.conj().T, down.entries, policy.tol_op)
+           v @ (cyclic_shift(dim, 1.0) @ (v.conj().T @ block)), down.apply(block), policy.tol_op)
     # The explicit diagonal q^-N raised by repeated multiplication against
     # the identity.
     yield ("number_shift_cyclic", "(q^-N)^(s+1) = 1",
@@ -203,7 +208,8 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
 
     # The explicit shift: the spectral route, built from v, would test only v's orthonormality.
     yield ("unitary_phase_diagonal_in_phase_frame", "exp(iPhi)|theta_m> = exp(i theta_m)|theta_m>",
-           v.conj().T @ realization.apply(v), np.diag(np.exp(1j * config.thetas())), policy.tol_op)
+           v.conj().T @ realization.apply(v @ block), np.exp(1j * config.thetas())[:, None] * block,
+           policy.tol_op)
     # q^-N, whose diagonal is root_power(-n), against the powers of the
     # scalar q^-1 = conj(q) taken by cumulative multiplication.
     inverse_q = np.full(dim, np.conj(config.q))
@@ -212,9 +218,11 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
            down.entries, np.diag(np.cumprod(inverse_q)), policy.tol_op)
 
     closed = commutator_closed_form(config).entries
+    number = number_operator(config)
     yield ("commutator_direct_vs_closed_form",
            "[Phi;N] equals its closed form from the phase-state expansion",
-           commutator(phi, number_operator(config)).entries, closed, policy.tol_op)
+           phi.apply(number.apply(block)) - number.apply(phi.apply(block)), closed @ block,
+           policy.tol_op)
     yield (FLAGGED_CHECK, "[Phi;N] double-sum kernel differs by a unit-modulus factor per element",
            commutator_double_sum(config).entries, closed, policy.tol_op)
 
@@ -229,28 +237,29 @@ def suite_gdo(
 ):
     dim = config.dim
     frame = _generalized_frame(shared, config, eta)
-    phases = offset_phase_frame(frame)
+    coeff = offset_phase_coefficients(frame)
+    phases = offset_phase_frame(frame, coeff)
     v = frame.basis.entries
     p = phases.basis.entries
     eye = np.eye(dim)
+    block = probes(dim)
 
     yield ("generalized_number_frame_orthonormal", "<n+eta|k+eta> = delta_nk",
            frame.basis.deviations["unitary"], 0.0, policy.tol_op)
     yield ("generalized_phase_frame_orthonormal", "offset-window <theta_m|theta_k> = delta_mk",
            phases.basis.deviations["unitary"], 0.0, policy.tol_op)
 
-    coeff = np.exp(1j * np.outer(np.arange(dim) + frame.eta, config.thetas())) / np.sqrt(dim)
     yield ("continuous_shift_roundtrip", "exp(-i eta Phi)|n> = |n+eta>",
-           p @ coeff.conj().T, v, policy.tol_elem)
+           p @ (coeff.conj().T @ block), v @ block, policy.tol_elem)
 
     ladder = build_ladder_operators(frame, profile)
     yield ("ladder_number_product", "Adag A |n+eta> = F_n |n+eta>",
-           v.conj().T @ ladder.a_dag.apply(ladder.a.entries) @ v,
-           np.diag(profile.values),
+           v.conj().T @ ladder.a_dag.apply(ladder.a.apply(v @ block)),
+           profile.values[:, None] * block,
            policy.tol_op)
     yield ("ladder_reversed_product", "A Adag carries the cyclically shifted weights",
-           v.conj().T @ ladder.a.apply(ladder.a_dag.entries) @ v,
-           np.diag(np.roll(profile.values, -1)),
+           v.conj().T @ ladder.a.apply(ladder.a_dag.apply(v @ block)),
+           np.roll(profile.values, -1)[:, None] * block,
            policy.tol_op)
 
     phase_op = _once(shared, "exp_iphi", unitary_phase_operator, config)
@@ -269,19 +278,19 @@ def suite_gdo(
     # The matched shift laws: q^-(N+eta) shifts the offset-window phase states
     # down with wrap-around factor exp(-2 pi i eta), exp(iPhi) shifts the
     # offset number states down with exp(i(s+1)theta_0), and the two corner
-    # phases show the window/offset symmetry.
+    # phases show the window/offset symmetry. The shift laws take the probe
+    # block's rows 1..s as coordinates over the states 1..s.
     corner_eta = np.exp(-2j * np.pi * frame.eta)
     corner_theta = np.exp(1j * dim * config.theta0)
-    shifted_phase = qshift.apply(p)
-    shifted_number = phase_op.apply(v)
+    inner = block[1:]
     yield ("modified_shift_action", "q^-(N+eta)|theta_m> = |theta_m-1>",
-           shifted_phase[:, 1:], p[:, :-1], policy.tol_elem)
+           qshift.apply(p[:, 1:] @ inner), p[:, :-1] @ inner, policy.tol_elem)
     yield ("modified_shift_wraparound", "q^-(N+eta)|theta_0> = exp(-i 2 pi eta)|theta_s>",
-           shifted_phase[:, 0], corner_eta * p[:, dim - 1], policy.tol_elem)
+           qshift.apply(p[:, 0]), corner_eta * p[:, dim - 1], policy.tol_elem)
     yield ("unitary_phase_on_generalized_states", "exp(iPhi)|n+eta> = |n+eta-1>",
-           shifted_number[:, 1:], v[:, :-1], policy.tol_elem)
+           phase_op.apply(v[:, 1:] @ inner), v[:, :-1] @ inner, policy.tol_elem)
     yield ("unitary_phase_generalized_wraparound", "exp(iPhi)|eta> = exp(i(s+1)theta_0)|s+eta>",
-           shifted_number[:, 0], corner_theta * v[:, dim - 1], policy.tol_elem)
+           phase_op.apply(v[:, 0]), corner_theta * v[:, dim - 1], policy.tol_elem)
     yield ("corner_phase_phase_operator", "wrap-around phase of exp(iPhi) is exp(i(s+1)theta_0)",
            v[:, dim - 1].conj() @ phase_op.entries @ v[:, 0], corner_theta, policy.tol_elem)
     yield ("corner_phase_number_shift", "wrap-around phase of q^-(N+eta) is exp(-i 2 pi eta)",
@@ -322,9 +331,10 @@ def suite_evolution(
     yield ("evolution_unitary", "U(t) = exp(-i H t) is unitary",
            u.deviations["unitary"], 0.0, policy.tol_op)
     t1, t2 = 0.37 / float(omega), 1.91 / float(omega)
+    block = probes(dim)
     yield ("evolution_group_law", "U(t1) U(t2) = U(t1+t2)",
-           time_evolution(config, omega, t1).apply(time_evolution(config, omega, t2).entries),
-           time_evolution(config, omega, t1 + t2).entries,
+           time_evolution(config, omega, t1).apply(time_evolution(config, omega, t2).apply(block)),
+           time_evolution(config, omega, t1 + t2).apply(block),
            policy.tol_op)
     diag = np.diag(u.entries)
     factors = cycle_phase_per_level(config)

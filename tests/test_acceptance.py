@@ -13,6 +13,7 @@ from fdphase.deformed import (
     build_ladder_operators,
     cycle_operator_power,
     deformation_linear,
+    offset_phase_coefficients,
     offset_phase_frame,
     recover_phase_operator,
 )
@@ -228,7 +229,8 @@ def test_criterion_8_continuous_shift():
                 coeff = np.exp(
                     1j * np.outer(np.arange(dim) + eta, config.thetas())
                 ) / np.sqrt(dim)
-                rebuilt = offset_phase_frame(frame).basis.entries @ coeff.conj().T
+                phases = offset_phase_frame(frame, offset_phase_coefficients(frame))
+                rebuilt = phases.basis.entries @ coeff.conj().T
                 dev = float(np.max(np.abs(rebuilt - frame.basis.entries)))
                 worst = max(worst, dev)
                 ok = ok and dev <= tol

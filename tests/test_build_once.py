@@ -15,6 +15,7 @@ from fdphase.deformed import (
     deformation_linear,
     generalized_number_shift,
     modified_number_shift,
+    offset_phase_coefficients,
     offset_phase_frame,
     recover_phase_operator,
 )
@@ -140,7 +141,8 @@ class TestBuilderCertifications:
         profile = deformation_linear(config, 0.5)
         context = SimpleNamespace(
             config=config, frame=frame, offset=offset, profile=profile,
-            ladder=build_ladder_operators(offset, profile), phases=offset_phase_frame(offset),
+            ladder=build_ladder_operators(offset, profile),
+            phases=offset_phase_frame(offset, offset_phase_coefficients(offset)),
         )
         tag_counts.clear()
         op = build(context)
@@ -256,7 +258,8 @@ class TestOffsetPhaseFamilyOnlyWhereRead:
         """The phase frame, the offset number states and the offset phase states."""
         base = build_phase_frame(SpaceConfig.from_dim(dim, theta0))
         offset = build_generalized_frame(base, eta)
-        return base.basis.entries, offset.basis.entries, offset_phase_frame(offset).basis.entries
+        phases = offset_phase_frame(offset, offset_phase_coefficients(offset))
+        return base.basis.entries, offset.basis.entries, phases.basis.entries
 
     def test_cross_module_verify_certifies_no_offset_phase_family(self, monkeypatch):
         base, number, _ = self._expected_frames(6, 2.9, 0.5)

@@ -14,6 +14,7 @@ from fdphase.deformed import (
     deformation_linear,
     generalized_number_shift,
     modified_number_shift,
+    offset_phase_coefficients,
     offset_phase_frame,
     profile_from_json,
     recover_phase_operator,
@@ -33,6 +34,11 @@ from fdphase.suites import suite_gdo
 def _offset_frame(config, eta):
     """The offset frame |n+eta> over a freshly built phase frame."""
     return build_generalized_frame(build_phase_frame(config), eta)
+
+
+def _offset_phases(frame):
+    """The offset phase states over the offset number states ``frame``."""
+    return offset_phase_frame(frame, offset_phase_coefficients(frame))
 
 
 def _in_frame(frame, matrix):
@@ -100,7 +106,7 @@ class TestGeneralizedFrame:
         base = build_phase_frame(config)
         frame = build_generalized_frame(base, 0.0)
         assert np.max(np.abs(frame.basis.entries - np.eye(4))) <= 4e-12
-        phases = offset_phase_frame(frame).basis.entries
+        phases = _offset_phases(frame).basis.entries
         assert np.max(np.abs(phases - base.basis.entries)) <= 4e-12
 
     def test_integer_eta_phase_states_match_base_frame(self):
@@ -109,7 +115,7 @@ class TestGeneralizedFrame:
         # exp(-i eta Phi) on that state.
         config = SpaceConfig.from_dim(2, 0.0)
         base = build_phase_frame(config)
-        phases = offset_phase_frame(build_generalized_frame(base, 1.0))
+        phases = _offset_phases(build_generalized_frame(base, 1.0))
         for m in range(2):
             phase = equal_up_to_global_phase(
                 base.basis.entries[:, m], phases.basis.entries[:, m], 1e-12
@@ -132,7 +138,7 @@ class TestGeneralizedFrame:
         coeff = np.exp(
             1j * np.outer(np.arange(dim) + eta, config.thetas())
         ) / np.sqrt(dim)
-        rebuilt = offset_phase_frame(frame).basis.entries @ coeff.conj().T
+        rebuilt = _offset_phases(frame).basis.entries @ coeff.conj().T
         assert np.max(np.abs(rebuilt - frame.basis.entries)) <= 1e-11 * dim
 
     def test_carries_no_phase_family(self):
@@ -144,7 +150,7 @@ class TestGeneralizedFrame:
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_offset_phase_frame_is_a_certified_frame(self, dim):
         config = SpaceConfig.from_dim(dim, 0.4)
-        phases = offset_phase_frame(_offset_frame(config, 0.25))
+        phases = _offset_phases(_offset_frame(config, 0.25))
         assert isinstance(phases, Frame)
         assert phases.config is config
         assert phases.eta == 0.25
@@ -299,7 +305,7 @@ class TestModifiedNumberShift:
     def test_eta_zero_reduces_to_undeformed_shift(self):
         config = SpaceConfig.from_dim(4, 0.6)
         frame = _offset_frame(config, 0.0)
-        op = modified_number_shift(frame, offset_phase_frame(frame))
+        op = modified_number_shift(frame, _offset_phases(frame))
         assert np.max(
             np.abs(op.entries - number_shift_operator(config).entries)
         ) <= 4e-11
@@ -307,7 +313,7 @@ class TestModifiedNumberShift:
     def test_dim_2_half_eta_in_frame_coordinates(self):
         config = SpaceConfig.from_dim(2, 0.0)
         frame = _offset_frame(config, 0.5)
-        op = modified_number_shift(frame, offset_phase_frame(frame))
+        op = modified_number_shift(frame, _offset_phases(frame))
         in_frame = _in_frame(frame, op.entries)
         expected = np.exp(-1j * np.pi / 2) * np.diag([1.0, -1.0])
         assert np.allclose(in_frame, expected, atol=1e-14)
@@ -315,7 +321,7 @@ class TestModifiedNumberShift:
     def test_dim_2_half_eta_standard_coordinates(self):
         # Hand value: the two projector terms evaluate to [[0,-1],[1,0]].
         frame = _offset_frame(SpaceConfig.from_dim(2, 0.0), 0.5)
-        op = modified_number_shift(frame, offset_phase_frame(frame))
+        op = modified_number_shift(frame, _offset_phases(frame))
         assert np.allclose(op.entries, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
@@ -323,14 +329,14 @@ class TestModifiedNumberShift:
     def test_matches_spectral_form(self, dim, eta):
         config = SpaceConfig.from_dim(dim, 0.2)
         frame = _offset_frame(config, eta)
-        realization = modified_number_shift(frame, offset_phase_frame(frame))
+        realization = modified_number_shift(frame, _offset_phases(frame))
         spectral = generalized_number_shift(frame)
         assert np.max(np.abs(realization.entries - spectral.entries)) <= 1e-11 * dim
 
     def test_wraparound_action(self):
         config = SpaceConfig.from_dim(3, 0.0)
         frame = _offset_frame(config, 0.25)
-        phases = offset_phase_frame(frame)
+        phases = _offset_phases(frame)
         out = modified_number_shift(frame, phases).apply(phases.basis.entries[:, 0])
         expected = np.exp(-2j * np.pi * 0.25) * phases.basis.entries[:, 2]
         assert np.max(np.abs(out - expected)) <= 3e-12
@@ -485,7 +491,7 @@ class TestDualityCheck:
             @ frame.basis.entries[:, 0]
         )
         qshift = generalized_number_shift(frame)
-        phases = offset_phase_frame(frame).basis.entries
+        phases = _offset_phases(frame).basis.entries
         corner_eta = complex(phases[:, 1].conj() @ qshift.entries @ phases[:, 0])
         assert corner_theta == pytest.approx(-1.0, abs=1e-12)
         assert corner_eta == pytest.approx(-1.0, abs=1e-12)

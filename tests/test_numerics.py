@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdphase import numerics
+from fdphase import numerics, suites
 from fdphase.numerics import (
     DimensionMismatch,
     OperatorMatrix,
@@ -20,6 +20,7 @@ from fdphase.numerics import (
     unitary_deviation,
 )
 from fdphase.pegg_barnett import SpaceConfig, build_phase_frame, hermitian_phase_operator
+from fdphase.report import RunManifest
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -334,3 +335,58 @@ class TestCertify:
     def test_unknown_tag(self, tag):
         with pytest.raises(ValueError, match="unknown tag"):
             certify(OperatorMatrix(np.eye(2)), tag)
+
+
+class TestProbes:
+    @pytest.mark.parametrize("dim", [1, 2, 31, 64])
+    def test_identity_up_to_the_exact_dimension(self, dim):
+        assert numerics.PROBE_EXACT_DIM == 64
+        block = numerics.probes(dim)
+        assert block.shape == (dim, dim)
+        assert np.array_equal(block, np.eye(dim))
+
+    @pytest.mark.parametrize("dim", [65, 128, 512, 1024])
+    def test_basis_corners_and_unit_gaussians_above_it(self, dim):
+        block = numerics.probes(dim)
+        assert block.shape == (dim, 10) == (dim, 2 + numerics.PROBE_COUNT)
+        assert np.array_equal(block[:, 0], basis(dim, 0))
+        assert np.array_equal(block[:, 1], basis(dim, dim - 1))
+        assert np.all(block[:, 2:] != 0)
+        assert np.max(np.abs(np.linalg.norm(block, axis=0) - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [3, 65, 512])
+    def test_read_only_and_fixed_by_the_dimension(self, dim):
+        block = numerics.probes(dim)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 2.0
+        assert numerics.probes(dim).tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("dim", [65, 128, 511, 512, 1024, 4096])
+    def test_every_row_meets_a_large_probe_entry(self, dim):
+        # A single wrong entry E[j, l] shows as |E[j, l]| max_c |P[l, c]|.
+        block = numerics.probes(dim)
+        assert np.min(np.max(np.abs(block), axis=1)) >= 0.5 / np.sqrt(dim)
+
+    @pytest.mark.parametrize("where", ["corner (s, 0)", "corner (0, s)", "interior"])
+    def test_a_planted_entry_error_fails_its_record(self, monkeypatch, where):
+        dim = 128
+        row, col = {"corner (s, 0)": (dim - 1, 0), "corner (0, s)": (0, dim - 1),
+                    "interior": (37, 90)}[where]
+        manifest = RunManifest(dim=dim, theta0=2.9, suites=("pb-core",))
+        check_id = "commutator_direct_vs_closed_form"
+
+        def status():
+            (record,) = [r for r in suites.run_suites(manifest).records if r.check_id == check_id]
+            return record.status
+
+        assert status() == "pass"
+        closed_form = suites.commutator_closed_form
+
+        def planted(config):
+            entries = closed_form(config).entries.copy()
+            entries[row, col] += 1e-3
+            return OperatorMatrix(entries)
+
+        monkeypatch.setattr(suites, "commutator_closed_form", planted)
+        assert status() == "fail"

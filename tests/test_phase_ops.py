@@ -362,3 +362,46 @@ class TestCommutatorDoubleSum:
         got = commutator_double_sum(SpaceConfig.from_dim(dim, 0.3)).entries
         # Byte comparison: equal values and equal signs of zero.
         assert got.tobytes() == self._verbatim_double_loop(dim).tobytes()
+
+
+def _elementwise_closed_form(config):
+    """The closed form evaluated entry by entry over the d x d grid of n - n'."""
+    dim = config.dim
+    levels = np.arange(dim)
+    delta = levels[:, None] - levels[None, :]  # n - n'
+    entries = np.zeros((dim, dim), dtype=np.complex128)
+    off = delta != 0
+    denom = np.exp(2j * np.pi * delta[off] / dim) - 1.0
+    entries[off] = (
+        (TWO_PI / dim)
+        * (-delta[off])
+        * np.exp(1j * delta[off] * config.theta0)
+        / denom
+    )
+    return entries
+
+
+def _elementwise_double_sum(config):
+    """The double-sum kernel evaluated entry by entry over the d x d grid."""
+    dim = config.dim
+    levels = np.arange(dim)
+    n_prime, n = levels[:, None], levels[None, :]  # entry (n', n)
+    off = n_prime != n
+    k = (n - n_prime)[off]
+    entries = np.zeros((dim, dim), dtype=np.complex128)
+    entries[off] += (n_prime - n)[off] / (np.exp(1j * ((2 * np.pi * k) / dim)) - 1.0)
+    return entries * (TWO_PI / dim)
+
+
+class TestToeplitzForms:
+    """Both kernels depend on n - n' alone and gather their 2s+1 values."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 64, 257, 512])
+    @pytest.mark.parametrize("theta0", [0.0, -0.0, 0.3, 2.9, 1e6])
+    def test_bit_identical_to_the_elementwise_forms(self, dim, theta0):
+        config = SpaceConfig.from_dim(dim, theta0)
+        # Byte comparison: equal values and equal signs of zero.
+        closed = commutator_closed_form(config).entries
+        assert closed.tobytes() == _elementwise_closed_form(config).tobytes()
+        double = commutator_double_sum(config).entries
+        assert double.tobytes() == _elementwise_double_sum(config).tobytes()

@@ -4,7 +4,26 @@ import numpy as np
 import pytest
 
 from fdphase import numerics
-from fdphase.pegg_barnett import SpaceConfig, build_phase_frame, number_shift_operator
+from fdphase.deformed import (
+    build_generalized_frame,
+    build_ladder_operators,
+    deformation_linear,
+    generalized_number_shift,
+    offset_phase_coefficients,
+    offset_phase_frame,
+    recover_phase_operator,
+)
+from fdphase.evolution import time_evolution
+from fdphase.pegg_barnett import (
+    SpaceConfig,
+    build_phase_frame,
+    commutator,
+    commutator_closed_form,
+    hermitian_phase_operator,
+    number_operator,
+    number_shift_operator,
+    unitary_phase_operator,
+)
 from fdphase.report import RunManifest
 from fdphase.suites import SUITE_NAMES, run_suites
 
@@ -63,3 +82,86 @@ class TestStructuredPowers:
         assert report.status_counts()["fail"] == 0
         assert powers == []
         assert products and not any(products)
+
+
+def _max_abs(x):
+    return float(np.max(np.abs(x)))
+
+
+def _dense_deviations(dim, theta0, eta):
+    """Each probe-measured record's deviation over every entry, by dense products.
+
+    Each row's route and reference as whole matrices, compared over every
+    entry; omega = 1.
+    """
+    config = SpaceConfig.from_dim(dim, theta0)
+    eye = np.eye(dim)
+
+    def gram(m):
+        return _max_abs(m.conj().T @ m - eye)
+
+    def u(t):
+        return time_evolution(config, 1.0, t).entries
+
+    frame = build_phase_frame(config)
+    v = frame.basis.entries
+    down = number_shift_operator(config).entries
+    shift = unitary_phase_operator(config).entries
+    phi = hermitian_phase_operator(frame)
+    offset = build_generalized_frame(frame, eta)
+    w = offset.basis.entries
+    coeff = offset_phase_coefficients(offset)
+    p = offset_phase_frame(offset, coeff).basis.entries
+    profile = deformation_linear(config, eta)
+    ladder = build_ladder_operators(offset, profile)
+    a, a_dag = ladder.a.entries, ladder.a_dag.entries
+    q = generalized_number_shift(offset).entries
+    q_p, shift_w = q @ p, shift @ w
+    return {
+        "phase_frame_orthonormal": gram(v),
+        "phase_frame_complete": _max_abs(v @ v.conj().T - eye),
+        "number_shift_action": _max_abs(down @ v - np.roll(v, 1, axis=1)),
+        "number_shift_realization": _max_abs(
+            v @ numerics.cyclic_shift(dim, 1.0) @ v.conj().T - down),
+        "unitary_phase_diagonal_in_phase_frame": _max_abs(
+            v.conj().T @ shift @ v - np.diag(np.exp(1j * config.thetas()))),
+        "commutator_direct_vs_closed_form": _max_abs(
+            commutator(phi, number_operator(config)).entries
+            - commutator_closed_form(config).entries),
+        "generalized_number_frame_orthonormal": gram(w),
+        "generalized_phase_frame_orthonormal": gram(p),
+        "continuous_shift_roundtrip": _max_abs(p @ coeff.conj().T - w),
+        "ladder_number_product": _max_abs(
+            w.conj().T @ a_dag @ a @ w - np.diag(profile.values)),
+        "ladder_reversed_product": _max_abs(
+            w.conj().T @ a @ a_dag @ w - np.diag(np.roll(profile.values, -1))),
+        "recovered_phase_unitary": gram(recover_phase_operator(ladder.a, profile, offset).entries),
+        "modified_shift_action": _max_abs(q_p[:, 1:] - p[:, :-1]),
+        "modified_shift_wraparound": _max_abs(
+            q_p[:, 0] - np.exp(-2j * np.pi * eta) * p[:, dim - 1]),
+        "unitary_phase_on_generalized_states": _max_abs(shift_w[:, 1:] - w[:, :-1]),
+        "unitary_phase_generalized_wraparound": _max_abs(
+            shift_w[:, 0] - np.exp(1j * dim * theta0) * w[:, dim - 1]),
+        "evolution_group_law": _max_abs(u(0.37) @ u(1.91) - u(0.37 + 1.91)),
+    }
+
+
+class TestProbeRecordsAgainstTheDenseRoutes:
+    """Above the exact dimension a record reads its row on the probe block only.
+
+    For a probe column g, |E g| is at most ||g||_1 max|E| <= sqrt(d) max|E|,
+    so a probe reading is at most sqrt(d) times the full-matrix reading, and
+    it reaches the same verdict.
+    """
+
+    @pytest.mark.parametrize("dim", [65, 128, 257])
+    @pytest.mark.parametrize("theta0, eta", [(0.3, 0.25), (2.9, 1.5)])
+    def test_status_and_bound_against_the_dense_deviation(self, dim, theta0, eta):
+        dense = _dense_deviations(dim, theta0, eta)
+        report = run_suites(RunManifest(dim=dim, theta0=theta0, eta=eta, suites=SUITE_NAMES))
+        records = {record.check_id: record for record in report.records}
+        for check_id, deviation in dense.items():
+            record = records[check_id]
+            dense_status = "pass" if deviation <= record.tolerance else "fail"
+            assert record.status == dense_status, check_id
+            assert record.max_deviation <= np.sqrt(dim) * deviation, check_id
