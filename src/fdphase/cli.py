@@ -245,7 +245,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         frame = build_generalized_frame(build_phase_frame(config), args.eta)
         evolution = cycle_operator_power(frame, args.steps)
 
-    result = evolution.apply(psi)
+    result = evolution.entries @ psi
     drift = abs(float(np.linalg.norm(result)) - 1.0)
     if not drift <= policy.tol_elem:
         raise ArithmeticError(

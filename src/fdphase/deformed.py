@@ -155,7 +155,8 @@ def offset_phase_frame(frame: Frame, coeff: np.ndarray) -> Frame:
     Column m is sum_n coeff[n, m] |n+eta>, the Fourier sum over the offset
     number states of ``frame`` with ``coeff = offset_phase_coefficients(frame)``.
     """
-    return Frame(config=frame.config, eta=frame.eta, basis=OperatorMatrix(frame.basis.apply(coeff)))
+    basis = OperatorMatrix.product(frame.basis, OperatorMatrix(coeff))
+    return Frame(config=frame.config, eta=frame.eta, basis=basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,11 +182,10 @@ def build_ladder_operators(
         raise DimensionMismatch(
             f"profile length {profile.dim} does not match dimension {config.dim}"
         )
-    dim = config.dim
-    corner = np.exp(1j * dim * config.theta0)
-    v = frame.basis.entries
-    a = OperatorMatrix(v @ cyclic_shift(dim, corner, np.sqrt(profile.values)) @ v.conj().T)
-    return LadderOperators(a=a, a_dag=OperatorMatrix(a.entries.conj().T))
+    corner = np.exp(1j * config.dim * config.theta0)
+    shift = cyclic_shift(config.dim, corner, np.sqrt(profile.values))
+    a = OperatorMatrix.product(frame.basis, shift, frame.basis.adjoint())
+    return LadderOperators(a=a, a_dag=a.adjoint())
 
 
 def recover_phase_operator(
@@ -204,7 +204,7 @@ def recover_phase_operator(
             "inverse square root refused: profile has a zero weight"
         )
     inv_sqrt = spectral_synthesize(frame.basis, (profile.values ** -0.5).astype(np.complex128))
-    return certify(OperatorMatrix(a.apply(inv_sqrt.entries)), "unitary")
+    return certify(OperatorMatrix.product(a, inv_sqrt), "unitary")
 
 
 def _number_shift_eigenvalues(frame: Frame) -> np.ndarray:
@@ -226,8 +226,8 @@ def modified_number_shift(frame: Frame, phases: Frame) -> OperatorMatrix:
     reduces to the undeformed realization of q^-N.
     """
     pattern = cyclic_shift(frame.config.dim, np.exp(-2j * np.pi * frame.eta))
-    p = phases.basis.entries
-    return certify(OperatorMatrix(p @ pattern @ p.conj().T), "unitary")
+    p = phases.basis
+    return certify(OperatorMatrix.product(p, pattern, p.adjoint()), "unitary")
 
 
 def cycle_operator_power(frame: Frame, k: int) -> OperatorMatrix:

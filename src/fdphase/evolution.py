@@ -68,12 +68,16 @@ def hamiltonian(config: SpaceConfig, omega: float) -> OperatorMatrix:
 
 
 def time_evolution(config: SpaceConfig, omega: float, t: float) -> OperatorMatrix:
-    """U(t) = diag(exp(-i E_n t)), unitary-certified; omega is checked before t."""
+    """U(t) = diag(exp(-i E_n t)) as a diagonal monomial, unitary-certified.
+
+    omega is checked before t.
+    """
     energies = oscillator_spectrum(config, omega)
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("time must be finite")
-    return certify(OperatorMatrix(np.diag(np.exp(-1j * energies * t))), "unitary")
+    levels = np.arange(config.dim)
+    return certify(OperatorMatrix.monomial(levels, np.exp(-1j * energies * t)), "unitary")
 
 
 def period_evolution(config: SpaceConfig, omega: float) -> OperatorMatrix:

@@ -1,36 +1,39 @@
-"""Small dense complex linear algebra with certified hermiticity and unitarity.
+"""Small complex linear algebra with certified hermiticity and unitarity.
 
 An operator is an immutable :class:`OperatorMatrix`, and a state is a plain
-read-only 1-d complex array in number-basis coordinates. An operator acts
-in one way only, through :meth:`OperatorMatrix.apply`, on a state or on the
-columns of a d x k block such as a frame. An operator counts as hermitian
-or unitary only once :func:`certify` has measured it: the deviation is
-measured once, against the dimension's ``tol_op``, and either recorded in
-the operator's ``deviations`` or refused with an error. Any other structure
-(a diagonal, a monomial) is read from the entries where it is used, never
-carried as a flag. A frame, a complete orthonormal basis stored as the
-columns of a square matrix, is an operator certified "unitary", since for a
-square matrix V orthonormality is exactly V^dag V = 1. Every operator
-exponential used elsewhere in this package is assembled from such a frame
-through :func:`spectral_synthesize`, so no general matrix exponential or
-eigensolver lives here. Every tolerance is the dimension's
-:meth:`TolerancePolicy.for_dim`.
+read-only 1-d complex array in number-basis coordinates. An operator is
+either dense entries or held as its factors: a monomial ``(rows, values)``,
+the adjoint of an operator, or a product of operators such as V M V^dag
+over a frame V. Every kind acts in one way only, through
+:meth:`OperatorMatrix.apply` and :meth:`OperatorMatrix.apply_adjoint`, on a
+state or on the columns of a d x k block; a held operator acts through its
+factors in O(d^2 k), and forms its d x d ``entries`` only when something
+reads them. An operator counts as hermitian or unitary only once
+:func:`certify` has measured it: the deviation is measured once, against
+the dimension's ``tol_op``, and either recorded in the operator's
+``deviations`` or refused with an error. A frame, a complete orthonormal
+basis stored as the columns of a square matrix, is an operator certified
+"unitary", since for a square matrix V orthonormality is exactly
+V^dag V = 1. Every operator exponential used elsewhere in this package is
+assembled from such a frame through :func:`spectral_synthesize`, so no
+general matrix exponential or eigensolver lives here. Every tolerance is
+the dimension's :meth:`TolerancePolicy.for_dim`.
 
 Whole-operator identities are read on the probe block P of :func:`probes`
 (Freivalds-style verification): max |(X - Y) P| costs d^2 per probe, not d^3.
 
 Monomial operators, with exactly one nonzero entry per row and per column
-(the diagonals and the weighted cyclic shifts), are recognised from their
-entries: :func:`mat_power` composes them index by index in O(d log k), and
-their unitarity deviation is read off the column norms without a d^3
-product.
+(the diagonals and the weighted cyclic shifts), are held as their ``(rows,
+values)`` or recognised from dense entries: :func:`mat_power` composes them
+index by index in O(d log k), and their unitarity deviation is read off the
+column norms without a d^3 product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -113,22 +116,207 @@ def probes(dim: int) -> np.ndarray:
     return block
 
 
-def hermitian_deviation(entries: np.ndarray) -> float:
-    return max_abs(entries - entries.conj().T)
+_DENSE, _MONOMIAL, _ADJOINT, _PRODUCT = "dense", "monomial", "adjoint", "product"
 
 
-def _gram_deviation(columns: np.ndarray) -> float:
-    """max |V^dag (V P) - P| on the probe block P: max |V^dag V - 1| while P = I."""
-    block = probes(columns.shape[1])
-    return max_abs(columns.conj().T @ (columns @ block) - block)
+class OperatorMatrix:
+    """A square operator with finite entries: dense, or held as its factors.
 
+    ``OperatorMatrix(entries)`` copies a dense matrix and holds it
+    read-only. :meth:`monomial` holds sum_j values[j] |rows[j]><j|,
+    :meth:`adjoint` the adjoint of an operator, and :meth:`product` a
+    product of operators, each as its parts. The ``entries`` of a held
+    operator are formed on first read and shared with every certified copy:
+    a monomial fills zeros, an adjoint is ``base.entries.conj().T``, and a
+    product multiplies its factors' entries from the left, scaling the
+    columns for a diagonal factor and taking ``v.conj().T`` for the adjoint
+    of ``v``, so that V D V^dag forms as ``(v * d) @ v.conj().T``.
 
-def _monomial(entries: np.ndarray):
-    """``(rows, values)`` with column j equal to values[j] |rows[j]>, or None.
-
-    None unless the matrix has exactly one nonzero entry per row and per
-    column, read from the entries themselves.
+    ``deviations`` maps each structure :func:`certify` has confirmed on this
+    operator ("hermitian", "unitary") to the deviation it measured. It is
+    read-only, empty at construction, and not a constructor argument.
     """
+
+    __slots__ = ("dim", "deviations", "_kind", "_parts", "_cache")
+
+    def __init__(self, entries) -> None:
+        arr = np.array(entries, dtype=np.complex128, copy=True)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+            raise ValueError("operator entries must form a non-empty square matrix")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("operator entries must be finite")
+        arr.setflags(write=False)
+        self._hold(_DENSE, (), arr.shape[0], [arr], {})
+
+    def _hold(self, kind: str, parts: tuple, dim: int, cache: list, deviations: dict) -> None:
+        for name, value in (("dim", dim), ("_kind", kind), ("_parts", parts),
+                            ("_cache", cache), ("deviations", MappingProxyType(deviations))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _held(cls, kind: str, parts: tuple, dim: int) -> "OperatorMatrix":
+        op = object.__new__(cls)
+        op._hold(kind, parts, dim, [None], {})
+        return op
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def monomial(cls, rows, values) -> "OperatorMatrix":
+        """sum_j values[j] |rows[j]><j|, for a permutation ``rows`` and finite ``values``."""
+        rows = np.asarray(rows, dtype=np.intp)
+        values = np.array(values, dtype=np.complex128, copy=True)
+        dim = values.size
+        if dim == 0 or values.shape != (dim,) or rows.shape != (dim,):
+            raise ValueError("a monomial takes one row index and one value per column")
+        levels = np.arange(dim)
+        if not np.array_equal(np.sort(rows), levels):
+            raise ValueError("monomial rows must be a permutation of the levels")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("operator entries must be finite")
+        values.setflags(write=False)
+        return cls._held(_MONOMIAL, (rows, values, bool(np.array_equal(rows, levels))), dim)
+
+    @classmethod
+    def product(cls, *factors: "OperatorMatrix") -> "OperatorMatrix":
+        """The product of the factors from left to right, held as the factors."""
+        if not factors or any(factor.dim != factors[0].dim for factor in factors):
+            raise DimensionMismatch("a product takes one or more factors of one dimension")
+        return cls._held(_PRODUCT, factors, factors[0].dim)
+
+    def adjoint(self) -> "OperatorMatrix":
+        """The adjoint, held as this operator; it carries no certification."""
+        return self._held(_ADJOINT, (self,), self.dim)
+
+    def _certified(self, tag: str, deviation: float) -> "OperatorMatrix":
+        op = object.__new__(type(self))
+        op._hold(self._kind, self._parts, self.dim, self._cache,
+                 {**self.deviations, tag: deviation})
+        return op
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The read-only d x d matrix, formed on first read and refused unless finite."""
+        if self._cache[0] is None:
+            entries = self._form()
+            if not np.all(np.isfinite(entries)):
+                raise ValueError("operator entries must be finite")
+            entries.setflags(write=False)
+            self._cache[0] = entries
+        return self._cache[0]
+
+    def _form(self) -> np.ndarray:
+        if self._kind == _MONOMIAL:
+            rows, values, _ = self._parts
+            entries = np.zeros((self.dim, self.dim), dtype=np.complex128)
+            entries[rows, np.arange(self.dim)] = values
+            return entries
+        if self._kind == _ADJOINT:
+            return self._parts[0].entries.conj().T
+        first, *rest = self._parts
+        entries = first.entries
+        for factor in rest:
+            if factor._kind == _MONOMIAL and factor._parts[2]:
+                entries = entries * factor._parts[1]
+            elif factor._kind == _ADJOINT:
+                entries = entries @ factor._parts[0].entries.conj().T
+            else:
+                entries = entries @ factor.entries
+        return entries
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The operator acting on a d-vector, or on each column of a d x k block.
+
+        Dense entries give ``entries @ x``. A held operator acts through its
+        parts without forming its entries, except on a block at least d
+        columns wide, such as the probe block up to ``PROBE_EXACT_DIM``, on
+        which it acts as ``entries @ x``. Any other shape is refused with
+        :class:`DimensionMismatch`.
+        """
+        self._check(x)
+        return self._act(x)
+
+    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
+        """The adjoint acting on a d-vector or a d x k block, as :meth:`apply` acts.
+
+        Dense entries give ``(x^dag @ entries)^dag``, with no copy of the
+        adjoint entries.
+        """
+        self._check(x)
+        return self._act_adjoint(x)
+
+    def _check(self, x: np.ndarray) -> None:
+        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
+            raise DimensionMismatch(
+                f"operator dimension {self.dim} does not act on an operand of shape {x.shape}"
+            )
+
+    def _wide(self, x: np.ndarray) -> bool:
+        """Whether ``x`` is a block at least d wide, which a held product acts on
+        through its formed entries: forming them costs about what acting
+        through the factors does, and every later action is one product."""
+        return self._kind != _MONOMIAL and x.ndim == 2 and x.shape[1] >= self.dim
+
+    def _act(self, x: np.ndarray) -> np.ndarray:
+        kind, parts = self._kind, self._parts
+        if kind == _DENSE or self._wide(x):
+            return self.entries @ x
+        if kind == _MONOMIAL:
+            rows, values, diagonal = parts
+            scaled = (values if x.ndim == 1 else values[:, None]) * x
+            if diagonal:
+                return scaled
+            out = np.empty_like(scaled)
+            out[rows] = scaled
+            return out
+        if kind == _ADJOINT:
+            return parts[0]._act_adjoint(x)
+        for factor in reversed(parts):
+            x = factor._act(x)
+        return x
+
+    def _act_adjoint(self, x: np.ndarray) -> np.ndarray:
+        kind, parts = self._kind, self._parts
+        if kind == _DENSE or self._wide(x):
+            return (x.conj().T @ self.entries).conj().T
+        if kind == _MONOMIAL:
+            rows, values, diagonal = parts
+            conj = (values if x.ndim == 1 else values[:, None]).conj()
+            return conj * (x if diagonal else x[rows])
+        if kind == _ADJOINT:
+            return parts[0]._act(x)
+        for factor in parts:
+            x = factor._act_adjoint(x)
+        return x
+
+
+def hermitian_deviation(m: OperatorMatrix) -> float:
+    """max |M - M^dag| over the entries, which are formed if ``m`` is held."""
+    return max_abs(m.entries - m.entries.conj().T)
+
+
+def _gram_deviation(m: OperatorMatrix) -> float:
+    """max |M^dag (M P) - P| on the probe block P: max |M^dag M - 1| while P = I."""
+    block = probes(m.dim)
+    return max_abs(m.apply_adjoint(m.apply(block)) - block)
+
+
+def _monomial(m: OperatorMatrix):
+    """``(rows, values)`` with column j of ``m`` equal to values[j] |rows[j]>, or None.
+
+    A monomial gives its own pair. Dense entries give one only if they have
+    exactly one nonzero entry per row and per column, and a column 0 without
+    exactly one nonzero refuses them in O(d). A product or an adjoint gives
+    None.
+    """
+    if m._kind == _MONOMIAL:
+        return m._parts[:2]
+    if m._kind != _DENSE:
+        return None
+    entries = m.entries
+    if np.count_nonzero(entries[:, 0]) != 1:
+        return None
     nonzero = entries != 0
     if not (np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1)):
         return None
@@ -171,16 +359,16 @@ def _binary_power(rows: np.ndarray, values: np.ndarray, k: int) -> tuple:
     return result
 
 
-def unitary_deviation(entries: np.ndarray) -> float:
+def unitary_deviation(m: OperatorMatrix) -> float:
     """max |M^dag M - 1|.
 
     For a monomial M the off-diagonal entries of M^dag M are exact zeros, so
     the deviation is max_j ||v_j|^2 - 1| over its nonzero values v_j; any
-    other matrix is read on the probe block P, as max |M^dag (M P) - P|.
+    other operator is read on the probe block P, as max |M^dag (M P) - P|.
     """
-    monomial = _monomial(entries)
+    monomial = _monomial(m)
     if monomial is None:
-        return _gram_deviation(entries)
+        return _gram_deviation(m)
     values = monomial[1]
     return max_abs(values.real**2 + values.imag**2 - 1.0)
 
@@ -191,53 +379,13 @@ _TAG_DEVIATIONS = {
 }
 
 
-def tag_deviation(entries: np.ndarray, tag: str) -> float:
-    """Measured deviation of the matrix from the structure named by ``tag``."""
+def tag_deviation(m: OperatorMatrix, tag: str) -> float:
+    """Measured deviation of the operator from the structure named by ``tag``."""
     try:
         measure = _TAG_DEVIATIONS[tag]
     except KeyError:
         raise ValueError(f"unknown tag {tag!r}; expected one of {sorted(_TAG_DEVIATIONS)}")
-    return measure(entries)
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """A dense square operator with finite entries, held read-only.
-
-    ``deviations`` maps each structure :func:`certify` has confirmed on these
-    entries ("hermitian", "unitary") to the deviation it measured, as frames
-    keep theirs. It is read-only, empty at construction, and not a
-    constructor argument.
-    """
-
-    entries: np.ndarray
-    deviations: Mapping = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=np.complex128, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ValueError("operator entries must form a non-empty square matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("operator entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "deviations", MappingProxyType({}))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The operator acting on a d-vector, or on each column of a d x k block.
-
-        Returns ``entries @ x``; any other shape is refused with
-        :class:`DimensionMismatch`.
-        """
-        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"operator dimension {self.dim} does not act on an operand of shape {x.shape}"
-            )
-        return self.entries @ x
+    return measure(m)
 
 
 def mat_power(m: OperatorMatrix, k: int) -> OperatorMatrix:
@@ -245,38 +393,33 @@ def mat_power(m: OperatorMatrix, k: int) -> OperatorMatrix:
 
     The operator must have exactly one nonzero entry per row and per column
     (a diagonal or a weighted cyclic shift); its powers are composed index
-    by index in O(d log k). Any other operator is refused: raise it through
-    the eigenvalues of its frame instead, as
+    by index in O(d log k), and the power is a monomial. Any other operator
+    is refused: raise it through the eigenvalues of its frame instead, as
     :func:`.deformed.cycle_operator_power` does for q^-(N+eta).
     """
-    monomial = _monomial(m.entries)
+    monomial = _monomial(m)
     if monomial is None:
         raise ValueError(
             "mat_power takes a monomial operator (one nonzero entry per row "
             "and column); raise a dense operator through the eigenvalues of "
             "its frame, as cycle_operator_power does"
         )
-    rows, values = _binary_power(*monomial, k)
-    entries = np.zeros((m.dim, m.dim), dtype=np.complex128)
-    entries[rows, np.arange(m.dim)] = values
-    return OperatorMatrix(entries)
+    return OperatorMatrix.monomial(*_binary_power(*monomial, k))
 
 
-def cyclic_shift(dim: int, corner: complex, weights: np.ndarray | None = None) -> np.ndarray:
-    """Cyclic down-shift matrix: |n-1><n| for n = 1..dim-1 and |dim-1><0|.
+def cyclic_shift(dim: int, corner: complex, weights: np.ndarray | None = None) -> OperatorMatrix:
+    """The cyclic down-shift monomial: |n-1><n| for n = 1..dim-1 and |dim-1><0|.
 
-    The entry on |n-1><n| is ``weights[n]`` and the wrap-around entry is
-    ``corner * weights[0]``; without weights they are 1 and ``corner``.
+    The value on |n-1><n| is ``weights[n]`` and the wrap-around value is
+    ``weights[0] * corner``; without weights they are 1 and ``corner``.
     """
-    entries = np.zeros((dim, dim), dtype=np.complex128)
-    levels = np.arange(1, dim)
     if weights is None:
-        entries[levels - 1, levels] = 1.0
-        entries[dim - 1, 0] = corner
+        values = np.ones(dim, dtype=np.complex128)
+        values[0] = corner
     else:
-        entries[levels - 1, levels] = weights[1:]
-        entries[dim - 1, 0] = weights[0] * corner
-    return entries
+        values = np.asarray(weights, dtype=np.complex128).copy()
+        values[0] = weights[0] * corner
+    return OperatorMatrix.monomial(np.roll(np.arange(dim), 1), values)
 
 
 def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float) -> float | None:
@@ -302,27 +445,24 @@ def certify(m: OperatorMatrix, tag: str) -> OperatorMatrix:
     The deviation is measured once, by :func:`tag_deviation`. Unless it is
     within the dimension's ``tol_op`` (a NaN deviation never is),
     certification fails with :class:`ArithmeticError`; otherwise the result
-    shares ``m``'s read-only entries, without a copy, and adds
+    shares ``m``'s parts and read-only entries, without a copy, and adds
     ``deviations[tag]`` to the deviations ``m`` already records.
     """
-    deviation = tag_deviation(m.entries, tag)
+    deviation = tag_deviation(m, tag)
     tol = TolerancePolicy.for_dim(m.dim).tol_op
     if not deviation <= tol:
         raise ArithmeticError(
             f"{tag} certification failed with deviation {deviation:.3e} (tolerance {tol:.3e})"
         )
-    result = object.__new__(OperatorMatrix)
-    object.__setattr__(result, "entries", m.entries)
-    object.__setattr__(result, "deviations", MappingProxyType({**m.deviations, tag: deviation}))
-    return result
+    return m._certified(tag, deviation)
 
 
 def spectral_synthesize(frame: OperatorMatrix, eigvals: Iterable[complex]) -> OperatorMatrix:
-    """Assemble sum_k lambda_k |v_k><v_k| over the columns v_k of ``frame``.
+    """sum_k lambda_k |v_k><v_k| over the columns v_k of ``frame``, held as V diag(lambda) V^dag.
 
     The frame must already be certified "unitary" by :func:`certify`, which
     for a square matrix is orthonormality of its columns; it is not
-    multiplied out again here. An uncertified frame is refused with a
+    multiplied out here. An uncertified frame is refused with a
     ``ValueError``.
     """
     if "unitary" not in frame.deviations:
@@ -330,5 +470,5 @@ def spectral_synthesize(frame: OperatorMatrix, eigvals: Iterable[complex]) -> Op
     vals = np.asarray(eigvals, dtype=np.complex128)
     if vals.shape != (frame.dim,):
         raise ValueError("frame must be complete: one eigenvalue per dimension")
-    v = frame.entries
-    return OperatorMatrix((v * vals) @ v.conj().T)
+    diagonal = OperatorMatrix.monomial(np.arange(frame.dim), vals)
+    return OperatorMatrix.product(frame, diagonal, frame.adjoint())

@@ -150,7 +150,7 @@ def unitary_phase_operator(config: SpaceConfig) -> OperatorMatrix:
     exp(i(s+1)theta_0) on |s><0|; unitary-certified.
     """
     corner = np.exp(1j * config.dim * config.theta0)
-    return certify(OperatorMatrix(cyclic_shift(config.dim, corner)), "unitary")
+    return certify(cyclic_shift(config.dim, corner), "unitary")
 
 
 def unitary_phase_from_spectrum(frame: Frame) -> OperatorMatrix:
@@ -161,13 +161,15 @@ def unitary_phase_from_spectrum(frame: Frame) -> OperatorMatrix:
 
 def number_shift_operator(config: SpaceConfig) -> OperatorMatrix:
     """q^-N = diag(q^-n), the phase-state down-shift; unitary-certified."""
-    op = OperatorMatrix(np.diag(config.root_power(-np.arange(config.dim))))
-    return certify(op, "unitary")
+    levels = np.arange(config.dim)
+    return certify(OperatorMatrix.monomial(levels, config.root_power(-levels)), "unitary")
 
 
 def commutator(ml: OperatorMatrix, mr: OperatorMatrix) -> OperatorMatrix:
-    """Ml Mr - Mr Ml."""
-    return OperatorMatrix(ml.apply(mr.entries) - mr.apply(ml.entries))
+    """Ml Mr - Mr Ml, from the entries of both."""
+    if ml.dim != mr.dim:
+        raise DimensionMismatch(f"operators of dimension {ml.dim} and {mr.dim} do not compose")
+    return OperatorMatrix(ml.entries @ mr.entries - mr.entries @ ml.entries)
 
 
 def _toeplitz(values: np.ndarray) -> np.ndarray:

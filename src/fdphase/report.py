@@ -37,7 +37,7 @@ __all__ = [
     "render",
 ]
 
-TOOL_VERSION = "0.5.0"
+TOOL_VERSION = "0.6.0"
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -124,46 +124,66 @@ def format_float(value: float) -> str:
     return _FLOAT_SPEC % float(value)
 
 
-def _render_array(array: np.ndarray, indent: int) -> str:
-    """A float or int array laid out as its nested lists, one ``%`` fill per 1-D or 2-D block."""
+def _render_array(array: np.ndarray, indent: int, out: list) -> None:
+    """Append a float or int array as its nested lists, one ``%`` fill per 1-D or 2-D block."""
     if not len(array):
-        return "[]"
+        out.append("[]")
+        return
     spec = _FLOAT_SPEC if array.dtype.kind == "f" else "%d"
     pad = "  " * indent
     if array.ndim == 1:
-        return ("[" + ", ".join([spec] * len(array)) + "]") % tuple(array.tolist())
+        out.append(("[" + ", ".join([spec] * len(array)) + "]") % tuple(array.tolist()))
+        return
     if array.ndim == 2:
         row = pad + "  [" + ", ".join([spec] * array.shape[1]) + "]"
-        body = ",\n".join([row] * len(array)) % tuple(array.ravel().tolist())
+        out.append("[\n")
+        out.append(",\n".join([row] * len(array)) % tuple(array.ravel().tolist()))
     else:
-        body = ",\n".join(pad + "  " + _render_array(block, indent + 1) for block in array)
-    return "[\n" + body + "\n" + pad + "]"
+        for n, block in enumerate(array):
+            out.append(("[\n" if n == 0 else ",\n") + pad + "  ")
+            _render_array(block, indent + 1, out)
+    out.append("\n" + pad + "]")
 
 
-def _render(value, indent: int = 0) -> str:
+def _render(value, indent: int, out: list) -> None:
+    """Append the text of ``value`` to ``out`` piece by piece; ``to_json`` joins it once."""
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
             value = np.stack((value.real, value.imag), axis=-1)
         if value.ndim and value.dtype.kind in "fiu":
-            return _render_array(value, indent)
+            _render_array(value, indent, out)
+            return
         value = value.tolist()
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        parts = [
-            f"{pad}  {json.dumps(str(key))}: {_render(item, indent + 1)}"
-            for key, item in value.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+            out.append("{}")
+            return
+        for n, (key, item) in enumerate(value.items()):
+            out.append(("{\n" if n == 0 else ",\n") + f"{pad}  {json.dumps(str(key))}: ")
+            _render(item, indent + 1, out)
+        out.append("\n" + pad + "}")
+        return
     if isinstance(value, (list, tuple)):
         items = list(value)
         if not items:
-            return "[]"
+            out.append("[]")
+            return
         if all(not isinstance(item, (dict, list, tuple)) for item in items):
-            return "[" + ", ".join(_render(item, 0) for item in items) + "]"
-        parts = [f"{pad}  {_render(item, indent + 1)}" for item in items]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+            for n, item in enumerate(items):
+                out.append("[" if n == 0 else ", ")
+                _render(item, 0, out)
+            out.append("]")
+            return
+        for n, item in enumerate(items):
+            out.append(("[\n" if n == 0 else ",\n") + pad + "  ")
+            _render(item, indent + 1, out)
+        out.append("\n" + pad + "]")
+        return
+    out.append(_render_scalar(value))
+
+
+def _render_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -178,8 +198,15 @@ def _render(value, indent: int = 0) -> str:
 
 
 def to_json(value) -> str:
-    """Render a dict/list/array/scalar structure with the stable policy."""
-    return _render(value) + "\n"
+    """Render a dict/list/array/scalar structure with the stable policy.
+
+    The text is built as a list of pieces and joined once, so a large
+    array's text is not copied again by each enclosing level.
+    """
+    out = []
+    _render(value, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_json(report: VerificationReport) -> str:

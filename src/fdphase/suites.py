@@ -17,8 +17,12 @@ otherwise, except for the one id in ``FLAGGED_CHECK``, which is always
 ``(deviation, 0.0)``. Each ``suite_*`` is still a plain function that does
 all its work when called and returns its list of records.
 
-A row whose side would take a d^3 product the builders do not make compares
-both sides applied to the probe block P of :func:`.numerics.probes` instead.
+A row over operators compares both sides applied to the probe block P of
+:func:`.numerics.probes`, so an operator held as its factors acts through
+them and no row forms its d x d entries; the wrap-around and corner rows
+read single states, one matvec each. Rows over matrices the builders have
+formed anyway (the commutator kernels, the monomial powers) compare every
+entry.
 
 :func:`run_suites` hands every suite the one tolerance policy of the
 manifest's dimension and one ``shared`` dict, so that a construction two
@@ -161,20 +165,21 @@ def _suite(rows: Callable) -> Callable:
 def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
     dim = config.dim
     frame = _once(shared, "phase_frame", build_phase_frame, config)
-    v = frame.basis.entries
+    basis = frame.basis
+    v = basis.entries
     eye = np.eye(dim)
     block = probes(dim)
 
     yield ("phase_frame_orthonormal", "<theta_m|theta_k> = delta_mk",
-           frame.basis.deviations["unitary"], 0.0, policy.tol_op)
+           basis.deviations["unitary"], 0.0, policy.tol_op)
     yield ("phase_frame_complete", "sum_m |theta_m><theta_m| = 1",
-           v @ (v.conj().T @ block), block, policy.tol_op)
+           basis.apply(basis.apply_adjoint(block)), block, policy.tol_op)
     # The frame's exponentials exp(i n theta_m) against diag(exp(i n theta_0))
-    # times the unitary DFT, which np.fft builds from the identity.
-    expected = np.fft.ifft(eye, axis=0, norm="ortho")
+    # times the unitary DFT, which np.fft applies to the probe block.
+    expected = np.fft.ifft(block, axis=0, norm="ortho")
     expected *= np.exp(1j * config.theta0 * np.arange(dim))[:, None]
     yield ("phase_state_components", "<n|theta_m> = exp(i n theta_m)/sqrt(s+1)",
-           v, expected, policy.tol_elem)
+           basis.apply(block), expected, policy.tol_elem)
 
     phi = hermitian_phase_operator(frame)
     yield ("phase_operator_hermitian", "Phi = sum_m theta_m |theta_m><theta_m|",
@@ -184,13 +189,13 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
     spectral = unitary_phase_from_spectrum(frame)
     corner = np.exp(1j * dim * config.theta0)
 
-    # Shift action measured on the spectral route, every column at once:
-    # column n of the explicit shift is the wanted image of |n>.
+    # Shift action measured on the spectral route, every probe column at
+    # once: column n of the explicit shift is the wanted image of |n>.
     yield ("unitary_phase_shift_action",
            "exp(iPhi)|n> = |n-1> and exp(iPhi)|0> = exp(i(s+1)theta_0)|s>",
-           spectral.entries, cyclic_shift(dim, corner), policy.tol_elem)
+           spectral.apply(block), cyclic_shift(dim, corner).apply(block), policy.tol_elem)
     yield ("unitary_phase_realization", "exp(iPhi) = sum_n |n-1><n| + exp(i(s+1)theta_0)|s><0|",
-           realization.entries, spectral.entries, policy.tol_op)
+           realization.apply(block), spectral.apply(block), policy.tol_op)
     # The explicit shift raised by repeated multiplication against the
     # closed-form corner phase.
     yield ("unitary_phase_cyclic", "exp(iPhi)^(s+1) = exp(i(s+1)theta_0) 1",
@@ -198,9 +203,10 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
 
     down = _once(shared, "number_shift", number_shift_operator, config)
     yield ("number_shift_action", "q^-N |theta_m> = |theta_m-1> and q^-N |theta_0> = |theta_s>",
-           down.apply(v @ block), np.roll(v, 1, axis=1) @ block, policy.tol_elem)
+           down.apply(basis.apply(block)), np.roll(v, 1, axis=1) @ block, policy.tol_elem)
     yield ("number_shift_realization", "q^-N = sum_m |theta_m-1><theta_m| + |theta_s><theta_0|",
-           v @ (cyclic_shift(dim, 1.0) @ (v.conj().T @ block)), down.apply(block), policy.tol_op)
+           basis.apply(cyclic_shift(dim, 1.0).apply(basis.apply_adjoint(block))),
+           down.apply(block), policy.tol_op)
     # The explicit diagonal q^-N raised by repeated multiplication against
     # the identity.
     yield ("number_shift_cyclic", "(q^-N)^(s+1) = 1",
@@ -208,7 +214,8 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
 
     # The explicit shift: the spectral route, built from v, would test only v's orthonormality.
     yield ("unitary_phase_diagonal_in_phase_frame", "exp(iPhi)|theta_m> = exp(i theta_m)|theta_m>",
-           v.conj().T @ realization.apply(v @ block), np.exp(1j * config.thetas())[:, None] * block,
+           basis.apply_adjoint(realization.apply(basis.apply(block))),
+           np.exp(1j * config.thetas())[:, None] * block,
            policy.tol_op)
     # q^-N, whose diagonal is root_power(-n), against the powers of the
     # scalar q^-1 = conj(q) taken by cumulative multiplication.
@@ -239,9 +246,7 @@ def suite_gdo(
     frame = _generalized_frame(shared, config, eta)
     coeff = offset_phase_coefficients(frame)
     phases = offset_phase_frame(frame, coeff)
-    v = frame.basis.entries
-    p = phases.basis.entries
-    eye = np.eye(dim)
+    v, p = frame.basis, phases.basis
     block = probes(dim)
 
     yield ("generalized_number_frame_orthonormal", "<n+eta|k+eta> = delta_nk",
@@ -250,15 +255,15 @@ def suite_gdo(
            phases.basis.deviations["unitary"], 0.0, policy.tol_op)
 
     yield ("continuous_shift_roundtrip", "exp(-i eta Phi)|n> = |n+eta>",
-           p @ (coeff.conj().T @ block), v @ block, policy.tol_elem)
+           p.apply(coeff.conj().T @ block), v.apply(block), policy.tol_elem)
 
     ladder = build_ladder_operators(frame, profile)
     yield ("ladder_number_product", "Adag A |n+eta> = F_n |n+eta>",
-           v.conj().T @ ladder.a_dag.apply(ladder.a.apply(v @ block)),
+           v.apply_adjoint(ladder.a_dag.apply(ladder.a.apply(v.apply(block)))),
            profile.values[:, None] * block,
            policy.tol_op)
     yield ("ladder_reversed_product", "A Adag carries the cyclically shifted weights",
-           v.conj().T @ ladder.a.apply(ladder.a_dag.apply(v @ block)),
+           v.apply_adjoint(ladder.a.apply(ladder.a_dag.apply(v.apply(block)))),
            np.roll(profile.values, -1)[:, None] * block,
            policy.tol_op)
 
@@ -266,41 +271,50 @@ def suite_gdo(
     if np.all(profile.values > 0.0):
         recovered = recover_phase_operator(ladder.a, profile, frame)
         yield ("phase_operator_recovery", "A F(q^(N+eta))^(-1/2) = exp(iPhi)",
-               recovered.entries, phase_op.entries, policy.tol_op)
+               recovered.apply(block), phase_op.apply(block), policy.tol_op)
         yield ("recovered_phase_unitary", "A F(q^(N+eta))^(-1/2) is unitary",
                recovered.deviations["unitary"], 0.0, policy.tol_op)
 
     qshift = generalized_number_shift(frame)
     yield ("modified_shift_realization",
            "q^-(N+eta) = sum_m |theta_m-1><theta_m| + exp(-i 2 pi eta)|theta_s><theta_0|",
-           modified_number_shift(frame, phases).entries, qshift.entries, policy.tol_op)
+           modified_number_shift(frame, phases).apply(block), qshift.apply(block), policy.tol_op)
 
     # The matched shift laws: q^-(N+eta) shifts the offset-window phase states
     # down with wrap-around factor exp(-2 pi i eta), exp(iPhi) shifts the
     # offset number states down with exp(i(s+1)theta_0), and the two corner
     # phases show the window/offset symmetry. The shift laws take the probe
-    # block's rows 1..s as coordinates over the states 1..s.
+    # block's rows 1..s as coordinates over the states 1..s (``upper``) and
+    # over the states 0..s-1 (``lower``); the wrap-around rows read the
+    # states 0 and s, one matvec each.
     corner_eta = np.exp(-2j * np.pi * frame.eta)
     corner_theta = np.exp(1j * dim * config.theta0)
-    inner = block[1:]
+    upper, lower = block.copy(), np.zeros_like(block)
+    upper[0] = 0.0
+    lower[:-1] = block[1:]
+    ends = np.zeros((dim, 2))
+    ends[0, 0] = ends[dim - 1, 1] = 1.0
+    p_0, p_s = p.apply(ends).T
+    v_0, v_s = v.apply(ends).T
+    q_p_0, shift_v_0 = qshift.apply(p_0), phase_op.apply(v_0)
     yield ("modified_shift_action", "q^-(N+eta)|theta_m> = |theta_m-1>",
-           qshift.apply(p[:, 1:] @ inner), p[:, :-1] @ inner, policy.tol_elem)
+           qshift.apply(p.apply(upper)), p.apply(lower), policy.tol_elem)
     yield ("modified_shift_wraparound", "q^-(N+eta)|theta_0> = exp(-i 2 pi eta)|theta_s>",
-           qshift.apply(p[:, 0]), corner_eta * p[:, dim - 1], policy.tol_elem)
+           q_p_0, corner_eta * p_s, policy.tol_elem)
     yield ("unitary_phase_on_generalized_states", "exp(iPhi)|n+eta> = |n+eta-1>",
-           phase_op.apply(v[:, 1:] @ inner), v[:, :-1] @ inner, policy.tol_elem)
+           phase_op.apply(v.apply(upper)), v.apply(lower), policy.tol_elem)
     yield ("unitary_phase_generalized_wraparound", "exp(iPhi)|eta> = exp(i(s+1)theta_0)|s+eta>",
-           phase_op.apply(v[:, 0]), corner_theta * v[:, dim - 1], policy.tol_elem)
+           shift_v_0, corner_theta * v_s, policy.tol_elem)
     yield ("corner_phase_phase_operator", "wrap-around phase of exp(iPhi) is exp(i(s+1)theta_0)",
-           v[:, dim - 1].conj() @ phase_op.entries @ v[:, 0], corner_theta, policy.tol_elem)
+           np.vdot(v_s, shift_v_0), corner_theta, policy.tol_elem)
     yield ("corner_phase_number_shift", "wrap-around phase of q^-(N+eta) is exp(-i 2 pi eta)",
-           p[:, dim - 1].conj() @ qshift.entries @ p[:, 0], corner_eta, policy.tol_elem)
+           np.vdot(p_s, q_p_0), corner_eta, policy.tol_elem)
 
     # Both cycle records take the eigenvalues q^-(n+eta) raised by repeated
     # multiplication over the certified offset frame against the closed form.
     cycle = _once(shared, ("cycle", frame.eta), cycle_operator_power, frame, dim)
     yield ("cycle_identity", "(q^-(N+eta))^(s+1) = exp(-i 2 pi eta) 1",
-           cycle.entries, corner_eta * eye, policy.tol_op)
+           cycle.apply(block), corner_eta * block, policy.tol_op)
     # Integer eta keeps the sign and half-odd eta flips it; any other eta,
     # however close to one of these, emits no record.
     eta = frame.eta
@@ -308,7 +322,7 @@ def suite_gdo(
     if sign is not None:
         yield ("cycle_sign_dichotomy",
                "integer eta keeps the sign after one cycle; half-odd eta flips it",
-               cycle.entries, sign * eye, policy.tol_op)
+               cycle.apply(block), sign * block, policy.tol_op)
 
 
 @_suite
@@ -382,13 +396,17 @@ def suite_cross_module(
     frame = _generalized_frame(shared, config, 0.5)
     cycle = _once(shared, ("cycle", 0.5), cycle_operator_power, frame, dim)
     u = _once(shared, "period_evolution", period_evolution, config, omega)
+    block = probes(dim)
+    # The probe block with row s zeroed reads the columns below the top.
+    below_top = block.copy()
+    below_top[dim - 1] = 0.0
 
     if dim % 2 == 0:
         yield ("cross_cycle_even_dims", "(q^-(N+1/2))^(s+1) = U(2 pi/omega) when s+1 is even",
-               cycle.entries, u.entries, policy.tol_op)
+               cycle.apply(block), u.apply(block), policy.tol_op)
     yield ("cross_shift_evolution_below_top",
            "both one-cycle routes agree on every level below the top",
-           cycle.entries[:, : dim - 1], u.entries[:, : dim - 1], policy.tol_op)
+           cycle.apply(below_top), u.apply(below_top), policy.tol_op)
     if dim % 2 == 0:
         psi = _random_state(np.random.default_rng(seed), dim)
         yield ("cross_random_state_even", "both one-cycle routes act identically on a random state",

@@ -89,7 +89,7 @@ class TestCertifyOnce:
         both = certify(certify(OperatorMatrix(entries), "hermitian"), "unitary")
         assert dict(both.deviations) == {
             "hermitian": 0.0,
-            "unitary": unitary_deviation(entries),
+            "unitary": unitary_deviation(OperatorMatrix(entries)),
         }
         assert tag_counts == {"hermitian": 1, "unitary": 1}
         with pytest.raises(TypeError):
@@ -176,7 +176,7 @@ class TestCertifiedDeviationsReported:
         u = time_evolution(config, 1.0, 2.0 * np.pi)
         report = run_suites(RunManifest(dim=7, theta0=0.3, suites=("evolution",)))
         (record,) = [r for r in report.records if r.check_id == "evolution_unitary"]
-        assert record.max_deviation == unitary_deviation(u.entries)
+        assert record.max_deviation == unitary_deviation(OperatorMatrix(u.entries))
 
 class TestFramesOncePerRun:
     @pytest.mark.parametrize("dim, eta", [(1, 0.5), (6, 1.5), (7, 0.5), (5, 0.25)])

@@ -491,7 +491,8 @@ class TestEvolve:
         state = write_state(tmp_path / "state.json", psi)
         assert main(["evolve", str(state), "--mode", "shift", "--eta", "0.3", "--steps", "1000"]) == 0
         frame = build_generalized_frame(build_phase_frame(SpaceConfig.from_dim(3)), 0.3)
-        result = cycle_operator_power(frame, 1000).apply(psi)
+        # evolve applies the formed entries of the power, as before they were held as factors.
+        result = cycle_operator_power(frame, 1000).entries @ psi
         expected = {
             "dim": 3,
             "amp": [[float(z.real), float(z.imag)] for z in result],

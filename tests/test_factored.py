@@ -1,0 +1,228 @@
+"""Operators held as their factors: how they act and how their entries are formed."""
+
+import numpy as np
+import pytest
+
+from fdphase import numerics
+from fdphase.cli import main
+from fdphase.deformed import (
+    build_generalized_frame,
+    build_ladder_operators,
+    cycle_operator_power,
+    deformation_linear,
+    generalized_number_shift,
+    modified_number_shift,
+    offset_phase_coefficients,
+    offset_phase_frame,
+    recover_phase_operator,
+)
+from fdphase.evolution import oscillator_spectrum, time_evolution
+from fdphase.numerics import DimensionMismatch, OperatorMatrix, certify, mat_power
+from fdphase.pegg_barnett import (
+    SpaceConfig,
+    build_phase_frame,
+    hermitian_phase_operator,
+    number_shift_operator,
+    unitary_phase_from_spectrum,
+    unitary_phase_operator,
+)
+
+DIMS = [1, 2, 7, 64, 65, 257]
+
+
+def _dense_cyclic_shift(dim, corner, weights=None):
+    """The dense cyclic down-shift as it was built entry by entry."""
+    entries = np.zeros((dim, dim), dtype=np.complex128)
+    levels = np.arange(1, dim)
+    if weights is None:
+        entries[levels - 1, levels] = 1.0
+        entries[dim - 1, 0] = corner
+    else:
+        entries[levels - 1, levels] = weights[1:]
+        entries[dim - 1, 0] = weights[0] * corner
+    return entries
+
+
+def _synthesized(v, vals):
+    return (v * vals) @ v.conj().T
+
+
+def _oracles(dim, theta0=2.9, eta=1.5):
+    """Each factored builder's entries and the dense expression that formed them."""
+    config = SpaceConfig.from_dim(dim, theta0)
+    frame = build_phase_frame(config)
+    offset = build_generalized_frame(frame, eta)
+    coeff = offset_phase_coefficients(offset)
+    phases = offset_phase_frame(offset, coeff)
+    profile = deformation_linear(config, eta)
+    ladder = build_ladder_operators(offset, profile)
+    v = frame.basis.entries
+    thetas = config.thetas()
+    w = _synthesized(v, np.exp(-1j * eta * thetas))
+    p = w @ coeff
+    corner = np.exp(1j * dim * theta0)
+    a = w @ _dense_cyclic_shift(dim, corner, np.sqrt(profile.values)) @ w.conj().T
+    levels = np.arange(dim)
+    shift_eigvals = config.root_power(-(levels + eta))
+    _, cycle_eigvals = numerics._binary_power(levels, shift_eigvals, dim)
+    energies = oscillator_spectrum(config, 1.0)
+    return {
+        "phi": (hermitian_phase_operator(frame), _synthesized(v, thetas.astype(complex))),
+        "exp_iphi_spectral": (unitary_phase_from_spectrum(frame),
+                              _synthesized(v, np.exp(1j * thetas))),
+        "exp_iphi": (unitary_phase_operator(config), _dense_cyclic_shift(dim, corner)),
+        "q_minus_n": (number_shift_operator(config), np.diag(config.root_power(-levels))),
+        "offset_frame": (offset.basis, w),
+        "offset_phase_frame": (phases.basis, p),
+        "lowering": (ladder.a, a),
+        "raising": (ladder.a_dag, a.conj().T),
+        "recovered": (recover_phase_operator(ladder.a, profile, offset),
+                      a @ _synthesized(w, (profile.values ** -0.5).astype(complex))),
+        "generalized_shift": (generalized_number_shift(offset), _synthesized(w, shift_eigvals)),
+        "modified_shift": (modified_number_shift(offset, phases),
+                           p @ _dense_cyclic_shift(dim, np.exp(-2j * np.pi * eta)) @ p.conj().T),
+        "cycle_power": (cycle_operator_power(offset, dim), _synthesized(w, cycle_eigvals)),
+        "evolution": (time_evolution(config, 1.0, 0.7), np.diag(np.exp(-1j * energies * 0.7))),
+    }
+
+
+class TestEntriesKeepTheDenseExpressions:
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_formed_entries_are_the_dense_expression_bytes(self, dim):
+        for name, (op, oracle) in _oracles(dim).items():
+            assert op.entries.shape == (dim, dim), name
+            assert op.entries.tobytes() == np.ascontiguousarray(oracle).tobytes(), name
+            assert not op.entries.flags.writeable, name
+
+    @pytest.mark.parametrize("dim", [2, 65])
+    def test_held_operators_act_as_their_entries(self, dim):
+        rng = np.random.default_rng(dim)
+        block = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        for name, (op, oracle) in _oracles(dim).items():
+            scale = max(1.0, np.max(np.abs(oracle)))
+            tol = 1e-13 * dim * scale
+            assert np.max(np.abs(op.apply(block) - oracle @ block)) <= tol, name
+            assert np.max(np.abs(op.apply(block[:, 0]) - oracle @ block[:, 0])) <= tol, name
+            assert np.max(np.abs(op.apply_adjoint(block) - oracle.conj().T @ block)) <= tol, name
+
+
+class TestHeldKinds:
+    def test_monomial_acts_by_index(self):
+        rows, values = np.array([2, 0, 1]), np.array([1j, -2.0, 0.5])
+        op = OperatorMatrix.monomial(rows, values)
+        dense = np.zeros((3, 3), dtype=complex)
+        dense[rows, np.arange(3)] = values
+        x = np.arange(6.0).reshape(3, 2) + 1j
+        assert np.array_equal(op.entries, dense)
+        assert np.allclose(op.apply(x), dense @ x, rtol=0.0, atol=1e-15)
+        assert np.allclose(op.apply_adjoint(x), dense.conj().T @ x, rtol=0.0, atol=1e-15)
+        assert np.allclose(op.apply(x[:, 1]), dense @ x[:, 1], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("rows, values", [
+        ([0, 0], [1.0, 1.0]),
+        ([0, 1], [1.0, np.inf]),
+        ([0], [1.0, 1.0]),
+        ([], []),
+    ])
+    def test_monomial_refuses_bad_parts(self, rows, values):
+        with pytest.raises(ValueError):
+            OperatorMatrix.monomial(rows, values)
+
+    def test_product_refuses_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatch):
+            OperatorMatrix.product(OperatorMatrix(np.eye(2)), OperatorMatrix(np.eye(3)))
+
+    def test_adjoint_carries_no_certification(self):
+        op = certify(OperatorMatrix(np.diag([1.0, 1j])), "unitary")
+        assert dict(op.adjoint().deviations) == {}
+        assert np.array_equal(op.adjoint().entries, op.entries.conj().T)
+
+    def test_formed_entries_must_be_finite(self):
+        big = OperatorMatrix(np.full((2, 2), 1e200))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            OperatorMatrix.product(big, big).entries
+
+    def test_immutable(self):
+        op = OperatorMatrix(np.eye(2))
+        with pytest.raises(AttributeError):
+            op.dim = 3
+
+    def test_certified_copy_shares_the_formed_entries(self):
+        config = SpaceConfig.from_dim(5, 0.3)
+        spectral = numerics.spectral_synthesize(build_phase_frame(config).basis,
+                                                np.exp(1j * config.thetas()))
+        certified = certify(spectral, "unitary")
+        assert certified.entries is spectral.entries
+
+    def test_dense_adjoint_action_conjugates_no_entries(self):
+        # The adjoint acts as (x^dag E)^dag: the only conjugates are of x
+        # and of the k x d row product, never of E.
+        conjugated = []
+
+        class Spy(np.ndarray):
+            def conj(self):
+                conjugated.append(self.shape)
+                return np.ndarray.conj(self)
+
+        entries = np.arange(16.0).reshape(4, 4) + 1j
+        op = OperatorMatrix(entries)
+        op._cache[0] = op.entries.view(Spy)
+        x = np.ones((4, 2), dtype=complex)
+        assert np.allclose(op.apply_adjoint(x), entries.conj().T @ x)
+        assert conjugated == [(2, 4)]
+
+
+class TestMonomialScan:
+    def test_dense_column_zero_refuses_in_one_column(self):
+        # A matrix whose column 0 holds more than one nonzero is refused
+        # before any whole-matrix comparison is made.
+        seen = []
+
+        class Spy(np.ndarray):
+            def __ne__(self, other):
+                seen.append(self.shape)
+                return np.ndarray.__ne__(self, other)
+
+        op = OperatorMatrix(np.ones((6, 6)))
+        op._cache[0] = op.entries.view(Spy)
+        assert numerics._monomial(op) is None
+        assert seen == []
+        assert numerics._monomial(OperatorMatrix(np.eye(6) + np.eye(6, k=1))) is None
+
+    def test_held_monomial_gives_its_parts_without_a_scan(self):
+        u = time_evolution(SpaceConfig.from_dim(4), 1.0, 0.3)
+        rows, values = numerics._monomial(u)
+        assert np.array_equal(rows, np.arange(4))
+        assert values is u._parts[1]
+
+    def test_power_of_a_held_monomial_is_held(self):
+        u = time_evolution(SpaceConfig.from_dim(4), 1.0, 0.3)
+        powered = mat_power(u, 3)
+        assert powered._kind == numerics._MONOMIAL
+        values = np.diag(u.entries)
+        assert np.array_equal(powered.entries, np.diag(values * (values * values)))
+
+
+def _formed(monkeypatch) -> list:
+    """Every held operator whose entries are formed, in order."""
+    formed = []
+    form = OperatorMatrix._form
+
+    def recorded(self):
+        formed.append(self)
+        return form(self)
+
+    monkeypatch.setattr(OperatorMatrix, "_form", recorded)
+    return formed
+
+
+class TestVerifyFormsOneProduct:
+    def test_d128_verify_forms_no_held_product_but_phi(self, monkeypatch, tmp_path, capsys):
+        formed = _formed(monkeypatch)
+        argv = ["verify", "--suite", "all", "--dim", "128", "--theta0", "2.9", "--eta", "1.5",
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        products = [op for op in formed if op._kind != numerics._MONOMIAL]
+        assert len(products) == 1
+        phi = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(128, 2.9)))
+        assert products[0].entries.tobytes() == phi.entries.tobytes()

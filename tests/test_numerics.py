@@ -187,11 +187,11 @@ class TestUnitaryDeviation:
             entries /= np.abs(entries).sum(axis=0)  # unit columns
             entries *= 1.0 + scale * rng.standard_normal(dim)
             dense = np.max(np.abs(entries.conj().T @ entries - np.eye(dim)))
-            assert abs(unitary_deviation(entries) - dense) <= 1e-15
+            assert abs(unitary_deviation(OperatorMatrix(entries)) - dense) <= 1e-15
 
     def test_dense_matrix_keeps_the_product(self):
         entries = np.array([[1.0, 1e-7], [0.0, 1.0]])
-        assert unitary_deviation(entries) == pytest.approx(1e-7)
+        assert unitary_deviation(OperatorMatrix(entries)) == pytest.approx(1e-7)
 
 
 class TestEqualUpToGlobalPhase:

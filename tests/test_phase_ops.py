@@ -98,7 +98,8 @@ class TestFrame:
     def test_phase_frame_has_no_offset_and_records_its_deviation(self):
         frame = build_phase_frame(SpaceConfig.from_dim(6, 0.3))
         assert frame.eta == 0.0
-        assert dict(frame.basis.deviations) == {"unitary": unitary_deviation(frame.basis.entries)}
+        expected = unitary_deviation(OperatorMatrix(frame.basis.entries))
+        assert dict(frame.basis.deviations) == {"unitary": expected}
 
     def test_non_unitary_basis_refused(self):
         skewed = np.array([[1.0, 1.0], [0.0, 1.0]]) / np.sqrt([1.0, 2.0])

@@ -7,13 +7,15 @@ from fdphase import numerics
 from fdphase.deformed import (
     build_generalized_frame,
     build_ladder_operators,
+    cycle_operator_power,
     deformation_linear,
     generalized_number_shift,
+    modified_number_shift,
     offset_phase_coefficients,
     offset_phase_frame,
     recover_phase_operator,
 )
-from fdphase.evolution import time_evolution
+from fdphase.evolution import period_evolution, time_evolution
 from fdphase.pegg_barnett import (
     SpaceConfig,
     build_phase_frame,
@@ -22,6 +24,7 @@ from fdphase.pegg_barnett import (
     hermitian_phase_operator,
     number_operator,
     number_shift_operator,
+    unitary_phase_from_spectrum,
     unitary_phase_operator,
 )
 from fdphase.report import RunManifest
@@ -72,9 +75,9 @@ class TestStructuredPowers:
             powers.append(args)
             return matrix_power(*args, **kwargs)
 
-        def counted_product(columns):
-            products.append(_is_monomial(columns))
-            return gram_deviation(columns)
+        def counted_product(m):
+            products.append(_is_monomial(m.entries))
+            return gram_deviation(m)
 
         monkeypatch.setattr(np.linalg, "matrix_power", counted_power)
         monkeypatch.setattr(numerics, "_gram_deviation", counted_product)
@@ -92,7 +95,7 @@ def _dense_deviations(dim, theta0, eta):
     """Each probe-measured record's deviation over every entry, by dense products.
 
     Each row's route and reference as whole matrices, compared over every
-    entry; omega = 1.
+    entry, from the formed ``entries`` of every operator; omega = 1.
     """
     config = SpaceConfig.from_dim(dim, theta0)
     eye = np.eye(dim)
@@ -111,18 +114,46 @@ def _dense_deviations(dim, theta0, eta):
     offset = build_generalized_frame(frame, eta)
     w = offset.basis.entries
     coeff = offset_phase_coefficients(offset)
-    p = offset_phase_frame(offset, coeff).basis.entries
+    phases = offset_phase_frame(offset, coeff)
+    p = phases.basis.entries
     profile = deformation_linear(config, eta)
     ladder = build_ladder_operators(offset, profile)
     a, a_dag = ladder.a.entries, ladder.a_dag.entries
     q = generalized_number_shift(offset).entries
     q_p, shift_w = q @ p, shift @ w
-    return {
+    corner_theta, corner_eta = np.exp(1j * dim * theta0), np.exp(-2j * np.pi * eta)
+    spectral = unitary_phase_from_spectrum(frame).entries
+    cycle = cycle_operator_power(offset, dim).entries
+    half_cycle = cycle_operator_power(build_generalized_frame(frame, 0.5), dim).entries
+    period = period_evolution(config, 1.0).entries
+    dft = np.fft.ifft(eye, axis=0, norm="ortho") * np.exp(1j * theta0 * np.arange(dim))[:, None]
+    moved = {
+        "phase_state_components": _max_abs(v - dft),
+        "unitary_phase_shift_action": _max_abs(
+            spectral - numerics.cyclic_shift(dim, corner_theta).entries),
+        "unitary_phase_realization": _max_abs(shift - spectral),
+        "phase_operator_recovery": _max_abs(
+            recover_phase_operator(ladder.a, profile, offset).entries - shift),
+        "modified_shift_realization": _max_abs(
+            modified_number_shift(offset, phases).entries - q),
+        "corner_phase_phase_operator": abs(
+            w[:, dim - 1].conj() @ shift @ w[:, 0] - corner_theta),
+        "corner_phase_number_shift": abs(p[:, dim - 1].conj() @ q @ p[:, 0] - corner_eta),
+        "cycle_identity": _max_abs(cycle - corner_eta * eye),
+        "cross_shift_evolution_below_top": _max_abs(
+            half_cycle[:, : dim - 1] - period[:, : dim - 1]),
+    }
+    if 2.0 * eta == round(2.0 * eta):
+        sign = 1.0 if eta == round(eta) else -1.0
+        moved["cycle_sign_dichotomy"] = _max_abs(cycle - sign * eye)
+    if dim % 2 == 0:
+        moved["cross_cycle_even_dims"] = _max_abs(half_cycle - period)
+    return moved | {
         "phase_frame_orthonormal": gram(v),
         "phase_frame_complete": _max_abs(v @ v.conj().T - eye),
         "number_shift_action": _max_abs(down @ v - np.roll(v, 1, axis=1)),
         "number_shift_realization": _max_abs(
-            v @ numerics.cyclic_shift(dim, 1.0) @ v.conj().T - down),
+            v @ numerics.cyclic_shift(dim, 1.0).entries @ v.conj().T - down),
         "unitary_phase_diagonal_in_phase_frame": _max_abs(
             v.conj().T @ shift @ v - np.diag(np.exp(1j * config.thetas()))),
         "commutator_direct_vs_closed_form": _max_abs(
@@ -151,7 +182,8 @@ class TestProbeRecordsAgainstTheDenseRoutes:
 
     For a probe column g, |E g| is at most ||g||_1 max|E| <= sqrt(d) max|E|,
     so a probe reading is at most sqrt(d) times the full-matrix reading, and
-    it reaches the same verdict.
+    it reaches the same verdict. The two corner records are read by
+    matvecs, and the same bound holds for them.
     """
 
     @pytest.mark.parametrize("dim", [65, 128, 257])
