@@ -171,12 +171,12 @@ class OperatorMatrix:
         if dim == 0 or values.shape != (dim,) or rows.shape != (dim,):
             raise ValueError("a monomial takes one row index and one value per column")
         levels = np.arange(dim)
-        if not np.array_equal(np.sort(rows), levels):
+        if not (np.sort(rows) == levels).all():
             raise ValueError("monomial rows must be a permutation of the levels")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("operator entries must be finite")
         values.setflags(write=False)
-        return cls._held(_MONOMIAL, (rows, values, bool(np.array_equal(rows, levels))), dim)
+        return cls._held(_MONOMIAL, (rows, values, bool((rows == levels).all())), dim)
 
     @classmethod
     def product(cls, *factors: "OperatorMatrix") -> "OperatorMatrix":
@@ -253,9 +253,14 @@ class OperatorMatrix:
             )
 
     def _wide(self, x: np.ndarray) -> bool:
-        """Whether ``x`` is a block at least d wide, which a held product acts on
-        through its formed entries: forming them costs about what acting
-        through the factors does, and every later action is one product."""
+        """Whether ``x`` is a block at least d wide, which a held operator acts on
+        through its formed entries.
+
+        Such a block is the probe block up to ``PROBE_EXACT_DIM``, the
+        identity. Acting through the factors would take one d x d product
+        per factor on every action; the entries are formed once, and every
+        later action is one product.
+        """
         return self._kind != _MONOMIAL and x.ndim == 2 and x.shape[1] >= self.dim
 
     def _act(self, x: np.ndarray) -> np.ndarray:
@@ -419,7 +424,7 @@ def cyclic_shift(dim: int, corner: complex, weights: np.ndarray | None = None) -
     else:
         values = np.asarray(weights, dtype=np.complex128).copy()
         values[0] = weights[0] * corner
-    return OperatorMatrix.monomial(np.roll(np.arange(dim), 1), values)
+    return OperatorMatrix.monomial(np.arange(-1, dim - 1) % dim, values)
 
 
 def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float) -> float | None:

@@ -156,9 +156,7 @@ class TestGeneralizedFrame:
         assert phases.eta == 0.25
         gram = phases.basis.entries.conj().T @ phases.basis.entries
         deviation = phases.basis.deviations["unitary"]
-        # Read through the frame's factors, equal to rounding to the dense Gram.
-        dense = np.max(np.abs(gram - np.eye(dim)))
-        assert abs(deviation - dense) <= 4 * dim * np.finfo(float).eps
+        assert deviation == np.max(np.abs(gram - np.eye(dim)))
         assert deviation <= TolerancePolicy.for_dim(dim).tol_op
 
     def test_offset_number_states_are_the_synthesized_shift_certified(self):
