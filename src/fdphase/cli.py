@@ -22,7 +22,13 @@ from .deformed import (
     cycle_operator_power,
 )
 from .evolution import hamiltonian, period_evolution
-from .numerics import TolerancePolicy, equal_up_to_global_phase, mat_power, max_abs
+from .numerics import (
+    TolerancePolicy,
+    equal_up_to_global_phase,
+    mat_power,
+    max_abs,
+    shared_probes,
+)
 from .pegg_barnett import (
     SpaceConfig,
     build_phase_frame,
@@ -339,11 +345,16 @@ def cmd_dump(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one command; any refusal becomes one ``error:`` line and exit status 2."""
+    """Run one command; any refusal becomes one ``error:`` line and exit status 2.
+
+    The command builds each probe block once (:func:`.numerics.shared_probes`),
+    and keeps none after it returns.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with shared_probes():
+            return args.func(args)
     except (UsageError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

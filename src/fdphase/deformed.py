@@ -141,21 +141,24 @@ def build_generalized_frame(base: Frame, eta: float) -> Frame:
     return Frame(config=config, eta=eta, basis=shift)
 
 
-def offset_phase_coefficients(frame: Frame) -> np.ndarray:
-    """exp(i(n+eta)theta_m)/sqrt(s+1) at (n, m): |theta_m> over the states of ``frame``."""
-    config, dim = frame.config, frame.config.dim
-    coeff = np.exp(1j * np.outer(np.arange(dim) + frame.eta, config.thetas())) / math.sqrt(dim)
-    coeff.setflags(write=False)
-    return coeff
+def offset_phase_coefficients(frame: Frame) -> OperatorMatrix:
+    """exp(i(n+eta)theta_m)/sqrt(s+1) at (n, m): |theta_m> over the states of ``frame``.
+
+    Held as the unitary DFT between the diagonals exp(i(n+eta)theta_0) and
+    exp(2 pi i eta m/(s+1)), so that it acts by FFT, and certified unitary
+    on its closed-form entries, whose phases round as eta and theta0 grow.
+    """
+    coeff = OperatorMatrix.fourier(frame.config.dim, frame.config.theta0, frame.eta)
+    return certify(coeff, "unitary")
 
 
-def offset_phase_frame(frame: Frame, coeff: np.ndarray) -> Frame:
+def offset_phase_frame(frame: Frame, coeff: OperatorMatrix) -> Frame:
     """The offset-window phase states, certified orthonormal once.
 
     Column m is sum_n coeff[n, m] |n+eta>, the Fourier sum over the offset
     number states of ``frame`` with ``coeff = offset_phase_coefficients(frame)``.
     """
-    basis = OperatorMatrix.product(frame.basis, OperatorMatrix(coeff))
+    basis = OperatorMatrix.product(frame.basis, coeff)
     return Frame(config=frame.config, eta=frame.eta, basis=basis)
 
 

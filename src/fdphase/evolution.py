@@ -64,7 +64,8 @@ def oscillator_spectrum(config: SpaceConfig, omega: float) -> np.ndarray:
 
 
 def hamiltonian(config: SpaceConfig, omega: float) -> OperatorMatrix:
-    return OperatorMatrix(np.diag(oscillator_spectrum(config, omega).astype(np.complex128)))
+    """H = diag(E_n), held as a diagonal monomial."""
+    return OperatorMatrix.monomial(np.arange(config.dim), oscillator_spectrum(config, omega))
 
 
 def time_evolution(config: SpaceConfig, omega: float, t: float) -> OperatorMatrix:

@@ -1,26 +1,31 @@
 """Small complex linear algebra with certified hermiticity and unitarity.
 
-An operator is an immutable :class:`OperatorMatrix`, and a state is a plain
-read-only 1-d complex array in number-basis coordinates. An operator is
-either dense entries or held as its factors: a monomial ``(rows, values)``,
-the adjoint of an operator, or a product of operators such as V M V^dag
-over a frame V. Every kind acts in one way only, through
-:meth:`OperatorMatrix.apply` and :meth:`OperatorMatrix.apply_adjoint`, on a
-state or on the columns of a d x k block; a held operator acts through its
-factors in O(d^2 k), and forms its d x d ``entries`` only when something
-reads them. An operator counts as hermitian or unitary only once
-:func:`certify` has measured it: the deviation is measured once, against
-the dimension's ``tol_op``, and either recorded in the operator's
-``deviations`` or refused with an error. A frame, a complete orthonormal
-basis stored as the columns of a square matrix, is an operator certified
-"unitary", since for a square matrix V orthonormality is exactly
-V^dag V = 1. Every operator exponential used elsewhere in this package is
-assembled from such a frame through :func:`spectral_synthesize`, so no
-general matrix exponential or eigensolver lives here. Every tolerance is
-the dimension's :meth:`TolerancePolicy.for_dim`.
+An operator is an immutable :class:`OperatorMatrix`, and a state is a
+plain read-only 1-d complex array in number-basis coordinates. An operator
+is either dense entries or held as its factors: a monomial ``(rows,
+values)``, a shifted DFT diag(left) F diag(right) (the phase-basis
+frames), the adjoint of an operator, or a product of operators such as V M
+V^dag over a frame V. Every kind acts in one way only, through
+:meth:`OperatorMatrix.apply` and :meth:`OperatorMatrix.apply_adjoint`, on
+a state or on the columns of a d x k block; a held operator acts through
+its factors, a shifted DFT by one FFT per column in O(d log d), and forms
+its d x d ``entries`` only when something reads them. An operator counts
+as hermitian or unitary only once :func:`certify` has measured it: the
+deviation is measured once, against the dimension's ``tol_op``, and either
+recorded in the operator's ``deviations`` or refused with an error; a
+shifted DFT is certified on its closed-form entries, the numbers ``dump``
+and ``evolve`` write, not on its FFT route. A frame, a complete
+orthonormal basis stored as the columns of a square matrix, is an
+operator certified "unitary", since for a square matrix V orthonormality
+is exactly V^dag V = 1. Every operator exponential used
+elsewhere in this package is assembled from such a frame through
+:func:`spectral_synthesize`, so no general matrix exponential or
+eigensolver lives here. Every tolerance is the dimension's
+:meth:`TolerancePolicy.for_dim`.
 
 Whole-operator identities are read on the probe block P of :func:`probes`
 (Freivalds-style verification): max |(X - Y) P| costs d^2 per probe, not d^3.
+Inside :func:`shared_probes` each dimension's block is built once.
 
 Monomial operators, with exactly one nonzero entry per row and per column
 (the diagonals and the weighted cyclic shifts), are held as their ``(rows,
@@ -31,6 +36,9 @@ column norms without a d^3 product.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable
@@ -52,6 +60,7 @@ __all__ = [
     "tag_deviation",
     "max_abs",
     "probes",
+    "shared_probes",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -96,6 +105,23 @@ def max_abs(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
+_PROBE_BLOCKS = contextvars.ContextVar("probe_blocks", default=None)
+
+
+@contextlib.contextmanager
+def shared_probes():
+    """Within the block, :func:`probes` builds each dimension's block once.
+
+    The blocks are dropped on exit, so nothing outlives the block; outside
+    one, every call builds its block anew.
+    """
+    token = _PROBE_BLOCKS.set({})
+    try:
+        yield
+    finally:
+        _PROBE_BLOCKS.reset(token)
+
+
 def probes(dim: int) -> np.ndarray:
     """The read-only probe block P of dimension d: the identity up to ``PROBE_EXACT_DIM``.
 
@@ -103,6 +129,15 @@ def probes(dim: int) -> np.ndarray:
     complex Gaussian columns from ``PROBE_SEED``; a wrong entry E[j, l] reads
     |E[j, l]| max_c |P[l, c]|, and that max is >= 0.6/sqrt(d) at every d tested.
     """
+    blocks = _PROBE_BLOCKS.get()
+    if blocks is None:
+        return _probe_block(dim)
+    if dim not in blocks:
+        blocks[dim] = _probe_block(dim)
+    return blocks[dim]
+
+
+def _probe_block(dim: int) -> np.ndarray:
     if dim <= PROBE_EXACT_DIM:
         block = np.eye(dim)
     else:
@@ -116,7 +151,8 @@ def probes(dim: int) -> np.ndarray:
     return block
 
 
-_DENSE, _MONOMIAL, _ADJOINT, _PRODUCT = "dense", "monomial", "adjoint", "product"
+_DENSE, _MONOMIAL, _FOURIER, _ADJOINT, _PRODUCT = (
+    "dense", "monomial", "fourier", "adjoint", "product")
 
 
 class OperatorMatrix:
@@ -124,11 +160,13 @@ class OperatorMatrix:
 
     ``OperatorMatrix(entries)`` copies a dense matrix and holds it
     read-only. :meth:`monomial` holds sum_j values[j] |rows[j]><j|,
-    :meth:`adjoint` the adjoint of an operator, and :meth:`product` a
-    product of operators, each as its parts. The ``entries`` of a held
-    operator are formed on first read and shared with every certified copy:
-    a monomial fills zeros, an adjoint is ``base.entries.conj().T``, and a
-    product multiplies its factors' entries from the left, scaling the
+    :meth:`fourier` the shifted DFT exp(i(n+eta)theta_m)/sqrt(d) as
+    diag(left) F diag(right), :meth:`adjoint` the adjoint of an operator,
+    and :meth:`product` a product of operators, each as its parts. The
+    ``entries`` of a held operator are formed on first read and shared with
+    every certified copy: a monomial fills zeros, a shifted DFT evaluates
+    its d^2 closed-form exponentials, an adjoint is ``base.entries.conj().T``,
+    and a product multiplies its factors' entries from the left, scaling the
     columns for a diagonal factor and taking ``v.conj().T`` for the adjoint
     of ``v``, so that V D V^dag forms as ``(v * d) @ v.conj().T``.
 
@@ -179,6 +217,26 @@ class OperatorMatrix:
         return cls._held(_MONOMIAL, (rows, values, bool((rows == levels).all())), dim)
 
     @classmethod
+    def fourier(cls, dim: int, theta0: float, eta: float) -> "OperatorMatrix":
+        """exp(i(n+eta)theta_m)/sqrt(d) at (n, m), with theta_m = theta0 + 2 pi m/d.
+
+        Held as diag(left) F diag(right), with F the unitary inverse DFT,
+        F[n, m] = exp(2 pi i n m/d)/sqrt(d), left[n] = exp(i(n+eta)theta0) and
+        right[m] = exp(2 pi i eta m/d), so that it acts by one FFT per column.
+        """
+        if dim < 1:
+            raise ValueError("a shifted DFT takes a positive dimension")
+        levels = np.arange(dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            left = np.exp(1j * ((levels + eta) * theta0))
+            right = np.exp(1j * eta * (TWO_PI * levels / dim))
+        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+            raise ValueError("operator entries must be finite")
+        left.setflags(write=False)
+        right.setflags(write=False)
+        return cls._held(_FOURIER, (left, right, float(theta0), float(eta)), dim)
+
+    @classmethod
     def product(cls, *factors: "OperatorMatrix") -> "OperatorMatrix":
         """The product of the factors from left to right, held as the factors."""
         if not factors or any(factor.dim != factors[0].dim for factor in factors):
@@ -212,6 +270,11 @@ class OperatorMatrix:
             entries = np.zeros((self.dim, self.dim), dtype=np.complex128)
             entries[rows, np.arange(self.dim)] = values
             return entries
+        if self._kind == _FOURIER:
+            _, _, theta0, eta = self._parts
+            levels = np.arange(self.dim)
+            thetas = theta0 + TWO_PI * levels / self.dim
+            return np.exp(1j * np.outer(levels + eta, thetas)) / math.sqrt(self.dim)
         if self._kind == _ADJOINT:
             return self._parts[0].entries.conj().T
         first, *rest = self._parts
@@ -229,10 +292,11 @@ class OperatorMatrix:
         """The operator acting on a d-vector, or on each column of a d x k block.
 
         Dense entries give ``entries @ x``. A held operator acts through its
-        parts without forming its entries, except on a block at least d
-        columns wide, such as the probe block up to ``PROBE_EXACT_DIM``, on
-        which it acts as ``entries @ x``. Any other shape is refused with
-        :class:`DimensionMismatch`.
+        parts without forming its entries (a shifted DFT as
+        ``left * ifft(right * x)``), except that an adjoint or a product
+        acts as ``entries @ x`` on a block at least d columns wide, such as
+        the probe block up to ``PROBE_EXACT_DIM``. Any other shape is
+        refused with :class:`DimensionMismatch`.
         """
         self._check(x)
         return self._act(x)
@@ -241,7 +305,7 @@ class OperatorMatrix:
         """The adjoint acting on a d-vector or a d x k block, as :meth:`apply` acts.
 
         Dense entries give ``(x^dag @ entries)^dag``, with no copy of the
-        adjoint entries.
+        adjoint entries; a shifted DFT acts as ``conj(right) * fft(conj(left) * x)``.
         """
         self._check(x)
         return self._act_adjoint(x)
@@ -253,15 +317,17 @@ class OperatorMatrix:
             )
 
     def _wide(self, x: np.ndarray) -> bool:
-        """Whether ``x`` is a block at least d wide, which a held operator acts on
-        through its formed entries.
+        """Whether ``x`` is a block at least d wide, which an adjoint or a
+        product acts on through its formed entries.
 
         Such a block is the probe block up to ``PROBE_EXACT_DIM``, the
         identity. Acting through the factors would take one d x d product
         per factor on every action; the entries are formed once, and every
-        later action is one product.
+        later action is one product. A monomial and a shifted DFT always act
+        through their parts, in O(dk) and by FFT.
         """
-        return self._kind != _MONOMIAL and x.ndim == 2 and x.shape[1] >= self.dim
+        return (self._kind in (_ADJOINT, _PRODUCT)
+                and x.ndim == 2 and x.shape[1] >= self.dim)
 
     def _act(self, x: np.ndarray) -> np.ndarray:
         kind, parts = self._kind, self._parts
@@ -275,6 +341,9 @@ class OperatorMatrix:
             out = np.empty_like(scaled)
             out[rows] = scaled
             return out
+        if kind == _FOURIER:
+            left, right = (part if x.ndim == 1 else part[:, None] for part in parts[:2])
+            return left * np.fft.ifft(right * x, axis=0, norm="ortho")
         if kind == _ADJOINT:
             return parts[0]._act_adjoint(x)
         for factor in reversed(parts):
@@ -289,6 +358,9 @@ class OperatorMatrix:
             rows, values, diagonal = parts
             conj = (values if x.ndim == 1 else values[:, None]).conj()
             return conj * (x if diagonal else x[rows])
+        if kind == _FOURIER:
+            left, right = (part if x.ndim == 1 else part[:, None] for part in parts[:2])
+            return right.conj() * np.fft.fft(left.conj() * x, axis=0, norm="ortho")
         if kind == _ADJOINT:
             return parts[0]._act(x)
         for factor in parts:
@@ -302,8 +374,18 @@ def hermitian_deviation(m: OperatorMatrix) -> float:
 
 
 def _gram_deviation(m: OperatorMatrix) -> float:
-    """max |M^dag (M P) - P| on the probe block P: max |M^dag M - 1| while P = I."""
+    """max |M^dag (M P) - P| on the probe block P: max |M^dag M - 1| while P = I.
+
+    A shifted DFT is read on its closed-form entries, the numbers that
+    ``dump`` and ``evolve`` write, as dense entries act: its FFT route is
+    unitary to rounding whatever theta0 and eta, while the closed form
+    rounds each phase (n+eta)theta_m.
+    """
     block = probes(m.dim)
+    if m._kind == _FOURIER:
+        entries = m.entries
+        image = entries @ block
+        return max_abs((image.conj().T @ entries).conj().T - block)
     return max_abs(m.apply_adjoint(m.apply(block)) - block)
 
 
@@ -312,8 +394,7 @@ def _monomial(m: OperatorMatrix):
 
     A monomial gives its own pair. Dense entries give one only if they have
     exactly one nonzero entry per row and per column, and a column 0 without
-    exactly one nonzero refuses them in O(d). A product or an adjoint gives
-    None.
+    exactly one nonzero refuses them in O(d). Any other held kind gives None.
     """
     if m._kind == _MONOMIAL:
         return m._parts[:2]
@@ -369,7 +450,8 @@ def unitary_deviation(m: OperatorMatrix) -> float:
 
     For a monomial M the off-diagonal entries of M^dag M are exact zeros, so
     the deviation is max_j ||v_j|^2 - 1| over its nonzero values v_j; any
-    other operator is read on the probe block P, as max |M^dag (M P) - P|.
+    other operator is read on the probe block P, as max |M^dag (M P) - P|,
+    a shifted DFT through its closed-form entries.
     """
     monomial = _monomial(m)
     if monomial is None:

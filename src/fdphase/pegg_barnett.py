@@ -126,15 +126,20 @@ class Frame:
 
 
 def build_phase_frame(config: SpaceConfig) -> Frame:
-    """Build the phase states, certifying the frame orthonormal once."""
-    dim = config.dim
-    matrix = np.exp(1j * np.outer(np.arange(dim), config.thetas())) / math.sqrt(dim)
-    return Frame(config=config, eta=0.0, basis=OperatorMatrix(matrix))
+    """Build the phase states, certifying the frame orthonormal once.
+
+    Column m is |theta_m>, with exp(i n theta_m)/sqrt(s+1) on |n>: the
+    unitary DFT between the diagonal exp(i n theta_0) and the identity, held
+    as those factors so that it acts by FFT.
+    """
+    basis = OperatorMatrix.fourier(config.dim, config.theta0, 0.0)
+    return Frame(config=config, eta=0.0, basis=basis)
 
 
 def number_operator(config: SpaceConfig) -> OperatorMatrix:
-    """diag(0, 1, ..., s)."""
-    return OperatorMatrix(np.diag(np.arange(config.dim, dtype=np.complex128)))
+    """diag(0, 1, ..., s), held as a diagonal monomial."""
+    levels = np.arange(config.dim)
+    return OperatorMatrix.monomial(levels, levels)
 
 
 def hermitian_phase_operator(frame: Frame) -> OperatorMatrix:

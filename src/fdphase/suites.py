@@ -20,7 +20,9 @@ all its work when called and returns its list of records.
 A row over operators compares both sides applied to the probe block P of
 :func:`.numerics.probes`, so an operator held as its factors acts through
 them and no row forms its d x d entries; the wrap-around and corner rows
-read single states, one matvec each. Rows over matrices the builders have
+read single states, one matvec each. ``phase_state_components`` reads
+the phase frame, which acts by FFT, against its closed-form entries, so
+that no FFT sits on both sides. Rows over matrices the builders have
 formed anyway (the commutator kernels, the monomial powers) compare every
 entry.
 
@@ -166,7 +168,6 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
     dim = config.dim
     frame = _once(shared, "phase_frame", build_phase_frame, config)
     basis = frame.basis
-    v = basis.entries
     eye = np.eye(dim)
     block = probes(dim)
 
@@ -174,12 +175,10 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
            basis.deviations["unitary"], 0.0, policy.tol_op)
     yield ("phase_frame_complete", "sum_m |theta_m><theta_m| = 1",
            basis.apply(basis.apply_adjoint(block)), block, policy.tol_op)
-    # The frame's exponentials exp(i n theta_m) against diag(exp(i n theta_0))
-    # times the unitary DFT, which np.fft applies to the probe block.
-    expected = np.fft.ifft(block, axis=0, norm="ortho")
-    expected *= np.exp(1j * config.theta0 * np.arange(dim))[:, None]
+    # The frame acts by FFT; its entries are the closed-form exponentials
+    # exp(i n theta_m)/sqrt(s+1), formed once for its certification.
     yield ("phase_state_components", "<n|theta_m> = exp(i n theta_m)/sqrt(s+1)",
-           basis.apply(block), expected, policy.tol_elem)
+           basis.apply(block), basis.entries @ block, policy.tol_elem)
 
     phi = hermitian_phase_operator(frame)
     yield ("phase_operator_hermitian", "Phi = sum_m theta_m |theta_m><theta_m|",
@@ -203,7 +202,8 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
 
     down = _once(shared, "number_shift", number_shift_operator, config)
     yield ("number_shift_action", "q^-N |theta_m> = |theta_m-1> and q^-N |theta_0> = |theta_s>",
-           down.apply(basis.apply(block)), np.roll(v, 1, axis=1) @ block, policy.tol_elem)
+           down.apply(basis.apply(block)), basis.apply(np.roll(block, -1, axis=0)),
+           policy.tol_elem)
     yield ("number_shift_realization", "q^-N = sum_m |theta_m-1><theta_m| + |theta_s><theta_0|",
            basis.apply(cyclic_shift(dim, 1.0).apply(basis.apply_adjoint(block))),
            down.apply(block), policy.tol_op)
@@ -255,7 +255,7 @@ def suite_gdo(
            phases.basis.deviations["unitary"], 0.0, policy.tol_op)
 
     yield ("continuous_shift_roundtrip", "exp(-i eta Phi)|n> = |n+eta>",
-           p.apply(coeff.conj().T @ block), v.apply(block), policy.tol_elem)
+           p.apply(coeff.apply_adjoint(block)), v.apply(block), policy.tol_elem)
 
     ladder = build_ladder_operators(frame, profile)
     yield ("ladder_number_product", "Adag A |n+eta> = F_n |n+eta>",

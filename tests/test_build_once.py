@@ -233,15 +233,15 @@ class TestFramesAreCertifiedOperators:
     def test_verify_certifies_every_frame_through_certify(self, monkeypatch):
         # At eta != 1/2 a d=64 verify builds four frames (the phase frame,
         # the offset number and phase states at eta, the offset number states
-        # at 1/2) beside eleven operator certifications, and measures
-        # orthonormality nowhere else.
+        # at 1/2) beside twelve operator certifications, the offset phase
+        # coefficients' among them, and measures orthonormality nowhere else.
         frames = _built_frames(monkeypatch)
         certified = _count_calls(monkeypatch, numerics.certify)
         measured = _count_calls(monkeypatch, numerics.tag_deviation)
         run_suites(RunManifest(dim=64, theta0=2.9, eta=0.25, suites=SUITE_NAMES))
         assert len(frames) == 4
-        assert len(certified) == 15
-        assert len(measured) == 15
+        assert len(certified) == 16
+        assert len(measured) == 16
         frame_entries = [frame.basis.entries for frame in frames]
         certified_frames = [
             m for m, tag in certified if tag == "unitary"

@@ -202,6 +202,18 @@ class TestVerify:
         out = tmp_path / "report.json"
         assert main(["verify", "--dim", "16", "--omega", "1e300", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("dim, message", [
+        (8, "deviation 3.185e-07 (tolerance 8.000e-11)"),
+        (65, "deviation 3.257e-07 (tolerance 6.500e-10)"),
+    ])
+    def test_offset_coefficients_that_round_exit_2_at_every_dimension(self, capsys, dim, message):
+        # The coefficients exp(i(n+eta)theta_m)/sqrt(d) act by FFT, but their
+        # closed form, whose phases round at eta = 1e9, is what is certified.
+        assert main(["verify", "--dim", str(dim), "--theta0", "2.9", "--eta", "1e9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unitary certification failed with {message}\n"
+
     def test_eta_whose_phases_overflow_exits_2(self, capsys):
         assert main(["verify", "--dim", "3", "--theta0", "6", "--eta", "1e308"]) == 2
         captured = capsys.readouterr()
@@ -369,6 +381,18 @@ class TestEvolve:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: unitary certification failed with deviation ")
         assert line.endswith("(tolerance 3.000e-11)")
+
+    def test_refused_phase_frame_above_the_exact_probe_dimension_exits_2(self, tmp_path, capsys):
+        # The phase frame acts by FFT above d=64 too, but is certified on the
+        # closed-form entries that evolve multiplies out.
+        state = write_state(tmp_path / "state.json", [1.0] + [0.0] * 64)
+        assert main(["evolve", str(state), "--mode", "shift", "--theta0", "1e6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unitary certification failed with deviation 9.548e-10 "
+            "(tolerance 6.500e-10)\n"
+        )
 
     def test_eta_whose_phases_overflow_exits_2(self, tmp_path, capsys):
         state = write_state(tmp_path / "state.json", [1.0, 0.0, 0.0])
@@ -581,6 +605,16 @@ class TestDump:
         assert captured.err == (
             "error: unitary certification failed with deviation 2.264e-10 "
             "(tolerance 8.000e-11)\n"
+        )
+
+    @pytest.mark.parametrize("name", ["phase-states", "commutators", "A"])
+    def test_refused_phase_frame_above_the_exact_probe_dimension_exits_2(self, capsys, name):
+        assert main(["dump", name, "--dim", "65", "--theta0", "1e6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unitary certification failed with deviation 9.548e-10 "
+            "(tolerance 6.500e-10)\n"
         )
 
     @pytest.mark.parametrize("name", ["A", "Adag"])

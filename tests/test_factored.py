@@ -1,5 +1,7 @@
 """Operators held as their factors: how they act and how their entries are formed."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,13 @@ from fdphase.deformed import (
     offset_phase_frame,
     recover_phase_operator,
 )
-from fdphase.evolution import oscillator_spectrum, time_evolution
+from fdphase.evolution import hamiltonian, oscillator_spectrum, time_evolution
 from fdphase.numerics import DimensionMismatch, OperatorMatrix, certify, mat_power
 from fdphase.pegg_barnett import (
     SpaceConfig,
     build_phase_frame,
     hermitian_phase_operator,
+    number_operator,
     number_shift_operator,
     unitary_phase_from_spectrum,
     unitary_phase_operator,
@@ -47,17 +50,23 @@ def _synthesized(v, vals):
     return (v * vals) @ v.conj().T
 
 
+def _shifted_dft(dim, thetas, eta):
+    """The 0.6.0 closed form exp(i(n+eta)theta_m)/sqrt(d) of the phase-basis factors."""
+    return np.exp(1j * np.outer(np.arange(dim) + eta, thetas)) / math.sqrt(dim)
+
+
 def _oracles(dim, theta0=2.9, eta=1.5):
     """Each factored builder's entries and the dense expression that formed them."""
     config = SpaceConfig.from_dim(dim, theta0)
     frame = build_phase_frame(config)
     offset = build_generalized_frame(frame, eta)
-    coeff = offset_phase_coefficients(offset)
-    phases = offset_phase_frame(offset, coeff)
+    coeff_op = offset_phase_coefficients(offset)
+    phases = offset_phase_frame(offset, coeff_op)
     profile = deformation_linear(config, eta)
     ladder = build_ladder_operators(offset, profile)
-    v = frame.basis.entries
     thetas = config.thetas()
+    v = np.exp(1j * np.outer(np.arange(dim), thetas)) / math.sqrt(dim)
+    coeff = _shifted_dft(dim, thetas, eta)
     w = _synthesized(v, np.exp(-1j * eta * thetas))
     p = w @ coeff
     corner = np.exp(1j * dim * theta0)
@@ -67,6 +76,8 @@ def _oracles(dim, theta0=2.9, eta=1.5):
     _, cycle_eigvals = numerics._binary_power(levels, shift_eigvals, dim)
     energies = oscillator_spectrum(config, 1.0)
     return {
+        "phase_frame": (frame.basis, v),
+        "offset_coefficients": (coeff_op, coeff),
         "phi": (hermitian_phase_operator(frame), _synthesized(v, thetas.astype(complex))),
         "exp_iphi_spectral": (unitary_phase_from_spectrum(frame),
                               _synthesized(v, np.exp(1j * thetas))),
@@ -83,6 +94,8 @@ def _oracles(dim, theta0=2.9, eta=1.5):
                            p @ _dense_cyclic_shift(dim, np.exp(-2j * np.pi * eta)) @ p.conj().T),
         "cycle_power": (cycle_operator_power(offset, dim), _synthesized(w, cycle_eigvals)),
         "evolution": (time_evolution(config, 1.0, 0.7), np.diag(np.exp(-1j * energies * 0.7))),
+        "number": (number_operator(config), np.diag(np.arange(dim, dtype=np.complex128))),
+        "hamiltonian": (hamiltonian(config, 1.0), np.diag(energies.astype(np.complex128))),
     }
 
 
@@ -104,6 +117,71 @@ class TestEntriesKeepTheDenseExpressions:
             assert np.max(np.abs(op.apply(block) - oracle @ block)) <= tol, name
             assert np.max(np.abs(op.apply(block[:, 0]) - oracle @ block[:, 0])) <= tol, name
             assert np.max(np.abs(op.apply_adjoint(block) - oracle.conj().T @ block)) <= tol, name
+
+
+class TestShiftedDft:
+    """The phase-basis factor exp(i(n+eta)theta_m)/sqrt(d), held as diag(left) F diag(right)."""
+
+    WINDOWS = [(2.9, 1.5), (0.3, 0.25), (0.0, 0.0), (-1.0, 0.5)]
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("theta0, eta", WINDOWS)
+    def test_entries_are_the_closed_form_bytes(self, dim, theta0, eta):
+        op = OperatorMatrix.fourier(dim, theta0, eta)
+        thetas = SpaceConfig.from_dim(dim, theta0).thetas()
+        assert op.entries.tobytes() == _shifted_dft(dim, thetas, eta).tobytes()
+        assert not op.entries.flags.writeable
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("theta0, eta", WINDOWS)
+    def test_fft_action_matches_the_entries(self, dim, theta0, eta):
+        # Each closed-form entry rounds its phase (n+eta)theta_m, and the
+        # product sums d such entries of modulus 1/sqrt(d) against a unit
+        # vector; the FFT route adds O(eps log d). The bound
+        # 16 eps sqrt(d) (1 + |theta0| + |eta|) held with a margin of about
+        # 14 at every d up to 4096 and at theta0 = 1000.
+        op = OperatorMatrix.fourier(dim, theta0, eta)
+        entries = op.entries
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+        x /= np.linalg.norm(x, axis=0)
+        bound = 16 * np.finfo(float).eps * np.sqrt(dim) * (1.0 + abs(theta0) + abs(eta))
+        for block in (x, x[:, 0]):  # a narrow block and a single state
+            assert np.max(np.abs(op.apply(block) - entries @ block)) <= bound
+            assert np.max(np.abs(op.apply_adjoint(block) - entries.conj().T @ block)) <= bound
+
+    @pytest.mark.parametrize("dim, width", [(65, 10), (8, 8)])
+    def test_acts_by_fft_on_any_block(self, dim, width):
+        op = OperatorMatrix.fourier(dim, 2.9, 1.5)
+        op.apply(np.ones((dim, width)))
+        op.apply_adjoint(np.ones(dim))
+        assert op._cache[0] is None
+
+    def test_parts_are_read_only(self):
+        left, right, _, _ = OperatorMatrix.fourier(8, 2.9, 1.5)._parts
+        for part in (left, right):
+            with pytest.raises(ValueError):
+                part[0] = 1.0
+
+    @pytest.mark.parametrize("dim", [8, 65, 257])
+    def test_certified_on_its_closed_form_entries(self, dim):
+        # The deviation a dense operator with the same entries reads, bit for
+        # bit, and not that of the FFT route, which is unitary to rounding.
+        op = OperatorMatrix.fourier(dim, 1e4, 1.5)
+        dense = numerics.unitary_deviation(OperatorMatrix(op.entries))
+        assert certify(op, "unitary").deviations["unitary"] == dense
+        block = numerics.probes(dim)
+        fft_route = np.max(np.abs(op.apply_adjoint(op.apply(block)) - block))
+        assert fft_route < dense / 100
+
+    @pytest.mark.parametrize("dim", [8, 65, 257])
+    def test_closed_form_that_rounds_is_refused(self, dim):
+        with pytest.raises(ArithmeticError, match="unitary certification failed"):
+            certify(OperatorMatrix.fourier(dim, 1e7, 0.0), "unitary")
+
+    def test_refuses_an_empty_space(self):
+        with pytest.raises(ValueError):
+            OperatorMatrix.fourier(0, 0.0, 0.0)
 
 
 class TestHeldKinds:
@@ -195,6 +273,11 @@ class TestMonomialScan:
         assert np.array_equal(rows, np.arange(4))
         assert values is u._parts[1]
 
+    def test_number_operator_and_hamiltonian_are_held_diagonals(self):
+        config = SpaceConfig.from_dim(5, 0.3)
+        for op in (number_operator(config), hamiltonian(config, 0.37)):
+            assert op._kind == numerics._MONOMIAL and op._parts[2]
+
     def test_power_of_a_held_monomial_is_held(self):
         u = time_evolution(SpaceConfig.from_dim(4), 1.0, 0.3)
         powered = mat_power(u, 3)
@@ -222,7 +305,12 @@ class TestVerifyFormsOneProduct:
         argv = ["verify", "--suite", "all", "--dim", "128", "--theta0", "2.9", "--eta", "1.5",
                 "--out", str(tmp_path / "report.json")]
         assert main(argv) == 0
-        products = [op for op in formed if op._kind != numerics._MONOMIAL]
-        assert len(products) == 1
+        # The closed-form entries of V and of the offset coefficients, which
+        # their certifications read, and Phi, whose hermiticity is read from
+        # its entries; V's entries are formed before Phi's and reused there.
+        frame, product, coeff = [op for op in formed if op._kind != numerics._MONOMIAL]
+        assert (frame._kind, product._kind, coeff._kind) == (
+            numerics._FOURIER, numerics._PRODUCT, numerics._FOURIER)
+        assert (frame._parts[3], coeff._parts[3]) == (0.0, 1.5)
         phi = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(128, 2.9)))
-        assert products[0].entries.tobytes() == phi.entries.tobytes()
+        assert product.entries.tobytes() == phi.entries.tobytes()

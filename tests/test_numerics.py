@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdphase import numerics, suites
+from fdphase.cli import main
 from fdphase.numerics import (
     DimensionMismatch,
     OperatorMatrix,
@@ -361,6 +362,26 @@ class TestProbes:
         with pytest.raises(ValueError):
             block[0, 0] = 2.0
         assert numerics.probes(dim).tobytes() == block.tobytes()
+
+    def test_shared_within_a_scope_and_dropped_after_it(self):
+        with numerics.shared_probes():
+            block = numerics.probes(128)
+            assert numerics.probes(128) is block
+        assert numerics.probes(128) is not numerics.probes(128)
+        with numerics.shared_probes():
+            assert numerics.probes(128) is not block
+            assert numerics.probes(128).tobytes() == block.tobytes()
+
+    def test_one_build_per_dimension_in_one_command(self, monkeypatch, tmp_path, capsys):
+        built = []
+        build = numerics._probe_block
+        monkeypatch.setattr(numerics, "_probe_block", lambda dim: built.append(dim) or build(dim))
+        argv = ["verify", "--dim", "128", "--theta0", "2.9", "--eta", "1.5",
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        assert built == [128]
+        assert main(argv) == 0
+        assert built == [128, 128]  # no block outlives its command
 
     @pytest.mark.parametrize("dim", [65, 128, 511, 512, 1024, 4096])
     def test_every_row_meets_a_large_probe_entry(self, dim):

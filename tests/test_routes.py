@@ -17,6 +17,7 @@ from fdphase.deformed import (
 )
 from fdphase.evolution import period_evolution, time_evolution
 from fdphase.pegg_barnett import (
+    Frame,
     SpaceConfig,
     build_phase_frame,
     commutator,
@@ -28,7 +29,7 @@ from fdphase.pegg_barnett import (
     unitary_phase_operator,
 )
 from fdphase.report import RunManifest
-from fdphase.suites import SUITE_NAMES, run_suites
+from fdphase.suites import SUITE_NAMES, run_suites, suite_pb_core
 
 
 def _record(dim, theta0, check_id):
@@ -43,12 +44,16 @@ def _is_monomial(entries):
 
 
 class TestRecordsCompareTwoRoutes:
-    @pytest.mark.parametrize("dim, theta0", [(31, 0.3), (64, 2.9)])
-    def test_phase_state_components_against_the_fft(self, dim, theta0):
+    @pytest.mark.parametrize("dim, theta0", [(31, 0.3), (64, 2.9), (128, 2.9)])
+    def test_phase_state_components_fft_against_the_closed_form(self, dim, theta0):
+        # The frame acts by FFT; the record reads it on the probe block
+        # against the closed-form exponentials, the frame's formed entries.
         config = SpaceConfig.from_dim(dim, theta0)
-        dft = np.fft.ifft(np.eye(dim), axis=0, norm="ortho")
-        twisted = dft * np.exp(1j * theta0 * np.arange(dim))[:, None]
-        deviation = np.max(np.abs(build_phase_frame(config).basis.entries - twisted))
+        block = numerics.probes(dim)
+        dft = np.fft.ifft(block, axis=0, norm="ortho")
+        twisted = np.exp(1j * theta0 * np.arange(dim))[:, None] * dft
+        closed_form = build_phase_frame(config).basis.entries @ block
+        deviation = np.max(np.abs(closed_form - twisted))
         assert deviation > 0.0
         record = _record(dim, theta0, "phase_state_components")
         assert record.max_deviation == pytest.approx(deviation, rel=1e-9, abs=0.0)
@@ -113,9 +118,10 @@ def _dense_deviations(dim, theta0, eta):
     phi = hermitian_phase_operator(frame)
     offset = build_generalized_frame(frame, eta)
     w = offset.basis.entries
-    coeff = offset_phase_coefficients(offset)
-    phases = offset_phase_frame(offset, coeff)
+    coeff_op = offset_phase_coefficients(offset)
+    phases = offset_phase_frame(offset, coeff_op)
     p = phases.basis.entries
+    coeff = coeff_op.entries
     profile = deformation_linear(config, eta)
     ladder = build_ladder_operators(offset, profile)
     a, a_dag = ladder.a.entries, ladder.a_dag.entries
@@ -197,3 +203,61 @@ class TestProbeRecordsAgainstTheDenseRoutes:
             dense_status = "pass" if deviation <= record.tolerance else "fail"
             assert record.status == dense_status, check_id
             assert record.max_deviation <= np.sqrt(dim) * deviation, check_id
+
+
+class TestPlantedFaultsInTheFrameTransform:
+    """Faulty FFT routes for the phase frame that stay unitary pass every
+    certification; ``phase_state_components``, read against the closed-form
+    exponentials, must fail on each of them."""
+
+    THETA0 = 2.9
+
+    def _record(self, frame):
+        config = frame.config
+        records = suite_pb_core(config, numerics.TolerancePolicy.for_dim(config.dim), {
+            "phase_frame": frame})
+        (record,) = [r for r in records if r.check_id == "phase_state_components"]
+        return record
+
+    def _frame(self, dim, swap=False, drop_window=False, column=None):
+        """The phase frame with its diagonals diag(left) F diag(right) altered."""
+        config = SpaceConfig.from_dim(dim, self.THETA0)
+        left, right, theta0, eta = build_phase_frame(config).basis._parts
+        if drop_window:
+            left = np.ones(dim, dtype=complex)
+        if column is not None:
+            right = right.copy()
+            right[column] *= np.exp(1e-6j)
+        if swap:
+            left, right = right, left
+        parts = (left, right, theta0, eta)
+        return Frame(config, 0.0, numerics.OperatorMatrix._held(numerics._FOURIER, parts, dim))
+
+    @pytest.mark.parametrize("dim", [8, 128])
+    def test_the_sound_frame_passes(self, dim):
+        assert self._record(self._frame(dim)).status == "pass"
+
+    @pytest.mark.parametrize("dim", [8, 128])
+    def test_fft_for_ifft(self, dim, monkeypatch):
+        # The conjugate DFT, with its adjoint swapped to match, is unitary.
+        inverse, forward = np.fft.ifft, np.fft.fft
+        monkeypatch.setattr(np.fft, "ifft", forward)
+        monkeypatch.setattr(np.fft, "fft", inverse)
+        assert self._record(self._frame(dim)).status == "fail"
+
+    @pytest.mark.parametrize("dim", [8, 128])
+    def test_dropped_window_phase(self, dim):
+        # F alone, without exp(i n theta_0).
+        assert self._record(self._frame(dim, drop_window=True)).status == "fail"
+
+    @pytest.mark.parametrize("dim", [8, 128])
+    def test_transposed_dft(self, dim):
+        # The transpose diag(right) F diag(left) of the factor: F is
+        # symmetric, so the window phase moves onto the columns.
+        assert self._record(self._frame(dim, swap=True)).status == "fail"
+
+    @pytest.mark.parametrize("dim", [8, 128])
+    def test_one_column_off_by_a_phase(self, dim):
+        # One column's phase off by 1e-6: a fault the probe block meets
+        # through every Gaussian column, however few columns it has.
+        assert self._record(self._frame(dim, column=dim // 3)).status == "fail"
