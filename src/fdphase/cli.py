@@ -31,6 +31,7 @@ from .numerics import (
 )
 from .pegg_barnett import (
     SpaceConfig,
+    _toeplitz,
     build_phase_frame,
     commutator,
     commutator_closed_form,
@@ -56,10 +57,11 @@ DUMP_OBJECTS = (
     "commutators",
 )
 
-# The largest dimension each command accepts. A run holds a few dozen dense
-# complex d x d matrices: a d=1024 verify peaks near 305 MB and a d=1024
-# commutators dump near 676 MB, which grow as d^2, so these limits keep a
-# run within a few GB.
+# The largest dimension each command accepts. A verify forms a few complex
+# d x d arrays (Phi, the closed forms of V and the offset coefficients, the
+# gathered commutator) and a dump holds several more: a d=1024 verify peaks
+# near 104 MB, a d=4096 verify near 1.1 GB and a d=1024 commutators dump
+# near 535 MB, which grow as d^2, so these limits keep a run within a few GB.
 MAX_DUMP_DIM = 2048
 MAX_DIM = 4096
 
@@ -320,17 +322,16 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
         }
     if name == "commutators":
         phi = hermitian_phase_operator(build_phase_frame(config))
-        direct = commutator(phi, number_operator(config))
         closed = commutator_closed_form(config)
         double = commutator_double_sum(config)
-        deviation = np.abs(double.entries - closed.entries)
+        deviation = _toeplitz(np.abs(double - closed))
         return {
             "kind": "commutators",
             "dim": config.dim,
             "theta0": config.theta0,
-            "direct": direct.entries,
-            "closed_form": closed.entries,
-            "double_sum": double.entries,
+            "direct": commutator(phi, number_operator(config)),
+            "closed_form": _toeplitz(closed),
+            "double_sum": _toeplitz(double),
             "max_abs_deviation_double_sum_vs_closed": max_abs(deviation),
             "elementwise_deviation": deviation,
         }

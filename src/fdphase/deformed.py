@@ -115,7 +115,10 @@ def profile_from_json(text: str, dim: int) -> DeformationProfile:
         raise ProfileError(
             f"profile length {len(data)} does not match dimension {dim}"
         )
-    return DeformationProfile(values=np.asarray(data, dtype=np.float64))
+    try:
+        return DeformationProfile(values=np.asarray(data, dtype=np.float64))
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ProfileError("profile weights must be finite") from None
 
 
 def build_generalized_frame(base: Frame, eta: float) -> Frame:

@@ -2,10 +2,10 @@
 
 An operator is an immutable :class:`OperatorMatrix`, and a state is a
 plain read-only 1-d complex array in number-basis coordinates. An operator
-is either dense entries or held as its factors: a monomial ``(rows,
-values)``, a shifted DFT diag(left) F diag(right) (the phase-basis
-frames), the adjoint of an operator, or a product of operators such as V M
-V^dag over a frame V. Every kind acts in one way only, through
+is held as its factors: a monomial ``(rows, values)``, a shifted DFT
+diag(left) F diag(right) (the phase-basis frames), the adjoint of an
+operator, or a product of operators such as V M V^dag over a frame V.
+Every kind acts in one way only, through
 :meth:`OperatorMatrix.apply` and :meth:`OperatorMatrix.apply_adjoint`, on
 a state or on the columns of a d x k block; a held operator acts through
 its factors, a shifted DFT by one FFT per column in O(d log d), and forms
@@ -29,9 +29,9 @@ Inside :func:`shared_probes` each dimension's block is built once.
 
 Monomial operators, with exactly one nonzero entry per row and per column
 (the diagonals and the weighted cyclic shifts), are held as their ``(rows,
-values)`` or recognised from dense entries: :func:`mat_power` composes them
-index by index in O(d log k), and their unitarity deviation is read off the
-column norms without a d^3 product.
+values)``: :func:`mat_power` composes them index by index in O(d log k),
+and their unitarity deviation is read off the column norms without a d^3
+product.
 """
 
 from __future__ import annotations
@@ -151,50 +151,37 @@ def _probe_block(dim: int) -> np.ndarray:
     return block
 
 
-_DENSE, _MONOMIAL, _FOURIER, _ADJOINT, _PRODUCT = (
-    "dense", "monomial", "fourier", "adjoint", "product")
+_MONOMIAL, _FOURIER, _ADJOINT, _PRODUCT = "monomial", "fourier", "adjoint", "product"
 
 
 class OperatorMatrix:
-    """A square operator with finite entries: dense, or held as its factors.
+    """A square operator with finite entries, held as its factors.
 
-    ``OperatorMatrix(entries)`` copies a dense matrix and holds it
-    read-only. :meth:`monomial` holds sum_j values[j] |rows[j]><j|,
-    :meth:`fourier` the shifted DFT exp(i(n+eta)theta_m)/sqrt(d) as
-    diag(left) F diag(right), :meth:`adjoint` the adjoint of an operator,
-    and :meth:`product` a product of operators, each as its parts. The
-    ``entries`` of a held operator are formed on first read and shared with
-    every certified copy: a monomial fills zeros, a shifted DFT evaluates
-    its d^2 closed-form exponentials, an adjoint is ``base.entries.conj().T``,
-    and a product multiplies its factors' entries from the left, scaling the
+    :meth:`monomial` holds sum_j values[j] |rows[j]><j|, :meth:`fourier` the
+    shifted DFT exp(i(n+eta)theta_m)/sqrt(d) as diag(left) F diag(right),
+    :meth:`adjoint` the adjoint of an operator, and :meth:`product` a
+    product of operators, each as its parts; there is no other constructor.
+    The ``entries`` are formed on first read and shared with every certified
+    copy: a monomial fills zeros, a shifted DFT evaluates its d^2
+    closed-form exponentials, an adjoint is ``base.entries.conj().T``, and a
+    product multiplies its factors' entries from the left, scaling the
     columns for a diagonal factor and taking ``v.conj().T`` for the adjoint
     of ``v``, so that V D V^dag forms as ``(v * d) @ v.conj().T``.
 
     ``deviations`` maps each structure :func:`certify` has confirmed on this
     operator ("hermitian", "unitary") to the deviation it measured. It is
-    read-only, empty at construction, and not a constructor argument.
+    read-only and empty at construction.
     """
 
     __slots__ = ("dim", "deviations", "_kind", "_parts", "_cache")
 
-    def __init__(self, entries) -> None:
-        arr = np.array(entries, dtype=np.complex128, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ValueError("operator entries must form a non-empty square matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("operator entries must be finite")
-        arr.setflags(write=False)
-        self._hold(_DENSE, (), arr.shape[0], [arr], {})
-
-    def _hold(self, kind: str, parts: tuple, dim: int, cache: list, deviations: dict) -> None:
-        for name, value in (("dim", dim), ("_kind", kind), ("_parts", parts),
-                            ("_cache", cache), ("deviations", MappingProxyType(deviations))):
-            object.__setattr__(self, name, value)
-
     @classmethod
-    def _held(cls, kind: str, parts: tuple, dim: int) -> "OperatorMatrix":
+    def _held(cls, kind: str, parts: tuple, dim: int, cache=None, deviations=()):
         op = object.__new__(cls)
-        op._hold(kind, parts, dim, [None], {})
+        for name, value in (("dim", dim), ("_kind", kind), ("_parts", parts),
+                            ("_cache", [None] if cache is None else cache),
+                            ("deviations", MappingProxyType(dict(deviations)))):
+            object.__setattr__(op, name, value)
         return op
 
     def __setattr__(self, name, value):
@@ -248,10 +235,8 @@ class OperatorMatrix:
         return self._held(_ADJOINT, (self,), self.dim)
 
     def _certified(self, tag: str, deviation: float) -> "OperatorMatrix":
-        op = object.__new__(type(self))
-        op._hold(self._kind, self._parts, self.dim, self._cache,
-                 {**self.deviations, tag: deviation})
-        return op
+        return self._held(self._kind, self._parts, self.dim, self._cache,
+                          {**self.deviations, tag: deviation})
 
     @property
     def entries(self) -> np.ndarray:
@@ -291,11 +276,10 @@ class OperatorMatrix:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The operator acting on a d-vector, or on each column of a d x k block.
 
-        Dense entries give ``entries @ x``. A held operator acts through its
-        parts without forming its entries (a shifted DFT as
-        ``left * ifft(right * x)``), except that an adjoint or a product
-        acts as ``entries @ x`` on a block at least d columns wide, such as
-        the probe block up to ``PROBE_EXACT_DIM``. Any other shape is
+        An operator acts through its parts without forming its entries (a
+        shifted DFT as ``left * ifft(right * x)``), except that an adjoint or
+        a product acts as ``entries @ x`` on a block at least d columns wide,
+        such as the probe block up to ``PROBE_EXACT_DIM``. Any other shape is
         refused with :class:`DimensionMismatch`.
         """
         self._check(x)
@@ -304,7 +288,7 @@ class OperatorMatrix:
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
         """The adjoint acting on a d-vector or a d x k block, as :meth:`apply` acts.
 
-        Dense entries give ``(x^dag @ entries)^dag``, with no copy of the
+        Formed entries give ``(x^dag @ entries)^dag``, with no copy of the
         adjoint entries; a shifted DFT acts as ``conj(right) * fft(conj(left) * x)``.
         """
         self._check(x)
@@ -331,7 +315,7 @@ class OperatorMatrix:
 
     def _act(self, x: np.ndarray) -> np.ndarray:
         kind, parts = self._kind, self._parts
-        if kind == _DENSE or self._wide(x):
+        if self._wide(x):
             return self.entries @ x
         if kind == _MONOMIAL:
             rows, values, diagonal = parts
@@ -352,7 +336,7 @@ class OperatorMatrix:
 
     def _act_adjoint(self, x: np.ndarray) -> np.ndarray:
         kind, parts = self._kind, self._parts
-        if kind == _DENSE or self._wide(x):
+        if self._wide(x):
             return (x.conj().T @ self.entries).conj().T
         if kind == _MONOMIAL:
             rows, values, diagonal = parts
@@ -377,7 +361,7 @@ def _gram_deviation(m: OperatorMatrix) -> float:
     """max |M^dag (M P) - P| on the probe block P: max |M^dag M - 1| while P = I.
 
     A shifted DFT is read on its closed-form entries, the numbers that
-    ``dump`` and ``evolve`` write, as dense entries act: its FFT route is
+    ``dump`` and ``evolve`` write, as formed entries act: its FFT route is
     unitary to rounding whatever theta0 and eta, while the closed form
     rounds each phase (n+eta)theta_m.
     """
@@ -390,24 +374,8 @@ def _gram_deviation(m: OperatorMatrix) -> float:
 
 
 def _monomial(m: OperatorMatrix):
-    """``(rows, values)`` with column j of ``m`` equal to values[j] |rows[j]>, or None.
-
-    A monomial gives its own pair. Dense entries give one only if they have
-    exactly one nonzero entry per row and per column, and a column 0 without
-    exactly one nonzero refuses them in O(d). Any other held kind gives None.
-    """
-    if m._kind == _MONOMIAL:
-        return m._parts[:2]
-    if m._kind != _DENSE:
-        return None
-    entries = m.entries
-    if np.count_nonzero(entries[:, 0]) != 1:
-        return None
-    nonzero = entries != 0
-    if not (np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1)):
-        return None
-    rows = np.argmax(nonzero, axis=0)
-    return rows, entries[rows, np.arange(entries.shape[1])]
+    """A monomial's ``(rows, values)``, column j being values[j] |rows[j]>; else None."""
+    return m._parts[:2] if m._kind == _MONOMIAL else None
 
 
 def _compose(left: tuple, right: tuple) -> tuple:
@@ -478,9 +446,9 @@ def tag_deviation(m: OperatorMatrix, tag: str) -> float:
 def mat_power(m: OperatorMatrix, k: int) -> OperatorMatrix:
     """Non-negative integer power of a monomial operator by repeated multiplication.
 
-    The operator must have exactly one nonzero entry per row and per column
-    (a diagonal or a weighted cyclic shift); its powers are composed index
-    by index in O(d log k), and the power is a monomial. Any other operator
+    The operator must be held as a monomial (a diagonal or a weighted
+    cyclic shift); its powers are composed index by index in O(d log k),
+    and the power is a monomial. Any other operator
     is refused: raise it through the eigenvalues of its frame instead, as
     :func:`.deformed.cycle_operator_power` does for q^-(N+eta).
     """
@@ -488,7 +456,7 @@ def mat_power(m: OperatorMatrix, k: int) -> OperatorMatrix:
     if monomial is None:
         raise ValueError(
             "mat_power takes a monomial operator (one nonzero entry per row "
-            "and column); raise a dense operator through the eigenvalues of "
+            "and column); raise any other operator through the eigenvalues of "
             "its frame, as cycle_operator_power does"
         )
     return OperatorMatrix.monomial(*_binary_power(*monomial, k))

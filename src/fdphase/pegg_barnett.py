@@ -14,7 +14,8 @@ The phase/number commutator is exposed through three routes: the direct
 matrix product, a closed form derived from the phase-state expansion, and a
 commonly quoted double-sum kernel. The first two agree to rounding for
 every window; the kernel form differs from them by a unit-modulus factor
-per element and is kept for flagged comparison, not as ground truth.
+per element and is kept for flagged comparison, not as ground truth. Both
+kernels depend on n - n' alone and are returned as their 2s+1 values.
 """
 
 from __future__ import annotations
@@ -170,11 +171,11 @@ def number_shift_operator(config: SpaceConfig) -> OperatorMatrix:
     return certify(OperatorMatrix.monomial(levels, config.root_power(-levels)), "unitary")
 
 
-def commutator(ml: OperatorMatrix, mr: OperatorMatrix) -> OperatorMatrix:
-    """Ml Mr - Mr Ml, from the entries of both."""
+def commutator(ml: OperatorMatrix, mr: OperatorMatrix) -> np.ndarray:
+    """The d x d entries of Ml Mr - Mr Ml, from the entries of both."""
     if ml.dim != mr.dim:
         raise DimensionMismatch(f"operators of dimension {ml.dim} and {mr.dim} do not compose")
-    return OperatorMatrix(ml.entries @ mr.entries - mr.entries @ ml.entries)
+    return ml.entries @ mr.entries - mr.entries @ ml.entries
 
 
 def _toeplitz(values: np.ndarray) -> np.ndarray:
@@ -183,13 +184,14 @@ def _toeplitz(values: np.ndarray) -> np.ndarray:
     return values[levels[:, None] - levels[None, :] + levels.size - 1]
 
 
-def commutator_closed_form(config: SpaceConfig) -> OperatorMatrix:
-    """Closed form of [Phi, N] derived from the phase-state expansion.
+def commutator_closed_form(config: SpaceConfig) -> np.ndarray:
+    """Closed form of [Phi, N] derived from the phase-state expansion, as Toeplitz values.
 
     Element (n, n') for n != n' is
     (2*pi/(s+1)) (n'-n) exp(i(n-n')theta_0) / (exp(2*pi*i(n-n')/(s+1)) - 1)
     with zero diagonal. This agrees with the direct commutator for every
-    window origin and dimension. Its 2s+1 values of n - n' are gathered.
+    window origin and dimension. Value k is the element at n - n' = k - s,
+    so that :func:`_toeplitz` gathers the d x d matrix.
     """
     dim = config.dim
     delta = np.arange(1 - dim, dim)  # n - n'
@@ -202,17 +204,18 @@ def commutator_closed_form(config: SpaceConfig) -> OperatorMatrix:
         * np.exp(1j * delta[off] * config.theta0)
         / denom
     )
-    return OperatorMatrix(_toeplitz(values))
+    return values
 
 
-def commutator_double_sum(config: SpaceConfig) -> OperatorMatrix:
-    """The commonly quoted double-sum kernel for [Phi, N], taken verbatim.
+def commutator_double_sum(config: SpaceConfig) -> np.ndarray:
+    """The commonly quoted double-sum kernel for [Phi, N], taken verbatim, as Toeplitz values.
 
     Sums (2*pi/(s+1)) (n'-n)|n'><n| / (exp(2*pi*i(n-n')/(s+1)) - 1) over all
     pairs n != n' in 0..s; the single-level space has no such pair and gives
-    the zero matrix. The result carries no window dependence and differs
-    from :func:`commutator_closed_form` by a unit-modulus factor per
-    element, so it is reported as a flagged deviation rather than asserted.
+    zero. Value k is the element at n' - n = k - s. The result carries no
+    window dependence and differs from :func:`commutator_closed_form` by a
+    unit-modulus factor per element, so it is reported as a flagged
+    deviation rather than asserted.
     """
     dim = config.dim
     delta = np.arange(1 - dim, dim)  # n' - n
@@ -224,4 +227,4 @@ def commutator_double_sum(config: SpaceConfig) -> OperatorMatrix:
     k = -delta[off]  # n - n'
     values = np.zeros(delta.size, dtype=np.complex128)
     values[off] += delta[off] / (np.exp(1j * ((2 * np.pi * k) / dim)) - 1.0)
-    return OperatorMatrix(_toeplitz(values * (TWO_PI / dim)))
+    return values * (TWO_PI / dim)

@@ -22,9 +22,10 @@ A row over operators compares both sides applied to the probe block P of
 them and no row forms its d x d entries; the wrap-around and corner rows
 read single states, one matvec each. ``phase_state_components`` reads
 the phase frame, which acts by FFT, against its closed-form entries, so
-that no FFT sits on both sides. Rows over matrices the builders have
-formed anyway (the commutator kernels, the monomial powers) compare every
-entry.
+that no FFT sits on both sides. The commutator kernels compare their 2s+1
+Toeplitz values, and the rows over monomials (the cyclic powers and the
+diagonals) read their ``(rows, values)`` column by column; both take the
+maximum over every entry, bit for bit, without forming one.
 
 :func:`run_suites` hands every suite the one tolerance policy of the
 manifest's dimension and one ``shared`` dict, so that a construction two
@@ -70,6 +71,7 @@ from .evolution import (
 from .numerics import (
     TolerancePolicy,
     _binary_power,
+    _monomial,
     cyclic_shift,
     mat_power,
     max_abs,
@@ -77,6 +79,7 @@ from .numerics import (
 )
 from .pegg_barnett import (
     SpaceConfig,
+    _toeplitz,
     build_phase_frame,
     commutator_closed_form,
     commutator_double_sum,
@@ -135,6 +138,26 @@ def _generalized_frame(shared: dict, config: SpaceConfig, eta: float):
     return _once(shared, ("generalized_frame", float(eta)), build_generalized_frame, base, eta)
 
 
+def _diagonal_gap(m, diagonal) -> np.ndarray:
+    """Column by column, max |M - diag(diagonal)| for a monomial M, from its ``(rows, values)``.
+
+    Column j of M is values[j] |rows[j]>: where rows[j] = j it differs from
+    the diagonal in one entry, |values[j] - diagonal[j]|, elsewhere in two,
+    values[j] and -diagonal[j]. Every other entry is a zero on both sides,
+    so the maximum over the columns is that over every entry, bit for bit.
+    A scalar ``diagonal`` stands for that scalar times the identity.
+    """
+    rows, values = _monomial(m)
+    return np.where(rows == np.arange(rows.size), np.abs(values - diagonal),
+                    np.maximum(np.abs(values), np.abs(diagonal)))
+
+
+def _diagonal(m) -> np.ndarray:
+    """The diagonal of a monomial operator, read off its ``(rows, values)``."""
+    rows, values = _monomial(m)
+    return np.where(rows == np.arange(rows.size), values, 0.0)
+
+
 def _record(check_id, paper_anchor, route, reference, tolerance) -> CheckRecord:
     """The record of one row: max |route - reference| judged against the tolerance.
 
@@ -168,7 +191,6 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
     dim = config.dim
     frame = _once(shared, "phase_frame", build_phase_frame, config)
     basis = frame.basis
-    eye = np.eye(dim)
     block = probes(dim)
 
     yield ("phase_frame_orthonormal", "<theta_m|theta_k> = delta_mk",
@@ -198,7 +220,7 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
     # The explicit shift raised by repeated multiplication against the
     # closed-form corner phase.
     yield ("unitary_phase_cyclic", "exp(iPhi)^(s+1) = exp(i(s+1)theta_0) 1",
-           mat_power(realization, dim).entries, corner * eye, policy.tol_op)
+           _diagonal_gap(mat_power(realization, dim), corner), 0.0, policy.tol_op)
 
     down = _once(shared, "number_shift", number_shift_operator, config)
     yield ("number_shift_action", "q^-N |theta_m> = |theta_m-1> and q^-N |theta_0> = |theta_s>",
@@ -210,7 +232,7 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
     # The explicit diagonal q^-N raised by repeated multiplication against
     # the identity.
     yield ("number_shift_cyclic", "(q^-N)^(s+1) = 1",
-           mat_power(down, dim).entries, eye, policy.tol_op)
+           _diagonal_gap(mat_power(down, dim), 1.0), 0.0, policy.tol_op)
 
     # The explicit shift: the spectral route, built from v, would test only v's orthonormality.
     yield ("unitary_phase_diagonal_in_phase_frame", "exp(iPhi)|theta_m> = exp(i theta_m)|theta_m>",
@@ -222,16 +244,16 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
     inverse_q = np.full(dim, np.conj(config.q))
     inverse_q[0] = 1.0
     yield ("number_shift_diagonal_in_number_basis", "q^-N |n> = q^-n |n>",
-           down.entries, np.diag(np.cumprod(inverse_q)), policy.tol_op)
+           _diagonal_gap(down, np.cumprod(inverse_q)), 0.0, policy.tol_op)
 
-    closed = commutator_closed_form(config).entries
+    closed = commutator_closed_form(config)
     number = number_operator(config)
     yield ("commutator_direct_vs_closed_form",
            "[Phi;N] equals its closed form from the phase-state expansion",
-           phi.apply(number.apply(block)) - number.apply(phi.apply(block)), closed @ block,
-           policy.tol_op)
+           phi.apply(number.apply(block)) - number.apply(phi.apply(block)),
+           _toeplitz(closed) @ block, policy.tol_op)
     yield (FLAGGED_CHECK, "[Phi;N] double-sum kernel differs by a unit-modulus factor per element",
-           commutator_double_sum(config).entries, closed, policy.tol_op)
+           commutator_double_sum(config), closed, policy.tol_op)
 
 
 @_suite
@@ -350,7 +372,7 @@ def suite_evolution(
            time_evolution(config, omega, t1).apply(time_evolution(config, omega, t2).apply(block)),
            time_evolution(config, omega, t1 + t2).apply(block),
            policy.tol_op)
-    diag = np.diag(u.entries)
+    diag = _diagonal(u)
     factors = cycle_phase_per_level(config)
     yield ("cycle_phase_factors",
            "U(2 pi/omega) diagonal is exp(-i 2 pi (n + 1/2 + (s+1)/2 delta_ns))",
@@ -414,8 +436,8 @@ def suite_cross_module(
     standard = _once(shared, "number_shift", number_shift_operator, config)
     yield ("standard_shift_cycle_sign_below_top",
            "(q^-N)^(s+1) = -U(2 pi/omega) on every level below the top",
-           np.diag(mat_power(standard, dim).entries)[:-1],
-           -np.diag(u.entries)[:-1],
+           _diagonal(mat_power(standard, dim))[:-1],
+           -_diagonal(u)[:-1],
            policy.tol_elem)
 
 

@@ -48,6 +48,10 @@ def tag_counts(monkeypatch):
     return counts
 
 
+def _diagonal(values):
+    return OperatorMatrix.monomial(np.arange(len(values)), values)
+
+
 def _count_calls(monkeypatch, fn) -> list:
     """Count calls of ``fn`` through every fdphase module that binds it."""
     calls = []
@@ -67,36 +71,42 @@ def _count_calls(monkeypatch, fn) -> list:
 
 class TestCertifyOnce:
     def test_chained_certification_measures_each_tag_once(self, tag_counts):
-        op = OperatorMatrix(np.diag([1.0, -1.0, 1.0]))
+        op = _diagonal([1.0, -1.0, 1.0])
         both = certify(certify(op, "hermitian"), "unitary")
         assert dict(both.deviations) == {"hermitian": 0.0, "unitary": 0.0}
         assert tag_counts == {"hermitian": 1, "unitary": 1}
 
     def test_constructor_measures_nothing(self, tag_counts):
-        op = OperatorMatrix(np.eye(2))
-        assert dict(op.deviations) == {}
+        for op in (_diagonal([1.0, 1.0]), OperatorMatrix.fourier(2, 0.3, 0.5)):
+            assert dict(op.deviations) == {}
         assert tag_counts == {}
 
     def test_certified_matrix_shares_the_entries(self):
-        op = OperatorMatrix(np.diag([1.0, -1.0]))
+        op = _diagonal([1.0, -1.0])
         unitary = certify(op, "unitary")
         assert unitary.entries is op.entries
         assert not unitary.entries.flags.writeable
         assert dict(op.deviations) == {}
 
     def test_matrix_keeps_each_certified_deviation(self, tag_counts):
-        entries = np.array([[0.0, 1.0], [1.0, 1e-13]])
-        both = certify(certify(OperatorMatrix(entries), "hermitian"), "unitary")
+        # The phase operator at dim 2: hermitian to rounding, not unitary.
+        config = SpaceConfig.from_dim(2, 0.0)
+        phase = numerics.spectral_synthesize(build_phase_frame(config).basis,
+                                             [1.0, 1.0 + 1e-13])
+        tag_counts.clear()  # the phase frame's own certification
+        entries = phase.entries
+        both = certify(certify(phase, "hermitian"), "unitary")
         assert dict(both.deviations) == {
-            "hermitian": 0.0,
-            "unitary": unitary_deviation(OperatorMatrix(entries)),
+            "hermitian": np.max(np.abs(entries - entries.conj().T)),
+            "unitary": unitary_deviation(phase),
         }
+        assert both.deviations["unitary"] > 0.0
         assert tag_counts == {"hermitian": 1, "unitary": 1}
         with pytest.raises(TypeError):
             both.deviations["unitary"] = 0.0
 
     def test_failed_certification_measures_once_and_raises(self, tag_counts):
-        op = certify(OperatorMatrix(np.diag([1.0, 2.0])), "hermitian")
+        op = certify(_diagonal([1.0, 2.0]), "hermitian")
         with pytest.raises(ArithmeticError, match="unitary certification failed with deviation 3.000e"):
             certify(op, "unitary")
         assert tag_counts == {"hermitian": 1, "unitary": 1}
@@ -104,7 +114,7 @@ class TestCertifyOnce:
 
     def test_unknown_tag_is_refused_unmeasured(self, tag_counts):
         with pytest.raises(ValueError, match="unknown tag 'diagonal'"):
-            certify(OperatorMatrix(np.eye(2)), "diagonal")
+            certify(_diagonal([1.0, 1.0]), "diagonal")
         assert tag_counts == {}
 
 
@@ -176,7 +186,10 @@ class TestCertifiedDeviationsReported:
         u = time_evolution(config, 1.0, 2.0 * np.pi)
         report = run_suites(RunManifest(dim=7, theta0=0.3, suites=("evolution",)))
         (record,) = [r for r in report.records if r.check_id == "evolution_unitary"]
-        assert record.max_deviation == unitary_deviation(OperatorMatrix(u.entries))
+        entries = u.entries
+        values = np.diag(entries)
+        assert np.count_nonzero(entries) == 7
+        assert record.max_deviation == np.max(np.abs(values.real**2 + values.imag**2 - 1.0))
 
 class TestFramesOncePerRun:
     @pytest.mark.parametrize("dim, eta", [(1, 0.5), (6, 1.5), (7, 0.5), (5, 0.25)])

@@ -152,6 +152,19 @@ class TestVerify:
             ]
         ) == 2
 
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_profile_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys, position):
+        # The JSON integer 10**320 has no float; it is refused as a profile
+        # weight, as an amplitude of the same size is refused by evolve.
+        weights = ["1", "1", "1"]
+        weights[position] = "1" + "0" * 320
+        profile = tmp_path / "profile.json"
+        profile.write_text("[%s]" % ", ".join(weights), encoding="utf-8")
+        assert main(["verify", "--dim", "3", "--profile", str(profile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: profile weights must be finite\n"
+
     def test_failed_certification_exits_2_with_one_error_line(self, tmp_path, capsys):
         # sqrt(F) divided back out of A over weights 40 orders apart loses
         # unitarity far beyond tolerance; that is unusable input, not a
@@ -584,6 +597,14 @@ class TestDump:
     def test_ladder_dump_includes_profile(self, tmp_path):
         data = self.read(tmp_path, "A", "--dim", "2", "--eta", "0.5")
         assert data["profile"] == [0.5, 1.5]
+
+    def test_profile_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_text("[1, %s]" % ("1" + "0" * 320), encoding="utf-8")
+        out = tmp_path / "A.json"
+        assert main(["dump", "A", "--dim", "2", "--profile", str(profile), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: profile weights must be finite\n"
+        assert not out.exists()
 
     def test_hamiltonian_dump(self, tmp_path):
         data = self.read(tmp_path, "H", "--dim", "3")

@@ -265,7 +265,7 @@ def _injected_period(config, case):
         diag[-1] *= np.exp(10j * TolerancePolicy.for_dim(config.dim).tol_op)
     else:
         diag[:] = 1.0 if case == "plus_one" else -1.0
-    return certify(OperatorMatrix(np.diag(diag)), "unitary")
+    return certify(OperatorMatrix.monomial(np.arange(config.dim), diag), "unitary")
 
 
 class TestCycleParityRecord:
@@ -354,7 +354,8 @@ class TestCompareShiftVsEvolution:
         config = SpaceConfig.from_dim(3)
         diag = np.diag(time_evolution(config, 1.0, TWO_PI).entries).copy()
         diag[-1] *= -1.0
-        records = _evolution_records(config, 1.0, certify(OperatorMatrix(np.diag(diag)), "unitary"))
+        flipped = OperatorMatrix.monomial(np.arange(3), diag)
+        records = _evolution_records(config, 1.0, certify(flipped, "unitary"))
         assert records["sector_equivalence"].max_deviation == pytest.approx(2.0)
         assert records["uniform_half_eta_below_top"].status == "pass"
 

@@ -33,6 +33,10 @@ from fdphase.pegg_barnett import (
 DIMS = [1, 2, 7, 64, 65, 257]
 
 
+def _diagonal(values):
+    return OperatorMatrix.monomial(np.arange(len(values)), values)
+
+
 def _dense_cyclic_shift(dim, corner, weights=None):
     """The dense cyclic down-shift as it was built entry by entry."""
     entries = np.zeros((dim, dim), dtype=np.complex128)
@@ -165,12 +169,14 @@ class TestShiftedDft:
 
     @pytest.mark.parametrize("dim", [8, 65, 257])
     def test_certified_on_its_closed_form_entries(self, dim):
-        # The deviation a dense operator with the same entries reads, bit for
-        # bit, and not that of the FFT route, which is unitary to rounding.
+        # max |E^dag (E P) - P| over the closed-form entries E, bit for bit,
+        # and not that of the FFT route, which is unitary to rounding.
         op = OperatorMatrix.fourier(dim, 1e4, 1.5)
-        dense = numerics.unitary_deviation(OperatorMatrix(op.entries))
-        assert certify(op, "unitary").deviations["unitary"] == dense
+        entries = op.entries
         block = numerics.probes(dim)
+        image = entries @ block
+        dense = np.max(np.abs((image.conj().T @ entries).conj().T - block))
+        assert certify(op, "unitary").deviations["unitary"] == dense
         fft_route = np.max(np.abs(op.apply_adjoint(op.apply(block)) - block))
         assert fft_route < dense / 100
 
@@ -208,20 +214,21 @@ class TestHeldKinds:
 
     def test_product_refuses_mixed_dimensions(self):
         with pytest.raises(DimensionMismatch):
-            OperatorMatrix.product(OperatorMatrix(np.eye(2)), OperatorMatrix(np.eye(3)))
+            OperatorMatrix.product(_diagonal(np.ones(2)), _diagonal(np.ones(3)))
 
     def test_adjoint_carries_no_certification(self):
-        op = certify(OperatorMatrix(np.diag([1.0, 1j])), "unitary")
+        op = certify(OperatorMatrix.monomial([1, 0], [1.0, 1j]), "unitary")
         assert dict(op.adjoint().deviations) == {}
         assert np.array_equal(op.adjoint().entries, op.entries.conj().T)
 
     def test_formed_entries_must_be_finite(self):
-        big = OperatorMatrix(np.full((2, 2), 1e200))
+        big = _diagonal(np.full(2, 1e200))
+        product = OperatorMatrix.product(big, OperatorMatrix.fourier(2, 0.0, 0.0), big)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            OperatorMatrix.product(big, big).entries
+            product.entries
 
     def test_immutable(self):
-        op = OperatorMatrix(np.eye(2))
+        op = _diagonal(np.ones(2))
         with pytest.raises(AttributeError):
             op.dim = 3
 
@@ -232,9 +239,10 @@ class TestHeldKinds:
         certified = certify(spectral, "unitary")
         assert certified.entries is spectral.entries
 
-    def test_dense_adjoint_action_conjugates_no_entries(self):
-        # The adjoint acts as (x^dag E)^dag: the only conjugates are of x
-        # and of the k x d row product, never of E.
+    def test_wide_adjoint_action_conjugates_no_entries(self):
+        # On a block at least d wide a product's adjoint acts as (x^dag E)^dag
+        # over its formed entries E: the only conjugates are of x and of the
+        # k x d row product, never of E.
         conjugated = []
 
         class Spy(np.ndarray):
@@ -242,30 +250,24 @@ class TestHeldKinds:
                 conjugated.append(self.shape)
                 return np.ndarray.conj(self)
 
-        entries = np.arange(16.0).reshape(4, 4) + 1j
-        op = OperatorMatrix(entries)
-        op._cache[0] = op.entries.view(Spy)
-        x = np.ones((4, 2), dtype=complex)
+        op = OperatorMatrix.product(OperatorMatrix.fourier(4, 0.3, 0.5),
+                                    _diagonal(np.arange(1.0, 5.0)))
+        entries = op.entries
+        op._cache[0] = entries.view(Spy)
+        x = np.ones((4, 6), dtype=complex)
         assert np.allclose(op.apply_adjoint(x), entries.conj().T @ x)
-        assert conjugated == [(2, 4)]
+        assert conjugated == [(6, 4)]
 
 
 class TestMonomialScan:
-    def test_dense_column_zero_refuses_in_one_column(self):
-        # A matrix whose column 0 holds more than one nonzero is refused
-        # before any whole-matrix comparison is made.
-        seen = []
-
-        class Spy(np.ndarray):
-            def __ne__(self, other):
-                seen.append(self.shape)
-                return np.ndarray.__ne__(self, other)
-
-        op = OperatorMatrix(np.ones((6, 6)))
-        op._cache[0] = op.entries.view(Spy)
-        assert numerics._monomial(op) is None
-        assert seen == []
-        assert numerics._monomial(OperatorMatrix(np.eye(6) + np.eye(6, k=1))) is None
+    def test_other_kinds_give_no_monomial_and_form_nothing(self):
+        fourier = OperatorMatrix.fourier(6, 0.3, 0.5)
+        product = OperatorMatrix.product(_diagonal(np.ones(6)), _diagonal(np.ones(6)))
+        for op in (fourier, fourier.adjoint(), product, _diagonal(np.ones(6)).adjoint()):
+            assert numerics._monomial(op) is None
+            with pytest.raises(ValueError, match="monomial"):
+                mat_power(op, 2)
+            assert op._cache[0] is None
 
     def test_held_monomial_gives_its_parts_without_a_scan(self):
         u = time_evolution(SpaceConfig.from_dim(4), 1.0, 0.3)
@@ -308,7 +310,8 @@ class TestVerifyFormsOneProduct:
         # The closed-form entries of V and of the offset coefficients, which
         # their certifications read, and Phi, whose hermiticity is read from
         # its entries; V's entries are formed before Phi's and reused there.
-        frame, product, coeff = [op for op in formed if op._kind != numerics._MONOMIAL]
+        # No monomial forms its entries: its rows read (rows, values).
+        frame, product, coeff = formed
         assert (frame._kind, product._kind, coeff._kind) == (
             numerics._FOURIER, numerics._PRODUCT, numerics._FOURIER)
         assert (frame._parts[3], coeff._parts[3]) == (0.0, 1.5)

@@ -31,6 +31,25 @@ def basis(dim, n):
     return np.eye(dim, dtype=np.complex128)[:, n]
 
 
+def diagonal(values):
+    """diag(values) as a held diagonal monomial."""
+    return OperatorMatrix.monomial(np.arange(len(values)), values)
+
+
+def swap():
+    """The 2 x 2 permutation X as a held monomial."""
+    return OperatorMatrix.monomial([1, 0], [1.0, 1.0])
+
+
+def general(dim, seed):
+    """A held operator with no structure: neither monomial, hermitian nor unitary."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, dim) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, dim))
+    return OperatorMatrix.product(
+        OperatorMatrix.fourier(dim, 0.3, 0.2), diagonal(weights),
+        OperatorMatrix.fourier(dim, 1.1, 0.7).adjoint())
+
+
 class TestTolerancePolicy:
     def test_defaults_scale_with_dim(self):
         policy = TolerancePolicy.for_dim(4)
@@ -49,26 +68,26 @@ class TestTolerancePolicy:
 
 
 class TestOperatorMatrix:
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            OperatorMatrix(np.zeros((2, 3)))
-
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
-            OperatorMatrix(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+            OperatorMatrix.monomial([0, 1], [np.inf, 0.0])
 
     @pytest.mark.parametrize("keyword", ["tags", "deviations"])
-    def test_takes_only_entries(self, keyword):
+    def test_takes_only_its_parts(self, keyword):
         with pytest.raises(TypeError):
-            OperatorMatrix(np.eye(2), **{keyword: {"unitary": 0.0}})
+            OperatorMatrix.monomial([0, 1], [1.0, 1.0], **{keyword: {"unitary": 0.0}})
+
+    def test_has_no_dense_constructor(self):
+        with pytest.raises(TypeError):
+            OperatorMatrix(np.eye(2))
 
 
 class TestApplyToState:
     def test_identity(self):
-        assert np.allclose(OperatorMatrix(np.eye(2)).apply(basis(2, 0)), [1.0, 0.0])
+        assert np.allclose(diagonal([1.0, 1.0]).apply(basis(2, 0)), [1.0, 0.0])
 
     def test_permutation(self):
-        assert np.allclose(OperatorMatrix(X).apply(basis(2, 0)), [0.0, 1.0])
+        assert np.allclose(swap().apply(basis(2, 0)), [0.0, 1.0])
 
     def test_phase_operator_on_ground_state(self):
         # Oracle: Phi at dim 2, theta0 0 is pi |theta_1><theta_1| with
@@ -83,47 +102,47 @@ class TestApplyToState:
 
     def test_is_the_entries_product(self):
         rng = np.random.default_rng(3)
-        m = OperatorMatrix(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        m = general(5, 3)
         psi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert np.array_equal(m.apply(psi), m.entries @ psi)
+        assert np.max(np.abs(m.apply(psi) - m.entries @ psi)) <= 1e-14
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            OperatorMatrix(np.eye(2)).apply(basis(3, 0))
+            diagonal([1.0, 1.0]).apply(basis(3, 0))
 
 
 class TestApplyToBlock:
     def test_identity_absorbs(self):
-        m = OperatorMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.allclose(OperatorMatrix(np.eye(2)).apply(m.entries), m.entries)
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.allclose(diagonal([1.0, 1.0]).apply(m), m)
 
     def test_involution(self):
-        assert np.allclose(OperatorMatrix(X).apply(X), np.eye(2))
+        assert np.allclose(swap().apply(X), np.eye(2))
 
     def test_number_shift_squared_at_dim_2(self):
         # q = -1 at dim 2, so q^-N = diag(1, -1) squares to the identity.
-        qm = OperatorMatrix(np.diag([1.0, -1.0]))
+        qm = diagonal([1.0, -1.0])
         assert np.allclose(qm.apply(qm.entries), np.eye(2))
 
     def test_product_is_a_plain_array(self):
         # A product is not an operator, so it carries no certification.
-        u = certify(OperatorMatrix(np.diag([1.0, -1.0])), "unitary")
+        u = certify(diagonal([1.0, -1.0]), "unitary")
         product = u.apply(u.entries)
         assert type(product) is np.ndarray
         assert np.array_equal(product, u.entries @ u.entries)
 
     def test_rectangular_block_acts_column_by_column(self):
-        m = OperatorMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        m = general(2, 5)
         block = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
         out = m.apply(block)
         assert out.shape == (2, 3)
         for k in range(3):
-            assert np.array_equal(out[:, k], m.apply(block[:, k]))
+            assert np.max(np.abs(out[:, k] - m.apply(block[:, k]))) <= 1e-15
 
     @pytest.mark.parametrize("shape", [(3, 3), (3, 2), (2, 2, 2), ()])
     def test_dimension_mismatch(self, shape):
         with pytest.raises(DimensionMismatch):
-            OperatorMatrix(np.eye(2)).apply(np.ones(shape))
+            diagonal([1.0, 1.0]).apply(np.ones(shape))
 
 
 class TestConjugateTranspose:
@@ -136,24 +155,24 @@ class TestConjugateTranspose:
 
 class TestMatPower:
     def test_zero_power_is_identity(self):
-        assert np.allclose(mat_power(OperatorMatrix(X), 0).entries, np.eye(2))
+        assert np.allclose(mat_power(swap(), 0).entries, np.eye(2))
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            mat_power(OperatorMatrix(np.eye(2)), -1)
+            mat_power(diagonal([1.0, 1.0]), -1)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 31, 64])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_monomial_power_matches_dense_oracle(self, dim, seed):
-        entries = _random_monomial(np.random.default_rng(seed), dim)
+        op, entries = _random_monomial(np.random.default_rng(seed), dim)
         for k in (0, 1, 2, 3, dim, 2 * dim + 1):
             oracle = np.linalg.matrix_power(entries, k)
-            got = mat_power(OperatorMatrix(entries), k).entries
+            got = mat_power(op, k).entries
             assert np.max(np.abs(got - oracle)) <= 1e-13 * max(1.0, np.max(np.abs(oracle)))
 
     def test_diagonal_power_is_the_diagonal_of_powers(self):
         values = np.array([1.0, 1j, -1.0])
-        powered = mat_power(OperatorMatrix(np.diag(values)), 5)
+        powered = mat_power(diagonal(values), 5)
         assert np.array_equal(powered.entries, np.diag(values**5))
         assert dict(powered.deviations) == {}
 
@@ -161,9 +180,8 @@ class TestMatPower:
     def test_overflowing_power_refused_by_name(self, k):
         # 2**1100 overflows, and inf * 0 in the complex products is invalid;
         # neither may surface as a numpy warning.
-        entries = np.diag([2.0, 0.5j, -1.0]).astype(np.complex128)
         with pytest.raises(ArithmeticError, match=rf"^the power {k} overflows"):
-            mat_power(OperatorMatrix(entries), k)
+            mat_power(diagonal([2.0, 0.5j, -1.0]), k)
 
     def test_dense_operator_refused(self):
         dense = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(4, 0.3)))
@@ -171,12 +189,18 @@ class TestMatPower:
             mat_power(dense, 4)
 
 
-def _random_monomial(rng, dim):
-    """A random permutation matrix with random complex weights."""
-    entries = np.zeros((dim, dim), dtype=np.complex128)
+def _random_monomial(rng, dim, scale=None):
+    """A random weighted permutation, held, and its entries as a plain array.
+
+    With ``scale`` the weights have unit modulus times 1 + scale * N(0, 1).
+    """
     values = rng.uniform(0.5, 1.5, dim) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, dim))
-    entries[rng.permutation(dim), np.arange(dim)] = values
-    return entries
+    if scale is not None:
+        values = values / np.abs(values) * (1.0 + scale * rng.standard_normal(dim))
+    rows = rng.permutation(dim)
+    entries = np.zeros((dim, dim), dtype=np.complex128)
+    entries[rows, np.arange(dim)] = values
+    return OperatorMatrix.monomial(rows, values), entries
 
 
 class TestUnitaryDeviation:
@@ -184,15 +208,19 @@ class TestUnitaryDeviation:
     def test_monomial_matches_dense_formula(self, dim):
         rng = np.random.default_rng(dim)
         for scale in (1e-14, 1e-9, 0.3):
-            entries = _random_monomial(rng, dim)
-            entries /= np.abs(entries).sum(axis=0)  # unit columns
-            entries *= 1.0 + scale * rng.standard_normal(dim)
+            op, entries = _random_monomial(rng, dim, scale)
             dense = np.max(np.abs(entries.conj().T @ entries - np.eye(dim)))
-            assert abs(unitary_deviation(OperatorMatrix(entries)) - dense) <= 1e-15
+            assert abs(unitary_deviation(op) - dense) <= 1e-15
 
-    def test_dense_matrix_keeps_the_product(self):
-        entries = np.array([[1.0, 1e-7], [0.0, 1.0]])
-        assert unitary_deviation(OperatorMatrix(entries)) == pytest.approx(1e-7)
+    def test_other_operators_keep_the_product(self):
+        # A shifted DFT times diag(1, 1 + 1e-7): not a monomial, so read as
+        # max |M^dag M - 1| on the probe block, here the identity.
+        dft = OperatorMatrix.fourier(2, 0.0, 0.0)
+        op = OperatorMatrix.product(dft, diagonal([1.0, 1.0 + 1e-7]))
+        entries = op.entries
+        dense = np.max(np.abs(entries.conj().T @ entries - np.eye(2)))
+        assert unitary_deviation(op) == pytest.approx(dense, rel=1e-6)
+        assert dense == pytest.approx(2e-7, rel=1e-6)
 
 
 class TestEqualUpToGlobalPhase:
@@ -242,19 +270,19 @@ class TestEqualUpToGlobalPhase:
         assert (forward is None) == (backward is None)
 
 
-def _columns(*states):
-    """Frame matrix whose columns are the given states."""
-    return np.column_stack(states)
-
-
 def _synthesize(frame, eigvals):
-    """Spectral synthesis over a raw frame matrix, certified here."""
-    return spectral_synthesize(certify(OperatorMatrix(frame), "unitary"), eigvals)
+    """Spectral synthesis over a frame operator, certified here."""
+    return spectral_synthesize(certify(frame, "unitary"), eigvals)
+
+
+# The phase states at dim 2 and theta0 = 0: columns (1, 1)/sqrt(2) and (1, -1)/sqrt(2).
+def _phase_states_2():
+    return OperatorMatrix.fourier(2, 0.0, 0.0)
 
 
 class TestSpectralSynthesize:
     def test_number_operator_from_standard_basis(self):
-        op = _synthesize(_columns(basis(2, 0), basis(2, 1)), [0.0, 1.0])
+        op = _synthesize(diagonal([1.0, 1.0]), [0.0, 1.0])
         assert np.allclose(op.entries, np.diag([0.0, 1.0]))
 
     def test_phase_operator_by_hand(self):
@@ -263,13 +291,12 @@ class TestSpectralSynthesize:
         theta1 = np.array([1.0, -1.0]) / np.sqrt(2.0)
         hand = 0.0 * np.outer(theta0, theta0.conj()) + np.pi * np.outer(theta1, theta1.conj())
         assert np.allclose(hand, np.pi / 2 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        op = _synthesize(_columns(theta0, theta1), [0.0, np.pi])
+        assert np.allclose(_phase_states_2().entries, np.column_stack([theta0, theta1]))
+        op = _synthesize(_phase_states_2(), [0.0, np.pi])
         assert np.allclose(op.entries, hand)
 
     def test_unitary_phase_by_hand(self):
-        theta0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        theta1 = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        op = _synthesize(_columns(theta0, theta1), [np.exp(0j), np.exp(1j * np.pi)])
+        op = _synthesize(_phase_states_2(), [np.exp(0j), np.exp(1j * np.pi)])
         assert np.allclose(op.entries, X, atol=1e-15)
 
     def test_eigenvalues_reproduced_over_same_frame(self):
@@ -282,10 +309,12 @@ class TestSpectralSynthesize:
         assert np.max(np.abs(recovered - values)) <= TolerancePolicy.for_dim(5).tol_elem
 
     def test_non_orthonormal_frame_rejected_with_diagnostic(self):
-        skewed = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        message = r"deviation 7\.071e-01 \(tolerance 2\.000e-11\)"
+        # diag(1, 2) times the phase states: columns (1, 2)/sqrt(2) and
+        # (1, -2)/sqrt(2), whose Gram matrix is [[5/2, -3/2], [-3/2, 5/2]].
+        skewed = OperatorMatrix.product(diagonal([1.0, 2.0]), _phase_states_2())
+        message = r"deviation 1\.500e\+00 \(tolerance 2\.000e-11\)"
         with pytest.raises(ArithmeticError, match=message):
-            _synthesize(_columns(basis(2, 0), skewed), [1.0, 2.0])
+            _synthesize(skewed, [1.0, 2.0])
 
     def test_takes_the_frame_and_the_eigenvalues_only(self):
         parameters = inspect.signature(spectral_synthesize).parameters
@@ -293,17 +322,15 @@ class TestSpectralSynthesize:
 
     @pytest.mark.parametrize("tags", [(), ("hermitian",)], ids=["uncertified", "hermitian"])
     def test_frame_without_unitary_certification_refused(self, tags):
-        frame = OperatorMatrix(np.eye(2))
+        frame = diagonal([1.0, 1.0])
         for tag in tags:
             frame = certify(frame, tag)
         with pytest.raises(ValueError, match="certified unitary"):
             spectral_synthesize(frame, [1.0, 2.0])
 
     def test_incomplete_frame_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            _synthesize(_columns(basis(2, 0)), [1.0])
         with pytest.raises(ValueError, match="complete"):
-            _synthesize(np.eye(2), [1.0])
+            _synthesize(diagonal([1.0, 1.0]), [1.0])
 
 
 class TestCertify:
@@ -311,21 +338,22 @@ class TestCertify:
         # A NaN deviation compares False against any tolerance, both ways.
         monkeypatch.setitem(numerics._TAG_DEVIATIONS, "unitary", lambda entries: float("nan"))
         with pytest.raises(ArithmeticError, match="deviation nan"):
-            certify(OperatorMatrix(np.eye(2)), "unitary")
+            certify(diagonal([1.0, 1.0]), "unitary")
 
     def test_failure_names_the_tolerance(self):
         message = r"deviation 3\.000e\+00 \(tolerance 2\.000e-11\)"
         with pytest.raises(ArithmeticError, match=message):
-            certify(OperatorMatrix(np.diag([1.0, 2.0])), "unitary")
+            certify(diagonal([1.0, 2.0]), "unitary")
 
     def test_unitary_diagonal_signs(self):
-        op = certify(OperatorMatrix(np.diag([1.0, -1.0])), "unitary")
+        op = certify(diagonal([1.0, -1.0]), "unitary")
         assert isinstance(op, OperatorMatrix)
         assert dict(op.deviations) == {"unitary": 0.0}
 
     def test_rank_deficient_not_unitary(self):
+        # [[0, 1], [0, 0]]: column 0 is zero.
         with pytest.raises(ArithmeticError, match="unitary certification failed"):
-            certify(OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])), "unitary")
+            certify(OperatorMatrix.monomial([1, 0], [0.0, 1.0]), "unitary")
 
     def test_phase_operator_hermitian(self):
         phi = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(3, 0.3)))
@@ -335,7 +363,7 @@ class TestCertify:
     @pytest.mark.parametrize("tag", ["normal", "diagonal"])
     def test_unknown_tag(self, tag):
         with pytest.raises(ValueError, match="unknown tag"):
-            certify(OperatorMatrix(np.eye(2)), tag)
+            certify(diagonal([1.0, 1.0]), tag)
 
 
 class TestProbes:
@@ -402,12 +430,13 @@ class TestProbes:
             return record.status
 
         assert status() == "pass"
-        closed_form = suites.commutator_closed_form
+        gather = suites._toeplitz
 
-        def planted(config):
-            entries = closed_form(config).entries.copy()
+        def planted(values):
+            entries = gather(values).copy()
             entries[row, col] += 1e-3
-            return OperatorMatrix(entries)
+            return entries
 
-        monkeypatch.setattr(suites, "commutator_closed_form", planted)
+        # The record's reference is the closed form's gathered d x d entries.
+        monkeypatch.setattr(suites, "_toeplitz", planted)
         assert status() == "fail"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fdphase import numerics
+from fdphase import numerics, suites
 from fdphase.deformed import (
     build_generalized_frame,
     build_ladder_operators,
@@ -19,6 +19,7 @@ from fdphase.evolution import period_evolution, time_evolution
 from fdphase.pegg_barnett import (
     Frame,
     SpaceConfig,
+    _toeplitz,
     build_phase_frame,
     commutator,
     commutator_closed_form,
@@ -163,8 +164,8 @@ def _dense_deviations(dim, theta0, eta):
         "unitary_phase_diagonal_in_phase_frame": _max_abs(
             v.conj().T @ shift @ v - np.diag(np.exp(1j * config.thetas()))),
         "commutator_direct_vs_closed_form": _max_abs(
-            commutator(phi, number_operator(config)).entries
-            - commutator_closed_form(config).entries),
+            commutator(phi, number_operator(config))
+            - _toeplitz(commutator_closed_form(config))),
         "generalized_number_frame_orthonormal": gram(w),
         "generalized_phase_frame_orthonormal": gram(p),
         "continuous_shift_roundtrip": _max_abs(p @ coeff.conj().T - w),
@@ -261,3 +262,77 @@ class TestPlantedFaultsInTheFrameTransform:
         # One column's phase off by 1e-6: a fault the probe block meets
         # through every Gaussian column, however few columns it has.
         assert self._record(self._frame(dim, column=dim // 3)).status == "fail"
+
+
+def _values(rng, dim, like=None):
+    """Random complex values, some of them zero and, with ``like``, some equal to it."""
+    values = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    values[rng.random(dim) < 0.2] = 0.0
+    return values if like is None else np.where(rng.random(dim) < 0.3, like, values)
+
+
+class TestMonomialReading:
+    """Rows over monomials read ``(rows, values)`` in O(d): the reading is
+    max |M - diag(d)| over every entry of the formed matrices, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 65])
+    @pytest.mark.parametrize("rows", ["diagonal", "permuted"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gap_is_the_every_entry_reading(self, dim, rows, seed):
+        # A random permutation has fixed points, where the rows agree with
+        # the diagonal's, and moved columns, where they differ.
+        rng = np.random.default_rng([dim, seed])
+        values = _values(rng, dim)
+        op = numerics.OperatorMatrix.monomial(
+            np.arange(dim) if rows == "diagonal" else rng.permutation(dim), values)
+        diagonal = _values(rng, dim, like=values)
+        gap = suites._diagonal_gap(op, diagonal)
+        assert op._cache[0] is None  # read without forming the entries
+        every_entry = np.max(np.abs(op.entries - np.diag(diagonal)))
+        assert gap.shape == (dim,)
+        assert np.max(gap) == every_entry
+        assert suites._record("check", "anchor", gap, 0.0, 1.0).max_deviation == every_entry
+        # A scalar reference is the scalar times the identity, as c * eye reads.
+        corner = complex(values[0]) if dim > 1 else 0.3 - 0.4j
+        scalar = np.max(np.abs(op.entries - corner * np.eye(dim)))
+        assert np.max(suites._diagonal_gap(op, corner)) == scalar
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 65])
+    def test_a_wrong_permutation_reads_the_larger_value(self, dim):
+        # The diagonal's own values on rows rolled by one: every column
+        # differs in two entries, so the reading is the largest modulus.
+        values = _values(np.random.default_rng(dim), dim)
+        rolled = numerics.OperatorMatrix.monomial(np.roll(np.arange(dim), 1), values)
+        gap = suites._diagonal_gap(rolled, values)
+        assert np.max(gap) == np.max(np.abs(rolled.entries - np.diag(values)))
+        assert np.max(gap) == np.max(np.abs(values))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 65])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_diagonal_is_the_every_entry_diagonal(self, dim, diagonal):
+        rng = np.random.default_rng(dim)
+        rows = np.arange(dim) if diagonal else rng.permutation(dim)
+        op = numerics.OperatorMatrix.monomial(rows, rng.standard_normal(dim) + 1j)
+        read = suites._diagonal(op)
+        assert op._cache[0] is None  # read without forming the entries
+        assert read.dtype == np.complex128
+        assert read.tobytes() == np.diag(op.entries).tobytes()
+
+    @pytest.mark.parametrize("dim", [8, 128])
+    def test_power_with_rolled_rows_fails_its_records(self, dim, monkeypatch):
+        manifest = RunManifest(dim=dim, theta0=2.9, eta=1.5, suites=SUITE_NAMES)
+        planted = {"unitary_phase_cyclic", "standard_shift_cycle_sign_below_top"}
+
+        def statuses():
+            return {r.check_id: r.status for r in run_suites(manifest).records
+                    if r.check_id in planted}
+
+        assert statuses() == dict.fromkeys(planted, "pass")
+        power = suites.mat_power
+
+        def rolled(m, k):
+            rows, values = numerics._monomial(power(m, k))
+            return numerics.OperatorMatrix.monomial(np.roll(rows, 1), values)
+
+        monkeypatch.setattr(suites, "mat_power", rolled)
+        assert statuses() == dict.fromkeys(planted, "fail")
