@@ -33,11 +33,10 @@ from .pegg_barnett import (
     SpaceConfig,
     _toeplitz,
     build_phase_frame,
-    commutator,
     commutator_closed_form,
+    commutator_direct,
     commutator_double_sum,
     hermitian_phase_operator,
-    number_operator,
     number_shift_operator,
     unitary_phase_operator,
 )
@@ -57,11 +56,12 @@ DUMP_OBJECTS = (
     "commutators",
 )
 
-# The largest dimension each command accepts. A verify forms a few complex
-# d x d arrays (Phi, the closed forms of V and the offset coefficients, the
-# gathered commutator) and a dump holds several more: a d=1024 verify peaks
-# near 104 MB, a d=4096 verify near 1.1 GB and a d=1024 commutators dump
-# near 535 MB, which grow as d^2, so these limits keep a run within a few GB.
+# The largest dimension each command accepts. A verify forms two complex
+# d x d arrays, the closed forms of V and of the offset coefficients that
+# their certifications read, and a dump holds several more: on 2 cores a
+# d=2048 verify takes about 0.6 s and peaks near 237 MB, a d=4096 verify
+# about 2.5 s and 820 MB, and a d=1024 commutators dump near 460 MB; the
+# memory grows as d^2, so these limits keep a run within a few GB.
 MAX_DUMP_DIM = 2048
 MAX_DIM = 4096
 
@@ -253,7 +253,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         frame = build_generalized_frame(build_phase_frame(config), args.eta)
         evolution = cycle_operator_power(frame, args.steps)
 
-    result = evolution.entries @ psi
+    result = evolution.apply(psi)
     drift = abs(float(np.linalg.norm(result)) - 1.0)
     if not drift <= policy.tol_elem:
         raise ArithmeticError(
@@ -281,12 +281,12 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
             "states": frame.basis.entries.T,
         }
     if name == "phi":
-        op = hermitian_phase_operator(build_phase_frame(config))
+        phi, _ = hermitian_phase_operator(build_phase_frame(config))
         return {
             "kind": "phi",
             "dim": config.dim,
             "theta0": config.theta0,
-            "matrix": op.entries,
+            "matrix": _toeplitz(phi),
         }
     if name == "exp-iphi":
         op = unitary_phase_operator(config)
@@ -321,7 +321,7 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
             "matrix": op.entries,
         }
     if name == "commutators":
-        phi = hermitian_phase_operator(build_phase_frame(config))
+        phi, _ = hermitian_phase_operator(build_phase_frame(config))
         closed = commutator_closed_form(config)
         double = commutator_double_sum(config)
         deviation = _toeplitz(np.abs(double - closed))
@@ -329,7 +329,7 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
             "kind": "commutators",
             "dim": config.dim,
             "theta0": config.theta0,
-            "direct": commutator(phi, number_operator(config)),
+            "direct": _toeplitz(commutator_direct(phi)),
             "closed_form": _toeplitz(closed),
             "double_sum": _toeplitz(double),
             "max_abs_deviation_double_sum_vs_closed": max_abs(deviation),

@@ -10,11 +10,11 @@ Every kind acts in one way only, through
 a state or on the columns of a d x k block; a held operator acts through
 its factors, a shifted DFT by one FFT per column in O(d log d), and forms
 its d x d ``entries`` only when something reads them. An operator counts
-as hermitian or unitary only once :func:`certify` has measured it: the
+as unitary only once :func:`certify` has measured it: the
 deviation is measured once, against the dimension's ``tol_op``, and either
 recorded in the operator's ``deviations`` or refused with an error; a
 shifted DFT is certified on its closed-form entries, the numbers ``dump``
-and ``evolve`` write, not on its FFT route. A frame, a complete
+writes, not on its FFT route. A frame, a complete
 orthonormal basis stored as the columns of a square matrix, is an
 operator certified "unitary", since for a square matrix V orthonormality
 is exactly V^dag V = 1. Every operator exponential used
@@ -55,7 +55,7 @@ __all__ = [
     "equal_up_to_global_phase",
     "spectral_synthesize",
     "certify",
-    "hermitian_deviation",
+    "within_tol_op",
     "unitary_deviation",
     "tag_deviation",
     "max_abs",
@@ -169,7 +169,7 @@ class OperatorMatrix:
     of ``v``, so that V D V^dag forms as ``(v * d) @ v.conj().T``.
 
     ``deviations`` maps each structure :func:`certify` has confirmed on this
-    operator ("hermitian", "unitary") to the deviation it measured. It is
+    operator ("unitary") to the deviation it measured. It is
     read-only and empty at construction.
     """
 
@@ -352,16 +352,11 @@ class OperatorMatrix:
         return x
 
 
-def hermitian_deviation(m: OperatorMatrix) -> float:
-    """max |M - M^dag| over the entries, which are formed if ``m`` is held."""
-    return max_abs(m.entries - m.entries.conj().T)
-
-
 def _gram_deviation(m: OperatorMatrix) -> float:
     """max |M^dag (M P) - P| on the probe block P: max |M^dag M - 1| while P = I.
 
     A shifted DFT is read on its closed-form entries, the numbers that
-    ``dump`` and ``evolve`` write, as formed entries act: its FFT route is
+    ``dump`` writes, as formed entries act: its FFT route is
     unitary to rounding whatever theta0 and eta, while the closed form
     rounds each phase (n+eta)theta_m.
     """
@@ -429,7 +424,6 @@ def unitary_deviation(m: OperatorMatrix) -> float:
 
 
 _TAG_DEVIATIONS = {
-    "hermitian": hermitian_deviation,
     "unitary": unitary_deviation,
 }
 
@@ -494,21 +488,28 @@ def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float) -> float 
     return float(np.angle(overlap)) % TWO_PI
 
 
-def certify(m: OperatorMatrix, tag: str) -> OperatorMatrix:
-    """``m`` certified "hermitian" or "unitary", with the deviation recorded.
+def within_tol_op(tag: str, deviation: float, dim: int) -> float:
+    """``deviation`` from the structure ``tag``, refused unless within the dimension's ``tol_op``.
 
-    The deviation is measured once, by :func:`tag_deviation`. Unless it is
-    within the dimension's ``tol_op`` (a NaN deviation never is),
-    certification fails with :class:`ArithmeticError`; otherwise the result
-    shares ``m``'s parts and read-only entries, without a copy, and adds
-    ``deviations[tag]`` to the deviations ``m`` already records.
+    A deviation above it, or NaN, fails certification with :class:`ArithmeticError`.
     """
-    deviation = tag_deviation(m, tag)
-    tol = TolerancePolicy.for_dim(m.dim).tol_op
+    tol = TolerancePolicy.for_dim(dim).tol_op
     if not deviation <= tol:
         raise ArithmeticError(
             f"{tag} certification failed with deviation {deviation:.3e} (tolerance {tol:.3e})"
         )
+    return deviation
+
+
+def certify(m: OperatorMatrix, tag: str) -> OperatorMatrix:
+    """``m`` certified "unitary", with the deviation recorded.
+
+    The deviation is measured once, by :func:`tag_deviation`, and refused by
+    :func:`within_tol_op`; otherwise the result shares ``m``'s parts and
+    read-only entries, without a copy, and adds ``deviations[tag]`` to the
+    deviations ``m`` already records.
+    """
+    deviation = within_tol_op(tag, tag_deviation(m, tag), m.dim)
     return m._certified(tag, deviation)
 
 

@@ -10,12 +10,17 @@ is an orthonormal basis held as an operator certified "unitary"; the phase
 frame is built and certified once, by :func:`build_phase_frame`, and the
 spectral builders take it and read the space from it.
 
-The phase/number commutator is exposed through three routes: the direct
-matrix product, a closed form derived from the phase-state expansion, and a
-commonly quoted double-sum kernel. The first two agree to rounding for
-every window; the kernel form differs from them by a unit-modulus factor
-per element and is kept for flagged comparison, not as ground truth. Both
-kernels depend on n - n' alone and are returned as their 2s+1 values.
+The hermitian phase operator over the phase frame is Toeplitz: its entry
+(n, n') is exp(i(n-n')theta_0) c[(n-n') mod (s+1)], with c the inverse DFT
+of the angles theta_m, so one length-(s+1) FFT gives all 2s+1 of its
+values and its d x d entries are never formed. The phase/number commutator
+is exposed through three routes, each as its 2s+1 Toeplitz values: the
+direct route from the values of Phi (N is diagonal, so entry (n, n') is
+(n'-n) Phi_{nn'}), a closed form derived from the phase-state expansion,
+and a commonly quoted double-sum kernel. The first two agree to rounding
+for every window; the kernel form differs from them by a unit-modulus
+factor per element and is kept for flagged comparison, not as ground truth.
+:func:`_toeplitz` gathers a d x d matrix from its values.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from .numerics import (
     OperatorMatrix,
     certify,
     cyclic_shift,
+    max_abs,
     spectral_synthesize,
+    within_tol_op,
 )
 
 __all__ = [
@@ -44,7 +51,7 @@ __all__ = [
     "unitary_phase_operator",
     "unitary_phase_from_spectrum",
     "number_shift_operator",
-    "commutator",
+    "commutator_direct",
     "commutator_closed_form",
     "commutator_double_sum",
 ]
@@ -143,10 +150,30 @@ def number_operator(config: SpaceConfig) -> OperatorMatrix:
     return OperatorMatrix.monomial(levels, levels)
 
 
-def hermitian_phase_operator(frame: Frame) -> OperatorMatrix:
-    """Phase operator sum_m theta_m |theta_m><theta_m|, hermitian-certified."""
-    thetas = frame.config.thetas().astype(np.complex128)
-    return certify(spectral_synthesize(frame.basis, thetas), "hermitian")
+def _offsets(dim: int) -> np.ndarray:
+    """n - n' for the 2s+1 Toeplitz values, value j being the entry at n - n' = j - s."""
+    return np.arange(1 - dim, dim)
+
+
+def hermitian_phase_operator(frame: Frame) -> tuple[np.ndarray, float]:
+    """Phase operator sum_m theta_m |theta_m><theta_m| over the phase frame, as Toeplitz values.
+
+    ``frame`` is the certified phase frame, whose certification refuses the
+    window origins its closed form cannot hold. Returns the read-only 2s+1
+    values of Phi and its hermiticity deviation.
+    Value j is the entry at n - n' = k = j - s, exp(i k theta_0) c[k mod
+    (s+1)] with c the inverse DFT of the angles theta_m, one FFT in all.
+    The deviation max_k |t_-k - conj t_k| is the maximum of |Phi - Phi^dag|
+    over every entry, bit for bit; it is measured once and refused above
+    the dimension's ``tol_op`` as :func:`.numerics.certify` refuses.
+    """
+    config = frame.config
+    offsets = _offsets(config.dim)
+    symbol = np.fft.ifft(config.thetas())
+    values = np.exp(1j * offsets * config.theta0) * symbol[offsets % config.dim]
+    deviation = within_tol_op("hermitian", max_abs(values - values[::-1].conj()), config.dim)
+    values.setflags(write=False)
+    return values, deviation
 
 
 def unitary_phase_operator(config: SpaceConfig) -> OperatorMatrix:
@@ -171,11 +198,13 @@ def number_shift_operator(config: SpaceConfig) -> OperatorMatrix:
     return certify(OperatorMatrix.monomial(levels, config.root_power(-levels)), "unitary")
 
 
-def commutator(ml: OperatorMatrix, mr: OperatorMatrix) -> np.ndarray:
-    """The d x d entries of Ml Mr - Mr Ml, from the entries of both."""
-    if ml.dim != mr.dim:
-        raise DimensionMismatch(f"operators of dimension {ml.dim} and {mr.dim} do not compose")
-    return ml.entries @ mr.entries - mr.entries @ ml.entries
+def commutator_direct(phi: np.ndarray) -> np.ndarray:
+    """[Phi, N] from the Toeplitz values of Phi, as Toeplitz values.
+
+    N is diagonal, so entry (n, n') is (n' - n) Phi_{nn'}: value j is
+    -k times Phi's value j, at n - n' = k = j - s.
+    """
+    return -_offsets((phi.size + 1) // 2) * phi
 
 
 def _toeplitz(values: np.ndarray) -> np.ndarray:
@@ -192,12 +221,19 @@ def commutator_closed_form(config: SpaceConfig) -> np.ndarray:
     with zero diagonal. This agrees with the direct commutator for every
     window origin and dimension. Value k is the element at n - n' = k - s,
     so that :func:`_toeplitz` gathers the d x d matrix.
+
+    The denominator is taken at the turns j = n - n' reduced mod s+1 into
+    [-(s+1)/2, (s+1)/2] in integers, as 2i sin(pi j/(s+1)) exp(i pi j/(s+1)).
+    Evaluated as written, exp(2*pi*i(n-n')/(s+1)) - 1 is small near
+    n - n' = +-s and magnifies the rounding of its argument: about 1e-9 at
+    s+1 = 4096, against 7e-13 with the reduced turns.
     """
     dim = config.dim
-    delta = np.arange(1 - dim, dim)  # n - n'
+    delta = _offsets(dim)  # n - n'
     values = np.zeros(delta.size, dtype=np.complex128)
     off = delta != 0
-    denom = np.exp(2j * np.pi * delta[off] / dim) - 1.0
+    half_turns = np.pi * ((delta[off] + dim // 2) % dim - dim // 2) / dim
+    denom = 2j * np.sin(half_turns) * np.exp(1j * half_turns)
     values[off] = (
         (TWO_PI / dim)
         * (-delta[off])

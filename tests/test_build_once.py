@@ -70,11 +70,10 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 class TestCertifyOnce:
-    def test_chained_certification_measures_each_tag_once(self, tag_counts):
-        op = _diagonal([1.0, -1.0, 1.0])
-        both = certify(certify(op, "hermitian"), "unitary")
-        assert dict(both.deviations) == {"hermitian": 0.0, "unitary": 0.0}
-        assert tag_counts == {"hermitian": 1, "unitary": 1}
+    def test_certification_measures_its_tag_once(self, tag_counts):
+        unitary = certify(_diagonal([1.0, -1.0, 1.0]), "unitary")
+        assert dict(unitary.deviations) == {"unitary": 0.0}
+        assert tag_counts == {"unitary": 1}
 
     def test_constructor_measures_nothing(self, tag_counts):
         for op in (_diagonal([1.0, 1.0]), OperatorMatrix.fourier(2, 0.3, 0.5)):
@@ -89,28 +88,24 @@ class TestCertifyOnce:
         assert dict(op.deviations) == {}
 
     def test_matrix_keeps_each_certified_deviation(self, tag_counts):
-        # The phase operator at dim 2: hermitian to rounding, not unitary.
+        # A synthesis at dim 2 that is unitary to within 1e-13.
         config = SpaceConfig.from_dim(2, 0.0)
         phase = numerics.spectral_synthesize(build_phase_frame(config).basis,
                                              [1.0, 1.0 + 1e-13])
         tag_counts.clear()  # the phase frame's own certification
-        entries = phase.entries
-        both = certify(certify(phase, "hermitian"), "unitary")
-        assert dict(both.deviations) == {
-            "hermitian": np.max(np.abs(entries - entries.conj().T)),
-            "unitary": unitary_deviation(phase),
-        }
-        assert both.deviations["unitary"] > 0.0
-        assert tag_counts == {"hermitian": 1, "unitary": 1}
+        unitary = certify(phase, "unitary")
+        assert dict(unitary.deviations) == {"unitary": unitary_deviation(phase)}
+        assert unitary.deviations["unitary"] > 0.0
+        assert tag_counts == {"unitary": 1}
         with pytest.raises(TypeError):
-            both.deviations["unitary"] = 0.0
+            unitary.deviations["unitary"] = 0.0
 
     def test_failed_certification_measures_once_and_raises(self, tag_counts):
-        op = certify(_diagonal([1.0, 2.0]), "hermitian")
+        op = _diagonal([1.0, 2.0])
         with pytest.raises(ArithmeticError, match="unitary certification failed with deviation 3.000e"):
             certify(op, "unitary")
-        assert tag_counts == {"hermitian": 1, "unitary": 1}
-        assert set(op.deviations) == {"hermitian"}
+        assert tag_counts == {"unitary": 1}
+        assert dict(op.deviations) == {}
 
     def test_unknown_tag_is_refused_unmeasured(self, tag_counts):
         with pytest.raises(ValueError, match="unknown tag 'diagonal'"):
@@ -120,7 +115,6 @@ class TestCertifyOnce:
 
 # Each builder over one small space, and the tags it certifies.
 BUILDERS = {
-    "hermitian_phase_operator": ({"hermitian"}, lambda c: hermitian_phase_operator(c.frame)),
     "unitary_phase_operator": ({"unitary"}, lambda c: unitary_phase_operator(c.config)),
     "unitary_phase_from_spectrum": ({"unitary"}, lambda c: unitary_phase_from_spectrum(c.frame)),
     "number_shift_operator": ({"unitary"}, lambda c: number_shift_operator(c.config)),
@@ -168,14 +162,9 @@ class TestBuilderCertifications:
 
 
 class TestCertifiedDeviationsReported:
-    @pytest.mark.parametrize(
-        "measure", [numerics.unitary_deviation, numerics.hermitian_deviation],
-        ids=["unitary_deviation", "hermitian_deviation"],
-    )
-    def test_run_makes_no_direct_unitary_measurement(self, monkeypatch, measure):
-        # The unitarity and hermiticity records read the deviation measured
-        # at certification.
-        calls = _count_calls(monkeypatch, measure)
+    def test_run_makes_no_direct_unitary_measurement(self, monkeypatch):
+        # The unitarity records read the deviation measured at certification.
+        calls = _count_calls(monkeypatch, numerics.unitary_deviation)
         report = run_suites(RunManifest(dim=6, theta0=0.3, eta=0.5, suites=SUITE_NAMES))
         assert len(calls) == 0
         ids = [record.check_id for record in report.records]
@@ -190,6 +179,21 @@ class TestCertifiedDeviationsReported:
         values = np.diag(entries)
         assert np.count_nonzero(entries) == 7
         assert record.max_deviation == np.max(np.abs(values.real**2 + values.imag**2 - 1.0))
+
+    def test_phase_operator_hermitian_reports_the_one_measurement(self, monkeypatch):
+        tags = []
+        within = numerics.within_tol_op
+
+        def counted(tag, deviation, dim):
+            tags.append(tag)
+            return within(tag, deviation, dim)
+
+        monkeypatch.setattr(pegg_barnett, "within_tol_op", counted)
+        report = run_suites(RunManifest(dim=6, theta0=0.3, eta=0.5, suites=SUITE_NAMES))
+        assert tags == ["hermitian"]
+        (record,) = [r for r in report.records if r.check_id == "phase_operator_hermitian"]
+        _, deviation = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(6, 0.3)))
+        assert record.max_deviation == deviation
 
 class TestFramesOncePerRun:
     @pytest.mark.parametrize("dim, eta", [(1, 0.5), (6, 1.5), (7, 0.5), (5, 0.25)])
@@ -246,15 +250,16 @@ class TestFramesAreCertifiedOperators:
     def test_verify_certifies_every_frame_through_certify(self, monkeypatch):
         # At eta != 1/2 a d=64 verify builds four frames (the phase frame,
         # the offset number and phase states at eta, the offset number states
-        # at 1/2) beside twelve operator certifications, the offset phase
-        # coefficients' among them, and measures orthonormality nowhere else.
+        # at 1/2) beside eleven operator certifications, the offset phase
+        # coefficients' among them, and measures orthonormality nowhere else;
+        # Phi's hermiticity is read on its Toeplitz values, outside certify.
         frames = _built_frames(monkeypatch)
         certified = _count_calls(monkeypatch, numerics.certify)
         measured = _count_calls(monkeypatch, numerics.tag_deviation)
         run_suites(RunManifest(dim=64, theta0=2.9, eta=0.25, suites=SUITE_NAMES))
         assert len(frames) == 4
-        assert len(certified) == 16
-        assert len(measured) == 16
+        assert len(certified) == 15
+        assert len(measured) == 15
         frame_entries = [frame.basis.entries for frame in frames]
         certified_frames = [
             m for m, tag in certified if tag == "unitary"

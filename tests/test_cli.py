@@ -396,8 +396,8 @@ class TestEvolve:
         assert line.endswith("(tolerance 3.000e-11)")
 
     def test_refused_phase_frame_above_the_exact_probe_dimension_exits_2(self, tmp_path, capsys):
-        # The phase frame acts by FFT above d=64 too, but is certified on the
-        # closed-form entries that evolve multiplies out.
+        # The phase frame acts by FFT above d=64 too, but is certified on its
+        # closed-form entries, as every command that builds it is.
         state = write_state(tmp_path / "state.json", [1.0] + [0.0] * 64)
         assert main(["evolve", str(state), "--mode", "shift", "--theta0", "1e6"]) == 2
         captured = capsys.readouterr()
@@ -528,8 +528,8 @@ class TestEvolve:
         state = write_state(tmp_path / "state.json", psi)
         assert main(["evolve", str(state), "--mode", "shift", "--eta", "0.3", "--steps", "1000"]) == 0
         frame = build_generalized_frame(build_phase_frame(SpaceConfig.from_dim(3)), 0.3)
-        # evolve applies the formed entries of the power, as before they were held as factors.
-        result = cycle_operator_power(frame, 1000).entries @ psi
+        # evolve applies the power through its factors.
+        result = cycle_operator_power(frame, 1000).apply(psi)
         expected = {
             "dim": 3,
             "amp": [[float(z.real), float(z.imag)] for z in result],

@@ -23,7 +23,6 @@ from fdphase.numerics import DimensionMismatch, OperatorMatrix, certify, mat_pow
 from fdphase.pegg_barnett import (
     SpaceConfig,
     build_phase_frame,
-    hermitian_phase_operator,
     number_operator,
     number_shift_operator,
     unitary_phase_from_spectrum,
@@ -82,7 +81,6 @@ def _oracles(dim, theta0=2.9, eta=1.5):
     return {
         "phase_frame": (frame.basis, v),
         "offset_coefficients": (coeff_op, coeff),
-        "phi": (hermitian_phase_operator(frame), _synthesized(v, thetas.astype(complex))),
         "exp_iphi_spectral": (unitary_phase_from_spectrum(frame),
                               _synthesized(v, np.exp(1j * thetas))),
         "exp_iphi": (unitary_phase_operator(config), _dense_cyclic_shift(dim, corner)),
@@ -301,19 +299,14 @@ def _formed(monkeypatch) -> list:
     return formed
 
 
-class TestVerifyFormsOneProduct:
-    def test_d128_verify_forms_no_held_product_but_phi(self, monkeypatch, tmp_path, capsys):
+class TestVerifyFormsOnlyTheClosedFormFrames:
+    def test_d128_verify_forms_only_the_closed_form_frames(self, monkeypatch, tmp_path, capsys):
         formed = _formed(monkeypatch)
         argv = ["verify", "--suite", "all", "--dim", "128", "--theta0", "2.9", "--eta", "1.5",
                 "--out", str(tmp_path / "report.json")]
         assert main(argv) == 0
         # The closed-form entries of V and of the offset coefficients, which
-        # their certifications read, and Phi, whose hermiticity is read from
-        # its entries; V's entries are formed before Phi's and reused there.
-        # No monomial forms its entries: its rows read (rows, values).
-        frame, product, coeff = formed
-        assert (frame._kind, product._kind, coeff._kind) == (
-            numerics._FOURIER, numerics._PRODUCT, numerics._FOURIER)
-        assert (frame._parts[3], coeff._parts[3]) == (0.0, 1.5)
-        phi = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(128, 2.9)))
-        assert product.entries.tobytes() == phi.entries.tobytes()
+        # their certifications read. Phi is its Toeplitz values, and no
+        # monomial forms its entries: its rows read (rows, values).
+        assert [(op._kind, op._parts[3]) for op in formed] == [
+            (numerics._FOURIER, 0.0), (numerics._FOURIER, 1.5)]

@@ -20,7 +20,12 @@ from fdphase.numerics import (
     spectral_synthesize,
     unitary_deviation,
 )
-from fdphase.pegg_barnett import SpaceConfig, build_phase_frame, hermitian_phase_operator
+from fdphase.pegg_barnett import (
+    SpaceConfig,
+    _toeplitz,
+    build_phase_frame,
+    hermitian_phase_operator,
+)
 from fdphase.report import RunManifest
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -97,7 +102,8 @@ class TestApplyToState:
         expected = phi_oracle @ np.array([1.0, 0.0])
         assert np.allclose(expected, [np.pi / 2, -np.pi / 2])
 
-        phi = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(2, 0.0)))
+        config = SpaceConfig.from_dim(2, 0.0)
+        phi = spectral_synthesize(build_phase_frame(config).basis, config.thetas())
         assert np.allclose(phi.apply(np.array([1.0, 0.0])), expected, atol=1e-14)
 
     def test_is_the_entries_product(self):
@@ -184,9 +190,8 @@ class TestMatPower:
             mat_power(diagonal([2.0, 0.5j, -1.0]), k)
 
     def test_dense_operator_refused(self):
-        dense = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(4, 0.3)))
         with pytest.raises(ValueError, match="frame"):
-            mat_power(dense, 4)
+            mat_power(general(4, 0), 4)
 
 
 def _random_monomial(rng, dim, scale=None):
@@ -320,13 +325,9 @@ class TestSpectralSynthesize:
         parameters = inspect.signature(spectral_synthesize).parameters
         assert list(parameters) == ["frame", "eigvals"]
 
-    @pytest.mark.parametrize("tags", [(), ("hermitian",)], ids=["uncertified", "hermitian"])
-    def test_frame_without_unitary_certification_refused(self, tags):
-        frame = diagonal([1.0, 1.0])
-        for tag in tags:
-            frame = certify(frame, tag)
+    def test_frame_without_unitary_certification_refused(self):
         with pytest.raises(ValueError, match="certified unitary"):
-            spectral_synthesize(frame, [1.0, 2.0])
+            spectral_synthesize(diagonal([1.0, 1.0]), [1.0, 2.0])
 
     def test_incomplete_frame_rejected(self):
         with pytest.raises(ValueError, match="complete"):
@@ -356,9 +357,13 @@ class TestCertify:
             certify(OperatorMatrix.monomial([1, 0], [0.0, 1.0]), "unitary")
 
     def test_phase_operator_hermitian(self):
-        phi = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(3, 0.3)))
-        again = certify(phi, "hermitian")
-        assert again.deviations["hermitian"] == phi.deviations["hermitian"]
+        # Phi is certified hermitian on its Toeplitz values, refused as certify refuses.
+        phi, deviation = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(3, 0.3)))
+        entries = _toeplitz(phi)
+        assert deviation == np.max(np.abs(entries - entries.conj().T))
+        message = r"^hermitian certification failed with deviation 1\.000e\+00 \(tolerance 3\.000e-11\)$"
+        with pytest.raises(ArithmeticError, match=message):
+            numerics.within_tol_op("hermitian", 1.0, 3)
 
     @pytest.mark.parametrize("tag", ["normal", "diagonal"])
     def test_unknown_tag(self, tag):
@@ -430,13 +435,14 @@ class TestProbes:
             return record.status
 
         assert status() == "pass"
-        gather = suites._toeplitz
+        closed_form = suites.commutator_closed_form
 
-        def planted(values):
-            entries = gather(values).copy()
-            entries[row, col] += 1e-3
-            return entries
+        def planted(config):
+            # Entry (row, col) is the value at n - n' = row - col.
+            values = closed_form(config).copy()
+            values[row - col + dim - 1] += 1e-3
+            return values
 
-        # The record's reference is the closed form's gathered d x d entries.
-        monkeypatch.setattr(suites, "_toeplitz", planted)
+        # The record's reference is the closed form's Toeplitz values.
+        monkeypatch.setattr(suites, "commutator_closed_form", planted)
         assert status() == "fail"

@@ -1,5 +1,7 @@
 """Each record compares two routes, and the structured routes stay structured."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,9 @@ from fdphase.pegg_barnett import (
     SpaceConfig,
     _toeplitz,
     build_phase_frame,
-    commutator,
     commutator_closed_form,
+    commutator_direct,
     hermitian_phase_operator,
-    number_operator,
     number_shift_operator,
     unitary_phase_from_spectrum,
     unitary_phase_operator,
@@ -116,7 +117,6 @@ def _dense_deviations(dim, theta0, eta):
     v = frame.basis.entries
     down = number_shift_operator(config).entries
     shift = unitary_phase_operator(config).entries
-    phi = hermitian_phase_operator(frame)
     offset = build_generalized_frame(frame, eta)
     w = offset.basis.entries
     coeff_op = offset_phase_coefficients(offset)
@@ -163,9 +163,6 @@ def _dense_deviations(dim, theta0, eta):
             v @ numerics.cyclic_shift(dim, 1.0).entries @ v.conj().T - down),
         "unitary_phase_diagonal_in_phase_frame": _max_abs(
             v.conj().T @ shift @ v - np.diag(np.exp(1j * config.thetas()))),
-        "commutator_direct_vs_closed_form": _max_abs(
-            commutator(phi, number_operator(config))
-            - _toeplitz(commutator_closed_form(config))),
         "generalized_number_frame_orthonormal": gram(w),
         "generalized_phase_frame_orthonormal": gram(p),
         "continuous_shift_roundtrip": _max_abs(p @ coeff.conj().T - w),
@@ -204,6 +201,115 @@ class TestProbeRecordsAgainstTheDenseRoutes:
             dense_status = "pass" if deviation <= record.tolerance else "fail"
             assert record.status == dense_status, check_id
             assert record.max_deviation <= np.sqrt(dim) * deviation, check_id
+
+
+def _pb_core(config, check_id):
+    records = suite_pb_core(config, numerics.TolerancePolicy.for_dim(config.dim), {})
+    (record,) = [r for r in records if r.check_id == check_id]
+    return record
+
+
+COMMUTATOR = "commutator_direct_vs_closed_form"
+
+
+class TestPlantedFaultsInPhi:
+    """Phi is its 2s+1 Toeplitz values, exp(i k theta_0) c[k mod d] with c the
+    inverse DFT of the angles; a fault in c, in the -k factor of the direct
+    commutator or in Phi's own window phase must not pass."""
+
+    THETA0 = 2.9
+
+    def _faulty_symbol(self, monkeypatch, dim, pair):
+        # The inverse DFT of the real angles, the one real 1-d transform of
+        # pb-core, with c[j] off by 1e-6 (and, with ``pair``, c[d-j] off by
+        # its conjugate, so that Phi stays hermitian).
+        ifft = np.fft.ifft
+        j = max(1, dim // 3)
+
+        def faulty(x, *args, **kwargs):
+            out = ifft(x, *args, **kwargs)
+            if np.ndim(x) == 1 and np.isrealobj(x):
+                out[j] += 1e-6 * (1 + 1j)
+                if pair:
+                    out[dim - j] += 1e-6 * (1 - 1j)
+            return out
+
+        monkeypatch.setattr(np.fft, "ifft", faulty)
+
+    @pytest.mark.parametrize("dim", [8, 128, 512])
+    def test_the_sound_values_pass(self, dim):
+        config = SpaceConfig.from_dim(dim, self.THETA0)
+        assert _pb_core(config, "phase_operator_hermitian").status == "pass"
+        assert _pb_core(config, COMMUTATOR).status == "pass"
+
+    @pytest.mark.parametrize("dim", [8, 128, 512])
+    def test_one_fft_value_off_is_refused(self, dim, monkeypatch):
+        self._faulty_symbol(monkeypatch, dim, pair=False)
+        config = SpaceConfig.from_dim(dim, self.THETA0)
+        with pytest.raises(ArithmeticError, match="^hermitian certification failed"):
+            hermitian_phase_operator(build_phase_frame(config))
+        with pytest.raises(ArithmeticError, match="^hermitian certification failed"):
+            _pb_core(config, COMMUTATOR)
+
+    @pytest.mark.parametrize("dim", [8, 128, 512])
+    def test_hermitian_pair_of_fft_values_off_fails_the_commutator(self, dim, monkeypatch):
+        self._faulty_symbol(monkeypatch, dim, pair=True)
+        config = SpaceConfig.from_dim(dim, self.THETA0)
+        assert _pb_core(config, "phase_operator_hermitian").status == "pass"
+        assert _pb_core(config, COMMUTATOR).status == "fail"
+
+    @pytest.mark.parametrize("dim", [8, 128, 512])
+    @pytest.mark.parametrize("factor", [1.0, -1.0 - 1e-9], ids=["flipped", "scaled"])
+    def test_wrong_offset_factor_fails_the_commutator(self, dim, factor, monkeypatch):
+        # factor * k instead of -k times Phi's value at n - n' = k.
+        def faulty(phi):
+            return factor * np.arange(1 - dim, dim) * phi
+
+        monkeypatch.setattr(suites, "commutator_direct", faulty)
+        assert _pb_core(SpaceConfig.from_dim(dim, self.THETA0), COMMUTATOR).status == "fail"
+
+    @pytest.mark.parametrize("dim", [8, 128, 512])
+    def test_wrong_window_phase_on_phi_only_fails_the_commutator(self, dim, monkeypatch):
+        # exp(-i k theta_0) for exp(i k theta_0): Phi stays hermitian, and the
+        # closed form keeps its own, sound, window phase.
+        build = suites.hermitian_phase_operator
+        offsets = np.arange(1 - dim, dim)
+
+        def faulty(frame):
+            values, deviation = build(frame)
+            return values * np.exp(-2j * offsets * frame.config.theta0), deviation
+
+        monkeypatch.setattr(suites, "hermitian_phase_operator", faulty)
+        config = SpaceConfig.from_dim(dim, self.THETA0)
+        assert _pb_core(config, "phase_operator_hermitian").status == "pass"
+        assert _pb_core(config, COMMUTATOR).status == "fail"
+
+
+class TestValueReadingsAreEveryEntry:
+    """Phi's hermiticity and the commutator record read 2s+1 values; each
+    reading is the maximum over the gathered d x d entries, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 64, 65])
+    @pytest.mark.parametrize("theta0", [0.0, 0.3, 2.9])
+    def test_readings_are_the_gathered_maxima(self, dim, theta0):
+        config = SpaceConfig.from_dim(dim, theta0)
+        phi, hermitian = hermitian_phase_operator(build_phase_frame(config))
+        entries = _toeplitz(phi)
+        assert hermitian == numerics.max_abs(entries - entries.conj().T)
+        direct = _toeplitz(commutator_direct(phi))
+        closed = _toeplitz(commutator_closed_form(config))
+        assert _pb_core(config, COMMUTATOR).max_deviation == numerics.max_abs(direct - closed)
+        assert _pb_core(config, "phase_operator_hermitian").max_deviation == hermitian
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 31, 64, 65, 128, 256])
+    @pytest.mark.parametrize("theta0", [0.0, 0.3, 2.9, -1.0])
+    def test_gathered_phi_is_the_dense_synthesis(self, dim, theta0):
+        config = SpaceConfig.from_dim(dim, theta0)
+        v = np.exp(1j * np.outer(np.arange(dim), config.thetas())) / math.sqrt(dim)
+        dense = (v * config.thetas()) @ v.conj().T
+        phi, _ = hermitian_phase_operator(build_phase_frame(config))
+        tol_op = numerics.TolerancePolicy.for_dim(dim).tol_op
+        assert np.max(np.abs(_toeplitz(phi) - dense)) <= tol_op
 
 
 class TestPlantedFaultsInTheFrameTransform:
