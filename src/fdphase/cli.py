@@ -27,7 +27,6 @@ from .numerics import (
     equal_up_to_global_phase,
     mat_power,
     max_abs,
-    shared_probes,
 )
 from .pegg_barnett import (
     SpaceConfig,
@@ -346,16 +345,11 @@ def cmd_dump(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one command; any refusal becomes one ``error:`` line and exit status 2.
-
-    The command builds each probe block once (:func:`.numerics.shared_probes`),
-    and keeps none after it returns.
-    """
+    """Run one command; any refusal becomes one ``error:`` line and exit status 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with shared_probes():
-            return args.func(args)
+        return args.func(args)
     except (UsageError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

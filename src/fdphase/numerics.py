@@ -25,7 +25,7 @@ eigensolver lives here. Every tolerance is the dimension's
 
 Whole-operator identities are read on the probe block P of :func:`probes`
 (Freivalds-style verification): max |(X - Y) P| costs d^2 per probe, not d^3.
-Inside :func:`shared_probes` each dimension's block is built once.
+The last block built is cached, so a command builds its dimension's block once.
 
 Monomial operators, with exactly one nonzero entry per row and per column
 (the diagonals and the weighted cyclic shifts), are held as their ``(rows,
@@ -36,8 +36,7 @@ product.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -56,11 +55,9 @@ __all__ = [
     "spectral_synthesize",
     "certify",
     "within_tol_op",
-    "unitary_deviation",
     "tag_deviation",
     "max_abs",
     "probes",
-    "shared_probes",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -105,39 +102,15 @@ def max_abs(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
-_PROBE_BLOCKS = contextvars.ContextVar("probe_blocks", default=None)
-
-
-@contextlib.contextmanager
-def shared_probes():
-    """Within the block, :func:`probes` builds each dimension's block once.
-
-    The blocks are dropped on exit, so nothing outlives the block; outside
-    one, every call builds its block anew.
-    """
-    token = _PROBE_BLOCKS.set({})
-    try:
-        yield
-    finally:
-        _PROBE_BLOCKS.reset(token)
-
-
+@functools.lru_cache(maxsize=1)
 def probes(dim: int) -> np.ndarray:
     """The read-only probe block P of dimension d: the identity up to ``PROBE_EXACT_DIM``.
 
     Above it, e_0 and e_s (the wrap-around corners) and ``PROBE_COUNT`` unit
     complex Gaussian columns from ``PROBE_SEED``; a wrong entry E[j, l] reads
     |E[j, l]| max_c |P[l, c]|, and that max is >= 0.6/sqrt(d) at every d tested.
+    The last block built is kept, and returned again while d is unchanged.
     """
-    blocks = _PROBE_BLOCKS.get()
-    if blocks is None:
-        return _probe_block(dim)
-    if dim not in blocks:
-        blocks[dim] = _probe_block(dim)
-    return blocks[dim]
-
-
-def _probe_block(dim: int) -> np.ndarray:
     if dim <= PROBE_EXACT_DIM:
         block = np.eye(dim)
     else:
@@ -352,22 +325,6 @@ class OperatorMatrix:
         return x
 
 
-def _gram_deviation(m: OperatorMatrix) -> float:
-    """max |M^dag (M P) - P| on the probe block P: max |M^dag M - 1| while P = I.
-
-    A shifted DFT is read on its closed-form entries, the numbers that
-    ``dump`` writes, as formed entries act: its FFT route is
-    unitary to rounding whatever theta0 and eta, while the closed form
-    rounds each phase (n+eta)theta_m.
-    """
-    block = probes(m.dim)
-    if m._kind == _FOURIER:
-        entries = m.entries
-        image = entries @ block
-        return max_abs((image.conj().T @ entries).conj().T - block)
-    return max_abs(m.apply_adjoint(m.apply(block)) - block)
-
-
 def _monomial(m: OperatorMatrix):
     """A monomial's ``(rows, values)``, column j being values[j] |rows[j]>; else None."""
     return m._parts[:2] if m._kind == _MONOMIAL else None
@@ -408,33 +365,29 @@ def _binary_power(rows: np.ndarray, values: np.ndarray, k: int) -> tuple:
     return result
 
 
-def unitary_deviation(m: OperatorMatrix) -> float:
-    """max |M^dag M - 1|.
-
-    For a monomial M the off-diagonal entries of M^dag M are exact zeros, so
-    the deviation is max_j ||v_j|^2 - 1| over its nonzero values v_j; any
-    other operator is read on the probe block P, as max |M^dag (M P) - P|,
-    a shifted DFT through its closed-form entries.
-    """
-    monomial = _monomial(m)
-    if monomial is None:
-        return _gram_deviation(m)
-    values = monomial[1]
-    return max_abs(values.real**2 + values.imag**2 - 1.0)
-
-
-_TAG_DEVIATIONS = {
-    "unitary": unitary_deviation,
-}
-
-
 def tag_deviation(m: OperatorMatrix, tag: str) -> float:
-    """Measured deviation of the operator from the structure named by ``tag``."""
-    try:
-        measure = _TAG_DEVIATIONS[tag]
-    except KeyError:
-        raise ValueError(f"unknown tag {tag!r}; expected one of {sorted(_TAG_DEVIATIONS)}")
-    return measure(m)
+    """max |M^dag M - 1|, the deviation from the structure named by ``tag``, "unitary".
+
+    Any other tag is refused before anything is measured. For a monomial M
+    the off-diagonal entries of M^dag M are exact zeros, so the deviation is
+    max_j ||v_j|^2 - 1| over its nonzero values v_j. Any other operator is
+    read on the probe block P, as max |M^dag (M P) - P|. A shifted DFT is
+    read on its closed-form entries, the numbers that ``dump`` writes, as
+    formed entries act: its FFT route is unitary to rounding whatever theta0
+    and eta, while the closed form rounds each phase (n+eta)theta_m.
+    """
+    if tag != "unitary":
+        raise ValueError(f"unknown tag {tag!r}; expected one of ['unitary']")
+    monomial = _monomial(m)
+    if monomial is not None:
+        values = monomial[1]
+        return max_abs(values.real**2 + values.imag**2 - 1.0)
+    block = probes(m.dim)
+    if m._kind == _FOURIER:
+        entries = m.entries
+        image = entries @ block
+        return max_abs((image.conj().T @ entries).conj().T - block)
+    return max_abs(m.apply_adjoint(m.apply(block)) - block)
 
 
 def mat_power(m: OperatorMatrix, k: int) -> OperatorMatrix:

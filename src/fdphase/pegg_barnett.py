@@ -46,7 +46,6 @@ __all__ = [
     "SpaceConfig",
     "Frame",
     "build_phase_frame",
-    "number_operator",
     "hermitian_phase_operator",
     "unitary_phase_operator",
     "unitary_phase_from_spectrum",
@@ -142,12 +141,6 @@ def build_phase_frame(config: SpaceConfig) -> Frame:
     """
     basis = OperatorMatrix.fourier(config.dim, config.theta0, 0.0)
     return Frame(config=config, eta=0.0, basis=basis)
-
-
-def number_operator(config: SpaceConfig) -> OperatorMatrix:
-    """diag(0, 1, ..., s), held as a diagonal monomial."""
-    levels = np.arange(config.dim)
-    return OperatorMatrix.monomial(levels, levels)
 
 
 def _offsets(dim: int) -> np.ndarray:

@@ -47,7 +47,7 @@ _STATUSES = (STATUS_PASS, STATUS_FAIL, STATUS_FLAGGED)
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything a verification or evolve run depends on."""
+    """Everything a verify run depends on."""
 
     dim: int
     theta0: float = 0.0

@@ -1,6 +1,7 @@
 """Each dense step of a verify run happens once: certifications, frame builds."""
 
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,12 +21,11 @@ from fdphase.deformed import (
     recover_phase_operator,
 )
 from fdphase.evolution import hamiltonian, time_evolution
-from fdphase.numerics import OperatorMatrix, certify, unitary_deviation
+from fdphase.numerics import OperatorMatrix, certify, tag_deviation
 from fdphase.pegg_barnett import (
     SpaceConfig,
     build_phase_frame,
     hermitian_phase_operator,
-    number_operator,
     number_shift_operator,
     unitary_phase_from_spectrum,
     unitary_phase_operator,
@@ -34,22 +34,14 @@ from fdphase.report import RunManifest
 from fdphase.suites import SUITE_NAMES, run_suites
 
 
-@pytest.fixture
-def tag_counts(monkeypatch):
-    """Measurements per tag, counted at the ``_TAG_DEVIATIONS`` table."""
-    counts = {}
-    for tag, measure in list(numerics._TAG_DEVIATIONS.items()):
-
-        def counted(entries, tag=tag, measure=measure):
-            counts[tag] = counts.get(tag, 0) + 1
-            return measure(entries)
-
-        monkeypatch.setitem(numerics._TAG_DEVIATIONS, tag, counted)
-    return counts
-
-
 def _diagonal(values):
     return OperatorMatrix.monomial(np.arange(len(values)), values)
+
+
+def _number_operator(config):
+    """N = diag(0, 1, ..., s), held as a diagonal monomial."""
+    levels = np.arange(config.dim)
+    return OperatorMatrix.monomial(levels, levels)
 
 
 def _count_calls(monkeypatch, fn) -> list:
@@ -69,16 +61,26 @@ def _count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+@pytest.fixture
+def tag_counts(monkeypatch):
+    """The (operator, tag) of each call of ``numerics.tag_deviation``."""
+    return _count_calls(monkeypatch, numerics.tag_deviation)
+
+
+def _per_tag(calls) -> Counter:
+    return Counter(tag for _, tag in calls)
+
+
 class TestCertifyOnce:
     def test_certification_measures_its_tag_once(self, tag_counts):
         unitary = certify(_diagonal([1.0, -1.0, 1.0]), "unitary")
         assert dict(unitary.deviations) == {"unitary": 0.0}
-        assert tag_counts == {"unitary": 1}
+        assert _per_tag(tag_counts) == {"unitary": 1}
 
     def test_constructor_measures_nothing(self, tag_counts):
         for op in (_diagonal([1.0, 1.0]), OperatorMatrix.fourier(2, 0.3, 0.5)):
             assert dict(op.deviations) == {}
-        assert tag_counts == {}
+        assert _per_tag(tag_counts) == {}
 
     def test_certified_matrix_shares_the_entries(self):
         op = _diagonal([1.0, -1.0])
@@ -94,9 +96,9 @@ class TestCertifyOnce:
                                              [1.0, 1.0 + 1e-13])
         tag_counts.clear()  # the phase frame's own certification
         unitary = certify(phase, "unitary")
-        assert dict(unitary.deviations) == {"unitary": unitary_deviation(phase)}
+        assert dict(unitary.deviations) == {"unitary": tag_deviation(phase, "unitary")}
         assert unitary.deviations["unitary"] > 0.0
-        assert tag_counts == {"unitary": 1}
+        assert _per_tag(tag_counts) == {"unitary": 1}
         with pytest.raises(TypeError):
             unitary.deviations["unitary"] = 0.0
 
@@ -104,13 +106,17 @@ class TestCertifyOnce:
         op = _diagonal([1.0, 2.0])
         with pytest.raises(ArithmeticError, match="unitary certification failed with deviation 3.000e"):
             certify(op, "unitary")
-        assert tag_counts == {"unitary": 1}
+        assert _per_tag(tag_counts) == {"unitary": 1}
         assert dict(op.deviations) == {}
 
-    def test_unknown_tag_is_refused_unmeasured(self, tag_counts):
-        with pytest.raises(ValueError, match="unknown tag 'diagonal'"):
+    def test_unknown_tag_is_refused_unmeasured(self, monkeypatch, tag_counts):
+        reads = _count_calls(monkeypatch, numerics.max_abs)
+        with pytest.raises(ValueError, match=r"^unknown tag 'diagonal'; expected one of \['unitary'\]$"):
             certify(_diagonal([1.0, 1.0]), "diagonal")
-        assert tag_counts == {}
+        assert _per_tag(tag_counts) == {"diagonal": 1}
+        assert reads == []
+        with pytest.raises(ValueError, match="unknown tag 'hermitian'"):
+            tag_deviation(object(), "hermitian")  # refused before the operator is read
 
 
 # Each builder over one small space, and the tags it certifies.
@@ -118,7 +124,7 @@ BUILDERS = {
     "unitary_phase_operator": ({"unitary"}, lambda c: unitary_phase_operator(c.config)),
     "unitary_phase_from_spectrum": ({"unitary"}, lambda c: unitary_phase_from_spectrum(c.frame)),
     "number_shift_operator": ({"unitary"}, lambda c: number_shift_operator(c.config)),
-    "number_operator": (set(), lambda c: number_operator(c.config)),
+    "number_operator": (set(), lambda c: _number_operator(c.config)),
     "hamiltonian": (set(), lambda c: hamiltonian(c.config, 1.0)),
     "time_evolution": ({"unitary"}, lambda c: time_evolution(c.config, 1.0, 0.7)),
     "ladder_lowering": (set(), lambda c: build_ladder_operators(c.offset, c.profile).a),
@@ -151,7 +157,7 @@ class TestBuilderCertifications:
         tag_counts.clear()
         op = build(context)
         assert set(op.deviations) == tags
-        assert tag_counts == {tag: 1 for tag in tags}
+        assert _per_tag(tag_counts) == {tag: 1 for tag in tags}
 
     def test_run_measures_once_per_certification(self, monkeypatch):
         measured = _count_calls(monkeypatch, numerics.tag_deviation)
@@ -163,10 +169,13 @@ class TestBuilderCertifications:
 
 class TestCertifiedDeviationsReported:
     def test_run_makes_no_direct_unitary_measurement(self, monkeypatch):
-        # The unitarity records read the deviation measured at certification.
-        calls = _count_calls(monkeypatch, numerics.unitary_deviation)
+        # The unitarity records read the deviation measured at certification:
+        # every measurement is the one of a certify call.
+        measured = _count_calls(monkeypatch, numerics.tag_deviation)
+        certifications = _count_calls(monkeypatch, numerics.certify)
         report = run_suites(RunManifest(dim=6, theta0=0.3, eta=0.5, suites=SUITE_NAMES))
-        assert len(calls) == 0
+        assert len(certifications) > 0
+        assert len(measured) == len(certifications)
         ids = [record.check_id for record in report.records]
         assert {"evolution_unitary", "recovered_phase_unitary", "phase_operator_hermitian"} <= set(ids)
 
@@ -209,7 +218,7 @@ class TestFramesOncePerRun:
         assert len(calls) == builds
 
     def test_each_verify_call_builds_its_own_frame(self, monkeypatch, capsys):
-        # Nothing is kept between runs: every cli.main call builds afresh.
+        # No frame is kept between runs: every cli.main call builds afresh.
         calls = _count_calls(monkeypatch, pegg_barnett.build_phase_frame)
         for _ in range(2):
             assert main(["verify", "--dim", "4"]) == 0

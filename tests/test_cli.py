@@ -723,31 +723,39 @@ class TestPayloadBytes:
         self.run(monkeypatch, capsys, ["evolve", str(state), "--mode", mode, "--steps", "3"])
 
 
+def run_fresh(argv):
+    """``python -m fdphase`` in a new process, which imports the same fdphase
+    as this test, installed or not."""
+    source = str(Path(fdphase.__file__).resolve().parents[1])
+    paths = [source, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, "-m", "fdphase", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         out = tmp_path / "report.json"
-        # The child imports the same fdphase as this test, installed or not.
-        source = str(Path(fdphase.__file__).resolve().parents[1])
-        paths = [source, os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "fdphase",
-                "verify",
-                "--dim",
-                "2",
-                "--out",
-                str(out),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_fresh(["verify", "--dim", "2", "--out", str(out)])
         assert proc.returncode == 0
         assert "verify:" in proc.stderr
         assert json.loads(out.read_text(encoding="utf-8"))["manifest"]["dim"] == 2
+
+    def test_commands_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        # The probe block is cached for the process: a command run after
+        # others, at another dimension or at the same one, writes the bytes
+        # of the same command run alone.
+        amp = np.exp(1j * np.arange(7)) * np.linspace(1.0, 2.0, 7)
+        state = write_state(tmp_path / "state.json", amp / np.linalg.norm(amp))
+        verify = ["verify", "--dim", "128", "--theta0", "2.9", "--eta", "1.5"]
+        commands = [verify, ["dump", "A", "--dim", "65", "--theta0", "2.9"],
+                    ["evolve", str(state), "--mode", "shift", "--eta", "1.5", "--steps", "3"],
+                    verify]
+        for argv in commands:
+            status = main(argv)
+            captured = capsys.readouterr()
+            proc = run_fresh(argv)
+            assert (status, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr)
 
 
 class TestExitContract:

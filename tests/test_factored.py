@@ -23,7 +23,6 @@ from fdphase.numerics import DimensionMismatch, OperatorMatrix, certify, mat_pow
 from fdphase.pegg_barnett import (
     SpaceConfig,
     build_phase_frame,
-    number_operator,
     number_shift_operator,
     unitary_phase_from_spectrum,
     unitary_phase_operator,
@@ -96,7 +95,7 @@ def _oracles(dim, theta0=2.9, eta=1.5):
                            p @ _dense_cyclic_shift(dim, np.exp(-2j * np.pi * eta)) @ p.conj().T),
         "cycle_power": (cycle_operator_power(offset, dim), _synthesized(w, cycle_eigvals)),
         "evolution": (time_evolution(config, 1.0, 0.7), np.diag(np.exp(-1j * energies * 0.7))),
-        "number": (number_operator(config), np.diag(np.arange(dim, dtype=np.complex128))),
+        "number": (_diagonal(np.arange(dim)), np.diag(np.arange(dim, dtype=np.complex128))),
         "hamiltonian": (hamiltonian(config, 1.0), np.diag(energies.astype(np.complex128))),
     }
 
@@ -275,7 +274,7 @@ class TestMonomialScan:
 
     def test_number_operator_and_hamiltonian_are_held_diagonals(self):
         config = SpaceConfig.from_dim(5, 0.3)
-        for op in (number_operator(config), hamiltonian(config, 0.37)):
+        for op in (_diagonal(np.arange(config.dim)), hamiltonian(config, 0.37)):
             assert op._kind == numerics._MONOMIAL and op._parts[2]
 
     def test_power_of_a_held_monomial_is_held(self):

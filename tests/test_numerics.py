@@ -18,7 +18,7 @@ from fdphase.numerics import (
     equal_up_to_global_phase,
     mat_power,
     spectral_synthesize,
-    unitary_deviation,
+    tag_deviation,
 )
 from fdphase.pegg_barnett import (
     SpaceConfig,
@@ -215,7 +215,7 @@ class TestUnitaryDeviation:
         for scale in (1e-14, 1e-9, 0.3):
             op, entries = _random_monomial(rng, dim, scale)
             dense = np.max(np.abs(entries.conj().T @ entries - np.eye(dim)))
-            assert abs(unitary_deviation(op) - dense) <= 1e-15
+            assert abs(tag_deviation(op, "unitary") - dense) <= 1e-15
 
     def test_other_operators_keep_the_product(self):
         # A shifted DFT times diag(1, 1 + 1e-7): not a monomial, so read as
@@ -224,7 +224,7 @@ class TestUnitaryDeviation:
         op = OperatorMatrix.product(dft, diagonal([1.0, 1.0 + 1e-7]))
         entries = op.entries
         dense = np.max(np.abs(entries.conj().T @ entries - np.eye(2)))
-        assert unitary_deviation(op) == pytest.approx(dense, rel=1e-6)
+        assert tag_deviation(op, "unitary") == pytest.approx(dense, rel=1e-6)
         assert dense == pytest.approx(2e-7, rel=1e-6)
 
 
@@ -337,7 +337,7 @@ class TestSpectralSynthesize:
 class TestCertify:
     def test_nan_deviation_refused(self, monkeypatch):
         # A NaN deviation compares False against any tolerance, both ways.
-        monkeypatch.setitem(numerics._TAG_DEVIATIONS, "unitary", lambda entries: float("nan"))
+        monkeypatch.setattr(numerics, "tag_deviation", lambda m, tag: float("nan"))
         with pytest.raises(ArithmeticError, match="deviation nan"):
             certify(diagonal([1.0, 1.0]), "unitary")
 
@@ -396,25 +396,23 @@ class TestProbes:
             block[0, 0] = 2.0
         assert numerics.probes(dim).tobytes() == block.tobytes()
 
-    def test_shared_within_a_scope_and_dropped_after_it(self):
-        with numerics.shared_probes():
-            block = numerics.probes(128)
-            assert numerics.probes(128) is block
-        assert numerics.probes(128) is not numerics.probes(128)
-        with numerics.shared_probes():
-            assert numerics.probes(128) is not block
-            assert numerics.probes(128).tobytes() == block.tobytes()
+    def test_one_build_per_command_kept_while_the_dimension_holds(self, tmp_path, capsys):
+        def misses(dim):
+            argv = ["verify", "--dim", str(dim), "--theta0", "2.9", "--eta", "1.5",
+                    "--out", str(tmp_path / "report.json")]
+            before = numerics.probes.cache_info()
+            assert main(argv) == 0
+            after = numerics.probes.cache_info()
+            assert after.hits > before.hits
+            return after.misses - before.misses
 
-    def test_one_build_per_dimension_in_one_command(self, monkeypatch, tmp_path, capsys):
-        built = []
-        build = numerics._probe_block
-        monkeypatch.setattr(numerics, "_probe_block", lambda dim: built.append(dim) or build(dim))
-        argv = ["verify", "--dim", "128", "--theta0", "2.9", "--eta", "1.5",
-                "--out", str(tmp_path / "report.json")]
-        assert main(argv) == 0
-        assert built == [128]
-        assert main(argv) == 0
-        assert built == [128, 128]  # no block outlives its command
+        numerics.probes.cache_clear()
+        block = numerics.probes(128)
+        assert numerics.probes(128) is block
+        numerics.probes.cache_clear()
+        assert [misses(dim) for dim in (128, 128, 64, 128, 128)] == [1, 0, 1, 1, 0]
+        assert numerics.probes(128) is not block
+        assert numerics.probes(128).tobytes() == block.tobytes()
 
     @pytest.mark.parametrize("dim", [65, 128, 511, 512, 1024, 4096])
     def test_every_row_meets_a_large_probe_entry(self, dim):

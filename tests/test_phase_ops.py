@@ -22,13 +22,18 @@ from fdphase.pegg_barnett import (
     commutator_direct,
     commutator_double_sum,
     hermitian_phase_operator,
-    number_operator,
     number_shift_operator,
     unitary_phase_from_spectrum,
     unitary_phase_operator,
 )
 
 THETA_GRID = (0.0, 0.3, np.pi / 2, 2.9)
+
+
+def _number_operator(config):
+    """N = diag(0, 1, ..., s), held as a diagonal monomial."""
+    levels = np.arange(config.dim)
+    return OperatorMatrix.monomial(levels, levels)
 
 
 def _phi_entries(config):
@@ -144,7 +149,7 @@ class TestFrame:
 class TestNumberOperator:
     @pytest.mark.parametrize("dim", [1, 2, 4])
     def test_diagonal_levels(self, dim):
-        op = number_operator(SpaceConfig.from_dim(dim))
+        op = _number_operator(SpaceConfig.from_dim(dim))
         assert np.allclose(op.entries, np.diag(np.arange(dim)))
         assert dict(op.deviations) == {}
 

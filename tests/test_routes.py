@@ -74,20 +74,30 @@ class TestRecordsCompareTwoRoutes:
 
 class TestStructuredPowers:
     def test_run_takes_no_dense_power_and_no_dense_monomial_product(self, monkeypatch):
-        powers, products = [], []
+        # A unitarity reading that takes the product M^dag (M P) reads the
+        # probe block; one whose operator has monomial entries reads its values.
+        powers, products, blocks = [], [], []
         matrix_power = np.linalg.matrix_power
-        gram_deviation = numerics._gram_deviation
+        tag_deviation, probes = numerics.tag_deviation, numerics.probes
 
         def counted_power(*args, **kwargs):
             powers.append(args)
             return matrix_power(*args, **kwargs)
 
-        def counted_product(m):
-            products.append(_is_monomial(m.entries))
-            return gram_deviation(m)
+        def counted_probes(dim):
+            blocks.append(dim)
+            return probes(dim)
+
+        def counted_measure(m, tag):
+            blocks.clear()
+            deviation = tag_deviation(m, tag)
+            if blocks:
+                products.append(_is_monomial(m.entries))
+            return deviation
 
         monkeypatch.setattr(np.linalg, "matrix_power", counted_power)
-        monkeypatch.setattr(numerics, "_gram_deviation", counted_product)
+        monkeypatch.setattr(numerics, "probes", counted_probes)
+        monkeypatch.setattr(numerics, "tag_deviation", counted_measure)
         report = run_suites(RunManifest(dim=64, theta0=2.9, eta=1.5, suites=SUITE_NAMES))
         assert report.status_counts()["fail"] == 0
         assert powers == []
