@@ -55,12 +55,12 @@ DUMP_OBJECTS = (
     "commutators",
 )
 
-# The largest dimension each command accepts. A verify forms two complex
-# d x d arrays, the closed forms of V and of the offset coefficients that
-# their certifications read, and a dump holds several more: on 2 cores a
-# d=2048 verify takes about 0.6 s and peaks near 237 MB, a d=4096 verify
-# about 2.5 s and 820 MB, and a d=1024 commutators dump near 460 MB; the
-# memory grows as d^2, so these limits keep a run within a few GB.
+# The largest dimension each command accepts. A verify forms no d x d
+# array: on 2 cores a d=4096 verify takes about 0.2-0.3 s and peaks near
+# 45 MB, and a prime d=4093, whose four-step route is O(d^2) per column,
+# about 1.5 s; a limit on the bytes a command forms could replace this one.
+# A dump holds several d x d arrays (a d=1024 commutators dump peaks near
+# 460 MB) and grows as d^2, so its limit is lower.
 MAX_DUMP_DIM = 2048
 MAX_DIM = 4096
 

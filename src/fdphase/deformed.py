@@ -149,7 +149,8 @@ def offset_phase_coefficients(frame: Frame) -> OperatorMatrix:
 
     Held as the unitary DFT between the diagonals exp(i(n+eta)theta_0) and
     exp(2 pi i eta m/(s+1)), so that it acts by FFT, and certified unitary
-    on its closed-form entries, whose phases round as eta and theta0 grow.
+    on its closed form at exact turns. An eta or theta0 whose phases round
+    past the dimension's ``tol_op`` is refused by name when it is built.
     """
     coeff = OperatorMatrix.fourier(frame.config.dim, frame.config.theta0, frame.eta)
     return certify(coeff, "unitary")

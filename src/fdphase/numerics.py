@@ -12,9 +12,12 @@ its factors, a shifted DFT by one FFT per column in O(d log d), and forms
 its d x d ``entries`` only when something reads them. An operator counts
 as unitary only once :func:`certify` has measured it: the
 deviation is measured once, against the dimension's ``tol_op``, and either
-recorded in the operator's ``deviations`` or refused with an error; a
-shifted DFT is certified on its closed-form entries, the numbers ``dump``
-writes, not on its FFT route. A frame, a complete
+recorded in the operator's ``deviations`` or refused with an error. A
+shifted DFT is certified, and its entries formed, on its closed form at
+exact turns, C = diag(a) T diag(b)/sqrt(d) with T[n, m] read from one table
+exp(2 pi i j/d) at j = n m mod d: the entries are gathered from the table,
+and the certification applies C through the four-step factorisation of T,
+with no FFT and no d x d array. A frame, a complete
 orthonormal basis stored as the columns of a square matrix, is an
 operator certified "unitary", since for a square matrix V orthonormality
 is exactly V^dag V = 1. Every operator exponential used
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable
@@ -124,6 +128,26 @@ def probes(dim: int) -> np.ndarray:
     return block
 
 
+@functools.lru_cache(maxsize=1)
+def _turns(dim: int) -> np.ndarray:
+    """The read-only table exp(2 pi i j/d) for j = 0..d-1, each j taken mod d into [-d/2, d/2).
+
+    The exact-turn route reads exp(2 pi i n m/d) as entry (n m) mod d, an
+    integer, so no turn n m/d is rounded. The last table built is kept, and
+    returned again while d is unchanged.
+    """
+    levels = np.arange(dim)
+    table = np.exp(1j * (TWO_PI * ((levels + dim // 2) % dim - dim // 2) / dim))
+    table.setflags(write=False)
+    return table
+
+
+def _shifted_dft_diagonals(dim: int, theta0: float, eta: float) -> tuple:
+    """exp(i(n+eta)theta0) and exp(2 pi i eta m/d), the two diagonals of the shifted DFT."""
+    levels = np.arange(dim)
+    return np.exp(1j * ((levels + eta) * theta0)), np.exp(1j * eta * (TWO_PI * levels / dim))
+
+
 _MONOMIAL, _FOURIER, _ADJOINT, _PRODUCT = "monomial", "fourier", "adjoint", "product"
 
 
@@ -135,8 +159,9 @@ class OperatorMatrix:
     :meth:`adjoint` the adjoint of an operator, and :meth:`product` a
     product of operators, each as its parts; there is no other constructor.
     The ``entries`` are formed on first read and shared with every certified
-    copy: a monomial fills zeros, a shifted DFT evaluates its d^2
-    closed-form exponentials, an adjoint is ``base.entries.conj().T``, and a
+    copy: a monomial fills zeros, a shifted DFT gathers its exact-turn
+    closed form from the turn table, with no d^2 exponentials, an adjoint is
+    ``base.entries.conj().T``, and a
     product multiplies its factors' entries from the left, scaling the
     columns for a diagonal factor and taking ``v.conj().T`` for the adjoint
     of ``v``, so that V D V^dag forms as ``(v * d) @ v.conj().T``.
@@ -183,18 +208,30 @@ class OperatorMatrix:
         Held as diag(left) F diag(right), with F the unitary inverse DFT,
         F[n, m] = exp(2 pi i n m/d)/sqrt(d), left[n] = exp(i(n+eta)theta0) and
         right[m] = exp(2 pi i eta m/d), so that it acts by one FFT per column.
+        Its entries, gathered from the turn table, and its certification,
+        through :func:`_exact_turns`, read its closed form at exact turns
+        instead, which rounds no turn n m/d; what rounds is the phases of
+        the diagonals, by at most eps (|(d-1+eta) theta0| + |eta theta0| +
+        2 pi |eta|). Parameters for which that bound exceeds the dimension's
+        ``tol_op`` are refused.
         """
         if dim < 1:
             raise ValueError("a shifted DFT takes a positive dimension")
-        levels = np.arange(dim)
-        with np.errstate(over="ignore", invalid="ignore"):
-            left = np.exp(1j * ((levels + eta) * theta0))
-            right = np.exp(1j * eta * (TWO_PI * levels / dim))
-        if not (np.isfinite(left).all() and np.isfinite(right).all()):
-            raise ValueError("operator entries must be finite")
+        theta0, eta = float(theta0), float(eta)
+        rounding = sys.float_info.epsilon * (
+            abs((dim - 1 + eta) * theta0) + abs(eta * theta0) + TWO_PI * abs(eta))
+        tol = TolerancePolicy.for_dim(dim).tol_op
+        if not rounding <= tol:
+            raise ValueError(
+                f"theta0 = {theta0!r} and eta = {eta!r} are out of range: the phases "
+                f"(n+eta)*theta_m round by up to eps*(|(s+eta)*theta0| + |eta*theta0| + "
+                f"2*pi*|eta|) = {rounding:.3e}, which must stay within tol_op = {tol:.3e} "
+                f"at dimension {dim}"
+            )
+        left, right = _shifted_dft_diagonals(dim, theta0, eta)
         left.setflags(write=False)
         right.setflags(write=False)
-        return cls._held(_FOURIER, (left, right, float(theta0), float(eta)), dim)
+        return cls._held(_FOURIER, (left, right, theta0, eta), dim)
 
     @classmethod
     def product(cls, *factors: "OperatorMatrix") -> "OperatorMatrix":
@@ -223,16 +260,19 @@ class OperatorMatrix:
         return self._cache[0]
 
     def _form(self) -> np.ndarray:
+        """The d x d entries, formed from the parts; only ``entries`` calls this."""
         if self._kind == _MONOMIAL:
             rows, values, _ = self._parts
             entries = np.zeros((self.dim, self.dim), dtype=np.complex128)
             entries[rows, np.arange(self.dim)] = values
             return entries
         if self._kind == _FOURIER:
-            _, _, theta0, eta = self._parts
+            a, b = _shifted_dft_diagonals(self.dim, *self._parts[2:])
             levels = np.arange(self.dim)
-            thetas = theta0 + TWO_PI * levels / self.dim
-            return np.exp(1j * np.outer(levels + eta, thetas)) / math.sqrt(self.dim)
+            entries = _turns(self.dim)[np.outer(levels, levels) % self.dim]
+            entries *= a[:, None]
+            entries *= b / math.sqrt(self.dim)
+            return entries
         if self._kind == _ADJOINT:
             return self._parts[0].entries.conj().T
         first, *rest = self._parts
@@ -365,6 +405,63 @@ def _binary_power(rows: np.ndarray, values: np.ndarray, k: int) -> tuple:
     return result
 
 
+# Entries of one gathered row chunk of the four-step route's d2 stage, 256 KB
+# of complex entries whatever d: on 2 cores the prime d=4093 ran fastest at
+# this size among 2^13..2^17 (larger chunks fall out of the L2 cache).
+_TURN_CHUNK = 1 << 14
+
+
+def _turn_sum(y: np.ndarray) -> np.ndarray:
+    """sum_m exp(2 pi i n m/d) y[m] for each column of a d x k block, by the four-step route.
+
+    With d = d1 d2, d1 the largest factor <= sqrt(d), m = d2 m1 + m2 and
+    n = n1 + d1 n2, the sum is a d1 x d1 table over m1, the twiddles
+    exp(2 pi i n1 m2/d), then a d2 x d2 table over m2 (Gentleman & Sande,
+    AFIPS 1966; Bailey, J. Supercomputing 4, 23 (1990)). Every table entry is
+    the turn table read at an integer (product) mod d. The d2 table is
+    gathered in row chunks of ``_TURN_CHUNK`` entries, so nothing d x d is
+    formed, and no FFT is called: O(d (d1 + d2) k) time, O(dk) memory plus
+    one chunk. A prime d has d1 = 1, and then O(d^2 k) time.
+    """
+    dim, width = y.shape
+    turns = _turns(dim)
+    d1 = math.isqrt(dim)
+    while dim % d1:
+        d1 -= 1
+    d2 = dim // d1
+    n1, m2 = np.arange(d1), np.arange(d2)
+    z = turns[np.outer(n1, d2 * n1) % dim] @ y.reshape(d1, d2 * width)
+    z = z.reshape(d1, d2, width).transpose(1, 0, 2) * turns[np.outer(m2, n1) % dim][:, :, None]
+    z = z.reshape(d2, d1 * width)
+    out = np.empty_like(z)
+    rows = min(d2, max(1, _TURN_CHUNK // d2))
+    index = np.outer(m2[:rows], d1 * m2) % dim  # (d1 n2 m2) mod d for the first chunk's rows
+    step = (rows * d1 * m2) % dim  # the move of each index from one chunk to the next
+    table = np.empty((rows, d2), dtype=np.complex128)
+    for start in range(0, d2, rows):
+        stop = min(start + rows, d2)
+        out[start:stop] = np.take(turns, index[:stop - start], out=table[:stop - start]) @ z
+        index += step
+        index -= dim * (index >= dim)
+    return out.reshape(dim, width)
+
+
+def _exact_turns(m: OperatorMatrix, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """C x, or C^dag x with ``adjoint``, for a shifted DFT m and a d x k block x.
+
+    C = diag(a) T diag(b)/sqrt(d), with T[n, m] = exp(2 pi i (n m mod d)/d)
+    applied by :func:`_turn_sum` and a, b the diagonals rebuilt from m's own
+    (theta0, eta, d), never read from the ``left`` and ``right`` its FFT
+    route holds. T is symmetric, so C^dag x = conj(b T(a conj(x)))/sqrt(d).
+    This is the route that is independent of ``np.fft``.
+    """
+    a, b = _shifted_dft_diagonals(m.dim, *m._parts[2:])
+    b = b / math.sqrt(m.dim)
+    if adjoint:
+        return (b[:, None] * _turn_sum(a[:, None] * x.conj())).conj()
+    return a[:, None] * _turn_sum(b[:, None] * x)
+
+
 def tag_deviation(m: OperatorMatrix, tag: str) -> float:
     """max |M^dag M - 1|, the deviation from the structure named by ``tag``, "unitary".
 
@@ -372,9 +469,10 @@ def tag_deviation(m: OperatorMatrix, tag: str) -> float:
     the off-diagonal entries of M^dag M are exact zeros, so the deviation is
     max_j ||v_j|^2 - 1| over its nonzero values v_j. Any other operator is
     read on the probe block P, as max |M^dag (M P) - P|. A shifted DFT is
-    read on its closed-form entries, the numbers that ``dump`` writes, as
-    formed entries act: its FFT route is unitary to rounding whatever theta0
-    and eta, while the closed form rounds each phase (n+eta)theta_m.
+    read so on its exact-turn closed form C, acting through the four-step
+    route of :func:`_exact_turns`, which calls no FFT and forms no d x d
+    array, not on the FFT route that it acts by elsewhere. The rounding of
+    C's phases is bounded, and refused above ``tol_op``, when it is built.
     """
     if tag != "unitary":
         raise ValueError(f"unknown tag {tag!r}; expected one of ['unitary']")
@@ -384,9 +482,7 @@ def tag_deviation(m: OperatorMatrix, tag: str) -> float:
         return max_abs(values.real**2 + values.imag**2 - 1.0)
     block = probes(m.dim)
     if m._kind == _FOURIER:
-        entries = m.entries
-        image = entries @ block
-        return max_abs((image.conj().T @ entries).conj().T - block)
+        return max_abs(_exact_turns(m, _exact_turns(m, block), adjoint=True) - block)
     return max_abs(m.apply_adjoint(m.apply(block)) - block)
 
 

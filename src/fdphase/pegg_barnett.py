@@ -151,9 +151,9 @@ def _offsets(dim: int) -> np.ndarray:
 def hermitian_phase_operator(frame: Frame) -> tuple[np.ndarray, float]:
     """Phase operator sum_m theta_m |theta_m><theta_m| over the phase frame, as Toeplitz values.
 
-    ``frame`` is the certified phase frame, whose certification refuses the
-    window origins its closed form cannot hold. Returns the read-only 2s+1
-    values of Phi and its hermiticity deviation.
+    ``frame`` is the certified phase frame, whose construction refuses the
+    window origins whose phases round past ``tol_op``. Returns the read-only
+    2s+1 values of Phi and its hermiticity deviation.
     Value j is the entry at n - n' = k = j - s, exp(i k theta_0) c[k mod
     (s+1)] with c the inverse DFT of the angles theta_m, one FFT in all.
     The deviation max_k |t_-k - conj t_k| is the maximum of |Phi - Phi^dag|

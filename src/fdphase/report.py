@@ -37,7 +37,7 @@ __all__ = [
     "render",
 ]
 
-TOOL_VERSION = "0.8.0"
+TOOL_VERSION = "0.9.0"
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"

@@ -21,8 +21,9 @@ A row over operators compares both sides applied to the probe block P of
 :func:`.numerics.probes`, so an operator held as its factors acts through
 them and no row forms its d x d entries; the wrap-around and corner rows
 read single states, one matvec each. ``phase_state_components`` reads
-the phase frame, which acts by FFT, against its closed-form entries, so
-that no FFT sits on both sides. Phi and the three commutator routes are
+the phase frame, which acts by FFT, against its closed form at exact
+turns applied through the four-step tables, so that no FFT sits on both
+sides. Phi and the three commutator routes are
 their 2s+1 Toeplitz values, compared value by value, and the rows over
 monomials (the cyclic powers and the diagonals) read their ``(rows,
 values)`` column by column; both take the maximum over every entry, bit
@@ -72,6 +73,7 @@ from .evolution import (
 from .numerics import (
     TolerancePolicy,
     _binary_power,
+    _exact_turns,
     _monomial,
     cyclic_shift,
     mat_power,
@@ -197,10 +199,10 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
            basis.deviations["unitary"], 0.0, policy.tol_op)
     yield ("phase_frame_complete", "sum_m |theta_m><theta_m| = 1",
            basis.apply(basis.apply_adjoint(block)), block, policy.tol_op)
-    # The frame acts by FFT; its entries are the closed-form exponentials
-    # exp(i n theta_m)/sqrt(s+1), formed once for its certification.
+    # The frame acts by FFT; the exact-turn route applies the closed form
+    # exp(i n theta_m)/sqrt(s+1) through the four-step tables, with no FFT.
     yield ("phase_state_components", "<n|theta_m> = exp(i n theta_m)/sqrt(s+1)",
-           basis.apply(block), basis.entries @ block, policy.tol_elem)
+           basis.apply(block), _exact_turns(basis, block), policy.tol_elem)
 
     phi, hermitian = hermitian_phase_operator(frame)
     yield ("phase_operator_hermitian", "Phi = sum_m theta_m |theta_m><theta_m|",

@@ -37,6 +37,11 @@ ETA_LIMIT_AT_DIM_3 = (
     "error: eta = 1e+308 is out of range: the phases (n+eta)*theta_m and 2*pi*(n+eta) "
     "must be finite, so |eta| must stay below 1.764e+307 at dimension 3 and theta0 = 6.0\n"
 )
+PHASE_ROUNDING = (
+    "error: theta0 = {theta0} and eta = {eta} are out of range: the phases (n+eta)*theta_m "
+    "round by up to eps*(|(s+eta)*theta0| + |eta*theta0| + 2*pi*|eta|) = {rounding}, "
+    "which must stay within tol_op = {tol} at dimension {dim}\n"
+)
 SMALL_OMEGA_LIMIT = (
     "error: omega = 1e-310 is out of range: the period 2*pi/omega must be finite, "
     "so omega must be at least 3.49513784379046e-308\n"
@@ -215,17 +220,15 @@ class TestVerify:
         out = tmp_path / "report.json"
         assert main(["verify", "--dim", "16", "--omega", "1e300", "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("dim, message", [
-        (8, "deviation 3.185e-07 (tolerance 8.000e-11)"),
-        (65, "deviation 3.257e-07 (tolerance 6.500e-10)"),
-    ])
-    def test_offset_coefficients_that_round_exit_2_at_every_dimension(self, capsys, dim, message):
-        # The coefficients exp(i(n+eta)theta_m)/sqrt(d) act by FFT, but their
-        # closed form, whose phases round at eta = 1e9, is what is certified.
+    @pytest.mark.parametrize("dim, tol", [(8, "8.000e-11"), (65, "6.500e-10")])
+    def test_offset_coefficients_that_round_exit_2_at_every_dimension(self, capsys, dim, tol):
+        # The coefficients exp(i(n+eta)theta_m)/sqrt(d) are refused by the
+        # rounding bound of their phases, which eta = 1e9 takes past tol_op.
         assert main(["verify", "--dim", str(dim), "--theta0", "2.9", "--eta", "1e9"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: unitary certification failed with {message}\n"
+        assert captured.err == PHASE_ROUNDING.format(
+            theta0="2.9", eta="1000000000.0", rounding="2.683e-06", tol=tol, dim=dim)
 
     def test_eta_whose_phases_overflow_exits_2(self, capsys):
         assert main(["verify", "--dim", "3", "--theta0", "6", "--eta", "1e308"]) == 2
@@ -387,25 +390,24 @@ class TestEvolve:
         assert line.startswith("error: cannot read state file: 'utf-8' codec can't decode")
 
     def test_refused_offset_frame_exits_2(self, tmp_path, capsys):
+        # The offset frame is built over the phase frame, whose phases round
+        # past tol_op at theta0 = 1e6.
         state = write_state(tmp_path / "state.json", [1.0, 0.0, 0.0])
         assert main(["evolve", str(state), "--mode", "shift", "--theta0", "1e6"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("error: unitary certification failed with deviation ")
-        assert line.endswith("(tolerance 3.000e-11)")
+        assert captured.err == PHASE_ROUNDING.format(
+            theta0="1000000.0", eta="0.0", rounding="4.441e-10", tol="3.000e-11", dim=3)
 
     def test_refused_phase_frame_above_the_exact_probe_dimension_exits_2(self, tmp_path, capsys):
-        # The phase frame acts by FFT above d=64 too, but is certified on its
-        # closed-form entries, as every command that builds it is.
+        # The phase frame acts by FFT above d=64 too, and is refused by the
+        # same rounding bound as every command that builds it.
         state = write_state(tmp_path / "state.json", [1.0] + [0.0] * 64)
         assert main(["evolve", str(state), "--mode", "shift", "--theta0", "1e6"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: unitary certification failed with deviation 9.548e-10 "
-            "(tolerance 6.500e-10)\n"
-        )
+        assert captured.err == PHASE_ROUNDING.format(
+            theta0="1000000.0", eta="0.0", rounding="1.421e-08", tol="6.500e-10", dim=65)
 
     def test_eta_whose_phases_overflow_exits_2(self, tmp_path, capsys):
         state = write_state(tmp_path / "state.json", [1.0, 0.0, 0.0])
@@ -623,20 +625,16 @@ class TestDump:
         assert main(["dump", name, "--dim", "8", "--theta0", "1e6"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: unitary certification failed with deviation 2.264e-10 "
-            "(tolerance 8.000e-11)\n"
-        )
+        assert captured.err == PHASE_ROUNDING.format(
+            theta0="1000000.0", eta="0.0", rounding="1.554e-09", tol="8.000e-11", dim=8)
 
     @pytest.mark.parametrize("name", ["phase-states", "commutators", "A"])
     def test_refused_phase_frame_above_the_exact_probe_dimension_exits_2(self, capsys, name):
         assert main(["dump", name, "--dim", "65", "--theta0", "1e6"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: unitary certification failed with deviation 9.548e-10 "
-            "(tolerance 6.500e-10)\n"
-        )
+        assert captured.err == PHASE_ROUNDING.format(
+            theta0="1000000.0", eta="0.0", rounding="1.421e-08", tol="6.500e-10", dim=65)
 
     @pytest.mark.parametrize("name", ["A", "Adag"])
     def test_eta_whose_phases_overflow_exits_2(self, capsys, name):

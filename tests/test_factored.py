@@ -1,6 +1,7 @@
 """Operators held as their factors: how they act and how their entries are formed."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,8 +53,23 @@ def _synthesized(v, vals):
     return (v * vals) @ v.conj().T
 
 
-def _shifted_dft(dim, thetas, eta):
-    """The 0.6.0 closed form exp(i(n+eta)theta_m)/sqrt(d) of the phase-basis factors."""
+def _shifted_dft(dim, theta0, eta):
+    """exp(i(n+eta)theta_m)/sqrt(d) at exact turns, entry by entry.
+
+    exp(i(n+eta)theta0) exp(2 pi i t/d) exp(2 pi i eta m/d)/sqrt(d), with the
+    integer turn t = n m mod d taken into [-d/2, d/2).
+    """
+    levels = np.arange(dim)
+    turns = (np.outer(levels, levels) % dim + dim // 2) % dim - dim // 2
+    dft = np.exp(1j * (2 * np.pi * turns / dim))
+    window = np.exp(1j * ((levels + eta) * theta0))
+    offset = np.exp(1j * eta * (2 * np.pi * levels / dim))
+    return dft * window[:, None] * (offset / math.sqrt(dim))
+
+
+def _float_closed_form(dim, theta0, eta):
+    """The 0.6.0 to 0.8.0 closed form, whose phases (n+eta)theta_m round in floats."""
+    thetas = SpaceConfig.from_dim(dim, theta0).thetas()
     return np.exp(1j * np.outer(np.arange(dim) + eta, thetas)) / math.sqrt(dim)
 
 
@@ -67,8 +83,8 @@ def _oracles(dim, theta0=2.9, eta=1.5):
     profile = deformation_linear(config, eta)
     ladder = build_ladder_operators(offset, profile)
     thetas = config.thetas()
-    v = np.exp(1j * np.outer(np.arange(dim), thetas)) / math.sqrt(dim)
-    coeff = _shifted_dft(dim, thetas, eta)
+    v = _shifted_dft(dim, theta0, 0.0)
+    coeff = _shifted_dft(dim, theta0, eta)
     w = _synthesized(v, np.exp(-1j * eta * thetas))
     p = w @ coeff
     corner = np.exp(1j * dim * theta0)
@@ -127,11 +143,25 @@ class TestShiftedDft:
 
     @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("theta0, eta", WINDOWS)
-    def test_entries_are_the_closed_form_bytes(self, dim, theta0, eta):
+    def test_entries_are_the_exact_turn_bytes(self, dim, theta0, eta):
         op = OperatorMatrix.fourier(dim, theta0, eta)
-        thetas = SpaceConfig.from_dim(dim, theta0).thetas()
-        assert op.entries.tobytes() == _shifted_dft(dim, thetas, eta).tobytes()
+        assert op.entries.tobytes() == _shifted_dft(dim, theta0, eta).tobytes()
         assert not op.entries.flags.writeable
+
+    @pytest.mark.parametrize("dim", [*DIMS, 512, 1024])
+    @pytest.mark.parametrize("theta0, eta", [*WINDOWS, (100.0, -7.25)])
+    def test_entries_are_the_float_closed_form_to_its_rounding(self, dim, theta0, eta):
+        # The float closed form rounds theta_m, n+eta and their product, each
+        # to a relative eps/2 of |(n+eta)theta_m|; the exact-turn entries
+        # round only the two diagonals' phases, by eps |(n+eta)theta0| and
+        # 2 eps 2 pi |eta|, and the turn table, by about eps pi. So the
+        # entries differ by at most
+        # eps (3 (d-1+|eta|)(|theta0|+2 pi) + 4 pi |eta| + 8)/sqrt(d).
+        op = OperatorMatrix.fourier(dim, theta0, eta)
+        eps = np.finfo(float).eps
+        reach = (dim - 1 + abs(eta)) * (abs(theta0) + 2 * np.pi)
+        bound = eps * (3 * reach + 4 * np.pi * abs(eta) + 8) / math.sqrt(dim)
+        assert np.max(np.abs(op.entries - _float_closed_form(dim, theta0, eta))) <= bound
 
     @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("theta0, eta", WINDOWS)
@@ -165,22 +195,68 @@ class TestShiftedDft:
                 part[0] = 1.0
 
     @pytest.mark.parametrize("dim", [8, 65, 257])
-    def test_certified_on_its_closed_form_entries(self, dim):
-        # max |E^dag (E P) - P| over the closed-form entries E, bit for bit,
-        # and not that of the FFT route, which is unitary to rounding.
+    def test_certified_on_the_exact_turn_route(self, dim):
+        # max |C^dag (C P) - P| with C acting through the four-step tables,
+        # not through its formed entries, which stay unformed. The dense
+        # reading over the formed entries rounds differently, by a few eps
+        # per product of length d: the two agree within 4 d eps.
         op = OperatorMatrix.fourier(dim, 1e4, 1.5)
-        entries = op.entries
+        deviation = certify(op, "unitary").deviations["unitary"]
+        assert op._cache[0] is None
         block = numerics.probes(dim)
-        image = entries @ block
-        dense = np.max(np.abs((image.conj().T @ entries).conj().T - block))
-        assert certify(op, "unitary").deviations["unitary"] == dense
-        fft_route = np.max(np.abs(op.apply_adjoint(op.apply(block)) - block))
-        assert fft_route < dense / 100
+        entries = op.entries
+        dense = np.max(np.abs(entries.conj().T @ (entries @ block) - block))
+        eps = np.finfo(float).eps
+        assert abs(deviation - dense) <= 4 * dim * eps
+        assert deviation <= 4 * dim * eps
 
-    @pytest.mark.parametrize("dim", [8, 65, 257])
-    def test_closed_form_that_rounds_is_refused(self, dim):
-        with pytest.raises(ArithmeticError, match="unitary certification failed"):
-            certify(OperatorMatrix.fourier(dim, 1e7, 0.0), "unitary")
+    @pytest.mark.parametrize("dim", [6, 65, 509, 512])
+    def test_a_closed_form_that_is_not_unitary_is_refused(self, dim, monkeypatch):
+        # One entry of the window diagonal a scaled by 1 + 1e-4: the exact-turn
+        # route reads C^dag C - 1 off by about 2e-4/d on the probe block,
+        # above tol_op = 1e-11 d.
+        diagonals = numerics._shifted_dft_diagonals
+
+        def skewed(*args):
+            a, b = diagonals(*args)
+            a[dim // 3] *= 1 + 1e-4
+            return a, b
+
+        monkeypatch.setattr(numerics, "_shifted_dft_diagonals", skewed)
+        with pytest.raises(ArithmeticError, match="^unitary certification failed"):
+            certify(OperatorMatrix.fourier(dim, 2.9, 1.5), "unitary")
+
+    @pytest.mark.parametrize("dim, which", [
+        (1, "eta"), *((dim, which) for dim in (8, 65, 257, 4096) for which in ("theta0", "eta"))])
+    def test_phases_that_round_past_tol_op_are_refused_by_name(self, dim, which):
+        # The rounding bound eps (|(d-1+eta) theta0| + |eta theta0| + 2 pi |eta|)
+        # is linear in theta0 at eta = 0 and in eta at theta0 = 0; 1% on
+        # either side of the value where it reaches tol_op decides the refusal.
+        tol_op = numerics.TolerancePolicy.for_dim(dim).tol_op
+        eps = np.finfo(float).eps
+        limit = tol_op / (eps * ((dim - 1) if which == "theta0" else 2 * np.pi))
+
+        def fourier(scale):
+            value = scale * limit
+            return OperatorMatrix.fourier(dim, *((value, 0.0) if which == "theta0" else (0.0, value)))
+
+        with pytest.raises(ValueError, match=r"are out of range: the phases \(n\+eta\)"):
+            fourier(1.01)
+        assert certify(fourier(0.99), "unitary").deviations["unitary"] <= tol_op
+
+    def test_refusal_names_the_bound_and_the_limit(self):
+        with pytest.raises(ValueError) as refused:
+            OperatorMatrix.fourier(16, 1e6, 0.0)
+        assert str(refused.value) == (
+            "theta0 = 1000000.0 and eta = 0.0 are out of range: the phases (n+eta)*theta_m "
+            "round by up to eps*(|(s+eta)*theta0| + |eta*theta0| + 2*pi*|eta|) = 3.331e-09, "
+            "which must stay within tol_op = 1.600e-10 at dimension 16"
+        )
+
+    @pytest.mark.parametrize("theta0, eta", [(np.nan, 0.0), (0.0, np.inf), (1e308, 1e308)])
+    def test_refuses_phases_that_are_not_finite(self, theta0, eta):
+        with pytest.raises(ValueError, match="out of range"):
+            OperatorMatrix.fourier(8, theta0, eta)
 
     def test_refuses_an_empty_space(self):
         with pytest.raises(ValueError):
@@ -298,14 +374,28 @@ def _formed(monkeypatch) -> list:
     return formed
 
 
-class TestVerifyFormsOnlyTheClosedFormFrames:
-    def test_d128_verify_forms_only_the_closed_form_frames(self, monkeypatch, tmp_path, capsys):
+class TestVerifyFormsNoSquareArray:
+    def test_d128_verify_forms_no_entries(self, monkeypatch, tmp_path, capsys):
         formed = _formed(monkeypatch)
         argv = ["verify", "--suite", "all", "--dim", "128", "--theta0", "2.9", "--eta", "1.5",
                 "--out", str(tmp_path / "report.json")]
         assert main(argv) == 0
-        # The closed-form entries of V and of the offset coefficients, which
-        # their certifications read. Phi is its Toeplitz values, and no
-        # monomial forms its entries: its rows read (rows, values).
-        assert [(op._kind, op._parts[3]) for op in formed] == [
-            (numerics._FOURIER, 0.0), (numerics._FOURIER, 1.5)]
+        # The phase frames act by FFT and are certified through the
+        # four-step tables, Phi is its Toeplitz values, and no monomial
+        # forms its entries: its rows read (rows, values).
+        assert formed == []
+
+    def test_d1024_verify_peaks_below_a_quarter_of_a_square_array(self, tmp_path, capsys):
+        # d^2 * 4 bytes is a quarter of one complex d x d array and half of
+        # a real one; the suites hold about ten d x 10 blocks at a time.
+        dim = 1024
+        argv = ["verify", "--suite", "all", "--dim", str(dim), "--theta0", "2.9", "--eta", "1.5",
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0  # the probe block and the turn table are built before tracing
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dim * dim * 4

@@ -49,16 +49,22 @@ class TestRecordsCompareTwoRoutes:
     @pytest.mark.parametrize("dim, theta0", [(31, 0.3), (64, 2.9), (128, 2.9)])
     def test_phase_state_components_fft_against_the_closed_form(self, dim, theta0):
         # The frame acts by FFT; the record reads it on the probe block
-        # against the closed-form exponentials, the frame's formed entries.
+        # against the exact-turn closed form. Read against the dense product
+        # of the frame's formed entries instead, the deviation moves by no
+        # more than those two closed-form routes differ.
         config = SpaceConfig.from_dim(dim, theta0)
         block = numerics.probes(dim)
         dft = np.fft.ifft(block, axis=0, norm="ortho")
         twisted = np.exp(1j * theta0 * np.arange(dim))[:, None] * dft
-        closed_form = build_phase_frame(config).basis.entries @ block
-        deviation = np.max(np.abs(closed_form - twisted))
-        assert deviation > 0.0
+        basis = build_phase_frame(config).basis
+        four_step = numerics._exact_turns(basis, block)
+        dense = basis.entries @ block
         record = _record(dim, theta0, "phase_state_components")
-        assert record.max_deviation == pytest.approx(deviation, rel=1e-9, abs=0.0)
+        assert record.max_deviation > 0.0
+        assert record.max_deviation == np.max(np.abs(twisted - four_step))
+        assert abs(record.max_deviation - np.max(np.abs(twisted - dense))) <= np.max(
+            np.abs(four_step - dense))
+        assert np.max(np.abs(four_step - dense)) <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("dim, theta0", [(31, 0.3), (64, 2.9)])
     def test_number_shift_diagonal_against_powers_of_inverse_q(self, dim, theta0):
@@ -324,8 +330,9 @@ class TestValueReadingsAreEveryEntry:
 
 class TestPlantedFaultsInTheFrameTransform:
     """Faulty FFT routes for the phase frame that stay unitary pass every
-    certification; ``phase_state_components``, read against the closed-form
-    exponentials, must fail on each of them."""
+    certification; ``phase_state_components``, read against the exact-turn
+    closed form, must fail on each of them, and on a faulty twiddle of the
+    four-step tables, the other side of the record."""
 
     THETA0 = 2.9
 
@@ -336,21 +343,21 @@ class TestPlantedFaultsInTheFrameTransform:
         (record,) = [r for r in records if r.check_id == "phase_state_components"]
         return record
 
-    def _frame(self, dim, swap=False, drop_window=False, column=None):
+    def _frame(self, dim, swap=False, drop_window=False, columns=None):
         """The phase frame with its diagonals diag(left) F diag(right) altered."""
         config = SpaceConfig.from_dim(dim, self.THETA0)
         left, right, theta0, eta = build_phase_frame(config).basis._parts
         if drop_window:
             left = np.ones(dim, dtype=complex)
-        if column is not None:
+        if columns is not None:
             right = right.copy()
-            right[column] *= np.exp(1e-6j)
+            right[columns] *= np.exp(1e-6j)
         if swap:
             left, right = right, left
         parts = (left, right, theta0, eta)
         return Frame(config, 0.0, numerics.OperatorMatrix._held(numerics._FOURIER, parts, dim))
 
-    @pytest.mark.parametrize("dim", [8, 128])
+    @pytest.mark.parametrize("dim", [8, 128, 512])
     def test_the_sound_frame_passes(self, dim):
         assert self._record(self._frame(dim)).status == "pass"
 
@@ -377,7 +384,72 @@ class TestPlantedFaultsInTheFrameTransform:
     def test_one_column_off_by_a_phase(self, dim):
         # One column's phase off by 1e-6: a fault the probe block meets
         # through every Gaussian column, however few columns it has.
-        assert self._record(self._frame(dim, column=dim // 3)).status == "fail"
+        assert self._record(self._frame(dim, columns=dim // 3)).status == "fail"
+
+    @pytest.mark.parametrize("dim", [128, 512])
+    def test_upper_half_of_the_columns_off_by_a_phase(self, dim):
+        # right[m] off by 1e-6 for m >= d/2 only: the probe block's Gaussian
+        # columns cover every m, so the half the corners miss still fails.
+        assert self._record(self._frame(dim, columns=slice(dim // 2, None))).status == "fail"
+
+    @pytest.mark.parametrize("dim", [128, 512])
+    def test_one_wrong_twiddle(self, dim, monkeypatch):
+        # turns[1] off by a phase of 1e-6 once the frame is certified. At
+        # these d, d1 and d2 are both above 1, so j = 1 is no multiple of d1
+        # or d2 and only the twiddle exp(2 pi i n1 m2/d) at n1 = m2 = 1 reads
+        # it. (Up to d=64 the run also forms the frame's entries from the table.)
+        frame = self._frame(dim)
+        table = numerics._turns(dim).copy()
+        table[1] *= np.exp(1e-6j)
+        table.setflags(write=False)
+        monkeypatch.setattr(numerics, "_turns", lambda d: table)
+        assert self._record(frame).status == "fail"
+        # The adjoint applies conj(T), which is T^dag only while T is
+        # symmetric: the twiddle fault breaks that, so the certification
+        # refuses it too.
+        with pytest.raises(ArithmeticError, match="^unitary certification failed"):
+            numerics.certify(frame.basis, "unitary")
+
+
+class TestTheExactTurnRoute:
+    """The four-step route of the shifted DFT's closed form, against np.fft."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 64, 509, 511, 512, 4093, 4096])
+    @pytest.mark.parametrize("theta0, eta", [(0.0, 0.0), (2.9, 1.5)])
+    def test_four_step_against_np_fft(self, dim, theta0, eta):
+        # On unit columns the FFT errs by at most about 5 eps log2 d in the
+        # 2-norm and each matrix stage of length d_i by d_i eps (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2nd ed., §24.1 and
+        # §3.5); the diagonals add a few eps. The largest entry difference is
+        # within eps (5 log2 d + d1 + d2 + 8); it read at most 3.7e-16.
+        op = numerics.OperatorMatrix.fourier(dim, theta0, eta)
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal((dim, 10)) + 1j * rng.standard_normal((dim, 10))
+        x /= np.linalg.norm(x, axis=0)
+        d1 = max(f for f in range(1, math.isqrt(dim) + 1) if dim % f == 0)
+        bound = np.finfo(float).eps * (5 * math.log2(dim) + d1 + dim // d1 + 8)
+        assert np.max(np.abs(numerics._exact_turns(op, x) - op.apply(x))) <= bound
+        assert np.max(np.abs(numerics._exact_turns(op, x, adjoint=True)
+                             - op.apply_adjoint(x))) <= bound
+
+    @pytest.mark.parametrize("dim", [8, 128, 509, 512])
+    def test_one_side_stays_off_the_fft(self, dim, monkeypatch):
+        # The record's reference and both frames' certifications with every
+        # np.fft transform raising: they read the four-step tables only.
+        config = SpaceConfig.from_dim(dim, 2.9)
+        basis = build_phase_frame(config).basis
+        offset = numerics.OperatorMatrix.fourier(dim, 2.9, 1.5)
+
+        def raises(*args, **kwargs):
+            raise AssertionError("the exact-turn route called np.fft")
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, raises)
+        block = numerics.probes(dim)
+        assert numerics._exact_turns(basis, block).shape == block.shape
+        assert numerics._exact_turns(offset, block, adjoint=True).shape == block.shape
+        for op in (basis, offset):
+            assert numerics.certify(op, "unitary").deviations["unitary"] <= 1e-14
 
 
 def _values(rng, dim, like=None):
