@@ -28,11 +28,17 @@ eigensolver lives here. Every tolerance is the dimension's
 
 Whole-operator identities are read on the probe block P of :func:`probes`
 (Freivalds-style verification): max |(X - Y) P| costs d^2 per probe, not d^3.
-The last block built is cached, so a command builds its dimension's block once.
+Three caches hold read-only arrays. The last probe block built is kept, so a
+command builds its dimension's block once, and so are the last turn table
+and the four-step parts built from it. The third is per operator: one that
+acts by FFT (a shifted DFT, an adjoint or a product) takes its images M P
+and M^dag P once and keeps them, with a reference to P, in the cache it
+shares with its certified copies, so that they die with the operator.
 
 Monomial operators, with exactly one nonzero entry per row and per column
 (the diagonals and the weighted cyclic shifts), are held as their ``(rows,
-values)``: :func:`mat_power` composes them index by index in O(d log k),
+values)`` and the inverse permutation of ``rows``, by which a permuted one
+acts as a gather: :func:`mat_power` composes them index by index in O(d log k),
 and their unitarity deviation is read off the column norms without a d^3
 product.
 """
@@ -113,7 +119,8 @@ def probes(dim: int) -> np.ndarray:
     Above it, e_0 and e_s (the wrap-around corners) and ``PROBE_COUNT`` unit
     complex Gaussian columns from ``PROBE_SEED``; a wrong entry E[j, l] reads
     |E[j, l]| max_c |P[l, c]|, and that max is >= 0.6/sqrt(d) at every d tested.
-    The last block built is kept, and returned again while d is unchanged.
+    The last block built is kept, and returned again while d is unchanged. It
+    is column-major, so that an FFT along its columns reads contiguous memory.
     """
     if dim <= PROBE_EXACT_DIM:
         block = np.eye(dim)
@@ -124,6 +131,7 @@ def probes(dim: int) -> np.ndarray:
         block = np.zeros((dim, 2 + PROBE_COUNT), dtype=np.complex128)
         block[0, 0] = block[dim - 1, 1] = 1.0
         block[:, 2:] = gaussian / np.linalg.norm(gaussian, axis=0)
+    block = np.asfortranarray(block)
     block.setflags(write=False)
     return block
 
@@ -140,6 +148,37 @@ def _turns(dim: int) -> np.ndarray:
     table = np.exp(1j * (TWO_PI * ((levels + dim // 2) % dim - dim // 2) / dim))
     table.setflags(write=False)
     return table
+
+
+# Entries of one gathered row chunk of the four-step route's d2 stage, 256 KB
+# of complex entries whatever d: on 2 cores the prime d=4093 ran fastest at
+# this size among 2^13..2^17 (larger chunks fall out of the L2 cache).
+_TURN_CHUNK = 1 << 14
+
+
+@functools.lru_cache(maxsize=1)
+def _four_step(dim: int) -> tuple:
+    """The parts of :func:`_turn_sum` that depend on d alone, read-only.
+
+    d1 and d2, the d1 x d1 table, the twiddles, the turn table, the first
+    chunk's indices into it and the move of those indices from one chunk to
+    the next. The last parts built are kept, and returned again while d is
+    unchanged.
+    """
+    turns = _turns(dim)
+    d1 = math.isqrt(dim)
+    while dim % d1:
+        d1 -= 1
+    d2 = dim // d1
+    n1, m2 = np.arange(d1), np.arange(d2)
+    first = turns[np.outer(n1, d2 * n1) % dim]
+    twiddles = turns[np.outer(m2, n1) % dim][:, :, None]
+    rows = min(d2, max(1, _TURN_CHUNK // d2))
+    index = np.outer(m2[:rows], d1 * m2) % dim  # (d1 n2 m2) mod d for the first chunk's rows
+    step = (rows * d1 * m2) % dim
+    for part in (first, twiddles, index, step):
+        part.setflags(write=False)
+    return d1, d2, first, twiddles, turns, index, step
 
 
 def _shifted_dft_diagonals(dim: int, theta0: float, eta: float) -> tuple:
@@ -159,7 +198,8 @@ class OperatorMatrix:
     :meth:`adjoint` the adjoint of an operator, and :meth:`product` a
     product of operators, each as its parts; there is no other constructor.
     The ``entries`` are formed on first read and shared with every certified
-    copy: a monomial fills zeros, a shifted DFT gathers its exact-turn
+    copy, as are the images of the probe block (see :meth:`apply`): a
+    monomial fills zeros, a shifted DFT gathers its exact-turn
     closed form from the turn table, with no d^2 exponentials, an adjoint is
     ``base.entries.conj().T``, and a
     product multiplies its factors' entries from the left, scaling the
@@ -171,13 +211,13 @@ class OperatorMatrix:
     read-only and empty at construction.
     """
 
-    __slots__ = ("dim", "deviations", "_kind", "_parts", "_cache")
+    __slots__ = ("dim", "deviations", "_kind", "_parts", "_cache", "__weakref__")
 
     @classmethod
     def _held(cls, kind: str, parts: tuple, dim: int, cache=None, deviations=()):
         op = object.__new__(cls)
         for name, value in (("dim", dim), ("_kind", kind), ("_parts", parts),
-                            ("_cache", [None] if cache is None else cache),
+                            ("_cache", [None, {}] if cache is None else cache),
                             ("deviations", MappingProxyType(dict(deviations)))):
             object.__setattr__(op, name, value)
         return op
@@ -194,12 +234,14 @@ class OperatorMatrix:
         if dim == 0 or values.shape != (dim,) or rows.shape != (dim,):
             raise ValueError("a monomial takes one row index and one value per column")
         levels = np.arange(dim)
-        if not (np.sort(rows) == levels).all():
+        inverse = np.argsort(rows)  # rows[inverse[i]] = i
+        if not (rows[inverse] == levels).all():
             raise ValueError("monomial rows must be a permutation of the levels")
         if not np.isfinite(values).all():
             raise ValueError("operator entries must be finite")
         values.setflags(write=False)
-        return cls._held(_MONOMIAL, (rows, values, bool((rows == levels).all())), dim)
+        diagonal = bool((rows == levels).all())
+        return cls._held(_MONOMIAL, (rows, values, diagonal, inverse), dim)
 
     @classmethod
     def fourier(cls, dim: int, theta0: float, eta: float) -> "OperatorMatrix":
@@ -262,7 +304,7 @@ class OperatorMatrix:
     def _form(self) -> np.ndarray:
         """The d x d entries, formed from the parts; only ``entries`` calls this."""
         if self._kind == _MONOMIAL:
-            rows, values, _ = self._parts
+            rows, values = self._parts[:2]
             entries = np.zeros((self.dim, self.dim), dtype=np.complex128)
             entries[rows, np.arange(self.dim)] = values
             return entries
@@ -294,6 +336,12 @@ class OperatorMatrix:
         a product acts as ``entries @ x`` on a block at least d columns wide,
         such as the probe block up to ``PROBE_EXACT_DIM``. Any other shape is
         refused with :class:`DimensionMismatch`.
+
+        The image of the probe block P, recognised by identity, is taken once
+        by an operator that is not a monomial: the same read-only array is
+        returned for every later action on P, by this operator or by any of
+        its certified copies. Any other block, a writable copy of P among
+        them, is acted on afresh.
         """
         self._check(x)
         return self._act(x)
@@ -305,7 +353,7 @@ class OperatorMatrix:
         adjoint entries; a shifted DFT acts as ``conj(right) * fft(conj(left) * x)``.
         """
         self._check(x)
-        return self._act_adjoint(x)
+        return self._act(x, adjoint=True)
 
     def _check(self, x: np.ndarray) -> None:
         if x.ndim not in (1, 2) or x.shape[0] != self.dim:
@@ -326,33 +374,53 @@ class OperatorMatrix:
         return (self._kind in (_ADJOINT, _PRODUCT)
                 and x.ndim == 2 and x.shape[1] >= self.dim)
 
-    def _act(self, x: np.ndarray) -> np.ndarray:
+    def _act(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """M x, or M^dag x with ``adjoint``; the image of the probe block P is taken once.
+
+        A monomial acts on P in O(dk) and keeps no image. Any other operator
+        keeps its two images of P read-only in its cache, with P itself: the
+        first read-only block it meets fetches P from :func:`probes`, and no
+        later action calls :func:`probes` again.
+        """
+        act = self._act_adjoint_on if adjoint else self._act_on
+        if self._kind == _MONOMIAL or x.ndim != 2 or x.flags.writeable:
+            return act(x)
+        images = self._cache[1]
+        if not images:
+            images["block"] = probes(self.dim)
+        if x is not images["block"]:
+            return act(x)
+        if adjoint not in images:
+            image = act(x)
+            image.setflags(write=False)
+            images[adjoint] = image
+        return images[adjoint]
+
+    def _act_on(self, x: np.ndarray) -> np.ndarray:
         kind, parts = self._kind, self._parts
         if self._wide(x):
             return self.entries @ x
         if kind == _MONOMIAL:
-            rows, values, diagonal = parts
-            scaled = (values if x.ndim == 1 else values[:, None]) * x
-            if diagonal:
-                return scaled
-            out = np.empty_like(scaled)
-            out[rows] = scaled
-            return out
+            _, values, diagonal, inverse = parts
+            if not diagonal:
+                # Column j goes to row rows[j]: gather row i from column inverse[i].
+                values, x = values[inverse], x[inverse]
+            return (values if x.ndim == 1 else values[:, None]) * x
         if kind == _FOURIER:
             left, right = (part if x.ndim == 1 else part[:, None] for part in parts[:2])
             return left * np.fft.ifft(right * x, axis=0, norm="ortho")
         if kind == _ADJOINT:
-            return parts[0]._act_adjoint(x)
+            return parts[0]._act(x, adjoint=True)
         for factor in reversed(parts):
             x = factor._act(x)
         return x
 
-    def _act_adjoint(self, x: np.ndarray) -> np.ndarray:
+    def _act_adjoint_on(self, x: np.ndarray) -> np.ndarray:
         kind, parts = self._kind, self._parts
         if self._wide(x):
             return (x.conj().T @ self.entries).conj().T
         if kind == _MONOMIAL:
-            rows, values, diagonal = parts
+            rows, values, diagonal, _ = parts
             conj = (values if x.ndim == 1 else values[:, None]).conj()
             return conj * (x if diagonal else x[rows])
         if kind == _FOURIER:
@@ -361,7 +429,7 @@ class OperatorMatrix:
         if kind == _ADJOINT:
             return parts[0]._act(x)
         for factor in parts:
-            x = factor._act_adjoint(x)
+            x = factor._act(x, adjoint=True)
         return x
 
 
@@ -405,12 +473,6 @@ def _binary_power(rows: np.ndarray, values: np.ndarray, k: int) -> tuple:
     return result
 
 
-# Entries of one gathered row chunk of the four-step route's d2 stage, 256 KB
-# of complex entries whatever d: on 2 cores the prime d=4093 ran fastest at
-# this size among 2^13..2^17 (larger chunks fall out of the L2 cache).
-_TURN_CHUNK = 1 << 14
-
-
 def _turn_sum(y: np.ndarray) -> np.ndarray:
     """sum_m exp(2 pi i n m/d) y[m] for each column of a d x k block, by the four-step route.
 
@@ -418,31 +480,27 @@ def _turn_sum(y: np.ndarray) -> np.ndarray:
     n = n1 + d1 n2, the sum is a d1 x d1 table over m1, the twiddles
     exp(2 pi i n1 m2/d), then a d2 x d2 table over m2 (Gentleman & Sande,
     AFIPS 1966; Bailey, J. Supercomputing 4, 23 (1990)). Every table entry is
-    the turn table read at an integer (product) mod d. The d2 table is
+    the turn table read at an integer (product) mod d; the parts that depend
+    on d alone come from :func:`_four_step`. The d2 table is
     gathered in row chunks of ``_TURN_CHUNK`` entries, so nothing d x d is
     formed, and no FFT is called: O(d (d1 + d2) k) time, O(dk) memory plus
     one chunk. A prime d has d1 = 1, and then O(d^2 k) time.
     """
     dim, width = y.shape
-    turns = _turns(dim)
-    d1 = math.isqrt(dim)
-    while dim % d1:
-        d1 -= 1
-    d2 = dim // d1
-    n1, m2 = np.arange(d1), np.arange(d2)
-    z = turns[np.outer(n1, d2 * n1) % dim] @ y.reshape(d1, d2 * width)
-    z = z.reshape(d1, d2, width).transpose(1, 0, 2) * turns[np.outer(m2, n1) % dim][:, :, None]
+    d1, d2, first, twiddles, turns, index, step = _four_step(dim)
+    z = first @ y.reshape(d1, d2 * width)
+    z = z.reshape(d1, d2, width).transpose(1, 0, 2) * twiddles
     z = z.reshape(d2, d1 * width)
     out = np.empty_like(z)
-    rows = min(d2, max(1, _TURN_CHUNK // d2))
-    index = np.outer(m2[:rows], d1 * m2) % dim  # (d1 n2 m2) mod d for the first chunk's rows
-    step = (rows * d1 * m2) % dim  # the move of each index from one chunk to the next
+    rows = index.shape[0]
+    index = index.copy()
     table = np.empty((rows, d2), dtype=np.complex128)
     for start in range(0, d2, rows):
         stop = min(start + rows, d2)
         out[start:stop] = np.take(turns, index[:stop - start], out=table[:stop - start]) @ z
-        index += step
-        index -= dim * (index >= dim)
+        if stop < d2:
+            index += step
+            index -= dim * (index >= dim)
     return out.reshape(dim, width)
 
 

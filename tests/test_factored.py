@@ -1,7 +1,9 @@
 """Operators held as their factors: how they act and how their entries are formed."""
 
+import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -275,6 +277,20 @@ class TestHeldKinds:
         assert np.allclose(op.apply_adjoint(x), dense.conj().T @ x, rtol=0.0, atol=1e-15)
         assert np.allclose(op.apply(x[:, 1]), dense @ x[:, 1], rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("dim", [2, 7, 65])
+    def test_permuted_monomial_acts_as_its_scatter_bit_for_bit(self, dim):
+        # Row i is gathered from the column j with rows[j] = i: the same
+        # products values[j] x[j] as scattering column j onto row rows[j].
+        rng = np.random.default_rng(dim)
+        rows = rng.permutation(dim)
+        values = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        op = OperatorMatrix.monomial(rows, values)
+        block = np.asfortranarray(rng.standard_normal((dim, 3)) + 1j)
+        for x in (block, block[:, 0]):
+            scattered = np.empty_like(x, dtype=complex)
+            scattered[rows] = (values if x.ndim == 1 else values[:, None]) * x
+            assert op.apply(x).tobytes() == np.ascontiguousarray(scattered).tobytes()
+
     @pytest.mark.parametrize("rows, values", [
         ([0, 0], [1.0, 1.0]),
         ([0, 1], [1.0, np.inf]),
@@ -399,3 +415,106 @@ class TestVerifyFormsNoSquareArray:
         finally:
             tracemalloc.stop()
         assert peak < dim * dim * 4
+
+
+def _counted_ffts(monkeypatch) -> list:
+    """Every np.fft.fft and np.fft.ifft call, as (name, shape, sha256 of its input)."""
+    calls = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+
+        def counted(x, *args, _name=name, _transform=transform, **kwargs):
+            x = np.asarray(x)
+            digest = hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
+            calls.append((_name, x.shape, digest))
+            return _transform(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+class TestProbeImages:
+    """An operator that acts by FFT takes its images of the probe block once."""
+
+    @pytest.mark.parametrize("dim, theta0, eta, calls, inputs", [
+        (65, "0.3", "0.25", 106, 102), (128, "2.9", "1.5", 113, 109),
+        (511, "0.3", "0.25", 106, 102), (512, "2.9", "1.5", 113, 109)])
+    def test_verify_ffts_and_their_distinct_inputs(
+            self, dim, theta0, eta, calls, inputs, monkeypatch, tmp_path, capsys):
+        # Before the images were kept, d=511 took 147 FFTs of 102 inputs and
+        # d=512 159 of 109. The repeats left are actions on equal blocks that
+        # are not the probe block itself.
+        counted = _counted_ffts(monkeypatch)
+        argv = ["verify", "--suite", "all", "--dim", str(dim), "--theta0", theta0,
+                "--eta", eta, "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        assert (len(counted), len(set(counted))) == (calls, inputs)
+        assert len(counted) - len(set(counted)) <= 4
+
+    @pytest.mark.parametrize("dim", [8, 65, 512])
+    def test_images_are_read_only_and_taken_once(self, dim, monkeypatch):
+        config = SpaceConfig.from_dim(dim, 2.9)
+        block = numerics.probes(dim)
+        frame = build_phase_frame(config)
+        spectral = unitary_phase_from_spectrum(frame)
+        for op in (frame.basis, spectral, OperatorMatrix.fourier(dim, 0.3, 1.5)):
+            for act in ("apply", "apply_adjoint"):
+                image = getattr(op, act)(block)
+                assert not image.flags.writeable
+                with pytest.raises(ValueError):
+                    image[0, 0] = 1.0
+                assert getattr(op, act)(block) is image
+                if dim > numerics.PROBE_EXACT_DIM:  # below, an adjoint acts by its entries
+                    other = "apply_adjoint" if act == "apply" else "apply"
+                    assert getattr(op.adjoint(), other)(block) is image
+        # A certified copy shares the images of the operator it certifies.
+        assert certify(spectral, "unitary").apply(block) is spectral.apply(block)
+        counted = _counted_ffts(monkeypatch)
+        frame.basis.apply(block)
+        spectral.apply_adjoint(block)
+        assert counted == []
+
+    @pytest.mark.parametrize("dim", [8, 65])
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_a_copy_of_the_probe_block_is_acted_on_afresh(self, dim, writeable):
+        # P is recognised by identity, not by its values.
+        basis = build_phase_frame(SpaceConfig.from_dim(dim, 2.9)).basis
+        block = numerics.probes(dim)
+        image = basis.apply(block)
+        copy = np.asfortranarray(block.copy())
+        copy.setflags(write=writeable)
+        fresh = basis.apply(copy)
+        assert fresh is not image and fresh.flags.writeable
+        assert fresh.tobytes() == image.tobytes()
+        assert basis.apply(copy) is not fresh
+
+    def test_a_monomial_keeps_no_image(self):
+        block = numerics.probes(65)
+        shift = numerics.cyclic_shift(65, 1j)
+        assert shift.apply(block) is not shift.apply(block)
+        assert shift._cache[1] == {}
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "all", "--dim", "65", "--theta0", "2.9", "--eta", "1.5"],
+        ["verify", "--suite", "all", "--dim", "8", "--theta0", "0.3", "--eta", "0.25"]])
+    def test_no_operator_and_no_image_outlives_the_command(
+            self, argv, monkeypatch, tmp_path, capsys):
+        # The images live in their operator's cache, in no module-level store.
+        held, acted = [], []
+        build, act = OperatorMatrix._held.__func__, OperatorMatrix._act
+
+        def built(cls, *args, **kwargs):
+            op = build(cls, *args, **kwargs)
+            held.append(weakref.ref(op))
+            return op
+
+        def recorded(self, x, adjoint=False):
+            image = act(self, x, adjoint)
+            acted.append(weakref.ref(image))
+            return image
+
+        monkeypatch.setattr(OperatorMatrix, "_held", classmethod(built))
+        monkeypatch.setattr(OperatorMatrix, "_act", recorded)
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        assert held and all(ref() is None for ref in held)
+        assert acted and all(ref() is None for ref in acted)
