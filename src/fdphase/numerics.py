@@ -29,16 +29,15 @@ eigensolver lives here. Every tolerance is the dimension's
 Whole-operator identities are read on the probe block P of :func:`probes`
 (Freivalds-style verification): max |(X - Y) P| costs d^2 per probe, not d^3.
 Three caches hold read-only arrays. The last probe block built is kept, so a
-command builds its dimension's block once, and so are the last turn table
-and the four-step parts built from it. The third is per operator: one that
-acts by FFT (a shifted DFT, an adjoint or a product) takes its images M P
-and M^dag P once and keeps them, with a reference to P, in the cache it
-shares with its certified copies, so that they die with the operator.
+command builds its dimension's block once, and so is the last turn table.
+The third is per operator: one that acts by FFT (a shifted DFT, an adjoint
+or a product) takes its images M P and M^dag P once and keeps them, with a
+reference to P, in the cache it shares with its certified copies, so that
+they die with the operator.
 
 Monomial operators, with exactly one nonzero entry per row and per column
 (the diagonals and the weighted cyclic shifts), are held as their ``(rows,
-values)`` and the inverse permutation of ``rows``, by which a permuted one
-acts as a gather: :func:`mat_power` composes them index by index in O(d log k),
+values)``: :func:`mat_power` composes them index by index in O(d log k),
 and their unitarity deviation is read off the column norms without a d^3
 product.
 """
@@ -119,8 +118,7 @@ def probes(dim: int) -> np.ndarray:
     Above it, e_0 and e_s (the wrap-around corners) and ``PROBE_COUNT`` unit
     complex Gaussian columns from ``PROBE_SEED``; a wrong entry E[j, l] reads
     |E[j, l]| max_c |P[l, c]|, and that max is >= 0.6/sqrt(d) at every d tested.
-    The last block built is kept, and returned again while d is unchanged. It
-    is column-major, so that an FFT along its columns reads contiguous memory.
+    The last block built is kept, and returned again while d is unchanged.
     """
     if dim <= PROBE_EXACT_DIM:
         block = np.eye(dim)
@@ -131,7 +129,6 @@ def probes(dim: int) -> np.ndarray:
         block = np.zeros((dim, 2 + PROBE_COUNT), dtype=np.complex128)
         block[0, 0] = block[dim - 1, 1] = 1.0
         block[:, 2:] = gaussian / np.linalg.norm(gaussian, axis=0)
-    block = np.asfortranarray(block)
     block.setflags(write=False)
     return block
 
@@ -148,37 +145,6 @@ def _turns(dim: int) -> np.ndarray:
     table = np.exp(1j * (TWO_PI * ((levels + dim // 2) % dim - dim // 2) / dim))
     table.setflags(write=False)
     return table
-
-
-# Entries of one gathered row chunk of the four-step route's d2 stage, 256 KB
-# of complex entries whatever d: on 2 cores the prime d=4093 ran fastest at
-# this size among 2^13..2^17 (larger chunks fall out of the L2 cache).
-_TURN_CHUNK = 1 << 14
-
-
-@functools.lru_cache(maxsize=1)
-def _four_step(dim: int) -> tuple:
-    """The parts of :func:`_turn_sum` that depend on d alone, read-only.
-
-    d1 and d2, the d1 x d1 table, the twiddles, the turn table, the first
-    chunk's indices into it and the move of those indices from one chunk to
-    the next. The last parts built are kept, and returned again while d is
-    unchanged.
-    """
-    turns = _turns(dim)
-    d1 = math.isqrt(dim)
-    while dim % d1:
-        d1 -= 1
-    d2 = dim // d1
-    n1, m2 = np.arange(d1), np.arange(d2)
-    first = turns[np.outer(n1, d2 * n1) % dim]
-    twiddles = turns[np.outer(m2, n1) % dim][:, :, None]
-    rows = min(d2, max(1, _TURN_CHUNK // d2))
-    index = np.outer(m2[:rows], d1 * m2) % dim  # (d1 n2 m2) mod d for the first chunk's rows
-    step = (rows * d1 * m2) % dim
-    for part in (first, twiddles, index, step):
-        part.setflags(write=False)
-    return d1, d2, first, twiddles, turns, index, step
 
 
 def _shifted_dft_diagonals(dim: int, theta0: float, eta: float) -> tuple:
@@ -234,14 +200,12 @@ class OperatorMatrix:
         if dim == 0 or values.shape != (dim,) or rows.shape != (dim,):
             raise ValueError("a monomial takes one row index and one value per column")
         levels = np.arange(dim)
-        inverse = np.argsort(rows)  # rows[inverse[i]] = i
-        if not (rows[inverse] == levels).all():
+        if not (np.sort(rows) == levels).all():
             raise ValueError("monomial rows must be a permutation of the levels")
         if not np.isfinite(values).all():
             raise ValueError("operator entries must be finite")
         values.setflags(write=False)
-        diagonal = bool((rows == levels).all())
-        return cls._held(_MONOMIAL, (rows, values, diagonal, inverse), dim)
+        return cls._held(_MONOMIAL, (rows, values, bool((rows == levels).all())), dim)
 
     @classmethod
     def fourier(cls, dim: int, theta0: float, eta: float) -> "OperatorMatrix":
@@ -304,7 +268,7 @@ class OperatorMatrix:
     def _form(self) -> np.ndarray:
         """The d x d entries, formed from the parts; only ``entries`` calls this."""
         if self._kind == _MONOMIAL:
-            rows, values = self._parts[:2]
+            rows, values, _ = self._parts
             entries = np.zeros((self.dim, self.dim), dtype=np.complex128)
             entries[rows, np.arange(self.dim)] = values
             return entries
@@ -401,11 +365,13 @@ class OperatorMatrix:
         if self._wide(x):
             return self.entries @ x
         if kind == _MONOMIAL:
-            _, values, diagonal, inverse = parts
-            if not diagonal:
-                # Column j goes to row rows[j]: gather row i from column inverse[i].
-                values, x = values[inverse], x[inverse]
-            return (values if x.ndim == 1 else values[:, None]) * x
+            rows, values, diagonal = parts
+            scaled = (values if x.ndim == 1 else values[:, None]) * x
+            if diagonal:
+                return scaled
+            out = np.empty_like(scaled)
+            out[rows] = scaled
+            return out
         if kind == _FOURIER:
             left, right = (part if x.ndim == 1 else part[:, None] for part in parts[:2])
             return left * np.fft.ifft(right * x, axis=0, norm="ortho")
@@ -420,7 +386,7 @@ class OperatorMatrix:
         if self._wide(x):
             return (x.conj().T @ self.entries).conj().T
         if kind == _MONOMIAL:
-            rows, values, diagonal, _ = parts
+            rows, values, diagonal = parts
             conj = (values if x.ndim == 1 else values[:, None]).conj()
             return conj * (x if diagonal else x[rows])
         if kind == _FOURIER:
@@ -473,6 +439,12 @@ def _binary_power(rows: np.ndarray, values: np.ndarray, k: int) -> tuple:
     return result
 
 
+# Entries of one gathered row chunk of the four-step route's d2 stage, 256 KB
+# of complex entries whatever d: on 2 cores the prime d=4093 ran fastest at
+# this size among 2^13..2^17 (larger chunks fall out of the L2 cache).
+_TURN_CHUNK = 1 << 14
+
+
 def _turn_sum(y: np.ndarray) -> np.ndarray:
     """sum_m exp(2 pi i n m/d) y[m] for each column of a d x k block, by the four-step route.
 
@@ -480,20 +452,25 @@ def _turn_sum(y: np.ndarray) -> np.ndarray:
     n = n1 + d1 n2, the sum is a d1 x d1 table over m1, the twiddles
     exp(2 pi i n1 m2/d), then a d2 x d2 table over m2 (Gentleman & Sande,
     AFIPS 1966; Bailey, J. Supercomputing 4, 23 (1990)). Every table entry is
-    the turn table read at an integer (product) mod d; the parts that depend
-    on d alone come from :func:`_four_step`. The d2 table is
+    the turn table read at an integer (product) mod d. The d2 table is
     gathered in row chunks of ``_TURN_CHUNK`` entries, so nothing d x d is
     formed, and no FFT is called: O(d (d1 + d2) k) time, O(dk) memory plus
     one chunk. A prime d has d1 = 1, and then O(d^2 k) time.
     """
     dim, width = y.shape
-    d1, d2, first, twiddles, turns, index, step = _four_step(dim)
-    z = first @ y.reshape(d1, d2 * width)
-    z = z.reshape(d1, d2, width).transpose(1, 0, 2) * twiddles
+    turns = _turns(dim)
+    d1 = math.isqrt(dim)
+    while dim % d1:
+        d1 -= 1
+    d2 = dim // d1
+    n1, m2 = np.arange(d1), np.arange(d2)
+    z = turns[np.outer(n1, d2 * n1) % dim] @ y.reshape(d1, d2 * width)
+    z = z.reshape(d1, d2, width).transpose(1, 0, 2) * turns[np.outer(m2, n1) % dim][:, :, None]
     z = z.reshape(d2, d1 * width)
     out = np.empty_like(z)
-    rows = index.shape[0]
-    index = index.copy()
+    rows = min(d2, max(1, _TURN_CHUNK // d2))
+    index = np.outer(m2[:rows], d1 * m2) % dim  # (d1 n2 m2) mod d for the first chunk's rows
+    step = (rows * d1 * m2) % dim  # the move of each index from one chunk to the next
     table = np.empty((rows, d2), dtype=np.complex128)
     for start in range(0, d2, rows):
         stop = min(start + rows, d2)

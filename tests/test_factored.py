@@ -277,20 +277,6 @@ class TestHeldKinds:
         assert np.allclose(op.apply_adjoint(x), dense.conj().T @ x, rtol=0.0, atol=1e-15)
         assert np.allclose(op.apply(x[:, 1]), dense @ x[:, 1], rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("dim", [2, 7, 65])
-    def test_permuted_monomial_acts_as_its_scatter_bit_for_bit(self, dim):
-        # Row i is gathered from the column j with rows[j] = i: the same
-        # products values[j] x[j] as scattering column j onto row rows[j].
-        rng = np.random.default_rng(dim)
-        rows = rng.permutation(dim)
-        values = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        op = OperatorMatrix.monomial(rows, values)
-        block = np.asfortranarray(rng.standard_normal((dim, 3)) + 1j)
-        for x in (block, block[:, 0]):
-            scattered = np.empty_like(x, dtype=complex)
-            scattered[rows] = (values if x.ndim == 1 else values[:, None]) * x
-            assert op.apply(x).tobytes() == np.ascontiguousarray(scattered).tobytes()
-
     @pytest.mark.parametrize("rows, values", [
         ([0, 0], [1.0, 1.0]),
         ([0, 1], [1.0, np.inf]),
@@ -481,7 +467,7 @@ class TestProbeImages:
         basis = build_phase_frame(SpaceConfig.from_dim(dim, 2.9)).basis
         block = numerics.probes(dim)
         image = basis.apply(block)
-        copy = np.asfortranarray(block.copy())
+        copy = block.copy()
         copy.setflags(write=writeable)
         fresh = basis.apply(copy)
         assert fresh is not image and fresh.flags.writeable

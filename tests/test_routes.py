@@ -393,20 +393,16 @@ class TestPlantedFaultsInTheFrameTransform:
         assert self._record(self._frame(dim, columns=slice(dim // 2, None))).status == "fail"
 
     @pytest.mark.parametrize("dim", [128, 512])
-    def test_one_wrong_twiddle(self, dim, monkeypatch, request):
+    def test_one_wrong_twiddle(self, dim, monkeypatch):
         # turns[1] off by a phase of 1e-6 once the frame is certified. At
         # these d, d1 and d2 are both above 1, so j = 1 is no multiple of d1
         # or d2 and only the twiddle exp(2 pi i n1 m2/d) at n1 = m2 = 1 reads
         # it. (Up to d=64 the run also forms the frame's entries from the table.)
-        # The route's per-dimension parts are built from the table once: they
-        # are rebuilt from the faulty table here, and dropped after the test.
         frame = self._frame(dim)
         table = numerics._turns(dim).copy()
         table[1] *= np.exp(1e-6j)
         table.setflags(write=False)
         monkeypatch.setattr(numerics, "_turns", lambda d: table)
-        numerics._four_step.cache_clear()
-        request.addfinalizer(numerics._four_step.cache_clear)
         assert self._record(frame).status == "fail"
         # The adjoint applies conj(T), which is T^dag only while T is
         # symmetric: the twiddle fault breaks that, so the certification
