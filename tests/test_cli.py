@@ -713,6 +713,35 @@ class TestPayloadBytes:
     def test_dump(self, monkeypatch, capsys, name, dim):
         self.run(monkeypatch, capsys, ["dump", name, "--dim", str(dim), "--theta0", "2.9"])
 
+    @pytest.mark.parametrize(
+        "name,distinct",
+        [
+            ("phase-states", False),
+            ("phi", True),
+            ("exp-iphi", True),
+            ("qN", True),
+            ("A", False),
+            ("commutators", True),
+        ],
+    )
+    def test_benchmark_dumps_on_both_sides_of_the_distinct_rule(
+        self, monkeypatch, capsys, name, distinct
+    ):
+        """The phase states and A hold nearly all distinct values and are
+        filled entry by entry; the Toeplitz and monomial matrices render
+        from their distinct values. Either way the bytes are the lists'."""
+        taken = []
+        distinct_rows = fdphase.report._distinct_rows
+
+        def recording_distinct_rows(array, indent):
+            rows = distinct_rows(array, indent)
+            taken.append(rows is not None)
+            return rows
+
+        monkeypatch.setattr(fdphase.report, "_distinct_rows", recording_distinct_rows)
+        self.run(monkeypatch, capsys, ["dump", name, "--dim", "65", "--theta0", "2.9"])
+        assert taken and set(taken) == {distinct}
+
     @pytest.mark.parametrize("dim", [1, 3, 31])
     @pytest.mark.parametrize("mode", ["hamiltonian", "shift"])
     def test_evolve(self, tmp_path, monkeypatch, capsys, mode, dim):

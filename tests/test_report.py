@@ -10,6 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fdphase import report
+from fdphase.pegg_barnett import (
+    SpaceConfig,
+    _toeplitz,
+    commutator_closed_form,
+    number_shift_operator,
+    unitary_phase_operator,
+)
 from fdphase.report import (
     STATUS_FAIL,
     STATUS_FLAGGED,
@@ -263,6 +271,44 @@ def _edge_complex(count: int) -> np.ndarray:
     return array
 
 
+_EDGE_ELEMENTS = {
+    np.float64: st.sampled_from(EDGE_VALUES),
+    np.complex128: st.builds(complex, st.sampled_from(EDGE_VALUES), st.sampled_from(EDGE_VALUES)),
+}
+
+
+def _assert_renders_as_lists(array: np.ndarray) -> None:
+    """``array`` renders, alone and inside a dict, as its nested lists do.
+
+    Line lists: pytest names the first differing line, where a diff of two
+    whole renderings of a large array would take minutes.
+    """
+    for wrap in (lambda value: value, lambda value: {"matrix": value}):
+        expected = to_json(wrap(_as_lists(array))).splitlines(True)
+        assert to_json(wrap(array)).splitlines(True) == expected
+
+
+def _as_floats(array: np.ndarray) -> np.ndarray:
+    """The float array a complex array renders from: its entries as [re, im] pairs."""
+    return np.stack((array.real, array.imag), axis=-1) if np.iscomplexobj(array) else array
+
+
+def _signed_zero_toeplitz(dim: int) -> np.ndarray:
+    """The closed-form commutator's Toeplitz matrix with -0.0 and 0.0 planted in its values."""
+    values = commutator_closed_form(SpaceConfig.from_dim(dim, 2.9)).copy()
+    values[0] = complex(-0.0, 0.0)
+    values[1] = complex(0.0, -0.0)
+    values[2] = complex(-0.0, -0.0)
+    assert values[dim - 1] == 0.0 and not np.signbit(values[dim - 1].real)
+    return _toeplitz(values)
+
+
+def _repeated_pairs(dim: int) -> np.ndarray:
+    """A (dim, dim, 2) block of a few values, with repeated pairs and pairs whose re == im."""
+    pairs = np.array([[0.5, 0.5], [0.5, -0.0], [-0.0, 0.5], [0.0, 0.0], [1e-300, 1e-300]])
+    return pairs[np.add.outer(np.arange(dim), 2 * np.arange(dim)) % len(pairs)]
+
+
 class TestArrayRendering:
     @pytest.mark.parametrize(
         "array",
@@ -341,6 +387,66 @@ class TestArrayRendering:
     def test_random_arrays_match_the_nested_lists(self, array):
         assert to_json(array) == to_json(_as_lists(array))
         assert to_json({"matrix": array}) == to_json({"matrix": _as_lists(array)})
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            _signed_zero_toeplitz(65),
+            _signed_zero_toeplitz(65).T,
+            unitary_phase_operator(SpaceConfig.from_dim(65, 2.9)).entries,
+            number_shift_operator(SpaceConfig.from_dim(65, 2.9)).entries,
+            _signed_zero_toeplitz(65).real.copy(),
+            _signed_zero_toeplitz(65).imag.T,
+            _repeated_pairs(9),
+            np.resize([5e-324, -5e-324, 1e-310, -2.2250738585072009e-308, 0.0, -0.0], (7, 6)),
+            np.resize(np.array([0.1, -0.0, 3.4028235e38, 1e-45, 0.0], dtype=np.float32), (8, 8)),
+            np.resize(EDGE_VALUES, (3, 4, 4)),
+        ],
+        ids=[
+            "complex-toeplitz-65",
+            "complex-toeplitz-65-transposed",
+            "monomial-exp-iphi-65",
+            "monomial-qN-65",
+            "real-toeplitz-65",
+            "real-toeplitz-65-transposed",
+            "pairs-(9,9,2)",
+            "subnormals-7x6",
+            "float32-8x8",
+            "real-3x4x4",
+        ],
+    )
+    def test_distinct_values_match_the_nested_lists(self, array):
+        assert report._distinct_rows(_as_floats(array), 0) is not None
+        _assert_renders_as_lists(array)
+
+    def test_signed_zeros_keep_their_signs(self):
+        # -0.0 == 0.0, so a renderer keyed on float equality would print
+        # one of the zeros planted below with another's sign.
+        array = _signed_zero_toeplitz(65)
+        lines = to_json(array).splitlines()
+        assert {"    [-0, 0]", "    [0, -0]", "    [-0, -0]", "    [0, 0]"} <= set(lines)
+        _assert_renders_as_lists(array)
+
+    @pytest.mark.parametrize("distinct,taken", [(1, True), (4, True), (5, False), (16, False)])
+    def test_at_most_a_quarter_distinct_takes_the_distinct_path(self, distinct, taken):
+        array = np.resize(np.arange(distinct, dtype=np.float64), (4, 4))
+        assert (report._distinct_rows(array, 0) is not None) == taken
+        _assert_renders_as_lists(array)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([np.float64, np.complex128]).flatmap(
+            lambda dtype: hnp.arrays(
+                dtype,
+                hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=12),
+                elements=_EDGE_ELEMENTS[dtype],
+            )
+        )
+    )
+    def test_repeated_edge_values_match_the_nested_lists(self, array):
+        # Five possible values: arrays of two or more dimensions and 20
+        # floats or more take the distinct-value path, the others the fill.
+        _assert_renders_as_lists(array)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_transposed_view(self, dtype):
