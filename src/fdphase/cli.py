@@ -235,15 +235,22 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
     notes = []
     psi = state
-    norm = float(np.linalg.norm(state))
+    # A power-of-two scale rounds nothing and keeps the norm from over- or underflowing;
+    # psi is divided out of the scaled state, since near 1e308 the norm itself is inf.
+    parts = state.view(np.float64)
+    exponent = int(np.frexp(np.abs(parts).max())[1])
+    scaled = np.ldexp(parts, -exponent).view(np.complex128)
+    scaled_norm = float(np.linalg.norm(scaled))
+    with np.errstate(over="ignore"):
+        norm = float(np.ldexp(scaled_norm, exponent))
     if abs(norm - 1.0) > policy.tol_elem:
         print(
             "warning: input state is not normalized; renormalizing",
             file=sys.stderr,
         )
-        if norm == 0.0:
+        if scaled_norm == 0.0:
             raise UsageError("cannot normalize the zero vector")
-        psi = state / norm
+        psi = scaled / scaled_norm
         notes.append("input state was not normalized; renormalized before evolving")
 
     if args.mode == "hamiltonian":

@@ -153,7 +153,7 @@ def offset_phase_coefficients(frame: Frame) -> OperatorMatrix:
     past the dimension's ``tol_op`` is refused by name when it is built.
     """
     coeff = OperatorMatrix.fourier(frame.config.dim, frame.config.theta0, frame.eta)
-    return certify(coeff, "unitary")
+    return certify(coeff)
 
 
 def offset_phase_frame(frame: Frame, coeff: OperatorMatrix) -> Frame:
@@ -211,7 +211,7 @@ def recover_phase_operator(
             "inverse square root refused: profile has a zero weight"
         )
     inv_sqrt = spectral_synthesize(frame.basis, (profile.values ** -0.5).astype(np.complex128))
-    return certify(OperatorMatrix.product(a, inv_sqrt), "unitary")
+    return certify(OperatorMatrix.product(a, inv_sqrt))
 
 
 def _number_shift_eigenvalues(frame: Frame) -> np.ndarray:
@@ -221,7 +221,7 @@ def _number_shift_eigenvalues(frame: Frame) -> np.ndarray:
 
 def generalized_number_shift(frame: Frame) -> OperatorMatrix:
     """q^-(N+eta): eigenvalue q^-(n+eta) on |n+eta>, unitary-certified."""
-    return certify(spectral_synthesize(frame.basis, _number_shift_eigenvalues(frame)), "unitary")
+    return certify(spectral_synthesize(frame.basis, _number_shift_eigenvalues(frame)))
 
 
 def modified_number_shift(frame: Frame, phases: Frame) -> OperatorMatrix:
@@ -234,7 +234,7 @@ def modified_number_shift(frame: Frame, phases: Frame) -> OperatorMatrix:
     """
     pattern = cyclic_shift(frame.config.dim, np.exp(-2j * np.pi * frame.eta))
     p = phases.basis
-    return certify(OperatorMatrix.product(p, pattern, p.adjoint()), "unitary")
+    return certify(OperatorMatrix.product(p, pattern, p.adjoint()))
 
 
 def cycle_operator_power(frame: Frame, k: int) -> OperatorMatrix:

@@ -78,7 +78,7 @@ def time_evolution(config: SpaceConfig, omega: float, t: float) -> OperatorMatri
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     levels = np.arange(config.dim)
-    return certify(OperatorMatrix.monomial(levels, np.exp(-1j * energies * t)), "unitary")
+    return certify(OperatorMatrix.monomial(levels, np.exp(-1j * energies * t)))
 
 
 def period_evolution(config: SpaceConfig, omega: float) -> OperatorMatrix:

@@ -6,7 +6,7 @@ their real-weighted projector sum, the unitary phase operator steps number
 states down cyclically, and the number-power operator q^-N steps phase
 states down cyclically; the window origin shows up only in the wrap-around
 entry exp(i(s+1)theta_0) of the unitary phase operator. A :class:`Frame`
-is an orthonormal basis held as an operator certified "unitary"; the phase
+is an orthonormal basis held as an operator certified unitary; the phase
 frame is built and certified once, by :func:`build_phase_frame`, and the
 spectral builders take it and read the space from it.
 
@@ -115,8 +115,8 @@ class SpaceConfig:
 class Frame:
     """An orthonormal basis of the space: the columns of a unitary operator.
 
-    ``basis`` is certified "unitary" on construction, so the frame's
-    orthonormality deviation is ``basis.deviations["unitary"]``. ``eta`` is
+    ``basis`` is certified unitary on construction, so the frame's
+    orthonormality deviation is ``basis.deviation``. ``eta`` is
     0 for the phase states and the offset for the offset number and phase states.
     """
 
@@ -129,7 +129,7 @@ class Frame:
             raise DimensionMismatch(
                 f"basis of dimension {self.basis.dim} for a space of dimension {self.config.dim}"
             )
-        object.__setattr__(self, "basis", certify(self.basis, "unitary"))
+        object.__setattr__(self, "basis", certify(self.basis))
 
 
 def build_phase_frame(config: SpaceConfig) -> Frame:
@@ -176,19 +176,19 @@ def unitary_phase_operator(config: SpaceConfig) -> OperatorMatrix:
     exp(i(s+1)theta_0) on |s><0|; unitary-certified.
     """
     corner = np.exp(1j * config.dim * config.theta0)
-    return certify(cyclic_shift(config.dim, corner), "unitary")
+    return certify(cyclic_shift(config.dim, corner))
 
 
 def unitary_phase_from_spectrum(frame: Frame) -> OperatorMatrix:
     """sum_m exp(i theta_m)|theta_m><theta_m|, the spectral route to exp(iPhi)."""
     eigvals = np.exp(1j * frame.config.thetas())
-    return certify(spectral_synthesize(frame.basis, eigvals), "unitary")
+    return certify(spectral_synthesize(frame.basis, eigvals))
 
 
 def number_shift_operator(config: SpaceConfig) -> OperatorMatrix:
     """q^-N = diag(q^-n), the phase-state down-shift; unitary-certified."""
     levels = np.arange(config.dim)
-    return certify(OperatorMatrix.monomial(levels, config.root_power(-levels)), "unitary")
+    return certify(OperatorMatrix.monomial(levels, config.root_power(-levels)))
 
 
 def commutator_direct(phi: np.ndarray) -> np.ndarray:

@@ -128,15 +128,15 @@ def format_float(value: float) -> str:
 
 
 def _render_array(array: np.ndarray, indent: int, out: list) -> None:
-    """Append a float or int array as its nested lists.
+    """Append a float array as its nested lists.
 
-    A float matrix or block whose distinct values are at most a quarter of
-    its entries, such as a Toeplitz, shift or diagonal matrix, is rendered
-    from the texts of its distinct rows (``_distinct_rows``); any other
-    array is filled one ``%`` block at a time (``_render_filled``). Both give
-    the bytes of formatting every entry with ``format_float`` or ``%d``.
+    A matrix or block whose distinct values are at most a quarter of its
+    entries, such as a Toeplitz, shift or diagonal matrix, is rendered from
+    the texts of its distinct rows (``_distinct_rows``); any other array is
+    filled one ``%`` block at a time (``_render_filled``). Both give the
+    bytes of formatting every entry with ``format_float``.
     """
-    if array.ndim > 1 and array.size and array.dtype.kind == "f" and array.itemsize <= 8:
+    if array.ndim > 1 and array.size and array.itemsize <= 8:
         rows = _distinct_rows(array, indent)
         if rows is not None:
             # One piece per array: a large piece is mapped on its own and goes
@@ -148,26 +148,26 @@ def _render_array(array: np.ndarray, indent: int, out: list) -> None:
             _render_rows(*rows, indent, pieces)
             out.append("".join(pieces))
             return
-    _render_filled(array, _FLOAT_SPEC if array.dtype.kind == "f" else "%d", indent, out)
+    _render_filled(array, indent, out)
 
 
-def _render_filled(array: np.ndarray, spec: str, indent: int, out: list) -> None:
-    """Append an array, one ``%`` fill of ``spec`` per 1-D or 2-D block."""
+def _render_filled(array: np.ndarray, indent: int, out: list) -> None:
+    """Append a float array, one ``%`` fill of ``_FLOAT_SPEC`` per 1-D or 2-D block."""
     if not len(array):
         out.append("[]")
         return
     pad = "  " * indent
     if array.ndim == 1:
-        out.append(("[" + ", ".join([spec] * len(array)) + "]") % tuple(array.tolist()))
+        out.append(("[" + ", ".join([_FLOAT_SPEC] * len(array)) + "]") % tuple(array.tolist()))
         return
     if array.ndim == 2:
-        row = pad + "  [" + ", ".join([spec] * array.shape[1]) + "]"
+        row = pad + "  [" + ", ".join([_FLOAT_SPEC] * array.shape[1]) + "]"
         out.append("[\n")
         out.append(",\n".join([row] * len(array)) % tuple(array.ravel().tolist()))
     else:
         for n, block in enumerate(array):
             out.append(("[\n" if n == 0 else ",\n") + pad + "  ")
-            _render_filled(block, spec, indent + 1, out)
+            _render_filled(block, indent + 1, out)
     out.append("\n" + pad + "]")
 
 
@@ -222,7 +222,7 @@ def _render(value, indent: int, out: list) -> None:
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
             value = np.stack((value.real, value.imag), axis=-1)
-        if value.ndim and value.dtype.kind in "fiu":
+        if value.ndim and value.dtype.kind == "f":
             _render_array(value, indent, out)
             return
         value = value.tolist()

@@ -196,7 +196,7 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
     block = probes(dim)
 
     yield ("phase_frame_orthonormal", "<theta_m|theta_k> = delta_mk",
-           basis.deviations["unitary"], 0.0, policy.tol_op)
+           basis.deviation, 0.0, policy.tol_op)
     yield ("phase_frame_complete", "sum_m |theta_m><theta_m| = 1",
            basis.apply(basis.apply_adjoint(block)), block, policy.tol_op)
     # The frame acts by FFT; the exact-turn route applies the closed form
@@ -272,9 +272,9 @@ def suite_gdo(
     block = probes(dim)
 
     yield ("generalized_number_frame_orthonormal", "<n+eta|k+eta> = delta_nk",
-           frame.basis.deviations["unitary"], 0.0, policy.tol_op)
+           frame.basis.deviation, 0.0, policy.tol_op)
     yield ("generalized_phase_frame_orthonormal", "offset-window <theta_m|theta_k> = delta_mk",
-           phases.basis.deviations["unitary"], 0.0, policy.tol_op)
+           phases.basis.deviation, 0.0, policy.tol_op)
 
     yield ("continuous_shift_roundtrip", "exp(-i eta Phi)|n> = |n+eta>",
            p.apply(coeff.apply_adjoint(block)), v.apply(block), policy.tol_elem)
@@ -295,7 +295,7 @@ def suite_gdo(
         yield ("phase_operator_recovery", "A F(q^(N+eta))^(-1/2) = exp(iPhi)",
                recovered.apply(block), phase_op.apply(block), policy.tol_op)
         yield ("recovered_phase_unitary", "A F(q^(N+eta))^(-1/2) is unitary",
-               recovered.deviations["unitary"], 0.0, policy.tol_op)
+               recovered.deviation, 0.0, policy.tol_op)
 
     qshift = generalized_number_shift(frame)
     yield ("modified_shift_realization",
@@ -365,7 +365,7 @@ def suite_evolution(
 
     u = _once(shared, "period_evolution", period_evolution, config, omega)
     yield ("evolution_unitary", "U(t) = exp(-i H t) is unitary",
-           u.deviations["unitary"], 0.0, policy.tol_op)
+           u.deviation, 0.0, policy.tol_op)
     t1, t2 = 0.37 / float(omega), 1.91 / float(omega)
     block = probes(dim)
     yield ("evolution_group_law", "U(t1) U(t2) = U(t1+t2)",

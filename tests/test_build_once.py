@@ -1,7 +1,6 @@
 """Each dense step of a verify run happens once: certifications, frame builds."""
 
 import sys
-from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,89 +61,79 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 @pytest.fixture
-def tag_counts(monkeypatch):
-    """The (operator, tag) of each call of ``numerics.tag_deviation``."""
+def measured(monkeypatch):
+    """The arguments, ``(operator,)``, of each call of ``numerics.tag_deviation``."""
     return _count_calls(monkeypatch, numerics.tag_deviation)
 
 
-def _per_tag(calls) -> Counter:
-    return Counter(tag for _, tag in calls)
-
-
 class TestCertifyOnce:
-    def test_certification_measures_its_tag_once(self, tag_counts):
-        unitary = certify(_diagonal([1.0, -1.0, 1.0]), "unitary")
-        assert dict(unitary.deviations) == {"unitary": 0.0}
-        assert _per_tag(tag_counts) == {"unitary": 1}
+    def test_certification_measures_once(self, measured):
+        op = _diagonal([1.0, -1.0, 1.0])
+        unitary = certify(op)
+        assert unitary.deviation == 0.0
+        assert measured == [(op,)]
 
-    def test_constructor_measures_nothing(self, tag_counts):
+    def test_constructor_measures_nothing(self, measured):
         for op in (_diagonal([1.0, 1.0]), OperatorMatrix.fourier(2, 0.3, 0.5)):
-            assert dict(op.deviations) == {}
-        assert _per_tag(tag_counts) == {}
+            assert op.deviation is None
+        assert len(measured) == 0
 
     def test_certified_matrix_shares_the_entries(self):
         op = _diagonal([1.0, -1.0])
-        unitary = certify(op, "unitary")
+        unitary = certify(op)
         assert unitary.entries is op.entries
         assert not unitary.entries.flags.writeable
-        assert dict(op.deviations) == {}
+        assert op.deviation is None
 
-    def test_matrix_keeps_each_certified_deviation(self, tag_counts):
+    def test_matrix_keeps_its_certified_deviation(self, measured):
         # A synthesis at dim 2 that is unitary to within 1e-13.
         config = SpaceConfig.from_dim(2, 0.0)
         phase = numerics.spectral_synthesize(build_phase_frame(config).basis,
                                              [1.0, 1.0 + 1e-13])
-        tag_counts.clear()  # the phase frame's own certification
-        unitary = certify(phase, "unitary")
-        assert dict(unitary.deviations) == {"unitary": tag_deviation(phase, "unitary")}
-        assert unitary.deviations["unitary"] > 0.0
-        assert _per_tag(tag_counts) == {"unitary": 1}
-        with pytest.raises(TypeError):
-            unitary.deviations["unitary"] = 0.0
+        measured.clear()  # the phase frame's own certification
+        unitary = certify(phase)
+        assert measured == [(phase,)]
+        assert type(unitary.deviation) is float
+        assert unitary.deviation == tag_deviation(phase)
+        assert unitary.deviation > 0.0
+        with pytest.raises(AttributeError):
+            unitary.deviation = 0.0
+        assert unitary.deviation == tag_deviation(phase)
 
-    def test_failed_certification_measures_once_and_raises(self, tag_counts):
+    def test_failed_certification_measures_once_and_raises(self, measured):
         op = _diagonal([1.0, 2.0])
         with pytest.raises(ArithmeticError, match="unitary certification failed with deviation 3.000e"):
-            certify(op, "unitary")
-        assert _per_tag(tag_counts) == {"unitary": 1}
-        assert dict(op.deviations) == {}
-
-    def test_unknown_tag_is_refused_unmeasured(self, monkeypatch, tag_counts):
-        reads = _count_calls(monkeypatch, numerics.max_abs)
-        with pytest.raises(ValueError, match=r"^unknown tag 'diagonal'; expected one of \['unitary'\]$"):
-            certify(_diagonal([1.0, 1.0]), "diagonal")
-        assert _per_tag(tag_counts) == {"diagonal": 1}
-        assert reads == []
-        with pytest.raises(ValueError, match="unknown tag 'hermitian'"):
-            tag_deviation(object(), "hermitian")  # refused before the operator is read
+            certify(op)
+        assert measured == [(op,)]
+        assert op.deviation is None
 
 
-# Each builder over one small space, and the tags it certifies.
+# Each builder over one small space, and whether it certifies the operator.
 BUILDERS = {
-    "unitary_phase_operator": ({"unitary"}, lambda c: unitary_phase_operator(c.config)),
-    "unitary_phase_from_spectrum": ({"unitary"}, lambda c: unitary_phase_from_spectrum(c.frame)),
-    "number_shift_operator": ({"unitary"}, lambda c: number_shift_operator(c.config)),
-    "number_operator": (set(), lambda c: _number_operator(c.config)),
-    "hamiltonian": (set(), lambda c: hamiltonian(c.config, 1.0)),
-    "time_evolution": ({"unitary"}, lambda c: time_evolution(c.config, 1.0, 0.7)),
-    "ladder_lowering": (set(), lambda c: build_ladder_operators(c.offset, c.profile).a),
+    "unitary_phase_operator": (True, lambda c: unitary_phase_operator(c.config)),
+    "unitary_phase_from_spectrum": (True, lambda c: unitary_phase_from_spectrum(c.frame)),
+    "number_shift_operator": (True, lambda c: number_shift_operator(c.config)),
+    "number_operator": (False, lambda c: _number_operator(c.config)),
+    "hamiltonian": (False, lambda c: hamiltonian(c.config, 1.0)),
+    "time_evolution": (True, lambda c: time_evolution(c.config, 1.0, 0.7)),
+    "ladder_lowering": (False, lambda c: build_ladder_operators(c.offset, c.profile).a),
     "recover_phase_operator": (
-        {"unitary"},
+        True,
         lambda c: recover_phase_operator(c.ladder.a, c.profile, c.offset),
     ),
-    "generalized_number_shift": ({"unitary"}, lambda c: generalized_number_shift(c.offset)),
+    "generalized_number_shift": (True, lambda c: generalized_number_shift(c.offset)),
     "modified_number_shift": (
-        {"unitary"},
+        True,
         lambda c: modified_number_shift(c.offset, c.phases),
     ),
-    "cycle_operator_power": (set(), lambda c: cycle_operator_power(c.offset, 5)),
+    "cycle_operator_power": (False, lambda c: cycle_operator_power(c.offset, 5)),
 }
 
 
 class TestBuilderCertifications:
     @pytest.mark.parametrize("name", sorted(BUILDERS))
-    def test_deviations_name_exactly_what_the_builder_certifies(self, name, tag_counts):
-        tags, build = BUILDERS[name]
+    def test_deviation_is_recorded_exactly_when_the_builder_certifies(self, name, measured):
+        certifies, build = BUILDERS[name]
         config = SpaceConfig.from_dim(5, 0.3)
         frame = build_phase_frame(config)
         offset = build_generalized_frame(frame, 0.5)
@@ -154,10 +143,14 @@ class TestBuilderCertifications:
             ladder=build_ladder_operators(offset, profile),
             phases=offset_phase_frame(offset, offset_phase_coefficients(offset)),
         )
-        tag_counts.clear()
+        measured.clear()
         op = build(context)
-        assert set(op.deviations) == tags
-        assert _per_tag(tag_counts) == {tag: 1 for tag in tags}
+        assert len(measured) == certifies
+        if certifies:
+            assert type(op.deviation) is float
+            assert op.deviation == tag_deviation(*measured[0])
+        else:
+            assert op.deviation is None
 
     def test_run_measures_once_per_certification(self, monkeypatch):
         measured = _count_calls(monkeypatch, numerics.tag_deviation)
@@ -190,16 +183,16 @@ class TestCertifiedDeviationsReported:
         assert record.max_deviation == np.max(np.abs(values.real**2 + values.imag**2 - 1.0))
 
     def test_phase_operator_hermitian_reports_the_one_measurement(self, monkeypatch):
-        tags = []
+        labels = []
         within = numerics.within_tol_op
 
-        def counted(tag, deviation, dim):
-            tags.append(tag)
-            return within(tag, deviation, dim)
+        def counted(label, deviation, dim):
+            labels.append(label)
+            return within(label, deviation, dim)
 
         monkeypatch.setattr(pegg_barnett, "within_tol_op", counted)
         report = run_suites(RunManifest(dim=6, theta0=0.3, eta=0.5, suites=SUITE_NAMES))
-        assert tags == ["hermitian"]
+        assert labels == ["hermitian"]
         (record,) = [r for r in report.records if r.check_id == "phase_operator_hermitian"]
         _, deviation = hermitian_phase_operator(build_phase_frame(SpaceConfig.from_dim(6, 0.3)))
         assert record.max_deviation == deviation
@@ -271,8 +264,8 @@ class TestFramesAreCertifiedOperators:
         assert len(measured) == 15
         frame_entries = [frame.basis.entries for frame in frames]
         certified_frames = [
-            m for m, tag in certified if tag == "unitary"
-            and any(m.entries is entries for entries in frame_entries)
+            m for (m,) in certified
+            if any(m.entries is entries for entries in frame_entries)
         ]
         assert len(certified_frames) == 4
 
@@ -314,4 +307,4 @@ class TestOffsetPhaseFamilyOnlyWhereRead:
         assert len(frames) == 3
         for frame, want in zip(frames, expected):
             assert np.array_equal(frame.basis.entries, want)
-            assert set(frame.basis.deviations) == {"unitary"}
+            assert type(frame.basis.deviation) is float

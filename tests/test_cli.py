@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file formats, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -365,6 +366,32 @@ class TestEvolve:
         amp = np.array([complex(re, im) for re, im in data["amp"]])
         assert np.allclose(amp, [1.0, 0.0], atol=1e-12)
         assert len(data["notes"]) == 1
+
+    @pytest.mark.parametrize("mode", ["hamiltonian", "shift"])
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [[1e-200, 0.0], [1e200, 1e200j], [1.7e308 - 1.7e308j, 1e308, 1e300j, 5e-324]],
+        ids=["tiny", "huge", "near-max"],
+    )
+    def test_state_far_from_unit_norm_evolves_as_its_normalization(
+            self, tmp_path, capsys, mode, amplitudes):
+        # The norm of these states under- or overflows in double precision;
+        # the output is the evolution of the state scaled by a power of two,
+        # then divided by its norm, and numpy warns of nothing.
+        state = np.asarray(amplitudes, complex)
+        scale = 2.0 ** -math.frexp(np.max(np.abs(state.view(float))))[1]
+        normalized = state * scale / np.linalg.norm(state * scale)
+        argv = ["evolve", "--mode", mode, "--eta", "0.25", "--steps", "3", "--out"]
+        raw, plain = tmp_path / "raw.json", tmp_path / "plain.json"
+        assert main([*argv, str(raw), str(write_state(tmp_path / "state.json", state))]) == 0
+        assert capsys.readouterr().err == (
+            "warning: input state is not normalized; renormalizing\n")
+        assert main([*argv, str(plain), str(write_state(tmp_path / "unit.json", normalized))]) == 0
+        assert capsys.readouterr().err == ""
+        got, want = (json.loads(path.read_text(encoding="utf-8")) for path in (raw, plain))
+        assert got["notes"] == ["input state was not normalized; renormalized before evolving"]
+        assert want["notes"] == []
+        assert (got["amp"], got["global_phase"]) == (want["amp"], want["global_phase"])
 
     def test_dimension_mismatch(self, tmp_path):
         state = write_state(tmp_path / "state.json", [1.0, 0.0])

@@ -155,7 +155,7 @@ class TestGeneralizedFrame:
         assert phases.config is config
         assert phases.eta == 0.25
         gram = phases.basis.entries.conj().T @ phases.basis.entries
-        deviation = phases.basis.deviations["unitary"]
+        deviation = phases.basis.deviation
         assert deviation == np.max(np.abs(gram - np.eye(dim)))
         assert deviation <= TolerancePolicy.for_dim(dim).tol_op
 
@@ -168,7 +168,7 @@ class TestGeneralizedFrame:
         v = base.basis.entries
         shift = (v * np.exp(-0.25j * config.thetas())) @ v.conj().T
         assert np.array_equal(frame.basis.entries, shift)
-        assert set(frame.basis.deviations) == {"unitary"}
+        assert type(frame.basis.deviation) is float
 
     def test_rejects_non_finite_eta(self):
         with pytest.raises(ValueError):
@@ -240,7 +240,7 @@ class TestLadderOperators:
         frame = _offset_frame(config, 0.25)
         ladder = build_ladder_operators(frame, deformation_linear(config, 0.25))
         assert np.array_equal(ladder.a_dag.entries, ladder.a.entries.conj().T)
-        assert dict(ladder.a_dag.deviations) == {}
+        assert ladder.a_dag.deviation is None
 
     def test_profile_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -203,7 +203,7 @@ class TestShiftedDft:
         # reading over the formed entries rounds differently, by a few eps
         # per product of length d: the two agree within 4 d eps.
         op = OperatorMatrix.fourier(dim, 1e4, 1.5)
-        deviation = certify(op, "unitary").deviations["unitary"]
+        deviation = certify(op).deviation
         assert op._cache[0] is None
         block = numerics.probes(dim)
         entries = op.entries
@@ -226,7 +226,7 @@ class TestShiftedDft:
 
         monkeypatch.setattr(numerics, "_shifted_dft_diagonals", skewed)
         with pytest.raises(ArithmeticError, match="^unitary certification failed"):
-            certify(OperatorMatrix.fourier(dim, 2.9, 1.5), "unitary")
+            certify(OperatorMatrix.fourier(dim, 2.9, 1.5))
 
     @pytest.mark.parametrize("dim, which", [
         (1, "eta"), *((dim, which) for dim in (8, 65, 257, 4096) for which in ("theta0", "eta"))])
@@ -244,7 +244,7 @@ class TestShiftedDft:
 
         with pytest.raises(ValueError, match=r"are out of range: the phases \(n\+eta\)"):
             fourier(1.01)
-        assert certify(fourier(0.99), "unitary").deviations["unitary"] <= tol_op
+        assert certify(fourier(0.99)).deviation <= tol_op
 
     def test_refusal_names_the_bound_and_the_limit(self):
         with pytest.raises(ValueError) as refused:
@@ -292,8 +292,8 @@ class TestHeldKinds:
             OperatorMatrix.product(_diagonal(np.ones(2)), _diagonal(np.ones(3)))
 
     def test_adjoint_carries_no_certification(self):
-        op = certify(OperatorMatrix.monomial([1, 0], [1.0, 1j]), "unitary")
-        assert dict(op.adjoint().deviations) == {}
+        op = certify(OperatorMatrix.monomial([1, 0], [1.0, 1j]))
+        assert op.adjoint().deviation is None
         assert np.array_equal(op.adjoint().entries, op.entries.conj().T)
 
     def test_formed_entries_must_be_finite(self):
@@ -311,7 +311,7 @@ class TestHeldKinds:
         config = SpaceConfig.from_dim(5, 0.3)
         spectral = numerics.spectral_synthesize(build_phase_frame(config).basis,
                                                 np.exp(1j * config.thetas()))
-        certified = certify(spectral, "unitary")
+        certified = certify(spectral)
         assert certified.entries is spectral.entries
 
     def test_wide_adjoint_action_conjugates_no_entries(self):
@@ -454,7 +454,7 @@ class TestProbeImages:
                     other = "apply_adjoint" if act == "apply" else "apply"
                     assert getattr(op.adjoint(), other)(block) is image
         # A certified copy shares the images of the operator it certifies.
-        assert certify(spectral, "unitary").apply(block) is spectral.apply(block)
+        assert certify(spectral).apply(block) is spectral.apply(block)
         counted = _counted_ffts(monkeypatch)
         frame.basis.apply(block)
         spectral.apply_adjoint(block)

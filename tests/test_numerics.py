@@ -77,7 +77,7 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             OperatorMatrix.monomial([0, 1], [np.inf, 0.0])
 
-    @pytest.mark.parametrize("keyword", ["tags", "deviations"])
+    @pytest.mark.parametrize("keyword", ["tags", "deviations", "deviation"])
     def test_takes_only_its_parts(self, keyword):
         with pytest.raises(TypeError):
             OperatorMatrix.monomial([0, 1], [1.0, 1.0], **{keyword: {"unitary": 0.0}})
@@ -132,7 +132,7 @@ class TestApplyToBlock:
 
     def test_product_is_a_plain_array(self):
         # A product is not an operator, so it carries no certification.
-        u = certify(diagonal([1.0, -1.0]), "unitary")
+        u = certify(diagonal([1.0, -1.0]))
         product = u.apply(u.entries)
         assert type(product) is np.ndarray
         assert np.array_equal(product, u.entries @ u.entries)
@@ -180,7 +180,7 @@ class TestMatPower:
         values = np.array([1.0, 1j, -1.0])
         powered = mat_power(diagonal(values), 5)
         assert np.array_equal(powered.entries, np.diag(values**5))
-        assert dict(powered.deviations) == {}
+        assert powered.deviation is None
 
     @pytest.mark.parametrize("k", [1100, 10**23])
     def test_overflowing_power_refused_by_name(self, k):
@@ -215,7 +215,7 @@ class TestUnitaryDeviation:
         for scale in (1e-14, 1e-9, 0.3):
             op, entries = _random_monomial(rng, dim, scale)
             dense = np.max(np.abs(entries.conj().T @ entries - np.eye(dim)))
-            assert abs(tag_deviation(op, "unitary") - dense) <= 1e-15
+            assert abs(tag_deviation(op) - dense) <= 1e-15
 
     def test_other_operators_keep_the_product(self):
         # A shifted DFT times diag(1, 1 + 1e-7): not a monomial, so read as
@@ -224,7 +224,7 @@ class TestUnitaryDeviation:
         op = OperatorMatrix.product(dft, diagonal([1.0, 1.0 + 1e-7]))
         entries = op.entries
         dense = np.max(np.abs(entries.conj().T @ entries - np.eye(2)))
-        assert tag_deviation(op, "unitary") == pytest.approx(dense, rel=1e-6)
+        assert tag_deviation(op) == pytest.approx(dense, rel=1e-6)
         assert dense == pytest.approx(2e-7, rel=1e-6)
 
 
@@ -277,7 +277,7 @@ class TestEqualUpToGlobalPhase:
 
 def _synthesize(frame, eigvals):
     """Spectral synthesis over a frame operator, certified here."""
-    return spectral_synthesize(certify(frame, "unitary"), eigvals)
+    return spectral_synthesize(certify(frame), eigvals)
 
 
 # The phase states at dim 2 and theta0 = 0: columns (1, 1)/sqrt(2) and (1, -1)/sqrt(2).
@@ -329,32 +329,44 @@ class TestSpectralSynthesize:
         with pytest.raises(ValueError, match="certified unitary"):
             spectral_synthesize(diagonal([1.0, 1.0]), [1.0, 2.0])
 
+    def test_frame_whose_certification_failed_stays_refused(self):
+        skewed = OperatorMatrix.product(diagonal([1.0, 2.0]), _phase_states_2())
+        with pytest.raises(ArithmeticError, match="unitary certification failed"):
+            certify(skewed)
+        assert skewed.deviation is None
+        with pytest.raises(ValueError, match="certified unitary"):
+            spectral_synthesize(skewed, [1.0, 2.0])
+
     def test_incomplete_frame_rejected(self):
         with pytest.raises(ValueError, match="complete"):
             _synthesize(diagonal([1.0, 1.0]), [1.0])
 
 
 class TestCertify:
+    @pytest.mark.parametrize("fn", [certify, tag_deviation])
+    def test_takes_the_operator_only(self, fn):
+        assert list(inspect.signature(fn).parameters) == ["m"]
+
     def test_nan_deviation_refused(self, monkeypatch):
         # A NaN deviation compares False against any tolerance, both ways.
-        monkeypatch.setattr(numerics, "tag_deviation", lambda m, tag: float("nan"))
+        monkeypatch.setattr(numerics, "tag_deviation", lambda m: float("nan"))
         with pytest.raises(ArithmeticError, match="deviation nan"):
-            certify(diagonal([1.0, 1.0]), "unitary")
+            certify(diagonal([1.0, 1.0]))
 
     def test_failure_names_the_tolerance(self):
         message = r"deviation 3\.000e\+00 \(tolerance 2\.000e-11\)"
         with pytest.raises(ArithmeticError, match=message):
-            certify(diagonal([1.0, 2.0]), "unitary")
+            certify(diagonal([1.0, 2.0]))
 
     def test_unitary_diagonal_signs(self):
-        op = certify(diagonal([1.0, -1.0]), "unitary")
+        op = certify(diagonal([1.0, -1.0]))
         assert isinstance(op, OperatorMatrix)
-        assert dict(op.deviations) == {"unitary": 0.0}
+        assert op.deviation == 0.0
 
     def test_rank_deficient_not_unitary(self):
         # [[0, 1], [0, 0]]: column 0 is zero.
         with pytest.raises(ArithmeticError, match="unitary certification failed"):
-            certify(OperatorMatrix.monomial([1, 0], [0.0, 1.0]), "unitary")
+            certify(OperatorMatrix.monomial([1, 0], [0.0, 1.0]))
 
     def test_phase_operator_hermitian(self):
         # Phi is certified hermitian on its Toeplitz values, refused as certify refuses.
@@ -364,11 +376,6 @@ class TestCertify:
         message = r"^hermitian certification failed with deviation 1\.000e\+00 \(tolerance 3\.000e-11\)$"
         with pytest.raises(ArithmeticError, match=message):
             numerics.within_tol_op("hermitian", 1.0, 3)
-
-    @pytest.mark.parametrize("tag", ["normal", "diagonal"])
-    def test_unknown_tag(self, tag):
-        with pytest.raises(ValueError, match="unknown tag"):
-            certify(diagonal([1.0, 1.0]), tag)
 
 
 class TestProbes:

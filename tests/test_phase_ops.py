@@ -118,7 +118,7 @@ class TestFrame:
         # [[0, 1j], [1, 0]]
         basis = OperatorMatrix.monomial([1, 0], [1.0, 1j])
         frame = Frame(config=config, eta=1.0, basis=basis)
-        assert dict(frame.basis.deviations) == {"unitary": 0.0}
+        assert frame.basis.deviation == 0.0
 
     def test_phase_frame_has_no_offset_and_records_its_deviation(self):
         frame = build_phase_frame(SpaceConfig.from_dim(6, 0.3))
@@ -126,9 +126,9 @@ class TestFrame:
         # max |V^dag V - 1| on the probe block, the identity at d = 6, read
         # through the exact-turn route; the dense reading over the formed
         # entries rounds differently, within a few eps per product of length d.
-        (tag, deviation), = frame.basis.deviations.items()
-        assert tag == "unitary"
-        assert deviation == tag_deviation(frame.basis, "unitary")
+        deviation = frame.basis.deviation
+        assert type(deviation) is float
+        assert deviation == tag_deviation(frame.basis)
         entries = frame.basis.entries
         dense = np.max(np.abs(entries.conj().T @ entries - np.eye(6)))
         assert abs(deviation - dense) <= 4 * 6 * np.finfo(float).eps
@@ -156,7 +156,7 @@ class TestNumberOperator:
     def test_diagonal_levels(self, dim):
         op = _number_operator(SpaceConfig.from_dim(dim))
         assert np.allclose(op.entries, np.diag(np.arange(dim)))
-        assert dict(op.deviations) == {}
+        assert op.deviation is None
 
 
 class TestHermitianPhaseOperator:
@@ -235,7 +235,7 @@ class TestNumberShiftOperator:
     def test_dim_2_is_diag_1_minus_1(self):
         op = number_shift_operator(SpaceConfig.from_dim(2))
         assert np.allclose(op.entries, np.diag([1.0, -1.0]))
-        assert set(op.deviations) == {"unitary"}
+        assert type(op.deviation) is float
 
     def test_shifts_phase_state_down_at_dim_2(self):
         op = number_shift_operator(SpaceConfig.from_dim(2, 0.0))

@@ -94,9 +94,9 @@ class TestStructuredPowers:
             blocks.append(dim)
             return probes(dim)
 
-        def counted_measure(m, tag):
+        def counted_measure(m):
             blocks.clear()
-            deviation = tag_deviation(m, tag)
+            deviation = tag_deviation(m)
             if blocks:
                 products.append(_is_monomial(m.entries))
             return deviation
@@ -408,7 +408,7 @@ class TestPlantedFaultsInTheFrameTransform:
         # symmetric: the twiddle fault breaks that, so the certification
         # refuses it too.
         with pytest.raises(ArithmeticError, match="^unitary certification failed"):
-            numerics.certify(frame.basis, "unitary")
+            numerics.certify(frame.basis)
 
 
 class TestTheExactTurnRoute:
@@ -449,7 +449,7 @@ class TestTheExactTurnRoute:
         assert numerics._exact_turns(basis, block).shape == block.shape
         assert numerics._exact_turns(offset, block, adjoint=True).shape == block.shape
         for op in (basis, offset):
-            assert numerics.certify(op, "unitary").deviations["unitary"] <= 1e-14
+            assert numerics.certify(op).deviation <= 1e-14
 
 
 def _values(rng, dim, like=None):
