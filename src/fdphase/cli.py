@@ -39,7 +39,7 @@ from .pegg_barnett import (
     number_shift_operator,
     unitary_phase_operator,
 )
-from .report import REPORT_FORMATS, RunManifest, render, to_json
+from .report import REPORT_FORMATS, RunManifest, json_pieces, render
 from .suites import SUITE_NAMES, resolve_profile, run_suites
 
 __all__ = ["UsageError", "main", "build_parser", "load_state"]
@@ -147,12 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(text: str, out: Path | None) -> None:
+def _write_output(pieces: list, out: Path | None) -> None:
+    """Write the texts in ``pieces`` one after another, never joined into one text."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 def load_state(path: Path) -> np.ndarray:
@@ -213,7 +214,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         format=args.format,
     )
     report = run_suites(manifest)
-    _write_output(render(report), args.out)
+    _write_output([render(report)], args.out)
     counts = report.status_counts()
     print(
         "verify: %d checks | pass %d | flagged %d | fail %d"
@@ -272,7 +273,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         "global_phase": equal_up_to_global_phase(psi, result, policy.tol_op),
         "notes": notes,
     }
-    _write_output(to_json(payload), args.out)
+    _write_output(json_pieces(payload), args.out)
     return 0
 
 
@@ -347,7 +348,7 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
 def cmd_dump(args: argparse.Namespace) -> int:
     _within_limit(args.dim, "dump", MAX_DUMP_DIM)
     config = SpaceConfig.from_dim(args.dim, args.theta0)
-    _write_output(to_json(_dump_payload(args, config)), args.out)
+    _write_output(json_pieces(_dump_payload(args, config)), args.out)
     return 0
 
 

@@ -5,12 +5,12 @@ plain read-only 1-d complex array in number-basis coordinates. An operator
 is held as its factors: a monomial ``(rows, values)``, a shifted DFT
 diag(left) F diag(right) (the phase-basis frames), the adjoint of an
 operator, or a product of operators such as V M V^dag over a frame V.
-Every kind acts in one way only, through
+Every kind acts in one way only, at every dimension, through
 :meth:`OperatorMatrix.apply` and :meth:`OperatorMatrix.apply_adjoint`, on
-a state or on the columns of a d x k block; a held operator acts through
-its factors, a shifted DFT by one FFT per column in O(d log d), and forms
-its d x d ``entries`` only when something reads them. An operator counts
-as unitary only once :func:`certify` has measured it: the
+a state or on the columns of a d x k block: through its factors, a
+shifted DFT by one FFT per column in O(d log d). Its d x d ``entries`` are
+formed only when something reads them, which no action does. An operator
+counts as unitary only once :func:`certify` has measured it: the
 deviation is measured once, against the dimension's ``tol_op``, and either
 recorded as the operator's ``deviation`` or refused with an error. A
 shifted DFT is certified, and its entries formed, on its closed form at
@@ -161,9 +161,10 @@ class OperatorMatrix:
     shifted DFT exp(i(n+eta)theta_m)/sqrt(d) as diag(left) F diag(right),
     :meth:`adjoint` the adjoint of an operator, and :meth:`product` a
     product of operators, each as its parts; there is no other constructor.
-    The ``entries`` are formed on first read and shared with every certified
-    copy, as are the images of the probe block (see :meth:`apply`): a
-    monomial fills zeros, a shifted DFT gathers its exact-turn
+    Every kind acts through its parts (see :meth:`apply`); the ``entries``
+    are formed only on first read, for a dump or a test, and shared with
+    every certified copy, as are the images of the probe block. To form
+    them, a monomial fills zeros, a shifted DFT gathers its exact-turn
     closed form from the turn table, with no d^2 exponentials, an adjoint is
     ``base.entries.conj().T``, and a product multiplies its factors' entries
     from the left, scaling the columns for a diagonal factor: V D V^dag
@@ -288,11 +289,11 @@ class OperatorMatrix:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The operator acting on a d-vector, or on each column of a d x k block.
 
-        An operator acts through its parts without forming its entries (a
-        shifted DFT as ``left * ifft(right * x)``), except that an adjoint or
-        a product acts as ``entries @ x`` on a block at least d columns wide,
-        such as the probe block up to ``PROBE_EXACT_DIM``. Any other shape is
-        refused with :class:`DimensionMismatch`.
+        An operator acts through its parts, on every block at every d,
+        without forming its entries: a monomial in O(dk), a shifted DFT as
+        ``left * ifft(right * x)``, an adjoint as its base's adjoint action
+        and a product factor by factor. Any other shape is refused with
+        :class:`DimensionMismatch`.
 
         The image of the probe block P, recognised by identity, is taken once
         by an operator that is not a monomial: the same read-only array is
@@ -306,8 +307,8 @@ class OperatorMatrix:
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
         """The adjoint acting on a d-vector or a d x k block, as :meth:`apply` acts.
 
-        Formed entries give ``(x^dag @ entries)^dag``, with no copy of the
-        adjoint entries; a shifted DFT acts as ``conj(right) * fft(conj(left) * x)``.
+        A shifted DFT acts as ``conj(right) * fft(conj(left) * x)``, and a
+        product as its factors' adjoints in reverse order.
         """
         self._check(x)
         return self._act(x, adjoint=True)
@@ -317,19 +318,6 @@ class OperatorMatrix:
             raise DimensionMismatch(
                 f"operator dimension {self.dim} does not act on an operand of shape {x.shape}"
             )
-
-    def _wide(self, x: np.ndarray) -> bool:
-        """Whether ``x`` is a block at least d wide, which an adjoint or a
-        product acts on through its formed entries.
-
-        Such a block is the probe block up to ``PROBE_EXACT_DIM``, the
-        identity. Acting through the factors would take one d x d product
-        per factor on every action; the entries are formed once, and every
-        later action is one product. A monomial and a shifted DFT always act
-        through their parts, in O(dk) and by FFT.
-        """
-        return (self._kind in (_ADJOINT, _PRODUCT)
-                and x.ndim == 2 and x.shape[1] >= self.dim)
 
     def _act(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """M x, or M^dag x with ``adjoint``; the image of the probe block P is taken once.
@@ -355,8 +343,6 @@ class OperatorMatrix:
 
     def _act_on(self, x: np.ndarray) -> np.ndarray:
         kind, parts = self._kind, self._parts
-        if self._wide(x):
-            return self.entries @ x
         if kind == _MONOMIAL:
             rows, values, diagonal = parts
             scaled = (values if x.ndim == 1 else values[:, None]) * x
@@ -376,8 +362,6 @@ class OperatorMatrix:
 
     def _act_adjoint_on(self, x: np.ndarray) -> np.ndarray:
         kind, parts = self._kind, self._parts
-        if self._wide(x):
-            return (x.conj().T @ self.entries).conj().T
         if kind == _MONOMIAL:
             rows, values, diagonal = parts
             conj = (values if x.ndim == 1 else values[:, None]).conj()

@@ -33,6 +33,7 @@ __all__ = [
     "CheckRecord",
     "VerificationReport",
     "format_float",
+    "json_pieces",
     "to_json",
     "render_json",
     "render_csv",
@@ -40,7 +41,7 @@ __all__ = [
     "render",
 ]
 
-TOOL_VERSION = "0.9.0"
+TOOL_VERSION = "0.10.0"
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -141,7 +142,7 @@ def _render_array(array: np.ndarray, indent: int, out: list) -> None:
         if rows is not None:
             # One piece per array: a large piece is mapped on its own and goes
             # back to the system when freed, where thousands of row pieces
-            # can stay pinned in the heap after ``to_json`` returns (a
+            # can stay pinned in the heap after the text is written (a
             # `dump commutators --dim 1024` peaked at 526-561 MB that way,
             # against 463 MB with one piece per array).
             pieces = []
@@ -218,7 +219,7 @@ def _render_rows(row_texts: list, index: np.ndarray, indent: int, out: list) -> 
 
 
 def _render(value, indent: int, out: list) -> None:
-    """Append the text of ``value`` to ``out`` piece by piece; ``to_json`` joins it once."""
+    """Append the text of ``value`` to ``out`` piece by piece (see :func:`json_pieces`)."""
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
             value = np.stack((value.real, value.imag), axis=-1)
@@ -269,19 +270,24 @@ def _render_scalar(value) -> str:
     raise TypeError(f"cannot render value of type {type(value).__name__}")
 
 
-def to_json(value) -> str:
-    """Render a dict/list/array/scalar structure with the stable policy.
+def json_pieces(value) -> list:
+    """The text of a dict/list/array/scalar structure, with the stable policy, as a list of pieces.
 
-    The text is built as a list of pieces and joined once, so a large
-    array's text is not copied again by each enclosing level. An array
-    whose distinct float values are at most a quarter of its entries is
-    one piece, built from each distinct value's text (``_render_array``);
-    the bytes are those of formatting every entry.
+    A large array's text is not copied again by each enclosing level, and
+    a writer that takes the pieces one by one never holds the whole text
+    at once. An array whose distinct float values are at most a quarter of
+    its entries is one piece, built from each distinct value's text
+    (``_render_array``); the bytes are those of formatting every entry.
     """
     out = []
     _render(value, 0, out)
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def to_json(value) -> str:
+    """The pieces of :func:`json_pieces` joined into one text."""
+    return "".join(json_pieces(value))
 
 
 def render_json(report: VerificationReport) -> str:

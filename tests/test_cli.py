@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import fdphase
 from fdphase.cli import DUMP_OBJECTS, MAX_DIM, MAX_DUMP_DIM, main
-from fdphase.report import format_float, to_json
+from fdphase.report import format_float, json_pieces, to_json
 from fdphase.suites import SUITE_NAMES
 from test_report import _as_lists
 
@@ -720,11 +720,11 @@ class TestPayloadBytes:
     def run(self, monkeypatch, capsys, argv):
         payloads = []
 
-        def recording_to_json(payload):
+        def recording_json_pieces(payload):
             payloads.append(payload)
-            return to_json(payload)
+            return json_pieces(payload)
 
-        monkeypatch.setattr(fdphase.cli, "to_json", recording_to_json)
+        monkeypatch.setattr(fdphase.cli, "json_pieces", recording_json_pieces)
         assert main(argv) == 0
         (payload,) = payloads
         lists = {

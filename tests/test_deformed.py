@@ -154,9 +154,13 @@ class TestGeneralizedFrame:
         assert isinstance(phases, Frame)
         assert phases.config is config
         assert phases.eta == 0.25
+        # The certified deviation is read through the frame's factors; the
+        # dense Gram reading over the formed entries rounds differently,
+        # within a few eps per product of length d.
         gram = phases.basis.entries.conj().T @ phases.basis.entries
         deviation = phases.basis.deviation
-        assert deviation == np.max(np.abs(gram - np.eye(dim)))
+        dense = np.max(np.abs(gram - np.eye(dim)))
+        assert abs(deviation - dense) <= 4 * dim * np.finfo(float).eps
         assert deviation <= TolerancePolicy.for_dim(dim).tol_op
 
     def test_offset_number_states_are_the_synthesized_shift_certified(self):

@@ -314,25 +314,6 @@ class TestHeldKinds:
         certified = certify(spectral)
         assert certified.entries is spectral.entries
 
-    def test_wide_adjoint_action_conjugates_no_entries(self):
-        # On a block at least d wide a product's adjoint acts as (x^dag E)^dag
-        # over its formed entries E: the only conjugates are of x and of the
-        # k x d row product, never of E.
-        conjugated = []
-
-        class Spy(np.ndarray):
-            def conj(self):
-                conjugated.append(self.shape)
-                return np.ndarray.conj(self)
-
-        op = OperatorMatrix.product(OperatorMatrix.fourier(4, 0.3, 0.5),
-                                    _diagonal(np.arange(1.0, 5.0)))
-        entries = op.entries
-        op._cache[0] = entries.view(Spy)
-        x = np.ones((4, 6), dtype=complex)
-        assert np.allclose(op.apply_adjoint(x), entries.conj().T @ x)
-        assert conjugated == [(6, 4)]
-
 
 class TestMonomialScan:
     def test_other_kinds_give_no_monomial_and_form_nothing(self):
@@ -377,14 +358,15 @@ def _formed(monkeypatch) -> list:
 
 
 class TestVerifyFormsNoSquareArray:
-    def test_d128_verify_forms_no_entries(self, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("dim", [1, 2, 8, 32, 64, 128])
+    def test_verify_forms_no_entries(self, dim, monkeypatch, tmp_path, capsys):
         formed = _formed(monkeypatch)
-        argv = ["verify", "--suite", "all", "--dim", "128", "--theta0", "2.9", "--eta", "1.5",
+        argv = ["verify", "--suite", "all", "--dim", str(dim), "--theta0", "2.9", "--eta", "1.5",
                 "--out", str(tmp_path / "report.json")]
         assert main(argv) == 0
-        # The phase frames act by FFT and are certified through the
-        # four-step tables, Phi is its Toeplitz values, and no monomial
-        # forms its entries: its rows read (rows, values).
+        # Every operator acts through its factors at every d: the phase
+        # frames by FFT, certified through the four-step tables, Phi as its
+        # Toeplitz values, and a monomial as its (rows, values).
         assert formed == []
 
     def test_d1024_verify_peaks_below_a_quarter_of_a_square_array(self, tmp_path, capsys):
@@ -423,6 +405,7 @@ class TestProbeImages:
     """An operator that acts by FFT takes its images of the probe block once."""
 
     @pytest.mark.parametrize("dim, theta0, eta, calls, inputs", [
+        (8, "0.3", "0.25", 113, 109), (32, "2.9", "1.5", 113, 109),
         (65, "0.3", "0.25", 106, 102), (128, "2.9", "1.5", 113, 109),
         (511, "0.3", "0.25", 106, 102), (512, "2.9", "1.5", 113, 109)])
     def test_verify_ffts_and_their_distinct_inputs(
@@ -450,9 +433,8 @@ class TestProbeImages:
                 with pytest.raises(ValueError):
                     image[0, 0] = 1.0
                 assert getattr(op, act)(block) is image
-                if dim > numerics.PROBE_EXACT_DIM:  # below, an adjoint acts by its entries
-                    other = "apply_adjoint" if act == "apply" else "apply"
-                    assert getattr(op.adjoint(), other)(block) is image
+                other = "apply_adjoint" if act == "apply" else "apply"
+                assert getattr(op.adjoint(), other)(block) is image
         # A certified copy shares the images of the operator it certifies.
         assert certify(spectral).apply(block) is spectral.apply(block)
         counted = _counted_ffts(monkeypatch)

@@ -386,18 +386,20 @@ class TestPlantedFaultsInTheFrameTransform:
         # through every Gaussian column, however few columns it has.
         assert self._record(self._frame(dim, columns=dim // 3)).status == "fail"
 
-    @pytest.mark.parametrize("dim", [128, 512])
+    @pytest.mark.parametrize("dim", [32, 128, 512])
     def test_upper_half_of_the_columns_off_by_a_phase(self, dim):
-        # right[m] off by 1e-6 for m >= d/2 only: the probe block's Gaussian
-        # columns cover every m, so the half the corners miss still fails.
+        # right[m] off by 1e-6 for m >= d/2 only: the probe block covers
+        # every m (the identity up to d=64, its Gaussian columns above), so
+        # the half the corners miss still fails.
         assert self._record(self._frame(dim, columns=slice(dim // 2, None))).status == "fail"
 
-    @pytest.mark.parametrize("dim", [128, 512])
+    @pytest.mark.parametrize("dim", [32, 128, 512])
     def test_one_wrong_twiddle(self, dim, monkeypatch):
         # turns[1] off by a phase of 1e-6 once the frame is certified. At
         # these d, d1 and d2 are both above 1, so j = 1 is no multiple of d1
         # or d2 and only the twiddle exp(2 pi i n1 m2/d) at n1 = m2 = 1 reads
-        # it. (Up to d=64 the run also forms the frame's entries from the table.)
+        # it. No operator in the run forms its entries from the table, so
+        # the FFT side of every record is free of the fault at every d.
         frame = self._frame(dim)
         table = numerics._turns(dim).copy()
         table[1] *= np.exp(1e-6j)
