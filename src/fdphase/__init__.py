@@ -13,7 +13,7 @@ everything else is imported from its module (``fdphase.numerics``,
 
 from .deformed import (
     build_generalized_frame,
-    build_ladder_operators,
+    build_lowering_operator,
     deformation_linear,
     recover_phase_operator,
 )
@@ -28,7 +28,7 @@ __all__ = [
     "SpaceConfig",
     "build_phase_frame",
     "build_generalized_frame",
-    "build_ladder_operators",
+    "build_lowering_operator",
     "deformation_linear",
     "recover_phase_operator",
     "unitary_phase_operator",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .deformed import (
     build_generalized_frame,
-    build_ladder_operators,
+    build_lowering_operator,
     cycle_operator_power,
 )
 from .evolution import hamiltonian, period_evolution
@@ -57,8 +57,8 @@ DUMP_OBJECTS = (
 
 # The largest dimension each command accepts. A verify forms no d x d
 # array: on 2 cores a d=4096 verify takes about 0.2-0.3 s and peaks near
-# 45 MB, and a prime d=4093, whose four-step route is O(d^2) per column,
-# about 1.5 s; a limit on the bytes a command forms could replace this one.
+# 51 MB, and a prime d=4093, whose four-step route is O(d^2) per column,
+# about 1.1-1.5 s; a limit on the bytes a command forms could replace this one.
 # A dump holds several d x d arrays (a d=1024 commutators dump peaks near
 # 460 MB) and grows as d^2, so its limit is lower.
 MAX_DUMP_DIM = 2048
@@ -309,8 +309,8 @@ def _dump_payload(args: argparse.Namespace, config: SpaceConfig) -> dict:
     if name in ("A", "Adag"):
         profile = resolve_profile(args.profile, config, args.eta)
         frame = build_generalized_frame(build_phase_frame(config), args.eta)
-        ladder = build_ladder_operators(frame, profile)
-        op = ladder.a if name == "A" else ladder.a_dag
+        a = build_lowering_operator(frame, profile)
+        op = a if name == "A" else a.adjoint()
         return {
             "kind": name,
             "dim": config.dim,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,7 @@ from .numerics import (
     DimensionMismatch,
     OperatorMatrix,
     _binary_power,
+    _refuse_phase_rounding,
     certify,
     cyclic_shift,
     spectral_synthesize,
@@ -51,8 +51,7 @@ __all__ = [
     "build_generalized_frame",
     "offset_phase_coefficients",
     "offset_phase_frame",
-    "LadderOperators",
-    "build_ladder_operators",
+    "build_lowering_operator",
     "recover_phase_operator",
     "generalized_number_shift",
     "modified_number_shift",
@@ -125,22 +124,21 @@ def build_generalized_frame(base: Frame, eta: float) -> Frame:
     """The offset number states |n+eta> = exp(-i eta Phi)|n>, certified once.
 
     ``exp(-i eta Phi)`` is synthesized over the phase frame ``base``, whose
-    space the offset frame shares; its column n is |n+eta>. An eta whose
-    phases (n+eta)*theta_m or 2*pi*(n+eta) overflow is refused by name.
+    space the offset frame shares; its column n is |n+eta>. Its phases
+    eta theta_m, and the phases 2 pi (n+eta)/d of q^-(N+eta) over it, round
+    by at most eps (|eta theta0| + 2 pi |eta|) and 2 pi eps (|eta| + 1):
+    within the bound of the offset phase coefficients (see
+    :meth:`.numerics.OperatorMatrix.fourier`) up to 2 pi eps < 1.4e-15. An
+    eta for which that bound exceeds ``tol_op`` (at least 1e-11), or is not
+    finite, is refused by name before the frame is formed: an imprecise
+    frame is still unitary, so its certification would pass.
     """
     eta = float(eta)
     if not math.isfinite(eta):
         raise ValueError("eta must be finite")
     config = base.config
-    thetas = config.thetas()
-    scale = max(2.0 * math.pi, float(np.max(np.abs(thetas))))
-    if not math.isfinite((abs(eta) + config.s) * scale):
-        raise ValueError(
-            f"eta = {eta!r} is out of range: the phases (n+eta)*theta_m and 2*pi*(n+eta) "
-            f"must be finite, so |eta| must stay below {sys.float_info.max / scale - config.s:.3e} "
-            f"at dimension {config.dim} and theta0 = {config.theta0!r}"
-        )
-    shift = spectral_synthesize(base.basis, np.exp(-1j * eta * thetas))
+    _refuse_phase_rounding(config.dim, config.theta0, eta)
+    shift = spectral_synthesize(base.basis, np.exp(-1j * eta * config.thetas()))
     return Frame(config=config, eta=eta, basis=shift)
 
 
@@ -166,23 +164,13 @@ def offset_phase_frame(frame: Frame, coeff: OperatorMatrix) -> Frame:
     return Frame(config=frame.config, eta=frame.eta, basis=basis)
 
 
-@dataclass(frozen=True, eq=False)
-class LadderOperators:
-    """The lowering operator and its adjoint, the raising operator."""
+def build_lowering_operator(frame: Frame, profile: DeformationProfile) -> OperatorMatrix:
+    """The lowering operator A over the offset number states.
 
-    a: OperatorMatrix
-    a_dag: OperatorMatrix
-
-
-def build_ladder_operators(
-    frame: Frame, profile: DeformationProfile
-) -> LadderOperators:
-    """Ladder operators over the offset number states.
-
-    In frame coordinates the lowering operator carries sqrt(F_n) on
-    |n+eta-1><n+eta| for n = 1..s and sqrt(F_0) exp(i(s+1)theta_0) on the
-    wrap-around |s+eta><eta|; the raising operator is its exact adjoint, so
-    the wrap-around of the raising operator reuses the bottom-level weight.
+    In frame coordinates A carries sqrt(F_n) on |n+eta-1><n+eta| for
+    n = 1..s and sqrt(F_0) exp(i(s+1)theta_0) on the wrap-around
+    |s+eta><eta|. The raising operator is its exact adjoint ``A.adjoint()``,
+    so its wrap-around reuses the bottom-level weight.
     """
     config = frame.config
     if profile.dim != config.dim:
@@ -191,8 +179,7 @@ def build_ladder_operators(
         )
     corner = np.exp(1j * config.dim * config.theta0)
     shift = cyclic_shift(config.dim, corner, np.sqrt(profile.values))
-    a = OperatorMatrix.product(frame.basis, shift, frame.basis.adjoint())
-    return LadderOperators(a=a, a_dag=a.adjoint())
+    return OperatorMatrix.product(frame.basis, shift, frame.basis.adjoint())
 
 
 def recover_phase_operator(

@@ -6,13 +6,14 @@ is held as its factors: a monomial ``(rows, values)``, a shifted DFT
 diag(left) F diag(right) (the phase-basis frames), the adjoint of an
 operator, or a product of operators such as V M V^dag over a frame V.
 Every kind acts in one way only, at every dimension, through
-:meth:`OperatorMatrix.apply` and :meth:`OperatorMatrix.apply_adjoint`, on
-a state or on the columns of a d x k block: through its factors, a
-shifted DFT by one FFT per column in O(d log d). Its d x d ``entries`` are
-formed only when something reads them, which no action does. An operator
-counts as unitary only once :func:`certify` has measured it: the
-deviation is measured once, against the dimension's ``tol_op``, and either
-recorded as the operator's ``deviation`` or refused with an error. A
+:meth:`OperatorMatrix.apply`, on a state or on the columns of a d x k block:
+through its factors, a shifted DFT by one FFT per column in O(d log d); an
+adjoint ``m.adjoint()`` acts through the same routine in the other
+direction. Its d x d ``entries`` are formed only when something reads
+them, which no action does. An operator counts as unitary only once
+:func:`certify` has measured it: the deviation is measured once, against
+the dimension's ``tol_op``, and either recorded on the operator as its
+``deviation`` or refused with an error. A
 shifted DFT is certified, and its entries formed, on its closed form at
 exact turns, C = diag(a) T diag(b)/sqrt(d) with T[n, m] read from one table
 exp(2 pi i j/d) at j = n m mod d: the entries are gathered from the table,
@@ -29,10 +30,10 @@ Whole-operator identities are read on the probe block P of :func:`probes`
 (Freivalds-style verification): max |(X - Y) P| costs d^2 per probe, not d^3.
 Three caches hold read-only arrays. The last probe block built is kept, so a
 command builds its dimension's block once, and so is the last turn table.
-The third is per operator: one that acts by FFT (a shifted DFT, an adjoint
-or a product) takes its images M P and M^dag P once and keeps them, with a
-reference to P, in the cache it shares with its certified copies, so that
-they die with the operator.
+The third is per operator: one that acts by FFT (a shifted DFT or a
+product) takes its images M P and M^dag P once and keeps them, with a
+reference to P, so that they die with the operator; an adjoint reads its
+base's.
 
 Monomial operators, with exactly one nonzero entry per row and per column
 (the diagonals and the weighted cyclic shifts), are held as their ``(rows,
@@ -151,6 +152,20 @@ def _shifted_dft_diagonals(dim: int, theta0: float, eta: float) -> tuple:
     return np.exp(1j * ((levels + eta) * theta0)), np.exp(1j * eta * (TWO_PI * levels / dim))
 
 
+def _refuse_phase_rounding(dim: int, theta0: float, eta: float) -> None:
+    """Refuse, by name, a shifted DFT whose phases round past ``tol_op`` (see ``fourier``)."""
+    rounding = sys.float_info.epsilon * (
+        abs((dim - 1 + eta) * theta0) + abs(eta * theta0) + TWO_PI * abs(eta))
+    tol = TolerancePolicy.for_dim(dim).tol_op
+    if not rounding <= tol:
+        raise ValueError(
+            f"theta0 = {theta0!r} and eta = {eta!r} are out of range: the phases "
+            f"(n+eta)*theta_m round by up to eps*(|(s+eta)*theta0| + |eta*theta0| + "
+            f"2*pi*|eta|) = {rounding:.3e}, which must stay within tol_op = {tol:.3e} "
+            f"at dimension {dim}"
+        )
+
+
 _MONOMIAL, _FOURIER, _ADJOINT, _PRODUCT = "monomial", "fourier", "adjoint", "product"
 
 
@@ -162,8 +177,7 @@ class OperatorMatrix:
     :meth:`adjoint` the adjoint of an operator, and :meth:`product` a
     product of operators, each as its parts; there is no other constructor.
     Every kind acts through its parts (see :meth:`apply`); the ``entries``
-    are formed only on first read, for a dump or a test, and shared with
-    every certified copy, as are the images of the probe block. To form
+    are formed only on first read, for a dump or a test, and kept. To form
     them, a monomial fills zeros, a shifted DFT gathers its exact-turn
     closed form from the turn table, with no d^2 exponentials, an adjoint is
     ``base.entries.conj().T``, and a product multiplies its factors' entries
@@ -171,17 +185,17 @@ class OperatorMatrix:
     forms as ``(v * d) @ v.conj().T``, the adjoint's own entries.
 
     ``deviation`` is the unitarity deviation max |M^dag M - 1| that
-    :func:`certify` measured on this operator, ``None`` until it is certified.
+    :func:`certify` measured and recorded on this operator, ``None`` until
+    it is certified; nothing else sets it.
     """
 
-    __slots__ = ("dim", "deviation", "_kind", "_parts", "_cache", "__weakref__")
+    __slots__ = ("dim", "deviation", "_kind", "_parts", "_entries", "_images", "__weakref__")
 
     @classmethod
-    def _held(cls, kind: str, parts: tuple, dim: int, cache=None, deviation=None):
+    def _held(cls, kind: str, parts: tuple, dim: int):
         op = object.__new__(cls)
         for name, value in (("dim", dim), ("_kind", kind), ("_parts", parts),
-                            ("_cache", [None, {}] if cache is None else cache),
-                            ("deviation", deviation)):
+                            ("_entries", None), ("_images", {}), ("deviation", None)):
             object.__setattr__(op, name, value)
         return op
 
@@ -216,21 +230,12 @@ class OperatorMatrix:
         instead, which rounds no turn n m/d; what rounds is the phases of
         the diagonals, by at most eps (|(d-1+eta) theta0| + |eta theta0| +
         2 pi |eta|). Parameters for which that bound exceeds the dimension's
-        ``tol_op`` are refused.
+        ``tol_op``, or is not finite, are refused.
         """
         if dim < 1:
             raise ValueError("a shifted DFT takes a positive dimension")
         theta0, eta = float(theta0), float(eta)
-        rounding = sys.float_info.epsilon * (
-            abs((dim - 1 + eta) * theta0) + abs(eta * theta0) + TWO_PI * abs(eta))
-        tol = TolerancePolicy.for_dim(dim).tol_op
-        if not rounding <= tol:
-            raise ValueError(
-                f"theta0 = {theta0!r} and eta = {eta!r} are out of range: the phases "
-                f"(n+eta)*theta_m round by up to eps*(|(s+eta)*theta0| + |eta*theta0| + "
-                f"2*pi*|eta|) = {rounding:.3e}, which must stay within tol_op = {tol:.3e} "
-                f"at dimension {dim}"
-            )
+        _refuse_phase_rounding(dim, theta0, eta)
         left, right = _shifted_dft_diagonals(dim, theta0, eta)
         left.setflags(write=False)
         right.setflags(write=False)
@@ -247,19 +252,16 @@ class OperatorMatrix:
         """The adjoint, held as this operator; it carries no certification."""
         return self._held(_ADJOINT, (self,), self.dim)
 
-    def _certified(self, deviation: float) -> "OperatorMatrix":
-        return self._held(self._kind, self._parts, self.dim, self._cache, deviation)
-
     @property
     def entries(self) -> np.ndarray:
         """The read-only d x d matrix, formed on first read and refused unless finite."""
-        if self._cache[0] is None:
+        if self._entries is None:
             entries = self._form()
             if not np.all(np.isfinite(entries)):
                 raise ValueError("operator entries must be finite")
             entries.setflags(write=False)
-            self._cache[0] = entries
-        return self._cache[0]
+            object.__setattr__(self, "_entries", entries)
+        return self._entries
 
     def _form(self) -> np.ndarray:
         """The d x d entries, formed from the parts; only ``entries`` calls this."""
@@ -292,60 +294,53 @@ class OperatorMatrix:
         An operator acts through its parts, on every block at every d,
         without forming its entries: a monomial in O(dk), a shifted DFT as
         ``left * ifft(right * x)``, an adjoint as its base's adjoint action
-        and a product factor by factor. Any other shape is refused with
+        (``conj(right) * fft(conj(left) * x)`` for a shifted DFT, the
+        factors' adjoints in reverse order for a product) and a product
+        factor by factor. Any other shape is refused with
         :class:`DimensionMismatch`.
 
         The image of the probe block P, recognised by identity, is taken once
-        by an operator that is not a monomial: the same read-only array is
-        returned for every later action on P, by this operator or by any of
-        its certified copies. Any other block, a writable copy of P among
-        them, is acted on afresh.
+        by an operator that acts by FFT: the same read-only array is returned
+        for every later action on P, by this operator or through any of its
+        adjoints. Any other block, a writable copy of P among them, is acted
+        on afresh.
         """
-        self._check(x)
-        return self._act(x)
-
-    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
-        """The adjoint acting on a d-vector or a d x k block, as :meth:`apply` acts.
-
-        A shifted DFT acts as ``conj(right) * fft(conj(left) * x)``, and a
-        product as its factors' adjoints in reverse order.
-        """
-        self._check(x)
-        return self._act(x, adjoint=True)
-
-    def _check(self, x: np.ndarray) -> None:
         if x.ndim not in (1, 2) or x.shape[0] != self.dim:
             raise DimensionMismatch(
                 f"operator dimension {self.dim} does not act on an operand of shape {x.shape}"
             )
+        return self._act(x, False)
 
-    def _act(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    def _act(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
         """M x, or M^dag x with ``adjoint``; the image of the probe block P is taken once.
 
-        A monomial acts on P in O(dk) and keeps no image. Any other operator
-        keeps its two images of P read-only in its cache, with P itself: the
-        first read-only block it meets fetches P from :func:`probes`, and no
-        later action calls :func:`probes` again.
+        A monomial acts on P in O(dk) and an adjoint through its base, and
+        neither keeps an image. Any other operator keeps its two images of P
+        read-only, with P itself: the first read-only block it meets fetches
+        P from :func:`probes`, and no later action calls :func:`probes` again.
         """
-        act = self._act_adjoint_on if adjoint else self._act_on
-        if self._kind == _MONOMIAL or x.ndim != 2 or x.flags.writeable:
-            return act(x)
-        images = self._cache[1]
+        if self._kind in (_MONOMIAL, _ADJOINT) or x.ndim != 2 or x.flags.writeable:
+            return self._act_on(x, adjoint)
+        images = self._images
         if not images:
             images["block"] = probes(self.dim)
         if x is not images["block"]:
-            return act(x)
+            return self._act_on(x, adjoint)
         if adjoint not in images:
-            image = act(x)
+            image = self._act_on(x, adjoint)
             image.setflags(write=False)
             images[adjoint] = image
         return images[adjoint]
 
-    def _act_on(self, x: np.ndarray) -> np.ndarray:
+    def _act_on(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
+        """M x, or M^dag x with ``adjoint``, through the parts."""
         kind, parts = self._kind, self._parts
         if kind == _MONOMIAL:
             rows, values, diagonal = parts
-            scaled = (values if x.ndim == 1 else values[:, None]) * x
+            values = values if x.ndim == 1 else values[:, None]
+            if adjoint:
+                return values.conj() * (x if diagonal else x[rows])
+            scaled = values * x
             if diagonal:
                 return scaled
             out = np.empty_like(scaled)
@@ -353,26 +348,13 @@ class OperatorMatrix:
             return out
         if kind == _FOURIER:
             left, right = (part if x.ndim == 1 else part[:, None] for part in parts[:2])
+            if adjoint:
+                return right.conj() * np.fft.fft(left.conj() * x, axis=0, norm="ortho")
             return left * np.fft.ifft(right * x, axis=0, norm="ortho")
         if kind == _ADJOINT:
-            return parts[0]._act(x, adjoint=True)
-        for factor in reversed(parts):
-            x = factor._act(x)
-        return x
-
-    def _act_adjoint_on(self, x: np.ndarray) -> np.ndarray:
-        kind, parts = self._kind, self._parts
-        if kind == _MONOMIAL:
-            rows, values, diagonal = parts
-            conj = (values if x.ndim == 1 else values[:, None]).conj()
-            return conj * (x if diagonal else x[rows])
-        if kind == _FOURIER:
-            left, right = (part if x.ndim == 1 else part[:, None] for part in parts[:2])
-            return right.conj() * np.fft.fft(left.conj() * x, axis=0, norm="ortho")
-        if kind == _ADJOINT:
-            return parts[0]._act(x)
-        for factor in parts:
-            x = factor._act(x, adjoint=True)
+            return parts[0]._act(x, not adjoint)
+        for factor in parts if adjoint else reversed(parts):
+            x = factor._act(x, adjoint)
         return x
 
 
@@ -495,7 +477,7 @@ def tag_deviation(m: OperatorMatrix) -> float:
     block = probes(m.dim)
     if m._kind == _FOURIER:
         return max_abs(_exact_turns(m, _exact_turns(m, block), adjoint=True) - block)
-    return max_abs(m.apply_adjoint(m.apply(block)) - block)
+    return max_abs(m.adjoint().apply(m.apply(block)) - block)
 
 
 def mat_power(m: OperatorMatrix, k: int) -> OperatorMatrix:
@@ -563,13 +545,13 @@ def within_tol_op(label: str, deviation: float, dim: int) -> float:
 
 
 def certify(m: OperatorMatrix) -> OperatorMatrix:
-    """``m`` certified unitary, with its deviation recorded as ``deviation``.
+    """``m`` itself, certified unitary: its deviation is recorded on it as ``deviation``.
 
     The deviation is measured once, by :func:`tag_deviation`, and refused by
-    :func:`within_tol_op`; otherwise the result shares ``m``'s parts and
-    read-only entries, without a copy; ``m`` itself is unchanged.
+    :func:`within_tol_op`, which leaves ``m`` uncertified.
     """
-    return m._certified(within_tol_op("unitary", tag_deviation(m), m.dim))
+    object.__setattr__(m, "deviation", within_tol_op("unitary", tag_deviation(m), m.dim))
+    return m
 
 
 def spectral_synthesize(frame: OperatorMatrix, eigvals: Iterable[complex]) -> OperatorMatrix:

@@ -129,7 +129,7 @@ class Frame:
             raise DimensionMismatch(
                 f"basis of dimension {self.basis.dim} for a space of dimension {self.config.dim}"
             )
-        object.__setattr__(self, "basis", certify(self.basis))
+        certify(self.basis)
 
 
 def build_phase_frame(config: SpaceConfig) -> Frame:

@@ -53,7 +53,7 @@ import numpy as np
 from .deformed import (
     DeformationProfile,
     build_generalized_frame,
-    build_ladder_operators,
+    build_lowering_operator,
     cycle_operator_power,
     deformation_linear,
     generalized_number_shift,
@@ -198,7 +198,7 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
     yield ("phase_frame_orthonormal", "<theta_m|theta_k> = delta_mk",
            basis.deviation, 0.0, policy.tol_op)
     yield ("phase_frame_complete", "sum_m |theta_m><theta_m| = 1",
-           basis.apply(basis.apply_adjoint(block)), block, policy.tol_op)
+           basis.apply(basis.adjoint().apply(block)), block, policy.tol_op)
     # The frame acts by FFT; the exact-turn route applies the closed form
     # exp(i n theta_m)/sqrt(s+1) through the four-step tables, with no FFT.
     yield ("phase_state_components", "<n|theta_m> = exp(i n theta_m)/sqrt(s+1)",
@@ -229,7 +229,7 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
            down.apply(basis.apply(block)), basis.apply(np.roll(block, -1, axis=0)),
            policy.tol_elem)
     yield ("number_shift_realization", "q^-N = sum_m |theta_m-1><theta_m| + |theta_s><theta_0|",
-           basis.apply(cyclic_shift(dim, 1.0).apply(basis.apply_adjoint(block))),
+           basis.apply(cyclic_shift(dim, 1.0).apply(basis.adjoint().apply(block))),
            down.apply(block), policy.tol_op)
     # The explicit diagonal q^-N raised by repeated multiplication against
     # the identity.
@@ -238,7 +238,7 @@ def suite_pb_core(config: SpaceConfig, policy: TolerancePolicy, shared: dict):
 
     # The explicit shift: the spectral route, built from v, would test only v's orthonormality.
     yield ("unitary_phase_diagonal_in_phase_frame", "exp(iPhi)|theta_m> = exp(i theta_m)|theta_m>",
-           basis.apply_adjoint(realization.apply(basis.apply(block))),
+           basis.adjoint().apply(realization.apply(basis.apply(block))),
            np.exp(1j * config.thetas())[:, None] * block,
            policy.tol_op)
     # q^-N, whose diagonal is root_power(-n), against the powers of the
@@ -277,21 +277,21 @@ def suite_gdo(
            phases.basis.deviation, 0.0, policy.tol_op)
 
     yield ("continuous_shift_roundtrip", "exp(-i eta Phi)|n> = |n+eta>",
-           p.apply(coeff.apply_adjoint(block)), v.apply(block), policy.tol_elem)
+           p.apply(coeff.adjoint().apply(block)), v.apply(block), policy.tol_elem)
 
-    ladder = build_ladder_operators(frame, profile)
+    a = build_lowering_operator(frame, profile)
     yield ("ladder_number_product", "Adag A |n+eta> = F_n |n+eta>",
-           v.apply_adjoint(ladder.a_dag.apply(ladder.a.apply(v.apply(block)))),
+           v.adjoint().apply(a.adjoint().apply(a.apply(v.apply(block)))),
            profile.values[:, None] * block,
            policy.tol_op)
     yield ("ladder_reversed_product", "A Adag carries the cyclically shifted weights",
-           v.apply_adjoint(ladder.a.apply(ladder.a_dag.apply(v.apply(block)))),
+           v.adjoint().apply(a.apply(a.adjoint().apply(v.apply(block)))),
            np.roll(profile.values, -1)[:, None] * block,
            policy.tol_op)
 
     phase_op = _once(shared, "exp_iphi", unitary_phase_operator, config)
     if np.all(profile.values > 0.0):
-        recovered = recover_phase_operator(ladder.a, profile, frame)
+        recovered = recover_phase_operator(a, profile, frame)
         yield ("phase_operator_recovery", "A F(q^(N+eta))^(-1/2) = exp(iPhi)",
                recovered.apply(block), phase_op.apply(block), policy.tol_op)
         yield ("recovered_phase_unitary", "A F(q^(N+eta))^(-1/2) is unitary",

@@ -10,7 +10,7 @@ import pytest
 from fdphase.cli import main
 from fdphase.deformed import (
     build_generalized_frame,
-    build_ladder_operators,
+    build_lowering_operator,
     cycle_operator_power,
     deformation_linear,
     offset_phase_coefficients,
@@ -146,8 +146,8 @@ def test_criterion_4_deformed_recovery():
             for eta in ETA_GRID:
                 frame = build_generalized_frame(base, eta)
                 profile = deformation_linear(config, eta)
-                ladder = build_ladder_operators(frame, profile)
-                recovered = recover_phase_operator(ladder.a, profile, frame)
+                a = build_lowering_operator(frame, profile)
+                recovered = recover_phase_operator(a, profile, frame)
                 dev = float(np.max(np.abs(recovered.entries - expected.entries)))
                 worst = max(worst, dev)
                 ok = ok and dev <= tol

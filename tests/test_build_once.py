@@ -10,7 +10,7 @@ from fdphase import numerics, pegg_barnett
 from fdphase.cli import main
 from fdphase.deformed import (
     build_generalized_frame,
-    build_ladder_operators,
+    build_lowering_operator,
     cycle_operator_power,
     deformation_linear,
     generalized_number_shift,
@@ -78,12 +78,13 @@ class TestCertifyOnce:
             assert op.deviation is None
         assert len(measured) == 0
 
-    def test_certified_matrix_shares_the_entries(self):
+    def test_certify_returns_the_operator_it_measured(self):
         op = _diagonal([1.0, -1.0])
-        unitary = certify(op)
-        assert unitary.entries is op.entries
-        assert not unitary.entries.flags.writeable
-        assert op.deviation is None
+        entries = op.entries
+        assert certify(op) is op
+        assert op.deviation == 0.0
+        assert op.entries is entries
+        assert not op.entries.flags.writeable
 
     def test_matrix_keeps_its_certified_deviation(self, measured):
         # A synthesis at dim 2 that is unitary to within 1e-13.
@@ -116,10 +117,10 @@ BUILDERS = {
     "number_operator": (False, lambda c: _number_operator(c.config)),
     "hamiltonian": (False, lambda c: hamiltonian(c.config, 1.0)),
     "time_evolution": (True, lambda c: time_evolution(c.config, 1.0, 0.7)),
-    "ladder_lowering": (False, lambda c: build_ladder_operators(c.offset, c.profile).a),
+    "ladder_lowering": (False, lambda c: build_lowering_operator(c.offset, c.profile)),
     "recover_phase_operator": (
         True,
-        lambda c: recover_phase_operator(c.ladder.a, c.profile, c.offset),
+        lambda c: recover_phase_operator(c.lowering, c.profile, c.offset),
     ),
     "generalized_number_shift": (True, lambda c: generalized_number_shift(c.offset)),
     "modified_number_shift": (
@@ -140,7 +141,7 @@ class TestBuilderCertifications:
         profile = deformation_linear(config, 0.5)
         context = SimpleNamespace(
             config=config, frame=frame, offset=offset, profile=profile,
-            ladder=build_ladder_operators(offset, profile),
+            lowering=build_lowering_operator(offset, profile),
             phases=offset_phase_frame(offset, offset_phase_coefficients(offset)),
         )
         measured.clear()
@@ -151,6 +152,17 @@ class TestBuilderCertifications:
             assert op.deviation == tag_deviation(*measured[0])
         else:
             assert op.deviation is None
+
+    @pytest.mark.parametrize("dim", [7, 64, 512])
+    @pytest.mark.parametrize("eta, calls", [(0.5, 14), (1.5, 15)])
+    def test_verify_measures_no_operator_twice(self, dim, eta, calls, measured, tmp_path):
+        # Every operator is certified once, in place: the operators measured
+        # in one verify run are pairwise distinct objects.
+        argv = ["verify", "--suite", "all", "--dim", str(dim), "--theta0", "2.9",
+                "--eta", str(eta), "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        assert len(measured) == calls
+        assert len({id(op) for (op,) in measured}) == calls
 
     def test_run_measures_once_per_certification(self, monkeypatch):
         measured = _count_calls(monkeypatch, numerics.tag_deviation)

@@ -34,15 +34,19 @@ OMEGA_LIMIT_AT_DIM_3 = (
     "error: omega = 1e+308 is out of range: the top energy omega*(s+1/2) + "
     "omega*(s+1)/2 must be finite, so omega must stay below 4.494e+307 at dimension 3\n"
 )
-ETA_LIMIT_AT_DIM_3 = (
-    "error: eta = 1e+308 is out of range: the phases (n+eta)*theta_m and 2*pi*(n+eta) "
-    "must be finite, so |eta| must stay below 1.764e+307 at dimension 3 and theta0 = 6.0\n"
-)
 PHASE_ROUNDING = (
     "error: theta0 = {theta0} and eta = {eta} are out of range: the phases (n+eta)*theta_m "
     "round by up to eps*(|(s+eta)*theta0| + |eta*theta0| + 2*pi*|eta|) = {rounding}, "
     "which must stay within tol_op = {tol} at dimension {dim}\n"
 )
+# An overflowing eta makes the rounding bound infinite: the offset frame
+# refuses it before anything is formed, in every command.
+ETA_LIMIT_AT_DIM_3 = PHASE_ROUNDING.format(
+    theta0="6.0", eta="1e+308", rounding="inf", tol="3.000e-11", dim=3)
+# The offset frame at d=7 and eta=1e12, whose phases eta*theta_m round by
+# about 1e-4: once a shift evolve or an A/Adag dump printed them, exit 0.
+ETA_ROUNDING_AT_DIM_7 = PHASE_ROUNDING.format(
+    theta0="0.0", eta="1000000000000.0", rounding="1.395e-03", tol="7.000e-11", dim=7)
 SMALL_OMEGA_LIMIT = (
     "error: omega = 1e-310 is out of range: the period 2*pi/omega must be finite, "
     "so omega must be at least 3.49513784379046e-308\n"
@@ -442,6 +446,18 @@ class TestEvolve:
         assert main(argv) == 2
         assert capsys.readouterr().err == ETA_LIMIT_AT_DIM_3
 
+    def test_eta_whose_frame_phases_round_exits_2(self, tmp_path, capsys):
+        # Formed, the offset frame is unitary but off by about 1e-4, and
+        # three shift steps moved the amplitudes by 8.3e-5.
+        d = 7
+        amplitudes = [complex(math.cos(n), math.sin(n)) / math.sqrt(d) for n in range(d)]
+        state = write_state(tmp_path / "state.json", amplitudes)
+        argv = ["evolve", str(state), "--mode", "shift", "--eta", "1e12", "--steps", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ETA_ROUNDING_AT_DIM_7
+
     def test_omega_with_an_infinite_top_energy_exits_2(self, tmp_path, capsys):
         state = write_state(tmp_path / "state.json", [1.0, 0.0, 0.0])
         assert main(["evolve", str(state), "--mode", "hamiltonian", "--omega", "1e308"]) == 2
@@ -669,6 +685,17 @@ class TestDump:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ETA_LIMIT_AT_DIM_3
+
+    @pytest.mark.parametrize("name", ["A", "Adag"])
+    def test_eta_whose_frame_phases_round_exits_2(self, tmp_path, capsys, name):
+        # Formed over that frame, the entries of A were off by 1.75e-4.
+        profile = tmp_path / "profile.json"
+        profile.write_text("[1, 2, 3, 4, 5, 6, 7]", encoding="utf-8")
+        argv = ["dump", name, "--dim", "7", "--eta", "1e12", "--profile", str(profile)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ETA_ROUNDING_AT_DIM_7
 
     def test_omega_with_an_infinite_top_energy_exits_2(self, capsys):
         assert main(["dump", "H", "--dim", "3", "--omega", "1e308"]) == 2

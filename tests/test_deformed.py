@@ -1,6 +1,7 @@
 """Deformed ladder algebra: profiles, frames, recovery, cycle phases."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from fdphase.deformed import (
     DeformationProfile,
     ProfileError,
     build_generalized_frame,
-    build_ladder_operators,
+    build_lowering_operator,
     cycle_operator_power,
     deformation_linear,
     generalized_number_shift,
@@ -19,7 +20,12 @@ from fdphase.deformed import (
     profile_from_json,
     recover_phase_operator,
 )
-from fdphase.numerics import DimensionMismatch, TolerancePolicy, equal_up_to_global_phase
+from fdphase.numerics import (
+    DimensionMismatch,
+    OperatorMatrix,
+    TolerancePolicy,
+    equal_up_to_global_phase,
+)
 from fdphase.pegg_barnett import (
     Frame,
     SpaceConfig,
@@ -183,33 +189,64 @@ class TestGeneralizedFrame:
         [(3, 6.0, 1e308), (1, 6.0, 2.9961552247705263e307), (4, 0.0, -1e308), (2, -1e3, 1e306)],
     )
     def test_refuses_an_eta_whose_phases_overflow(self, dim, theta0, eta):
-        # (n+eta)*theta_m or 2*pi*(n+eta) is not finite: refused by name,
-        # before numpy can warn about an overflow.
-        with pytest.raises(ValueError, match=r"\|eta\| must stay below"):
+        # (n+eta)*theta_m or 2*pi*eta is not finite, so the rounding bound is
+        # infinite: refused by name, before numpy can warn about an overflow.
+        with pytest.raises(ValueError, match=r"round by up to .* = inf, which must stay within tol_op"):
             _offset_frame(SpaceConfig.from_dim(dim, theta0), eta)
 
-    @pytest.mark.parametrize("dim, theta0", [(1, 0.0), (3, 6.0), (8, -2.9)])
-    def test_accepts_every_eta_up_to_the_named_limit(self, dim, theta0):
-        # Just inside the limit the frame's phases are finite; its
-        # certification may still refuse the imprecise basis.
+    @pytest.mark.parametrize("dim, theta0", [(1, 0.0), (3, 6.0), (7, 0.0), (8, -2.9)])
+    def test_accepts_every_eta_up_to_the_rounding_limit(self, dim, theta0):
+        # The largest eta whose phases round within tol_op builds a certified
+        # frame, and the next float is refused as the offset coefficients are.
         config = SpaceConfig.from_dim(dim, theta0)
-        scale = max(2 * np.pi, float(np.max(np.abs(config.thetas()))))
-        eta = np.finfo(float).max / scale
-        while not np.isfinite((eta + config.s) * scale):
+        tol = TolerancePolicy.for_dim(dim).tol_op
+
+        def rounding(eta):
+            return np.finfo(float).eps * (
+                abs((dim - 1 + eta) * theta0) + abs(eta * theta0) + 2 * np.pi * abs(eta))
+
+        eta = (tol - rounding(0.0)) / (rounding(1.0) - rounding(0.0))  # the bound is linear
+        while rounding(eta) > tol:
             eta = np.nextafter(eta, 0.0)
-        try:
-            frame = _offset_frame(config, eta)
-        except ArithmeticError:
-            return
-        assert np.all(np.isfinite(generalized_number_shift(frame).entries))
+        while rounding(np.nextafter(eta, np.inf)) <= tol:
+            eta = np.nextafter(eta, np.inf)
+        assert type(_offset_frame(config, eta).basis.deviation) is float
+        above = np.nextafter(eta, np.inf)
+        for refused in (lambda: _offset_frame(config, above),
+                        lambda: OperatorMatrix.fourier(dim, theta0, above)):
+            with pytest.raises(ValueError, match="which must stay within tol_op"):
+                refused()
+
+    @pytest.mark.parametrize("eta", [1e12, "limit"])
+    def test_the_bound_covers_the_frame_phases(self, eta):
+        # At d=7 and theta0=0 the frame's eigenvalues exp(-i eta theta_m) are
+        # exp(-2 pi i frac(eta m/7)), with the fraction taken exactly. Within
+        # the limit they round within tol_op; at eta=1e12, which is refused,
+        # they were off by about 1e-4.
+        dim = 7
+        config = SpaceConfig.from_dim(dim)
+        tol = TolerancePolicy.for_dim(dim).tol_op
+        if eta == "limit":
+            eta = tol / (np.finfo(float).eps * 2 * np.pi)
+        formed = np.exp(-1j * eta * config.thetas())
+        exact = np.exp(-2j * np.pi * np.array(
+            [float(Fraction(eta) * m / dim % 1) for m in range(dim)]))
+        error = np.max(np.abs(formed - exact))
+        if eta == 1e12:
+            assert error > 1e-5
+            with pytest.raises(ValueError, match="tol_op"):
+                _offset_frame(config, eta)
+        else:
+            assert error <= tol
+            _offset_frame(config, eta)
 
 
 class TestLadderOperators:
     def test_dim_1_single_level_cycle(self):
         config = SpaceConfig(s=0, theta0=0.9)
         profile = DeformationProfile(np.array([0.5]))
-        ladder = build_ladder_operators(_offset_frame(config, 0.5), profile)
-        assert ladder.a.entries[0, 0] == pytest.approx(
+        a = build_lowering_operator(_offset_frame(config, 0.5), profile)
+        assert a.entries[0, 0] == pytest.approx(
             np.sqrt(0.5) * np.exp(0.9j)
         )
 
@@ -217,8 +254,8 @@ class TestLadderOperators:
         config = SpaceConfig.from_dim(2, 0.0)
         frame = _offset_frame(config, 0.5)
         profile = deformation_linear(config, 0.5)
-        ladder = build_ladder_operators(frame, profile)
-        in_frame = _in_frame(frame, ladder.a.entries)
+        a = build_lowering_operator(frame, profile)
+        in_frame = _in_frame(frame, a.entries)
         assert np.allclose(
             in_frame, [[0.0, np.sqrt(1.5)], [np.sqrt(0.5), 0.0]], atol=1e-14
         )
@@ -230,10 +267,10 @@ class TestLadderOperators:
         config = SpaceConfig.from_dim(dim, 0.3)
         frame = _offset_frame(config, eta)
         profile = deformation_linear(config, eta)
-        ladder = build_ladder_operators(frame, profile)
-        lowering_then_raising = _in_frame(frame, ladder.a_dag.apply(ladder.a.entries))
+        a = build_lowering_operator(frame, profile)
+        lowering_then_raising = _in_frame(frame, a.adjoint().apply(a.entries))
         assert np.max(np.abs(lowering_then_raising - np.diag(profile.values))) <= 1e-11 * dim
-        raising_then_lowering = _in_frame(frame, ladder.a.apply(ladder.a_dag.entries))
+        raising_then_lowering = _in_frame(frame, a.apply(a.adjoint().entries))
         assert (
             np.max(np.abs(raising_then_lowering - np.diag(np.roll(profile.values, -1))))
             <= 1e-11 * dim
@@ -242,13 +279,13 @@ class TestLadderOperators:
     def test_raising_is_the_exact_adjoint(self):
         config = SpaceConfig.from_dim(4, 0.3)
         frame = _offset_frame(config, 0.25)
-        ladder = build_ladder_operators(frame, deformation_linear(config, 0.25))
-        assert np.array_equal(ladder.a_dag.entries, ladder.a.entries.conj().T)
-        assert ladder.a_dag.deviation is None
+        a = build_lowering_operator(frame, deformation_linear(config, 0.25))
+        assert np.array_equal(a.adjoint().entries, a.entries.conj().T)
+        assert a.adjoint().deviation is None
 
     def test_profile_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            build_ladder_operators(
+            build_lowering_operator(
                 _offset_frame(SpaceConfig.from_dim(3), 0.5), DeformationProfile(np.array([1.0]))
             )
 
@@ -258,16 +295,16 @@ class TestRecoverPhaseOperator:
         config = SpaceConfig.from_dim(2, 0.0)
         frame = _offset_frame(config, 0.5)
         profile = deformation_linear(config, 0.5)
-        ladder = build_ladder_operators(frame, profile)
-        recovered = recover_phase_operator(ladder.a, profile, frame)
+        a = build_lowering_operator(frame, profile)
+        recovered = recover_phase_operator(a, profile, frame)
         assert np.allclose(recovered.entries, [[0, 1], [1, 0]], atol=1e-14)
 
     def test_dim_3_matches_explicit_realization(self):
         config = SpaceConfig.from_dim(3, 0.4)
         frame = _offset_frame(config, 0.5)
         profile = deformation_linear(config, 0.5)
-        ladder = build_ladder_operators(frame, profile)
-        recovered = recover_phase_operator(ladder.a, profile, frame)
+        a = build_lowering_operator(frame, profile)
+        recovered = recover_phase_operator(a, profile, frame)
         expected = unitary_phase_operator(config)
         assert np.max(np.abs(recovered.entries - expected.entries)) <= 3e-11
 
@@ -275,8 +312,8 @@ class TestRecoverPhaseOperator:
         config = SpaceConfig(s=0, theta0=0.7)
         frame = _offset_frame(config, 0.5)
         profile = DeformationProfile(np.array([0.5]))
-        ladder = build_ladder_operators(frame, profile)
-        recovered = recover_phase_operator(ladder.a, profile, frame)
+        a = build_lowering_operator(frame, profile)
+        recovered = recover_phase_operator(a, profile, frame)
         assert recovered.entries[0, 0] == pytest.approx(np.exp(0.7j))
 
     def test_independent_of_weight_table(self):
@@ -285,17 +322,17 @@ class TestRecoverPhaseOperator:
         expected = unitary_phase_operator(config)
         for values in ([0.7, 2.2, 1.3], [5.0, 0.1, 9.0]):
             profile = DeformationProfile(np.array(values))
-            ladder = build_ladder_operators(frame, profile)
-            recovered = recover_phase_operator(ladder.a, profile, frame)
+            a = build_lowering_operator(frame, profile)
+            recovered = recover_phase_operator(a, profile, frame)
             assert np.max(np.abs(recovered.entries - expected.entries)) <= 3e-11
 
     def test_zero_weight_refused(self):
         config = SpaceConfig.from_dim(2, 0.0)
         frame = _offset_frame(config, 0.5)
         profile = DeformationProfile(np.array([1.0, 0.0]))
-        ladder = build_ladder_operators(frame, profile)
+        a = build_lowering_operator(frame, profile)
         with pytest.raises(ProfileError):
-            recover_phase_operator(ladder.a, profile, frame)
+            recover_phase_operator(a, profile, frame)
 
 
 class TestModifiedNumberShift:

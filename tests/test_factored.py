@@ -12,7 +12,7 @@ from fdphase import numerics
 from fdphase.cli import main
 from fdphase.deformed import (
     build_generalized_frame,
-    build_ladder_operators,
+    build_lowering_operator,
     cycle_operator_power,
     deformation_linear,
     generalized_number_shift,
@@ -83,7 +83,7 @@ def _oracles(dim, theta0=2.9, eta=1.5):
     coeff_op = offset_phase_coefficients(offset)
     phases = offset_phase_frame(offset, coeff_op)
     profile = deformation_linear(config, eta)
-    ladder = build_ladder_operators(offset, profile)
+    lowering = build_lowering_operator(offset, profile)
     thetas = config.thetas()
     v = _shifted_dft(dim, theta0, 0.0)
     coeff = _shifted_dft(dim, theta0, eta)
@@ -104,9 +104,9 @@ def _oracles(dim, theta0=2.9, eta=1.5):
         "q_minus_n": (number_shift_operator(config), np.diag(config.root_power(-levels))),
         "offset_frame": (offset.basis, w),
         "offset_phase_frame": (phases.basis, p),
-        "lowering": (ladder.a, a),
-        "raising": (ladder.a_dag, a.conj().T),
-        "recovered": (recover_phase_operator(ladder.a, profile, offset),
+        "lowering": (lowering, a),
+        "raising": (lowering.adjoint(), a.conj().T),
+        "recovered": (recover_phase_operator(lowering, profile, offset),
                       a @ _synthesized(w, (profile.values ** -0.5).astype(complex))),
         "generalized_shift": (generalized_number_shift(offset), _synthesized(w, shift_eigvals)),
         "modified_shift": (modified_number_shift(offset, phases),
@@ -135,7 +135,7 @@ class TestEntriesKeepTheDenseExpressions:
             tol = 1e-13 * dim * scale
             assert np.max(np.abs(op.apply(block) - oracle @ block)) <= tol, name
             assert np.max(np.abs(op.apply(block[:, 0]) - oracle @ block[:, 0])) <= tol, name
-            assert np.max(np.abs(op.apply_adjoint(block) - oracle.conj().T @ block)) <= tol, name
+            assert np.max(np.abs(op.adjoint().apply(block) - oracle.conj().T @ block)) <= tol, name
 
 
 class TestShiftedDft:
@@ -181,14 +181,14 @@ class TestShiftedDft:
         bound = 16 * np.finfo(float).eps * np.sqrt(dim) * (1.0 + abs(theta0) + abs(eta))
         for block in (x, x[:, 0]):  # a narrow block and a single state
             assert np.max(np.abs(op.apply(block) - entries @ block)) <= bound
-            assert np.max(np.abs(op.apply_adjoint(block) - entries.conj().T @ block)) <= bound
+            assert np.max(np.abs(op.adjoint().apply(block) - entries.conj().T @ block)) <= bound
 
     @pytest.mark.parametrize("dim, width", [(65, 10), (8, 8)])
     def test_acts_by_fft_on_any_block(self, dim, width):
         op = OperatorMatrix.fourier(dim, 2.9, 1.5)
         op.apply(np.ones((dim, width)))
-        op.apply_adjoint(np.ones(dim))
-        assert op._cache[0] is None
+        op.adjoint().apply(np.ones(dim))
+        assert op._entries is None
 
     def test_parts_are_read_only(self):
         left, right, _, _ = OperatorMatrix.fourier(8, 2.9, 1.5)._parts
@@ -204,7 +204,7 @@ class TestShiftedDft:
         # per product of length d: the two agree within 4 d eps.
         op = OperatorMatrix.fourier(dim, 1e4, 1.5)
         deviation = certify(op).deviation
-        assert op._cache[0] is None
+        assert op._entries is None
         block = numerics.probes(dim)
         entries = op.entries
         dense = np.max(np.abs(entries.conj().T @ (entries @ block) - block))
@@ -274,7 +274,7 @@ class TestHeldKinds:
         x = np.arange(6.0).reshape(3, 2) + 1j
         assert np.array_equal(op.entries, dense)
         assert np.allclose(op.apply(x), dense @ x, rtol=0.0, atol=1e-15)
-        assert np.allclose(op.apply_adjoint(x), dense.conj().T @ x, rtol=0.0, atol=1e-15)
+        assert np.allclose(op.adjoint().apply(x), dense.conj().T @ x, rtol=0.0, atol=1e-15)
         assert np.allclose(op.apply(x[:, 1]), dense @ x[:, 1], rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("rows, values", [
@@ -307,12 +307,14 @@ class TestHeldKinds:
         with pytest.raises(AttributeError):
             op.dim = 3
 
-    def test_certified_copy_shares_the_formed_entries(self):
+    def test_certify_records_on_the_operator_itself(self):
         config = SpaceConfig.from_dim(5, 0.3)
         spectral = numerics.spectral_synthesize(build_phase_frame(config).basis,
                                                 np.exp(1j * config.thetas()))
-        certified = certify(spectral)
-        assert certified.entries is spectral.entries
+        entries = spectral.entries
+        assert certify(spectral) is spectral
+        assert type(spectral.deviation) is float
+        assert spectral.entries is entries
 
 
 class TestMonomialScan:
@@ -323,7 +325,7 @@ class TestMonomialScan:
             assert numerics._monomial(op) is None
             with pytest.raises(ValueError, match="monomial"):
                 mat_power(op, 2)
-            assert op._cache[0] is None
+            assert op._entries is None
 
     def test_held_monomial_gives_its_parts_without_a_scan(self):
         u = time_evolution(SpaceConfig.from_dim(4), 1.0, 0.3)
@@ -427,19 +429,21 @@ class TestProbeImages:
         frame = build_phase_frame(config)
         spectral = unitary_phase_from_spectrum(frame)
         for op in (frame.basis, spectral, OperatorMatrix.fourier(dim, 0.3, 1.5)):
-            for act in ("apply", "apply_adjoint"):
-                image = getattr(op, act)(block)
+            for image_of in (op, op.adjoint()):
+                image = image_of.apply(block)
                 assert not image.flags.writeable
                 with pytest.raises(ValueError):
                     image[0, 0] = 1.0
-                assert getattr(op, act)(block) is image
-                other = "apply_adjoint" if act == "apply" else "apply"
-                assert getattr(op.adjoint(), other)(block) is image
-        # A certified copy shares the images of the operator it certifies.
-        assert certify(spectral).apply(block) is spectral.apply(block)
+                assert image_of.apply(block) is image
+                # An adjoint acts through its base, whose images it reads.
+                assert image_of.adjoint().adjoint().apply(block) is image
+        # Certification records on the operator, which keeps its images.
+        image = spectral.apply(block)
+        assert certify(spectral) is spectral
+        assert spectral.apply(block) is image
         counted = _counted_ffts(monkeypatch)
         frame.basis.apply(block)
-        spectral.apply_adjoint(block)
+        spectral.adjoint().apply(block)
         assert counted == []
 
     @pytest.mark.parametrize("dim", [8, 65])
@@ -460,7 +464,7 @@ class TestProbeImages:
         block = numerics.probes(65)
         shift = numerics.cyclic_shift(65, 1j)
         assert shift.apply(block) is not shift.apply(block)
-        assert shift._cache[1] == {}
+        assert shift._images == {}
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "all", "--dim", "65", "--theta0", "2.9", "--eta", "1.5"],

@@ -16,7 +16,7 @@ def _library_example() -> str:
 def test_library_example_runs():
     code = _library_example()
     assert "build_generalized_frame(build_phase_frame(config), eta=0.5)" in code
-    assert "build_ladder_operators(frame, profile)" in code
+    assert "build_lowering_operator(frame, profile)" in code
     namespace = {}
     exec(compile(code, str(README), "exec"), namespace)
     assert namespace["recovered"].dim == 8

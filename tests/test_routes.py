@@ -8,7 +8,7 @@ import pytest
 from fdphase import numerics, suites
 from fdphase.deformed import (
     build_generalized_frame,
-    build_ladder_operators,
+    build_lowering_operator,
     cycle_operator_power,
     deformation_linear,
     generalized_number_shift,
@@ -140,8 +140,8 @@ def _dense_deviations(dim, theta0, eta):
     p = phases.basis.entries
     coeff = coeff_op.entries
     profile = deformation_linear(config, eta)
-    ladder = build_ladder_operators(offset, profile)
-    a, a_dag = ladder.a.entries, ladder.a_dag.entries
+    lowering = build_lowering_operator(offset, profile)
+    a, a_dag = lowering.entries, lowering.adjoint().entries
     q = generalized_number_shift(offset).entries
     q_p, shift_w = q @ p, shift @ w
     corner_theta, corner_eta = np.exp(1j * dim * theta0), np.exp(-2j * np.pi * eta)
@@ -156,7 +156,7 @@ def _dense_deviations(dim, theta0, eta):
             spectral - numerics.cyclic_shift(dim, corner_theta).entries),
         "unitary_phase_realization": _max_abs(shift - spectral),
         "phase_operator_recovery": _max_abs(
-            recover_phase_operator(ladder.a, profile, offset).entries - shift),
+            recover_phase_operator(lowering, profile, offset).entries - shift),
         "modified_shift_realization": _max_abs(
             modified_number_shift(offset, phases).entries - q),
         "corner_phase_phase_operator": abs(
@@ -186,7 +186,7 @@ def _dense_deviations(dim, theta0, eta):
             w.conj().T @ a_dag @ a @ w - np.diag(profile.values)),
         "ladder_reversed_product": _max_abs(
             w.conj().T @ a @ a_dag @ w - np.diag(np.roll(profile.values, -1))),
-        "recovered_phase_unitary": gram(recover_phase_operator(ladder.a, profile, offset).entries),
+        "recovered_phase_unitary": gram(recover_phase_operator(lowering, profile, offset).entries),
         "modified_shift_action": _max_abs(q_p[:, 1:] - p[:, :-1]),
         "modified_shift_wraparound": _max_abs(
             q_p[:, 0] - np.exp(-2j * np.pi * eta) * p[:, dim - 1]),
@@ -432,7 +432,7 @@ class TestTheExactTurnRoute:
         bound = np.finfo(float).eps * (5 * math.log2(dim) + d1 + dim // d1 + 8)
         assert np.max(np.abs(numerics._exact_turns(op, x) - op.apply(x))) <= bound
         assert np.max(np.abs(numerics._exact_turns(op, x, adjoint=True)
-                             - op.apply_adjoint(x))) <= bound
+                             - op.adjoint().apply(x))) <= bound
 
     @pytest.mark.parametrize("dim", [8, 128, 509, 512])
     def test_one_side_stays_off_the_fft(self, dim, monkeypatch):
@@ -477,7 +477,7 @@ class TestMonomialReading:
             np.arange(dim) if rows == "diagonal" else rng.permutation(dim), values)
         diagonal = _values(rng, dim, like=values)
         gap = suites._diagonal_gap(op, diagonal)
-        assert op._cache[0] is None  # read without forming the entries
+        assert op._entries is None  # read without forming the entries
         every_entry = np.max(np.abs(op.entries - np.diag(diagonal)))
         assert gap.shape == (dim,)
         assert np.max(gap) == every_entry
@@ -504,7 +504,7 @@ class TestMonomialReading:
         rows = np.arange(dim) if diagonal else rng.permutation(dim)
         op = numerics.OperatorMatrix.monomial(rows, rng.standard_normal(dim) + 1j)
         read = suites._diagonal(op)
-        assert op._cache[0] is None  # read without forming the entries
+        assert op._entries is None  # read without forming the entries
         assert read.dtype == np.complex128
         assert read.tobytes() == np.diag(op.entries).tobytes()
 
