@@ -348,9 +348,12 @@ class OperatorMatrix:
             return out
         if kind == _FOURIER:
             left, right = (part if x.ndim == 1 else part[:, None] for part in parts[:2])
+            # The fresh transform is scaled in place, the operands in their order.
             if adjoint:
-                return right.conj() * np.fft.fft(left.conj() * x, axis=0, norm="ortho")
-            return left * np.fft.ifft(right * x, axis=0, norm="ortho")
+                y = np.fft.fft(left.conj() * x, axis=0, norm="ortho")
+                return np.multiply(right.conj(), y, out=y)
+            y = np.fft.ifft(right * x, axis=0, norm="ortho")
+            return np.multiply(left, y, out=y)
         if kind == _ADJOINT:
             return parts[0]._act(x, not adjoint)
         for factor in parts if adjoint else reversed(parts):
@@ -403,6 +406,53 @@ def _binary_power(rows: np.ndarray, values: np.ndarray, k: int) -> tuple:
 # this size among 2^13..2^17 (larger chunks fall out of the L2 cache).
 _TURN_CHUNK = 1 << 14
 
+# Complex multiply-adds in one product tile of the four-step route. OpenBLAS
+# 0.3.31 runs a zgemm of m n k <= 63,948 on the calling thread and wakes its
+# thread pool from 65,536 up; a woken worker then spins for the rest of the
+# command, so on 2 cores a verify took twice its wall time in CPU.
+_TILE = 1 << 15
+
+
+def _spans(total: int, size: int) -> list:
+    """(start, stop) of consecutive spans of ``size`` covering ``range(total)``.
+
+    A last span of one index joins the span before it: numpy hands a single
+    row or column to gemv, which sums in another order than gemm.
+    """
+    stops = list(range(size, total, size)) + [total]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        del stops[-2]
+    return list(zip([0, *stops[:-1]], stops))
+
+
+def _tiled_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = a @ b, by tiles of at most ``_TILE`` multiply-adds.
+
+    A tile takes one row or column more where :func:`_spans` folds a last one
+    into it.
+
+    Column tiles start at column 0 and are 8 wide or a multiple of 8, so that
+    each column keeps its place among the kernel's blocks of columns, whose
+    edge takes another code path (Goto & van de Geijn, ACM TOMS 34(3), 2008):
+    tiles 6 wide moved the bits. Rows are split, in tiles of at least 2, only
+    where 8 columns of the whole of ``a`` exceed the bound. On one thread
+    OpenBLAS gives every entry the bits of the untiled product under such
+    tiles. The product is one call when it is within the bound; when it has
+    one row, since numpy hands a single row to gemv, whose threads split its
+    columns their own way; and when 2 rows by 8 columns exceed the bound (more
+    than 2048 columns in ``a``, at a prime d), since no tile would then stay
+    on the calling thread.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    if m == 1 or m * k * n <= _TILE or 16 * k > _TILE:
+        return np.matmul(a, b, out=out)
+    rows = m if 8 * m * k <= _TILE else _TILE // (8 * k)
+    cols = _TILE // (rows * k) // 8 * 8
+    for top, bottom in _spans(m, rows):
+        for left, right in _spans(n, cols):
+            np.matmul(a[top:bottom], b[:, left:right], out=out[top:bottom, left:right])
+    return out
+
 
 def _turn_sum(y: np.ndarray) -> np.ndarray:
     """sum_m exp(2 pi i n m/d) y[m] for each column of a d x k block, by the four-step route.
@@ -415,6 +465,14 @@ def _turn_sum(y: np.ndarray) -> np.ndarray:
     gathered in row chunks of ``_TURN_CHUNK`` entries, so nothing d x d is
     formed, and no FFT is called: O(d (d1 + d2) k) time, O(dk) memory plus
     one chunk. A prime d has d1 = 1, and then O(d^2 k) time.
+
+    Each product is taken by :func:`_tiled_product` in tiles of at most 2^15
+    multiply-adds, 8 columns wide or a multiple of 8, which OpenBLAS runs on
+    the calling thread, with the bits of the untiled product. Two kinds of
+    product are taken whole and may still reach its second thread: the d2
+    stage of a prime d above 2048, where 2 gathered rows by 8 columns exceed
+    the bound, and a last chunk of one row (d2 mod the chunk's rows = 1),
+    which numpy hands to gemv.
     """
     dim, width = y.shape
     turns = _turns(dim)
@@ -423,7 +481,8 @@ def _turn_sum(y: np.ndarray) -> np.ndarray:
         d1 -= 1
     d2 = dim // d1
     n1, m2 = np.arange(d1), np.arange(d2)
-    z = turns[np.outer(n1, d2 * n1) % dim] @ y.reshape(d1, d2 * width)
+    z = _tiled_product(turns[np.outer(n1, d2 * n1) % dim], y.reshape(d1, d2 * width),
+                       np.empty((d1, d2 * width), dtype=np.complex128))
     z = z.reshape(d1, d2, width).transpose(1, 0, 2) * turns[np.outer(m2, n1) % dim][:, :, None]
     z = z.reshape(d2, d1 * width)
     out = np.empty_like(z)
@@ -433,7 +492,8 @@ def _turn_sum(y: np.ndarray) -> np.ndarray:
     table = np.empty((rows, d2), dtype=np.complex128)
     for start in range(0, d2, rows):
         stop = min(start + rows, d2)
-        out[start:stop] = np.take(turns, index[:stop - start], out=table[:stop - start]) @ z
+        _tiled_product(np.take(turns, index[:stop - start], out=table[:stop - start]), z,
+                       out[start:stop])
         if stop < d2:
             index += step
             index -= dim * (index >= dim)

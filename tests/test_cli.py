@@ -873,3 +873,77 @@ class TestExitContract:
                 assert main(["dump", name, *common]) in (0, 1, 2)
             for mode in ("hamiltonian", "shift"):
                 assert main(["evolve", str(state), "--mode", mode, *common]) in (0, 1, 2)
+
+
+class TestNegativeExponentValues:
+    """A negative float option value in exponent notation parses after a
+    space as after '=': argparse's own pattern took "-2e-1" for an option."""
+
+    @pytest.mark.parametrize(
+        "argv, option, value, status",
+        [
+            (["verify", "--dim", "3"], "--theta0", "-2e-1", 0),
+            (["verify", "--dim", "3"], "--theta0", "-1E2", 0),
+            (["verify", "--dim", "3", "--suite", "pb-core"], "--eta", "-1e-1", 0),
+            (["verify", "--dim", "3"], "--eta", "-1e-1", 2),
+            (["verify", "--dim", "3"], "--omega", "-1e-1", 2),
+            (["dump", "qN", "--dim", "3"], "--theta0", "-2e-1", 0),
+            (["dump", "phase-states", "--dim", "3"], "--eta", "-1e-1", 0),
+            (["dump", "H", "--dim", "3"], "--omega", "-1E+2", 2),
+            (["evolve", "STATE", "--mode", "shift"], "--theta0", "-.5e1", 0),
+            (["evolve", "STATE", "--mode", "shift"], "--eta", "-1.e-1", 0),
+            (["evolve", "STATE", "--mode", "hamiltonian"], "--omega", "-2e0", 2),
+        ],
+    )
+    def test_spaced_value_gives_the_bytes_of_its_equals_form(
+        self, tmp_path, capsys, argv, option, value, status
+    ):
+        state = write_state(tmp_path / "state.json", np.ones(3) / np.sqrt(3))
+        argv = [str(state) if arg == "STATE" else arg for arg in argv]
+        runs = []
+        for spelling in ([option, value], [f"{option}={value}"]):
+            runs.append((main([*argv, *spelling]), *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == status
+        assert "expected one argument" not in runs[0][2]
+
+    def test_an_option_name_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--dim", "3", "--theta0", "--eta", "0.5"])
+        assert info.value.code == 2
+        assert "argument --theta0: expected one argument" in capsys.readouterr().err
+
+
+class TestReusedParser:
+    """main parses with one parser per process; a parse leaves nothing behind."""
+
+    def test_commands_in_one_process_match_each_alone(self, capsys):
+        # The repeatable --suite appends to a fresh list in every parse: a
+        # verify with no --suite after one with --suite gdo runs all suites.
+        commands = [["verify", "--dim", "8", "--suite", "gdo"], ["verify", "--dim", "8"],
+                    ["dump", "qN", "--dim", "4", "--theta0", "-2e-1"]]
+        together = []
+        for argv in commands:
+            together.append((main(argv), *capsys.readouterr()))
+        for argv, run in zip(commands, together):
+            proc = run_fresh(argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == run
+        suites = json.loads(together[1][1])["manifest"]["suites"]
+        assert suites == list(SUITE_NAMES)
+
+    def test_one_parser_serves_every_call(self, capsys):
+        main(["verify", "--dim", "2", "--suite", "gdo"])
+        parser = fdphase.cli._parser()
+        main(["dump", "qN", "--dim", "2"])
+        assert fdphase.cli._parser() is parser
+        capsys.readouterr()
+
+    def test_usage_error_still_exits_2_with_the_argparse_message(self, capsys):
+        main(["verify", "--dim", "2"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--dim", "two"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fdphase verify")
+        assert err.endswith("fdphase verify: error: argument --dim: invalid int value: 'two'\n")

@@ -1,10 +1,15 @@
 """Each record compares two routes, and the structured routes stay structured."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdphase
 from fdphase import numerics, suites
 from fdphase.deformed import (
     build_generalized_frame,
@@ -452,6 +457,116 @@ class TestTheExactTurnRoute:
         assert numerics._exact_turns(offset, block, adjoint=True).shape == block.shape
         for op in (basis, offset):
             assert numerics.certify(op).deviation <= 1e-14
+
+    @pytest.mark.parametrize("dim", [511, 512, 1023, 2048, 4096])
+    def test_every_product_is_a_small_tile(self, dim, monkeypatch):
+        # Each np.matmul of the route: at most 2^15 complex multiply-adds, so
+        # that OpenBLAS keeps it on the calling thread, starting at a column
+        # that is a multiple of 8, and a multiple of 8 wide unless it ends
+        # the block.
+        rng = np.random.default_rng(dim)
+        y = rng.standard_normal((dim, 10)) + 1j * rng.standard_normal((dim, 10))
+        y /= np.linalg.norm(y, axis=0)
+        matmul, shapes = np.matmul, []
+
+        def spy(a, b, *, out):
+            (m, k), n = a.shape, b.shape[1]
+            base = out if out.base is None else out.base
+            row = out.strides[0] // out.itemsize
+            column = (out.ctypes.data - base.ctypes.data) // out.itemsize % row
+            shapes.append((m, k, n))
+            assert m * n * k <= numerics._TILE, (m, k, n)
+            assert column % 8 == 0 and (n % 8 == 0 or column + n == row), (column, n, row)
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        tiled = numerics._turn_sum(y)
+        assert len(shapes) > 2
+        monkeypatch.setattr(np, "matmul", matmul)
+        monkeypatch.setattr(numerics, "_TILE", 1 << 62)
+        whole = numerics._turn_sum(y)
+        # Against the untiled route and np.fft, within the bound of the test
+        # above; the sums are scaled by 1/sqrt(d) to the unitary transform.
+        d1 = max(f for f in range(1, math.isqrt(dim) + 1) if dim % f == 0)
+        bound = np.finfo(float).eps * (5 * math.log2(dim) + d1 + dim // d1 + 8)
+        unitary = tiled / math.sqrt(dim)
+        assert np.max(np.abs(unitary - whole / math.sqrt(dim))) <= bound
+        assert np.max(np.abs(unitary - np.fft.ifft(y, axis=0, norm="ortho"))) <= bound
+
+    @pytest.mark.parametrize("dim", [97, 511, 4093])
+    def test_a_single_row_or_column_is_never_a_tile_of_its_own(self, dim, monkeypatch):
+        # numpy hands one row or one column to gemv, which sums in another
+        # order than gemm: a tile of one only where the product has one.
+        rng = np.random.default_rng(dim)
+        y = rng.standard_normal((dim, 10)) + 1j * rng.standard_normal((dim, 10))
+        matmul, lone = np.matmul, []
+
+        def spy(a, b, *, out):
+            lone.append((a.shape[0] == 1, b.shape[1] == 1))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        numerics._turn_sum(y)
+        d1 = max(f for f in range(1, math.isqrt(dim) + 1) if dim % f == 0)
+        d2 = dim // d1
+        chunk = min(d2, max(1, numerics._TURN_CHUNK // d2))
+        single_rows = (d1 == 1) + (d2 % chunk == 1)
+        assert sum(row for row, _ in lone) == single_rows
+        assert not any(column for _, column in lone)
+
+
+# Runs verify --suite all at d=511 and d=512 and prints the clock ticks
+# (utime + stime, fields 14 and 15 of /proc/self/task/<tid>/stat) that the
+# threads other than the main thread, OpenBLAS's workers, accrued meanwhile.
+# A worker spins for a while once numpy has started it, so the count starts
+# once every worker sleeps (state S, field 3).
+_WORKER_TICKS = """
+import os, time
+from fdphase.cli import main
+
+def workers():
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            with open(f"/proc/self/task/{tid}/stat") as stat:
+                yield stat.read().rsplit(")", 1)[1].split()
+
+deadline = time.monotonic() + 10
+while any(fields[0] != "S" for fields in workers()) and time.monotonic() < deadline:
+    time.sleep(0.01)
+before = sum(int(fields[11]) + int(fields[12]) for fields in workers())
+for _ in range(20):
+    for dim in ("511", "512"):
+        main(["verify", "--suite", "all", "--dim", dim, "--out", os.devnull])
+print(sum(int(fields[11]) + int(fields[12]) for fields in workers()) - before)
+"""
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _numpy_blas() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except Exception:  # an older numpy, or a build that does not say
+        return ""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+@pytest.mark.skipif(_usable_cores() < 2, reason="needs 2 usable cores for a second BLAS thread")
+@pytest.mark.skipif("openblas" not in _numpy_blas().lower(), reason="numpy's BLAS is not OpenBLAS")
+def test_a_verify_runs_on_the_calling_thread():
+    # Forty verifies at the benchmark's dimensions with two OpenBLAS threads:
+    # every product stays small enough that the pool is never woken, so its
+    # worker accrues no CPU time (a woken worker spins for the rest of the
+    # command, about as long as the main thread).
+    source = str(Path(fdphase.__file__).resolve().parents[1])
+    paths = [source, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", _WORKER_TICKS], capture_output=True,
+                          text=True, env=env, check=True)
+    assert int(proc.stdout) <= 1
 
 
 def _values(rng, dim, like=None):
