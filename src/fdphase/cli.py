@@ -10,7 +10,6 @@ input. :func:`main` is the one place that maps such an error to one
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import re
 import sys
@@ -60,9 +59,9 @@ DUMP_OBJECTS = (
 # The largest dimension each command accepts. A verify forms no d x d
 # array and runs on one core: a d=4096 verify takes about 0.2-0.3 s and
 # peaks near 51 MB. A prime d=4093, whose four-step route is O(d^2) per
-# column, takes about 1.1-1.5 s on 2 cores and still uses both: its
-# products share two BLAS threads. A limit on the bytes a command forms
-# could replace this one.
+# column, takes about 1.0-1.5 s on 2 cores and still uses both: its last
+# gathered chunk, of one row, goes to gemv, which OpenBLAS threads. A limit
+# on the bytes a command forms could replace this one.
 # A dump holds several d x d arrays (a d=1024 commutators dump peaks near
 # 460 MB) and grows as d^2, so its limit is lower.
 MAX_DUMP_DIM = 2048
@@ -156,12 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     for command in (verify, evolve, dump):
         command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
-
-
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`build_parser`, built once per process; parsing leaves it unchanged."""
-    return build_parser()
 
 
 def _write_output(pieces: list, out: Path | None) -> None:
@@ -371,7 +364,8 @@ def cmd_dump(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     """Run one command; any refusal becomes one ``error:`` line and exit status 2."""
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, ValueError, ArithmeticError, OSError) as exc:

@@ -407,9 +407,11 @@ def _binary_power(rows: np.ndarray, values: np.ndarray, k: int) -> tuple:
 _TURN_CHUNK = 1 << 14
 
 # Complex multiply-adds in one product tile of the four-step route. OpenBLAS
-# 0.3.31 runs a zgemm of m n k <= 63,948 on the calling thread and wakes its
-# thread pool from 65,536 up; a woken worker then spins for the rest of the
-# command, so on 2 cores a verify took twice its wall time in CPU.
+# 0.3.31 (Haswell kernels, 2 cores) runs a zgemm of m n k <= 63,948 on the
+# calling thread and wakes its thread pool from 65,536 up, unless the product
+# has at most 16 rows and fewer than 32 columns, which it never splits among
+# threads (measured for k up to 4093). A woken worker then spins for the rest
+# of the command, so on 2 cores a verify took twice its wall time in CPU.
 _TILE = 1 << 15
 
 
@@ -426,10 +428,11 @@ def _spans(total: int, size: int) -> list:
 
 
 def _tiled_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out`` = a @ b, by tiles of at most ``_TILE`` multiply-adds.
+    """``out`` = a @ b, by tiles that OpenBLAS runs on the calling thread.
 
-    A tile takes one row or column more where :func:`_spans` folds a last one
-    into it.
+    A tile of r rows and c columns has r c k <= ``_TILE`` multiply-adds, plus
+    one row and one column where :func:`_spans` folds a last one into it: at
+    most 3/2 * 9/8 ``_TILE`` (r >= 2, c >= 8), about 55,300.
 
     Column tiles start at column 0 and are 8 wide or a multiple of 8, so that
     each column keeps its place among the kernel's blocks of columns, whose
@@ -438,13 +441,14 @@ def _tiled_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     where 8 columns of the whole of ``a`` exceed the bound. On one thread
     OpenBLAS gives every entry the bits of the untiled product under such
     tiles. The product is one call when it is within the bound; when it has
-    one row, since numpy hands a single row to gemv, whose threads split its
-    columns their own way; and when 2 rows by 8 columns exceed the bound (more
-    than 2048 columns in ``a``, at a prime d), since no tile would then stay
-    on the calling thread.
+    at most 16 rows and fewer than 32 columns, which OpenBLAS keeps on the
+    calling thread at any size (tiles of 2-4 rows there made a verify at the
+    primes d=1021 and 2039 a third to a half slower); when it has one row,
+    since numpy hands a single row to gemv, whose threads split its columns
+    their own way; and when 2 rows by 8 columns exceed the bound.
     """
     (m, k), n = a.shape, b.shape[1]
-    if m == 1 or m * k * n <= _TILE or 16 * k > _TILE:
+    if m * k * n <= _TILE or (m <= 16 and n < 32) or m == 1 or 16 * k > _TILE:
         return np.matmul(a, b, out=out)
     rows = m if 8 * m * k <= _TILE else _TILE // (8 * k)
     cols = _TILE // (rows * k) // 8 * 8
@@ -466,13 +470,14 @@ def _turn_sum(y: np.ndarray) -> np.ndarray:
     formed, and no FFT is called: O(d (d1 + d2) k) time, O(dk) memory plus
     one chunk. A prime d has d1 = 1, and then O(d^2 k) time.
 
-    Each product is taken by :func:`_tiled_product` in tiles of at most 2^15
-    multiply-adds, 8 columns wide or a multiple of 8, which OpenBLAS runs on
-    the calling thread, with the bits of the untiled product. Two kinds of
-    product are taken whole and may still reach its second thread: the d2
-    stage of a prime d above 2048, where 2 gathered rows by 8 columns exceed
-    the bound, and a last chunk of one row (d2 mod the chunk's rows = 1),
-    which numpy hands to gemv.
+    Each product is taken by :func:`_tiled_product` in tiles that OpenBLAS
+    runs on the calling thread, with the bits of the untiled product: at most
+    2^15 multiply-adds plus a folded last row and column, 8 columns wide or a
+    multiple of 8. A gathered chunk of at most 16 rows (d2 >= 964) by fewer
+    than 32 columns (d1 k < 32: with a 10-column block, a prime d from 967
+    up, among others) is one call, which stays on that thread too. A last
+    chunk of one row (d2 mod the chunk's rows = 1) goes to gemv, which may
+    still reach the second thread.
     """
     dim, width = y.shape
     turns = _turns(dim)

@@ -914,8 +914,8 @@ class TestNegativeExponentValues:
         assert "argument --theta0: expected one argument" in capsys.readouterr().err
 
 
-class TestReusedParser:
-    """main parses with one parser per process; a parse leaves nothing behind."""
+class TestCommandsInOneProcess:
+    """Commands run one after another in one process leave nothing behind."""
 
     def test_commands_in_one_process_match_each_alone(self, capsys):
         # The repeatable --suite appends to a fresh list in every parse: a
@@ -931,14 +931,7 @@ class TestReusedParser:
         suites = json.loads(together[1][1])["manifest"]["suites"]
         assert suites == list(SUITE_NAMES)
 
-    def test_one_parser_serves_every_call(self, capsys):
-        main(["verify", "--dim", "2", "--suite", "gdo"])
-        parser = fdphase.cli._parser()
-        main(["dump", "qN", "--dim", "2"])
-        assert fdphase.cli._parser() is parser
-        capsys.readouterr()
-
-    def test_usage_error_still_exits_2_with_the_argparse_message(self, capsys):
+    def test_usage_error_after_a_command_exits_2_with_the_argparse_message(self, capsys):
         main(["verify", "--dim", "2"])
         capsys.readouterr()
         with pytest.raises(SystemExit) as info:
