@@ -57,20 +57,21 @@ DUMP_OBJECTS = (
 )
 
 # The largest dimension each command accepts. A verify forms no d x d
-# array and runs on one core: a d=4096 verify takes about 0.2-0.3 s and
-# peaks near 51 MB. A prime d=4093, whose four-step route is O(d^2) per
-# column, takes about 1.0-1.5 s on 2 cores and still uses both: its last
-# gathered chunk, of one row, goes to gemv, which OpenBLAS threads. A limit
-# on the bytes a command forms could replace this one.
+# array and runs on one core at every d: a d=4096 verify takes about
+# 0.1 s and peaks near 51 MB. A prime d=4093, whose four-step route is
+# O(d^2) per column, takes about 0.8 s, its d2 table gathered in chunks of
+# 16 rows, the last one overlapping the one before, so no product is a
+# single row. A limit on the bytes a command forms could replace this one.
 # A dump holds several d x d arrays (a d=1024 commutators dump peaks near
 # 460 MB) and grows as d^2, so its limit is lower.
 MAX_DUMP_DIM = 2048
 MAX_DIM = 4096
 
 # A value that argparse reads as a negative number, not an option, after a
-# space: every negative decimal float literal. Its own pattern admits no
-# exponent, so it took "--theta0 -2e-1" for an option with no argument.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# space: every negative decimal float literal, and -inf, -infinity and -nan in
+# any case, as float() reads them. Its own pattern admits no exponent, so it
+# took "--theta0 -2e-1" for an option with no argument.
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
 
 class UsageError(Exception):

@@ -18,7 +18,9 @@ shifted DFT is certified, and its entries formed, on its closed form at
 exact turns, C = diag(a) T diag(b)/sqrt(d) with T[n, m] read from one table
 exp(2 pi i j/d) at j = n m mod d: the entries are gathered from the table,
 and the certification applies C through the four-step factorisation of T,
-with no FFT and no d x d array. A frame, a complete orthonormal basis stored
+with no FFT and no d x d array, each stage one ``np.matmul`` over a stack of
+small items (the d2 table in gathered chunks of 16 rows) that OpenBLAS runs
+on the calling thread at every d. A frame, a complete orthonormal basis stored
 as the columns of a square matrix, is a certified operator, since for a
 square matrix V orthonormality is exactly V^dag V = 1. Every operator
 exponential used elsewhere in this package is assembled from such a frame
@@ -401,61 +403,12 @@ def _binary_power(rows: np.ndarray, values: np.ndarray, k: int) -> tuple:
     return result
 
 
-# Entries of one gathered row chunk of the four-step route's d2 stage, 256 KB
-# of complex entries whatever d: on 2 cores the prime d=4093 ran fastest at
-# this size among 2^13..2^17 (larger chunks fall out of the L2 cache).
-_TURN_CHUNK = 1 << 14
-
-# Complex multiply-adds in one product tile of the four-step route. OpenBLAS
-# 0.3.31 (Haswell kernels, 2 cores) runs a zgemm of m n k <= 63,948 on the
-# calling thread and wakes its thread pool from 65,536 up, unless the product
-# has at most 16 rows and fewer than 32 columns, which it never splits among
-# threads (measured for k up to 4093). A woken worker then spins for the rest
-# of the command, so on 2 cores a verify took twice its wall time in CPU.
-_TILE = 1 << 15
-
-
-def _spans(total: int, size: int) -> list:
-    """(start, stop) of consecutive spans of ``size`` covering ``range(total)``.
-
-    A last span of one index joins the span before it: numpy hands a single
-    row or column to gemv, which sums in another order than gemm.
-    """
-    stops = list(range(size, total, size)) + [total]
-    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
-        del stops[-2]
-    return list(zip([0, *stops[:-1]], stops))
-
-
-def _tiled_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out`` = a @ b, by tiles that OpenBLAS runs on the calling thread.
-
-    A tile of r rows and c columns has r c k <= ``_TILE`` multiply-adds, plus
-    one row and one column where :func:`_spans` folds a last one into it: at
-    most 3/2 * 9/8 ``_TILE`` (r >= 2, c >= 8), about 55,300.
-
-    Column tiles start at column 0 and are 8 wide or a multiple of 8, so that
-    each column keeps its place among the kernel's blocks of columns, whose
-    edge takes another code path (Goto & van de Geijn, ACM TOMS 34(3), 2008):
-    tiles 6 wide moved the bits. Rows are split, in tiles of at least 2, only
-    where 8 columns of the whole of ``a`` exceed the bound. On one thread
-    OpenBLAS gives every entry the bits of the untiled product under such
-    tiles. The product is one call when it is within the bound; when it has
-    at most 16 rows and fewer than 32 columns, which OpenBLAS keeps on the
-    calling thread at any size (tiles of 2-4 rows there made a verify at the
-    primes d=1021 and 2039 a third to a half slower); when it has one row,
-    since numpy hands a single row to gemv, whose threads split its columns
-    their own way; and when 2 rows by 8 columns exceed the bound.
-    """
-    (m, k), n = a.shape, b.shape[1]
-    if m * k * n <= _TILE or (m <= 16 and n < 32) or m == 1 or 16 * k > _TILE:
-        return np.matmul(a, b, out=out)
-    rows = m if 8 * m * k <= _TILE else _TILE // (8 * k)
-    cols = _TILE // (rows * k) // 8 * 8
-    for top, bottom in _spans(m, rows):
-        for left, right in _spans(n, cols):
-            np.matmul(a[top:bottom], b[:, left:right], out=out[top:bottom, left:right])
-    return out
+# Rows of one gathered chunk of the four-step route's d2 table. OpenBLAS
+# 0.3.31 (Haswell kernels) runs a zgemm of at most 16 rows and fewer than 32
+# columns on the calling thread at any inner length, so with the probe
+# block's 10 columns no chunk wakes its thread pool, whose woken worker would
+# spin for the rest of the command.
+_CHUNK_ROWS = 16
 
 
 def _turn_sum(y: np.ndarray) -> np.ndarray:
@@ -465,19 +418,17 @@ def _turn_sum(y: np.ndarray) -> np.ndarray:
     n = n1 + d1 n2, the sum is a d1 x d1 table over m1, the twiddles
     exp(2 pi i n1 m2/d), then a d2 x d2 table over m2 (Gentleman & Sande,
     AFIPS 1966; Bailey, J. Supercomputing 4, 23 (1990)). Every table entry is
-    the turn table read at an integer (product) mod d. The d2 table is
-    gathered in row chunks of ``_TURN_CHUNK`` entries, so nothing d x d is
-    formed, and no FFT is called: O(d (d1 + d2) k) time, O(dk) memory plus
-    one chunk. A prime d has d1 = 1, and then O(d^2 k) time.
+    the turn table read at an integer (product) mod d, and no FFT is called.
 
-    Each product is taken by :func:`_tiled_product` in tiles that OpenBLAS
-    runs on the calling thread, with the bits of the untiled product: at most
-    2^15 multiply-adds plus a folded last row and column, 8 columns wide or a
-    multiple of 8. A gathered chunk of at most 16 rows (d2 >= 964) by fewer
-    than 32 columns (d1 k < 32: with a 10-column block, a prime d from 967
-    up, among others) is one call, which stays on that thread too. A last
-    chunk of one row (d2 mod the chunk's rows = 1) goes to gemv, which may
-    still reach the second thread.
+    Each stage is one ``np.matmul`` over a stack of small items, which numpy
+    takes one zgemm at a time. The d1 stage multiplies the d1 x d1 table into
+    d2 items of d1 x k: at most 64 x 64 by 64 x 10 up to d=4096. The d2 table
+    is gathered in chunks of ``_CHUNK_ROWS`` rows, and each chunk multiplies
+    the d1 items of d2 x k. The last chunk starts at d2 - 16, over rows of the
+    chunk before it, so no item is a single row, which numpy hands to gemv.
+    Nothing d x d is formed: O(d (d1 + d2) k) time, O(dk) memory plus one
+    chunk. A prime d has d1 = 1, and then O(d^2 k) time. With 10 columns
+    every item runs on the calling thread, at every d up to 4096.
     """
     dim, width = y.shape
     turns = _turns(dim)
@@ -486,20 +437,22 @@ def _turn_sum(y: np.ndarray) -> np.ndarray:
         d1 -= 1
     d2 = dim // d1
     n1, m2 = np.arange(d1), np.arange(d2)
-    z = _tiled_product(turns[np.outer(n1, d2 * n1) % dim], y.reshape(d1, d2 * width),
-                       np.empty((d1, d2 * width), dtype=np.complex128))
-    z = z.reshape(d1, d2, width).transpose(1, 0, 2) * turns[np.outer(m2, n1) % dim][:, :, None]
-    z = z.reshape(d2, d1 * width)
-    out = np.empty_like(z)
-    rows = min(d2, max(1, _TURN_CHUNK // d2))
+    z = np.matmul(turns[np.outer(n1, d2 * n1) % dim], y.reshape(d1, d2, width).transpose(1, 0, 2))
+    z *= turns[np.outer(m2, n1) % dim][:, :, None]
+    z = z.transpose(1, 0, 2)  # the d1 items of d2 x k
+    out = np.empty((d2, d1, width), dtype=np.complex128)
+    rows = min(d2, _CHUNK_ROWS)
     index = np.outer(m2[:rows], d1 * m2) % dim  # (d1 n2 m2) mod d for the first chunk's rows
     step = (rows * d1 * m2) % dim  # the move of each index from one chunk to the next
     table = np.empty((rows, d2), dtype=np.complex128)
     for start in range(0, d2, rows):
-        stop = min(start + rows, d2)
-        _tiled_product(np.take(turns, index[:stop - start], out=table[:stop - start]), z,
-                       out[start:stop])
-        if stop < d2:
+        if start + rows > d2:  # the last chunk ends at d2
+            index -= ((start + rows - d2) * d1 * m2) % dim
+            index += dim * (index < 0)
+            start = d2 - rows
+        np.matmul(np.take(turns, index, out=table), z,
+                  out=out[start:start + rows].transpose(1, 0, 2))
+        if start + rows < d2:
             index += step
             index -= dim * (index >= dim)
     return out.reshape(dim, width)

@@ -41,7 +41,7 @@ __all__ = [
     "render",
 ]
 
-TOOL_VERSION = "0.10.0"
+TOOL_VERSION = "0.11.0"
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"

@@ -876,8 +876,9 @@ class TestExitContract:
 
 
 class TestNegativeExponentValues:
-    """A negative float option value in exponent notation parses after a
-    space as after '=': argparse's own pattern took "-2e-1" for an option."""
+    """A negative float option value in exponent notation, or a negative
+    infinity or nan, parses after a space as after '=': argparse's own
+    pattern took "-2e-1" and "-inf" for options."""
 
     @pytest.mark.parametrize(
         "argv, option, value, status",
@@ -893,6 +894,12 @@ class TestNegativeExponentValues:
             (["evolve", "STATE", "--mode", "shift"], "--theta0", "-.5e1", 0),
             (["evolve", "STATE", "--mode", "shift"], "--eta", "-1.e-1", 0),
             (["evolve", "STATE", "--mode", "hamiltonian"], "--omega", "-2e0", 2),
+            (["verify", "--dim", "3"], "--theta0", "-inf", 2),
+            (["verify", "--dim", "3"], "--eta", "-nan", 2),
+            (["verify", "--dim", "3"], "--omega", "-Infinity", 2),
+            (["dump", "qN", "--dim", "3"], "--theta0", "-NaN", 2),
+            (["dump", "H", "--dim", "3"], "--omega", "-inf", 2),
+            (["evolve", "STATE", "--mode", "shift"], "--eta", "-INF", 2),
         ],
     )
     def test_spaced_value_gives_the_bytes_of_its_equals_form(

@@ -398,13 +398,16 @@ class TestPlantedFaultsInTheFrameTransform:
         # the half the corners miss still fails.
         assert self._record(self._frame(dim, columns=slice(dim // 2, None))).status == "fail"
 
-    @pytest.mark.parametrize("dim", [32, 128, 512])
+    @pytest.mark.parametrize("dim", [32, 128, 509, 512])
     def test_one_wrong_twiddle(self, dim, monkeypatch):
         # turns[1] off by a phase of 1e-6 once the frame is certified. At
-        # these d, d1 and d2 are both above 1, so j = 1 is no multiple of d1
-        # or d2 and only the twiddle exp(2 pi i n1 m2/d) at n1 = m2 = 1 reads
-        # it. No operator in the run forms its entries from the table, so
-        # the FFT side of every record is free of the fault at every d.
+        # d = 32, 128 and 512, d1 and d2 are both above 1, so j = 1 is no
+        # multiple of d1 or d2 and only the twiddle exp(2 pi i n1 m2/d) at
+        # n1 = m2 = 1 reads it. At the prime d=509, d1 = 1 and every twiddle
+        # is turns[0]: the gathered d2 table reads turns[1] instead, wherever
+        # n2 m2 = 1 mod d. No operator in the run forms its entries from the
+        # table, so the FFT side of every record is free of the fault at
+        # every d.
         frame = self._frame(dim)
         table = numerics._turns(dim).copy()
         table[1] *= np.exp(1e-6j)
@@ -421,7 +424,8 @@ class TestPlantedFaultsInTheFrameTransform:
 class TestTheExactTurnRoute:
     """The four-step route of the shifted DFT's closed form, against np.fft."""
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 64, 509, 511, 512, 4093, 4096])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 64, 509, 511, 512, 541, 1009, 1023, 2039,
+                                     2048, 4084, 4093, 4094, 4096])
     @pytest.mark.parametrize("theta0, eta", [(0.0, 0.0), (2.9, 1.5)])
     def test_four_step_against_np_fft(self, dim, theta0, eta):
         # On unit columns the FFT errs by at most about 5 eps log2 d in the
@@ -458,74 +462,33 @@ class TestTheExactTurnRoute:
         for op in (basis, offset):
             assert numerics.certify(op).deviation <= 1e-14
 
-    @pytest.mark.parametrize("dim", [511, 512, 1023, 2039, 2048, 4084, 4096])
-    def test_every_product_is_a_small_tile(self, dim, monkeypatch):
-        # Each np.matmul of the route stays on OpenBLAS's calling thread: at
-        # most 2^15 complex multiply-adds, or that plus a folded last row and
-        # column (at most 27/16 of it; d=4084 folds rows), or a product of at
-        # most 16 rows and fewer than 32 columns (the chunks of the prime
-        # d=2039), or one row. A tile starts at a column that is a multiple of
-        # 8 and is a multiple of 8 wide unless it ends the block.
+    @pytest.mark.parametrize("dim", [61, 511, 512, 1023, 2039, 4084, 4093, 4096])
+    def test_every_product_is_a_stack_of_small_items(self, dim, monkeypatch):
+        # Each np.matmul of the route is a stack of zgemm items that OpenBLAS
+        # runs on its calling thread: the d1 stage's items of at most
+        # 64 x 64 by 64 x 10, then gathered chunks of at most 16 rows of the
+        # d2 table. No item is a single row over an inner length above 1,
+        # which numpy would hand to gemv; at a prime d the d1 table is [1].
         rng = np.random.default_rng(dim)
         y = rng.standard_normal((dim, 10)) + 1j * rng.standard_normal((dim, 10))
-        y /= np.linalg.norm(y, axis=0)
-        matmul, shapes = np.matmul, []
-        tile = numerics._TILE
+        matmul, items = np.matmul, []
 
-        def spy(a, b, *, out):
-            (m, k), n = a.shape, b.shape[1]
-            base = out if out.base is None else out.base
-            row = out.strides[0] // out.itemsize
-            column = (out.ctypes.data - base.ctypes.data) // out.itemsize % row
-            shapes.append((m, k, n))
-            folded = (m - 1) * k * (n - 1) <= tile and 16 * m * k * n <= 27 * tile
-            assert m * k * n <= tile or folded or (m <= 16 and n < 32) or m == 1, (m, k, n)
-            assert column % 8 == 0 and (n % 8 == 0 or column + n == row), (column, n, row)
-            return matmul(a, b, out=out)
-
-        monkeypatch.setattr(np, "matmul", spy)
-        tiled = numerics._turn_sum(y)
-        assert len(shapes) > 2
-        if dim == 4084:
-            assert max(m * k * n for m, k, n in shapes) > tile
-        if dim == 2039:  # one call per gathered chunk, after the one of the d1 stage
-            assert len(shapes) == 1 + math.ceil(dim / (numerics._TURN_CHUNK // dim))
-        monkeypatch.setattr(np, "matmul", matmul)
-        monkeypatch.setattr(numerics, "_TILE", 1 << 62)
-        whole = numerics._turn_sum(y)
-        # Against the untiled route and np.fft, within the bound of the test
-        # above; the sums are scaled by 1/sqrt(d) to the unitary transform.
-        d1 = max(f for f in range(1, math.isqrt(dim) + 1) if dim % f == 0)
-        bound = np.finfo(float).eps * (5 * math.log2(dim) + d1 + dim // d1 + 8)
-        unitary = tiled / math.sqrt(dim)
-        assert np.max(np.abs(unitary - whole / math.sqrt(dim))) <= bound
-        assert np.max(np.abs(unitary - np.fft.ifft(y, axis=0, norm="ortho"))) <= bound
-
-    @pytest.mark.parametrize("dim", [97, 511, 4093])
-    def test_a_single_row_or_column_is_never_a_tile_of_its_own(self, dim, monkeypatch):
-        # numpy hands one row or one column to gemv, which sums in another
-        # order than gemm: a tile of one only where the product has one.
-        rng = np.random.default_rng(dim)
-        y = rng.standard_normal((dim, 10)) + 1j * rng.standard_normal((dim, 10))
-        matmul, lone = np.matmul, []
-
-        def spy(a, b, *, out):
-            lone.append((a.shape[0] == 1, b.shape[1] == 1))
-            return matmul(a, b, out=out)
+        def spy(a, b, **kwargs):
+            items.append((*a.shape[-2:], b.shape[-1]))
+            return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
         numerics._turn_sum(y)
-        d1 = max(f for f in range(1, math.isqrt(dim) + 1) if dim % f == 0)
-        d2 = dim // d1
-        chunk = min(d2, max(1, numerics._TURN_CHUNK // d2))
-        single_rows = (d1 == 1) + (d2 % chunk == 1)
-        assert sum(row for row, _ in lone) == single_rows
-        assert not any(column for _, column in lone)
+        (m, k, n), *chunks = items
+        assert m * k * n <= 64 * 64 * 10, (m, k, n)
+        assert chunks and all(m <= 16 for m, _, _ in chunks), chunks
+        assert all(m > 1 or k == 1 for m, k, _ in items), items
 
 
-# Runs verify --suite all at d=511 and d=512 and prints the clock ticks
-# (utime + stime, fields 14 and 15 of /proc/self/task/<tid>/stat) that the
-# threads other than the main thread, OpenBLAS's workers, accrued meanwhile.
+# Runs verify --suite all 20 times at d=511 and d=512, then once at the prime
+# d=4093, and prints the clock ticks (utime + stime, fields 14 and 15 of
+# /proc/self/task/<tid>/stat) that the threads other than the main thread,
+# OpenBLAS's workers, accrued meanwhile.
 # A worker spins for a while once numpy has started it, so the count starts
 # once every worker sleeps (state S, field 3); it prints "busy" if one is
 # still running after 10 s.
@@ -548,11 +511,14 @@ before = sum(int(fields[11]) + int(fields[12]) for fields in workers())
 for _ in range(20):
     for dim in ("511", "512"):
         main(["verify", "--suite", "all", "--dim", dim, "--out", os.devnull])
+main(["verify", "--suite", "all", "--dim", "4093", "--out", os.devnull])
 print(sum(int(fields[11]) + int(fields[12]) for fields in workers()) - before)
 """
 
-# The OpenBLAS release whose thread thresholds numerics._TILE was measured on;
-# another release may split its products among threads at other sizes.
+# The OpenBLAS release on which numerics._CHUNK_ROWS's 16-row rule was
+# measured: a zgemm of at most 16 rows and fewer than 32 columns stays on the
+# calling thread at any inner length. Another release may split its products
+# among threads at other sizes.
 _MEASURED_OPENBLAS = "0.3.31"
 
 
@@ -589,6 +555,39 @@ def test_a_verify_runs_on_the_calling_thread():
     if proc.stdout.strip() == "busy":
         pytest.skip("an OpenBLAS worker was still running 10 s after start-up")
     assert int(proc.stdout) <= 1
+
+
+# Prints the sha256 of numerics._turn_sum on a seeded 10-column block at each
+# of the given dimensions. At d=541, 626 and 1009 a gathered chunk of one row
+# once went to gemv, which OpenBLAS splits among its threads by columns.
+_TURN_SUM_HASH = """
+import hashlib, sys
+import numpy as np
+from fdphase import numerics
+
+digest = hashlib.sha256()
+for dim in map(int, sys.argv[1:]):
+    rng = np.random.default_rng(dim)
+    y = rng.standard_normal((dim, 10)) + 1j * rng.standard_normal((dim, 10))
+    digest.update(numerics._turn_sum(y).tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif("openblas" not in _numpy_blas()[0].lower(),
+                    reason="numpy's BLAS is not OpenBLAS")
+def test_the_four_step_bits_do_not_depend_on_the_blas_threads():
+    source = str(Path(fdphase.__file__).resolve().parents[1])
+    paths = [source, os.environ.get("PYTHONPATH", "")]
+    dims = ["149", "541", "626", "1009", "2908", "3676", "4084", "4093"]
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        digests.append(subprocess.run([sys.executable, "-c", _TURN_SUM_HASH, *dims],
+                                      capture_output=True, text=True, env=env,
+                                      check=True).stdout)
+    assert digests[0] == digests[1]
 
 
 def _values(rng, dim, like=None):
