@@ -2,12 +2,17 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdphase
 from fdphase import numerics
 from fdphase.cli import main
 from fdphase.deformed import (
@@ -118,12 +123,43 @@ def _oracles(dim, theta0=2.9, eta=1.5):
     }
 
 
+# Saves the dense expressions of _oracles at the dimension argv[2] to the .npz
+# file argv[3], loading this module from argv[1].
+_SAVE_DENSE_EXPRESSIONS = """
+import importlib.util, sys
+import numpy as np
+
+spec = importlib.util.spec_from_file_location("oracles", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+oracles = module._oracles(int(sys.argv[2]))
+np.savez(sys.argv[3], **{name: dense for name, (_, dense) in oracles.items()})
+"""
+
+
+def _one_thread_dense_expressions(dim, path):
+    """The dense expressions of ``_oracles(dim)``, each ``@`` taken with one OpenBLAS thread.
+
+    With more threads, OpenBLAS splits a product such as the d=257 ones
+    among them at columns its kernel does not block at, and the bits move.
+    """
+    source = str(Path(fdphase.__file__).resolve().parents[1])
+    paths = [source, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    subprocess.run([sys.executable, "-c", _SAVE_DENSE_EXPRESSIONS, __file__, str(dim), str(path)],
+                   env=env, check=True)
+    with np.load(path) as saved:
+        return {name: saved[name] for name in saved.files}
+
+
 class TestEntriesKeepTheDenseExpressions:
     @pytest.mark.parametrize("dim", DIMS)
-    def test_formed_entries_are_the_dense_expression_bytes(self, dim):
-        for name, (op, oracle) in _oracles(dim).items():
+    def test_formed_entries_are_the_dense_expression_bytes(self, dim, tmp_path):
+        dense = _one_thread_dense_expressions(dim, tmp_path / "dense.npz")
+        for name, (op, _) in _oracles(dim).items():
             assert op.entries.shape == (dim, dim), name
-            assert op.entries.tobytes() == np.ascontiguousarray(oracle).tobytes(), name
+            assert op.entries.tobytes() == np.ascontiguousarray(dense[name]).tobytes(), name
             assert not op.entries.flags.writeable, name
 
     @pytest.mark.parametrize("dim", [2, 65])

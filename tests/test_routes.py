@@ -485,8 +485,36 @@ class TestTheExactTurnRoute:
         assert all(m > 1 or k == 1 for m, k, _ in items), items
 
 
+class TestTheTiledProducts:
+    """The products that form an operator's entries, taken as small tiles."""
+
+    @pytest.mark.parametrize("dim", [17, 65, 97, 129, 257, 300])
+    def test_every_product_is_a_small_tile(self, dim, monkeypatch):
+        # A's entries, V S V^dag with V = F D F^dag: two dense products and
+        # the weighted shift's, all as tiles that OpenBLAS runs on the calling
+        # thread, at most 16 rows by fewer than 32 columns, none of them a
+        # single row or column, which numpy would hand to gemv (d=97 ends in
+        # 17 rows and 25 columns). The tiles cover the three d x d outputs,
+        # so no product is taken whole.
+        config = SpaceConfig.from_dim(dim, 2.9)
+        frame = build_generalized_frame(build_phase_frame(config), 1.5)
+        lowering = build_lowering_operator(frame, deformation_linear(config, 1.5))
+        matmul, tiles = np.matmul, []
+
+        def spy(a, b, **kwargs):
+            tiles.append((*a.shape, b.shape[1]))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        lowering.entries
+        assert all(m <= 16 and n < 32 for m, _, n in tiles), tiles
+        assert all(min(m, n) > 1 or k == 1 for m, k, n in tiles), tiles
+        assert sum(m * n for m, _, n in tiles) == 3 * dim * dim
+
+
 # Runs verify --suite all 20 times at d=511 and d=512, then once at the prime
-# d=4093, and prints the clock ticks (utime + stime, fields 14 and 15 of
+# d=4093, dumps A, Adag and the commutators at d=256 and A at d=1024, and
+# prints the clock ticks (utime + stime, fields 14 and 15 of
 # /proc/self/task/<tid>/stat) that the threads other than the main thread,
 # OpenBLAS's workers, accrued meanwhile.
 # A worker spins for a while once numpy has started it, so the count starts
@@ -512,13 +540,15 @@ for _ in range(20):
     for dim in ("511", "512"):
         main(["verify", "--suite", "all", "--dim", dim, "--out", os.devnull])
 main(["verify", "--suite", "all", "--dim", "4093", "--out", os.devnull])
+for name, dim in (("A", "256"), ("Adag", "256"), ("commutators", "256"), ("A", "1024")):
+    main(["dump", name, "--dim", dim, "--theta0", "2.9", "--out", os.devnull])
 print(sum(int(fields[11]) + int(fields[12]) for fields in workers()) - before)
 """
 
-# The OpenBLAS release on which numerics._CHUNK_ROWS's 16-row rule was
-# measured: a zgemm of at most 16 rows and fewer than 32 columns stays on the
-# calling thread at any inner length. Another release may split its products
-# among threads at other sizes.
+# The OpenBLAS release on which the rule behind numerics._CHUNK_ROWS and
+# numerics._TILE_COLUMNS was measured: a zgemm of at most 16 rows and fewer
+# than 32 columns stays on the calling thread at any inner length. Another
+# release may split its products among threads at other sizes.
 _MEASURED_OPENBLAS = "0.3.31"
 
 
@@ -535,26 +565,31 @@ def _numpy_blas() -> tuple:
         return "", ""
 
 
+def _run_with_threads(script: str, threads: str, *args: str) -> str:
+    """What ``script`` prints, run on this source tree with ``threads`` OpenBLAS threads."""
+    source = str(Path(fdphase.__file__).resolve().parents[1])
+    paths = [source, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
 @pytest.mark.skipif(_usable_cores() < 2, reason="needs 2 usable cores for a second BLAS thread")
 @pytest.mark.skipif("openblas" not in _numpy_blas()[0].lower(),
                     reason="numpy's BLAS is not OpenBLAS")
 @pytest.mark.skipif(not _numpy_blas()[1].startswith(_MEASURED_OPENBLAS + "."),
                     reason=f"thread thresholds measured on OpenBLAS {_MEASURED_OPENBLAS} only")
-def test_a_verify_runs_on_the_calling_thread():
-    # Forty verifies at the benchmark's dimensions with two OpenBLAS threads:
-    # every product stays small enough that the pool is never woken, so its
-    # worker accrues no CPU time (a woken worker spins for the rest of the
-    # command, about as long as the main thread).
-    source = str(Path(fdphase.__file__).resolve().parents[1])
-    paths = [source, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
-           "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run([sys.executable, "-c", _WORKER_TICKS], capture_output=True,
-                          text=True, env=env, check=True)
-    if proc.stdout.strip() == "busy":
+def test_every_command_runs_on_the_calling_thread():
+    # Forty verifies at the benchmark's dimensions and four dumps with two
+    # OpenBLAS threads: every product stays small enough that the pool is
+    # never woken, so its worker accrues no CPU time (a woken worker spins
+    # for the rest of the command, about as long as the main thread).
+    ticks = _run_with_threads(_WORKER_TICKS, "2")
+    if ticks.strip() == "busy":
         pytest.skip("an OpenBLAS worker was still running 10 s after start-up")
-    assert int(proc.stdout) <= 1
+    assert int(ticks) <= 1
 
 
 # Prints the sha256 of numerics._turn_sum on a seeded 10-column block at each
@@ -577,17 +612,35 @@ print(digest.hexdigest())
 @pytest.mark.skipif("openblas" not in _numpy_blas()[0].lower(),
                     reason="numpy's BLAS is not OpenBLAS")
 def test_the_four_step_bits_do_not_depend_on_the_blas_threads():
-    source = str(Path(fdphase.__file__).resolve().parents[1])
-    paths = [source, os.environ.get("PYTHONPATH", "")]
     dims = ["149", "541", "626", "1009", "2908", "3676", "4084", "4093"]
-    digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-        digests.append(subprocess.run([sys.executable, "-c", _TURN_SUM_HASH, *dims],
-                                      capture_output=True, text=True, env=env,
-                                      check=True).stdout)
-    assert digests[0] == digests[1]
+    assert (_run_with_threads(_TURN_SUM_HASH, "1", *dims)
+            == _run_with_threads(_TURN_SUM_HASH, "2", *dims))
+
+
+# Prints the sha256 of `dump A` and `dump Adag` at each of the given
+# dimensions. At these d a whole product once split among two OpenBLAS
+# threads at columns its kernel does not block at, and rounded otherwise.
+_DUMP_HASH = """
+import hashlib, os, sys, tempfile
+from fdphase.cli import main
+
+digest = hashlib.sha256()
+with tempfile.TemporaryDirectory() as scratch:
+    path = os.path.join(scratch, "dump.json")
+    for dim in sys.argv[1:]:
+        for name in ("A", "Adag"):
+            main(["dump", name, "--dim", dim, "--theta0", "2.9", "--out", path])
+            with open(path, "rb") as dump:
+                digest.update(dump.read())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif("openblas" not in _numpy_blas()[0].lower(),
+                    reason="numpy's BLAS is not OpenBLAS")
+def test_the_dump_bits_do_not_depend_on_the_blas_threads():
+    dims = ["129", "257", "300", "513"]
+    assert _run_with_threads(_DUMP_HASH, "1", *dims) == _run_with_threads(_DUMP_HASH, "2", *dims)
 
 
 def _values(rng, dim, like=None):
