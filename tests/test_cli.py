@@ -782,8 +782,9 @@ class TestPayloadBytes:
         self, monkeypatch, capsys, name, distinct
     ):
         """The phase states and A hold nearly all distinct values and are
-        filled entry by entry; the Toeplitz and monomial matrices render
-        from their distinct values. Either way the bytes are the lists'."""
+        formatted a chunk at a time in integers; the Toeplitz and monomial
+        matrices render from their distinct values. Either way the bytes are
+        the lists'."""
         taken = []
         distinct_rows = fdphase.report._distinct_rows
 

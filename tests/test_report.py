@@ -1,6 +1,7 @@
 """Report records, manifests, and the byte-stable renderers."""
 
 import inspect
+import math
 import json
 import weakref
 
@@ -475,3 +476,124 @@ class TestStatusCounts:
         report = _sample_report()
         counts = report.status_counts()
         assert counts == {"pass": 1, "fail": 0, "flagged": 1}
+
+
+def _reference_texts(values: np.ndarray) -> list:
+    return [format_float(value) for value in values.tolist()]
+
+
+def _neighbours(value: float, ulps: int = 2) -> list:
+    """``value`` and the doubles up to ``ulps`` steps either side of it, with both signs."""
+    below, above = [value], [value]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    around = below[::-1] + above[1:]
+    return around + [-v for v in around]
+
+
+# Ties at the 17th digit: m / 4 for odd m in [4e15, 9e15), a quarter of a unit.
+_TIES = (np.random.default_rng(20261020).integers(2 * 10**15, 9 * 10**15 // 2, 4096) * 2 + 1) / 4
+EXACTNESS_EDGES = np.array(
+    [1000000000000000.25, 9.9999999999999999e-5, 0.0, -0.0, 5e-324, -5e-324,
+     2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    + _TIES.tolist()
+    + [float(m) / 4 for m in (4 * 10**15 + 1, 9 * 10**15 - 1)]
+    # Powers of ten, and the style switches at 1e-5/1e-4 and 1e16/1e17,
+    # with values that round up into the next decade.
+    + [v for j in range(-20, 21) for v in _neighbours(float(f"1e{j}"))]
+    + [v for j in (-5, -4, 16, 17) for v in _neighbours(float(f"9.9999999999999999e{j - 1}"), 3)]
+)
+
+
+class TestFloatTexts:
+    """``report._float_texts`` formats arrays in integers; its bytes are ``format_float``'s."""
+
+    def test_random_bit_patterns_across_every_exponent(self):
+        rng = np.random.default_rng(28)
+        count = 2**20
+        mantissa = rng.integers(0, 2**52, count, dtype=np.uint64)
+        # Half over every biased exponent, half over those of 1e-15 to 1e16.
+        exponent = np.concatenate(
+            (rng.integers(0, 2048, count // 2), rng.integers(1023 - 51, 1023 + 54, count // 2))
+        ).astype(np.uint64)
+        sign = rng.integers(0, 2, count, dtype=np.uint64)
+        values = (sign << 63 | exponent << 52 | mantissa).view(np.float64)
+        assert set(exponent.tolist()) == set(range(2048))
+        texts = report._float_texts(values)
+        expected = _reference_texts(values)
+        assert len(texts) == count
+        wrong = [(e, t) for e, t in zip(expected, texts) if e != t]
+        assert not wrong, wrong[:5]
+
+    def test_edge_values(self):
+        assert len(EXACTNESS_EDGES) > 4096
+        assert report._float_texts(EXACTNESS_EDGES) == _reference_texts(EXACTNESS_EDGES)
+
+    def test_ties_round_half_to_even(self):
+        assert report._float_texts(np.array([1000000000000000.25, 1000000000000000.75])) == [
+            "1000000000000000.2",
+            "1000000000000000.8",
+        ]
+
+    @pytest.mark.parametrize("dtype,unsigned", [(np.float32, np.uint32), (np.float16, np.uint16)])
+    def test_narrow_floats_every_pattern(self, dtype, unsigned):
+        # Every float16 pattern; float32 patterns from every exponent.
+        rng = np.random.default_rng(16)
+        if dtype is np.float16:
+            values = np.arange(2**16, dtype=np.uint32).astype(unsigned).view(dtype)
+        else:
+            values = rng.integers(0, 2**32, 2**17, dtype=np.uint64).astype(unsigned).view(dtype)
+        assert report._float_texts(values) == _reference_texts(values)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats(self, values):
+        array = np.array(values, dtype=np.float64)
+        assert report._float_texts(array) == _reference_texts(array)
+
+    def test_the_exact_range_bounds(self):
+        tables = report._tables()
+        assert np.array(tables.low, dtype=np.uint64).view(np.float64) == 1e-15
+        assert np.array(tables.high, dtype=np.uint64).view(np.float64) == 1e16
+
+
+class TestChunkedArrays:
+    """Arrays rendered a chunk at a time give the bytes of their nested lists."""
+
+    def test_a_size_that_is_not_a_multiple_of_the_chunk(self):
+        rng = np.random.default_rng(3)
+        array = rng.standard_normal(2 * report._CHUNK + 5) / 16
+        array[[0, report._CHUNK - 1, report._CHUNK, -1]] = [0.0, 1e-300, -math.inf, 5e-324]
+        _assert_renders_as_lists(array)
+        # 2 * _CHUNK + 8 floats as [re, im] pairs.
+        complex_array = np.empty((2, report._CHUNK // 4 + 1, 2), dtype=np.complex128)
+        complex_array.real = array[: complex_array.size].reshape(complex_array.shape)
+        complex_array.imag = array[3 : 3 + complex_array.size].reshape(complex_array.shape)
+        _assert_renders_as_lists(complex_array)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 7, 16])
+    @pytest.mark.parametrize(
+        "shape", [(3, 4, 5), (2, 3, 2, 4), (5, 1, 3), (1, 1, 1, 1), (4, 6), (11,)]
+    )
+    def test_deeper_separators_inside_a_chunk(self, monkeypatch, chunk, shape):
+        monkeypatch.setattr(report, "_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        array = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        _assert_renders_as_lists(array)
+        _assert_renders_as_lists(array.astype(np.complex128) * (1 - 0.5j))
+
+    @pytest.mark.parametrize("chunk", [3, 4])
+    def test_fallback_values_first_and_last_in_a_chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(report, "_CHUNK", chunk)
+        array = np.full(4 * chunk, 0.1)
+        array[::chunk] = [0.0, -5e-324, 1e300, -0.0]
+        array[chunk - 1 :: chunk] = [math.nan, 1e-16, -1e16, math.inf]
+        for shape in ((array.size,), (2, -1), (2, 2, -1)):
+            _assert_renders_as_lists(array.reshape(shape))
+
+    def test_one_piece_per_chunk(self):
+        array = np.linspace(0.1, 0.2, 3 * report._CHUNK + 1).reshape(-1, 1)
+        pieces = report.json_pieces({"matrix": array})
+        assert len(pieces) == 3 + 1 + 4
