@@ -63,7 +63,8 @@ DUMP_OBJECTS = (
 # 16 rows, the last one overlapping the one before, so no product is a
 # single row. A limit on the bytes a command forms could replace this one.
 # A dump holds several d x d arrays (a d=1024 commutators dump peaks near
-# 460 MB) and grows as d^2, so its limit is lower.
+# 314-326 MB, a d=1024 `dump A` near 110 MB) and grows as d^2, so its
+# limit is lower.
 MAX_DUMP_DIM = 2048
 MAX_DIM = 4096
 

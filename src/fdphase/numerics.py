@@ -20,9 +20,9 @@ exp(2 pi i j/d) at j = n m mod d: the entries are gathered from the table,
 and the certification applies C through the four-step factorisation of T,
 with no FFT and no d x d array, each stage one ``np.matmul`` over a stack of
 small items (the d2 table in gathered chunks of 16 rows) that OpenBLAS runs
-on the calling thread at every d. A product's entries are formed in output
-tiles of at most 16 x 24, which stay on the calling thread too, so their
-bits do not depend on the number of BLAS threads. A frame, a complete
+on the calling thread at every d. A product's entries are its own action on
+the identity, so forming them calls no BLAS product, and their bits do not
+depend on the BLAS release or its number of threads. A frame, a complete
 orthonormal basis stored as the columns of a square matrix, is a certified
 operator, since for a square matrix V orthonormality is exactly V^dag V = 1.
 Every operator exponential used elsewhere in this package is assembled from
@@ -184,12 +184,9 @@ class OperatorMatrix:
     are formed only on first read, for a dump or a test, and kept. To form
     them, a monomial fills zeros, a shifted DFT gathers its exact-turn
     closed form from the turn table, with no d^2 exponentials, an adjoint is
-    ``base.entries.conj().T``, and a product multiplies its factors' entries
-    from the left, scaling the columns for a diagonal factor and otherwise
-    taking the product in small tiles (:func:`_tiled_product`), with the
-    bits of one-thread ``@``: V D V^dag forms as ``(v * d) @ v.conj().T``,
-    the adjoint's own entries, and a weighted shift S in V S reads only its
-    nonzero rows.
+    ``base.entries.conj().T``, and a product is its own action on the
+    identity, M I taken through its factors as :meth:`apply` takes any
+    block, in O(d^2 log d) for the FFT factors and no d^3 product.
 
     ``deviation`` is the unitarity deviation max |M^dag M - 1| that
     :func:`certify` measured and recorded on this operator, ``None`` until
@@ -273,9 +270,9 @@ class OperatorMatrix:
     def _form(self) -> np.ndarray:
         """The d x d entries, formed from the parts; only ``entries`` calls this.
 
-        A product multiplies its factors' entries from the left: a diagonal
-        factor scales the columns, and any other factor is multiplied in by
-        :func:`_tiled_product`, which takes the product on the calling thread.
+        A product acts on the identity through its factors, the route every
+        action takes, so no factor's entries are formed and no BLAS product
+        is called.
         """
         if self._kind == _MONOMIAL:
             rows, values, _ = self._parts
@@ -291,14 +288,7 @@ class OperatorMatrix:
             return entries
         if self._kind == _ADJOINT:
             return self._parts[0].entries.conj().T
-        first, *rest = self._parts
-        entries = first.entries
-        for factor in rest:
-            if factor._kind == _MONOMIAL and factor._parts[2]:
-                entries = entries * factor._parts[1]
-            else:
-                entries = _tiled_product(entries, factor)
-        return entries
+        return self._act_on(np.eye(self.dim, dtype=np.complex128), False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The operator acting on a d-vector, or on each column of a d x k block.
@@ -413,53 +403,12 @@ def _binary_power(rows: np.ndarray, values: np.ndarray, k: int) -> tuple:
     return result
 
 
-# Rows of one gathered chunk of the four-step route's d2 table, and of one
-# output tile of a formed product. OpenBLAS 0.3.31 (SkylakeX kernels) runs a
-# zgemm of at most 16 rows and fewer than 32 columns on the calling thread at
-# any inner length, so neither the probe block's 10 columns nor a product's
-# tiles of ``_TILE_COLUMNS`` wake its thread pool, whose woken worker would
-# spin for the rest of the command.
+# Rows of one gathered chunk of the four-step route's d2 table. OpenBLAS
+# 0.3.31 (SkylakeX kernels) runs a zgemm of at most 16 rows and fewer than 32
+# columns on the calling thread at any inner length, so the probe block's 10
+# columns never wake its thread pool, whose woken worker would spin for the
+# rest of the command.
 _CHUNK_ROWS = 16
-# Columns of one output tile of a formed product. Its kernel blocks columns
-# by 4, so tiles that start at multiples of 4 keep the bits of the whole
-# one-thread product.
-_TILE_COLUMNS = 24
-
-
-def _spans(dim: int, size: int) -> list:
-    """(start, end) of spans of ``size`` across d, a last ``size`` + 1 split as ``size`` - 4 and 5.
-
-    A span of one row or column would go to gemv, which rounds otherwise.
-    """
-    ends = [*range(size, dim, size), dim]
-    if len(ends) > 1 and ends[-1] - ends[-2] == 1:
-        ends[-2] -= 4
-    return list(zip([0, *ends[:-1]], ends))
-
-
-def _tiled_product(x: np.ndarray, factor: OperatorMatrix) -> np.ndarray:
-    """x @ factor.entries, one ``np.matmul`` per output tile of ``_CHUNK_ROWS`` x ``_TILE_COLUMNS``.
-
-    OpenBLAS runs every tile on the calling thread, so the bits are those
-    of the one-thread ``x @ factor.entries`` at any number of BLAS threads.
-    A monomial factor (a weighted shift) is not formed: each column tile
-    multiplies the columns of x at its rows by the diagonal of its values,
-    so its product takes O(d^2 w) for tiles w wide, not O(d^3); the terms
-    it skips are exact zeros.
-    """
-    dim = x.shape[0]
-    out = np.empty((dim, dim), dtype=np.complex128)
-    monomial = _monomial(factor)
-    y = None if monomial else factor.entries
-    row_spans = _spans(dim, _CHUNK_ROWS)
-    for j, j2 in _spans(dim, _TILE_COLUMNS):
-        if monomial:
-            left, right = x[:, monomial[0][j:j2]], np.diag(monomial[1][j:j2])
-        else:
-            left, right = x, y[:, j:j2]
-        for i, i2 in row_spans:
-            np.matmul(left[i:i2], right, out=out[i:i2, j:j2])
-    return out
 
 
 def _turn_sum(y: np.ndarray) -> np.ndarray:

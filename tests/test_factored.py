@@ -1,19 +1,15 @@
 """Operators held as their factors: how they act and how their entries are formed."""
 
+import functools
 import hashlib
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fdphase
-from fdphase import numerics
+from fdphase import deformed, numerics
 from fdphase.cli import main
 from fdphase.deformed import (
     build_generalized_frame,
@@ -123,47 +119,29 @@ def _oracles(dim, theta0=2.9, eta=1.5):
     }
 
 
-# Saves the dense expressions of _oracles at the dimension argv[2] to the .npz
-# file argv[3], loading this module from argv[1].
-_SAVE_DENSE_EXPRESSIONS = """
-import importlib.util, sys
-import numpy as np
-
-spec = importlib.util.spec_from_file_location("oracles", sys.argv[1])
-module = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(module)
-oracles = module._oracles(int(sys.argv[2]))
-np.savez(sys.argv[3], **{name: dense for name, (_, dense) in oracles.items()})
-"""
-
-
-def _one_thread_dense_expressions(dim, path):
-    """The dense expressions of ``_oracles(dim)``, each ``@`` taken with one OpenBLAS thread.
-
-    With more threads, OpenBLAS splits a product such as the d=257 ones
-    among them at columns its kernel does not block at, and the bits move.
-    """
-    source = str(Path(fdphase.__file__).resolve().parents[1])
-    paths = [source, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    subprocess.run([sys.executable, "-c", _SAVE_DENSE_EXPRESSIONS, __file__, str(dim), str(path)],
-                   env=env, check=True)
-    with np.load(path) as saved:
-        return {name: saved[name] for name in saved.files}
+# The oracles whose dense expression takes no ``@``: their entries are formed
+# with the same arithmetic, so they are its bytes. Every other oracle is a
+# product, whose entries are its action on the identity through its factors.
+_BYTE_EQUAL = {"phase_frame", "offset_coefficients", "exp_iphi", "q_minus_n",
+               "evolution", "number", "hamiltonian"}
 
 
 class TestEntriesKeepTheDenseExpressions:
     @pytest.mark.parametrize("dim", DIMS)
-    def test_formed_entries_are_the_dense_expression_bytes(self, dim, tmp_path):
-        dense = _one_thread_dense_expressions(dim, tmp_path / "dense.npz")
-        for name, (op, _) in _oracles(dim).items():
+    def test_formed_entries_are_the_dense_expression_bytes(self, dim):
+        oracles = _oracles(dim)
+        assert _BYTE_EQUAL < oracles.keys()
+        for name in _BYTE_EQUAL:
+            op, dense = oracles[name]
             assert op.entries.shape == (dim, dim), name
-            assert op.entries.tobytes() == np.ascontiguousarray(dense[name]).tobytes(), name
+            assert op.entries.tobytes() == np.ascontiguousarray(dense).tobytes(), name
             assert not op.entries.flags.writeable, name
 
-    @pytest.mark.parametrize("dim", [2, 65])
+    @pytest.mark.parametrize("dim", DIMS)
     def test_held_operators_act_as_their_entries(self, dim):
+        # A product's entries and its dense expression round differently, by
+        # at most 1.7 eps d max(1, max |oracle|) at every d here (the
+        # recovered operator at d=2); the bound allows 8.
         rng = np.random.default_rng(dim)
         block = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
         for name, (op, oracle) in _oracles(dim).items():
@@ -172,6 +150,69 @@ class TestEntriesKeepTheDenseExpressions:
             assert np.max(np.abs(op.apply(block) - oracle @ block)) <= tol, name
             assert np.max(np.abs(op.apply(block[:, 0]) - oracle @ block[:, 0])) <= tol, name
             assert np.max(np.abs(op.adjoint().apply(block) - oracle.conj().T @ block)) <= tol, name
+            bound = 8 * np.finfo(float).eps * dim * scale
+            assert np.max(np.abs(op.entries - oracle)) <= bound, name
+            assert not op.entries.flags.writeable, name
+
+
+@functools.lru_cache(maxsize=None)
+def _extended_lowering(dim, theta0, eta):
+    """A = W S W^dag with W = V diag(exp(-i eta theta_m)) V^dag, in ``np.clongdouble``.
+
+    V[n, m] = exp(i(n theta0 + 2 pi (n m mod d)/d))/sqrt(d) is the phase
+    frame, S the weighted shift with sqrt(n + eta) on |n-1><n| and
+    sqrt(eta) exp(i d theta0) on |d-1><0|; every phase is taken in extended
+    precision and every product by numpy's loop, with no BLAS.
+    """
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    levels = np.arange(dim)
+    steps = levels.astype(ld)
+    turns = (np.outer(levels, levels) % dim).astype(ld)
+    v = np.exp(1j * (steps[:, None] * ld(theta0) + 2 * pi * turns / dim)) / np.sqrt(ld(dim))
+    thetas = ld(theta0) + 2 * pi * steps / dim
+    w = (v * np.exp(-1j * ld(eta) * thetas)) @ v.conj().T
+    weights = np.sqrt(steps + ld(eta))
+    s = np.zeros((dim, dim), dtype=np.clongdouble)
+    s[levels[1:] - 1, levels[1:]] = weights[1:]
+    s[dim - 1, 0] = weights[0] * np.exp(1j * dim * ld(theta0))
+    return w @ s @ w.conj().T
+
+
+class TestLoweringAgainstExtendedPrecision:
+    """A and A^dag, formed by their action on the identity, against a
+    ``np.clongdouble`` dense reference."""
+
+    @pytest.mark.parametrize("dim", [7, 64, 257])
+    @pytest.mark.parametrize("fault", [None, "corner", "conjugated"])
+    def test_entries_are_the_reference_to_the_phase_rounding(self, dim, fault, monkeypatch):
+        # A's largest entries are sqrt(F_n) ~ sqrt(d), and its double
+        # phases (n + eta) theta_m round by up to about eps d (|theta0| + 2 pi),
+        # so the bound is eps sqrt(d) d (|theta0| + 2 pi). The entries read
+        # 2.6e-15, 1.2e-13 and 1.0e-12 at d = 7, 64 and 257: within the
+        # bound by a margin of 15, 8.5 and 8. A planted fault, S's corner
+        # phase dropped or the frame's eigenvalues exp(-i eta theta_m)
+        # conjugated, reads above it.
+        theta0, eta = 2.9, 0.5
+        if fault == "corner":
+            shift = deformed.cyclic_shift
+            monkeypatch.setattr(deformed, "cyclic_shift",
+                                lambda dim, corner, weights: shift(dim, 1.0, weights))
+        elif fault == "conjugated":
+            synthesize = deformed.spectral_synthesize
+            monkeypatch.setattr(deformed, "spectral_synthesize",
+                                lambda frame, eigvals: synthesize(frame, np.conj(eigvals)))
+        config = SpaceConfig.from_dim(dim, theta0)
+        frame = build_generalized_frame(build_phase_frame(config), eta)
+        lowering = build_lowering_operator(frame, deformation_linear(config, eta))
+        reference = _extended_lowering(dim, theta0, eta)
+        bound = np.finfo(float).eps * math.sqrt(dim) * dim * (theta0 + 2 * np.pi)
+        deviations = (np.max(np.abs(lowering.entries - reference)),
+                      np.max(np.abs(lowering.adjoint().entries - reference.conj().T)))
+        if fault is None:
+            assert max(deviations) <= bound, deviations
+        else:
+            assert min(deviations) > bound, deviations
 
 
 class TestShiftedDft:

@@ -1,5 +1,6 @@
 """Each record compares two routes, and the structured routes stay structured."""
 
+import dis
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import fdphase
 from fdphase import numerics, suites
+from fdphase.cli import main
 from fdphase.deformed import (
     build_generalized_frame,
     build_lowering_operator,
@@ -485,31 +487,50 @@ class TestTheExactTurnRoute:
         assert all(m > 1 or k == 1 for m, k, _ in items), items
 
 
-class TestTheTiledProducts:
-    """The products that form an operator's entries, taken as small tiles."""
+def _has_matrix_product(code) -> bool:
+    """Whether ``code`` holds a ``@`` or ``@=`` instruction."""
+    return any(i.opname in ("BINARY_MATRIX_MULTIPLY", "INPLACE_MATRIX_MULTIPLY")
+               or (i.opname == "BINARY_OP" and i.argrepr in ("@", "@="))
+               for i in dis.get_instructions(code))
 
-    @pytest.mark.parametrize("dim", [17, 65, 97, 129, 257, 300])
-    def test_every_product_is_a_small_tile(self, dim, monkeypatch):
-        # A's entries, V S V^dag with V = F D F^dag: two dense products and
-        # the weighted shift's, all as tiles that OpenBLAS runs on the calling
-        # thread, at most 16 rows by fewer than 32 columns, none of them a
-        # single row or column, which numpy would hand to gemv (d=97 ends in
-        # 17 rows and 25 columns). The tiles cover the three d x d outputs,
-        # so no product is taken whole.
-        config = SpaceConfig.from_dim(dim, 2.9)
-        frame = build_generalized_frame(build_phase_frame(config), 1.5)
-        lowering = build_lowering_operator(frame, deformation_linear(config, 1.5))
-        matmul, tiles = np.matmul, []
 
-        def spy(a, b, **kwargs):
-            tiles.append((*a.shape, b.shape[1]))
-            return matmul(a, b, **kwargs)
+class TestTheDumpsTakeNoProduct:
+    @pytest.mark.parametrize("dim", [17, 65, 257])
+    @pytest.mark.parametrize("name", ["A", "Adag"])
+    def test_entries_are_formed_with_no_blas_product(self, dim, name, monkeypatch):
+        # A's entries, V S V^dag with V = F D F^dag, are its action on the
+        # identity: FFTs and column scalings. The only products a dump takes
+        # are the frames' certifications, the four-step route's stacked items
+        # on the probe block in _turn_sum. Every np.matmul and np.dot is
+        # spied on with its caller, and every function of this package that
+        # the dump calls is traced: none may hold a `@`.
+        package = os.path.dirname(fdphase.__file__)
+        callers, traced = [], set()
 
-        monkeypatch.setattr(np, "matmul", spy)
-        lowering.entries
-        assert all(m <= 16 and n < 32 for m, _, n in tiles), tiles
-        assert all(min(m, n) > 1 or k == 1 for m, k, n in tiles), tiles
-        assert sum(m * n for m, _, n in tiles) == 3 * dim * dim
+        def spy(product):
+            def call(*args, **kwargs):
+                callers.append(sys._getframe(1).f_code.co_name)
+                return product(*args, **kwargs)
+            return call
+
+        def trace(frame, event, arg):
+            code = frame.f_code
+            if code.co_filename.startswith(package):
+                traced.add(code.co_name)
+                if _has_matrix_product(code):
+                    callers.append(f"@ in {code.co_name}")
+
+        for product in ("matmul", "dot"):
+            monkeypatch.setattr(np, product, spy(getattr(np, product)))
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            status = main(["dump", name, "--dim", str(dim), "--theta0", "2.9", "--out", os.devnull])
+        finally:
+            sys.settrace(previous)
+        assert status == 0
+        assert "_form" in traced and "_turn_sum" in callers
+        assert set(callers) == {"_turn_sum"}, set(callers)
 
 
 # Runs verify --suite all 20 times at d=511 and d=512, then once at the prime
@@ -545,10 +566,10 @@ for name, dim in (("A", "256"), ("Adag", "256"), ("commutators", "256"), ("A", "
 print(sum(int(fields[11]) + int(fields[12]) for fields in workers()) - before)
 """
 
-# The OpenBLAS release on which the rule behind numerics._CHUNK_ROWS and
-# numerics._TILE_COLUMNS was measured: a zgemm of at most 16 rows and fewer
-# than 32 columns stays on the calling thread at any inner length. Another
-# release may split its products among threads at other sizes.
+# The OpenBLAS release on which the rule behind numerics._CHUNK_ROWS was
+# measured: a zgemm of at most 16 rows and fewer than 32 columns stays on the
+# calling thread at any inner length. Another release may split its products
+# among threads at other sizes.
 _MEASURED_OPENBLAS = "0.3.31"
 
 
